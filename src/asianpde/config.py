@@ -9,6 +9,7 @@ the coarse figure grid and its coarser time step).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -49,6 +50,11 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        for name in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.dt > 0:
+            raise ConfigurationError(f"dt must be positive, got {self.dt}")
 
 
 # per-command defaults layered on top of the dataclass defaults
@@ -61,6 +67,7 @@ _INT_KEYS = {"nx", "ny", "iters", "seed", "paths", "steps", "workers"}
 _BOOL_KEYS = {"nonosc"}
 _STR_KEYS = {"kind", "out"}
 _VALID_KEYS = {f.name for f in fields(RunConfig)}
+_FLOAT_KEYS = sorted(_VALID_KEYS - _INT_KEYS - _BOOL_KEYS - _STR_KEYS)
 
 
 def _parse_value(key: str, raw: str):

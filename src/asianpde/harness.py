@@ -19,7 +19,8 @@ from .benchmarks import convergence_study
 from .config import RunConfig
 from .errors import ConfigurationError, StabilityError
 from .grid import GridSpec
-from .pricing import InstrumentSpec, grid_from_price_domain, integrate, readout, row_values
+from .pricing import InstrumentSpec, grid_from_price_domain, integrate, price_instrument, row_values
+from .pricing import readout  # noqa: F401 -- perfbench/tracing.py wraps harness.readout
 from .reference import (
     McConfig,
     McResult,
@@ -78,9 +79,8 @@ def _instrument(cfg: RunConfig, kind: str | None = None, strike: float | None = 
     )
 
 
-def _pde_price(inst: InstrumentSpec, spec: GridSpec, dt: float, n_iters: int, nonosc: bool) -> float:
-    psi = integrate(inst, spec, dt, SolverOptions(n_iters=n_iters, nonoscillatory=nonosc))
-    return readout(psi, inst, spec)
+def _options(cfg: RunConfig, n_iters: int) -> SolverOptions:
+    return SolverOptions(n_iters=n_iters, nonoscillatory=cfg.nonosc)
 
 
 def _method_name(n_iters: int) -> str:
@@ -113,7 +113,7 @@ def run_price(cfg: RunConfig, with_mc: bool = False) -> PriceReport:
     inst = _instrument(cfg)
     spec = _grid(cfg)
     entries = [
-        (_method_name(cfg.iters), _pde_price(inst, spec, cfg.dt, cfg.iters, cfg.nonosc), None),
+        (_method_name(cfg.iters), price_instrument(inst, spec, cfg.dt, _options(cfg, cfg.iters)), None),
         ("geometric", geometric_asian_price(inst), None),
         ("european", european_bs_price(inst), None),
     ]
@@ -157,7 +157,7 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
         sigma, t_months, strike, kind, n_iters = job
         inst = InstrumentSpec(kind, strike, t_months / 12.0, sigma, TABLE_RATE, TABLE_SPOT)
         try:
-            return _pde_price(inst, spec, cfg.dt, n_iters, cfg.nonosc)
+            return price_instrument(inst, spec, cfg.dt, _options(cfg, n_iters))
         except StabilityError as exc:
             exc.args = (
                 f"table row sigma={sigma:g} T={t_months:g}mo K={strike:g} {kind}: {exc.args[0]}",
@@ -226,18 +226,16 @@ TRANSECT_HEADER = ["s", "upwind", "mpdata_2it", "mpdata_4it", "mc", "european", 
 def run_transect(cfg: RunConfig) -> list[tuple]:
     """Per-column values along the row nearest A = 0: the figure's seven curves."""
     spec = _grid(cfg)
-    curves = {}
-    for n_iters in (1, 2, 4):
-        inst = _instrument(cfg)
-        psi = integrate(inst, spec, cfg.dt, SolverOptions(n_iters=n_iters, nonoscillatory=cfg.nonosc))
-        curves[n_iters] = row_values(psi)
-    proto = _instrument(cfg)
-    averages = mc_path_averages(proto, McConfig(cfg.paths, cfg.steps, cfg.seed))
-    unit_averages = averages / proto.spot
+    inst = _instrument(cfg)
+    curves = {
+        n_iters: row_values(integrate(inst, spec, cfg.dt, _options(cfg, n_iters)))
+        for n_iters in (1, 2, 4)
+    }
+    averages = mc_path_averages(inst, McConfig(cfg.paths, cfg.steps, cfg.seed))
+    unit_averages = averages / inst.spot
     rows = []
-    for i, x in enumerate(_grid(cfg).x_centres):
+    for i, x in enumerate(spec.x_centres):
         s = math.exp(x)
-        inst = _instrument(cfg)
         col_inst = InstrumentSpec(cfg.kind, cfg.strike, inst.maturity, inst.sigma, inst.rate, s)
         mc = mc_result_from_averages(s * unit_averages, col_inst)
         rows.append(
@@ -264,8 +262,7 @@ def run_converge(cfg: RunConfig, levels: int) -> list[tuple]:
     """Solid-body-translation errors at doubled resolutions: (dx, l2_error, order)."""
     if levels < 3:
         raise ConfigurationError(f"levels must be >= 3, got {levels}")
-    opts = SolverOptions(n_iters=cfg.iters, nonoscillatory=cfg.nonosc)
-    study = convergence_study(cfg.nx, levels, opts)
+    study = convergence_study(cfg.nx, levels, _options(cfg, cfg.iters))
     rows = [(lvl.dx, lvl.error, lvl.order) for lvl in study]
     if cfg.out:
         write_csv(cfg.out, ["dx", "l2_error", "order"], rows)

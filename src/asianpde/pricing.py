@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advection import SolverOptions, check_stability, factor_a, mpdata_step
+from .advection import (
+    DEFAULT_EPSILON,
+    SolverOptions,
+    StepWorkspace,
+    check_stability,
+    mpdata_step,
+    workspace_of,
+)
 from .errors import ConfigurationError, StabilityError
 from .grid import (
     DEFAULT_HALO,
@@ -56,6 +63,9 @@ class InstrumentSpec:
             raise ConfigurationError(f"sigma must be non-negative, got {self.sigma}")
         if not self.spot > 0:
             raise ConfigurationError(f"spot must be positive, got {self.spot}")
+        for name in ("strike", "maturity", "sigma", "rate", "spot"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -94,16 +104,23 @@ def build_courant(
     ratio across each face; the y component uses exp(x) at the cell-centre x
     of the face's row (it is constant in y and t).  Psi halos must be filled.
     Halos of the result are left for the caller; ``dt`` carries the marching
-    sign (negative for backward-in-time integration).
+    sign (negative for backward-in-time integration).  For a workspace psi
+    the field is written into the workspace's physical Courant slot, and the
+    y component is rebuilt only when ``dt``, ``tr`` or ``spec`` change.
     """
-    h = psi.halo
-    nx = psi.nx
-    p = psi.values
-    out = VectorField.zeros(spec, h)
-    ratio = factor_a(p[h - 1:h + nx, h:-h], p[h:h + nx + 1, h:-h])
-    out.interior_x[:] = (dt / spec.dx) * (tr.u - tr.nu * (2.0 / spec.dx) * ratio)
-    out.interior_y[:] = ((dt / spec.dy) * np.exp(spec.x_centres) / tr.T)[:, None]
-    return out
+    ws = workspace_of(psi)
+    plain = ws is None
+    if plain:
+        ws = StepWorkspace.holding(psi)
+    out = ws.courant
+    ratio, cx = ws.x_face_ratio(DEFAULT_EPSILON)
+    ratio *= tr.nu * (2.0 / spec.dx)
+    np.subtract(tr.u, ratio, out=cx)
+    cx *= dt / spec.dx
+    if ws.courant_y_key != (dt, tr, spec):
+        out.interior_y[:] = ((dt / spec.dy) * np.exp(spec.x_centres) / tr.T)[:, None]
+        ws.courant_y_key = (dt, tr, spec)
+    return out.detached() if plain else out
 
 
 def terminal_condition(
@@ -165,14 +182,18 @@ def integrate(
     The Courant field is rebuilt from the current field before every step
     (the pseudo-velocity is state-dependent) and checked against both
     stability criteria; a violation raises :class:`StabilityError` carrying
-    the step index, before any field update at that step.
+    the step index, before any field update at that step.  Every field of
+    the march lives in one :class:`StepWorkspace` created for this call.
 
     Since Psi = exp(-r t) f, the returned field at t = 0 is the price
     surface f itself.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"dt must be a positive finite number, got {dt}")
     fill_scalar, fill_vector = boundary or (fill_halos_scalar, fill_halos_vector)
     tr = make_transform(inst)
-    psi = terminal_condition(inst, spec, halo)
+    ws = StepWorkspace.holding(terminal_condition(inst, spec, halo))
+    psi = ws.psi
     for n, step in enumerate(_step_sizes(inst.maturity, dt)):
         fill_scalar(psi)
         courant = build_courant(psi, tr, spec, -step)
@@ -181,7 +202,7 @@ def integrate(
         if not report.ok:
             raise StabilityError(report, step_index=n)
         psi = mpdata_step(psi, courant, opts, boundary=(fill_scalar, fill_vector))
-    return psi
+    return psi.detached()
 
 
 def row_values(psi_t0: ScalarField, at_edge: bool = True) -> np.ndarray:

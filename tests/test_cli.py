@@ -48,6 +48,22 @@ class TestPriceCommand:
         assert result.exit_code == 3
         assert "diffusive criterion" in result.output
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--dt", "0"], "dt must be positive"),
+            (["--dt", "-0.001"], "dt must be positive"),
+            (["--sigma", "nan"], "sigma must be finite"),
+            (["--rate", "nan"], "rate must be finite"),
+            (["--amax", "50"], "lies above amax"),
+        ],
+    )
+    def test_invalid_input_exit_code(self, runner, args, message):
+        result = runner.invoke(main, ["price", *args])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_io_error_exit_code(self, runner):
         result = runner.invoke(
             main, ["price", *FAST, "--out", "/nonexistent-dir/x.csv"]
@@ -88,6 +104,11 @@ class TestTransectCommand:
 
 
 class TestTableCommand:
+    def test_strike_above_amax_refused(self, runner):
+        result = runner.invoke(main, ["table", "--amax", "104"])
+        assert result.exit_code == 2
+        assert "strike 105 lies above amax" in result.output
+
     def test_offending_row_identified_on_stability_violation(self, runner):
         result = runner.invoke(main, ["table", "--nx", "200", "--dt", "0.002"])
         assert result.exit_code == 3

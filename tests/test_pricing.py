@@ -38,6 +38,10 @@ class TestInstrumentSpec:
             dict(maturity=0.0),
             dict(sigma=-0.1),
             dict(spot=-5.0),
+            dict(sigma=math.nan),
+            dict(rate=math.nan),
+            dict(rate=math.inf),
+            dict(maturity=math.inf),
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -184,6 +188,12 @@ class TestStepSizes:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_invalid_step_rejected(self, dt):
+        spec = grid_from_price_domain(50.0, 200.0, 200.0, 8, 8)
+        with pytest.raises(ConfigurationError, match="dt"):
+            integrate(sample_instrument(), spec, dt=dt, opts=OPTS)
+
     def test_below_half_step_returns_terminal_condition(self):
         spec = grid_from_price_domain(50.0, 200.0, 200.0, 8, 8)
         inst = sample_instrument(maturity=1e-4)
