@@ -1,16 +1,16 @@
 """Command implementations behind the CLI: valuations, table and transect
 reproduction, convergence studies, and deterministic CSV emission.
 
-All outputs are assembled in a fixed row order regardless of how many worker
-threads computed them, so a fixed seed yields byte-identical files across
-runs and worker counts.
+Every job runs in the calling thread and outputs are assembled in a fixed
+row order, so a fixed seed yields byte-identical files across runs.
+``RunConfig.workers`` (``--workers``) is accepted but currently changes
+nothing: a thread pool bought no speed, as the numpy work holds the GIL.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from .reference import (
     european_bs_price,
     geometric_asian_price,
     mc_path_averages,
+    mc_path_averages_many,
     mc_result_from_averages,
 )
 
@@ -112,15 +113,14 @@ def run_price(cfg: RunConfig, with_mc: bool = False) -> PriceReport:
     """One valuation with the analytic references and, on request, Monte Carlo."""
     inst = _instrument(cfg)
     spec = _grid(cfg)
+    mc_cfg = McConfig(cfg.paths, cfg.steps, cfg.seed) if with_mc else None
     entries = [
         (_method_name(cfg.iters), price_instrument(inst, spec, cfg.dt, _options(cfg, cfg.iters)), None),
         ("geometric", geometric_asian_price(inst), None),
         ("european", european_bs_price(inst), None),
     ]
-    if with_mc:
-        res = mc_result_from_averages(
-            mc_path_averages(inst, McConfig(cfg.paths, cfg.steps, cfg.seed)), inst
-        )
+    if mc_cfg:
+        res = mc_result_from_averages(mc_path_averages(inst, mc_cfg), inst)
         entries.append((f"mc_{cfg.paths}", res.price, res.std_error))
     report = PriceReport(inst, tuple(entries))
     if cfg.out:
@@ -140,8 +140,9 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     """All table rows x {call, put} x {upwind, mpdata_2it, mc_10k, mc_100k, geometric}.
 
     Returns the full-precision CSV rows and a human-readable companion table
-    rounded to 3 significant digits.  PDE and MC jobs run as independent
-    parallel tasks; assembly order is fixed by the row key.
+    rounded to 3 significant digits.  The PDE jobs run in turn, then one MC
+    call steps the four (sigma, T) sets on one shared normal stream;
+    assembly order is fixed by the row key.
     """
     spec = _grid(cfg)
 
@@ -151,7 +152,7 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
         for kind in ("call", "put")
         for n_iters in (1, cfg.iters)
     ]
-    mc_jobs = sorted({(sigma, t_months) for (sigma, t_months, _) in TABLE_ROWS})
+    mc_keys = sorted({(sigma, t_months) for (sigma, t_months, _) in TABLE_ROWS})
 
     def pde_task(job):
         sigma, t_months, strike, kind, n_iters = job
@@ -164,18 +165,10 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
             )
             raise
 
-    def mc_task(job):
-        sigma, t_months = job
-        proto = InstrumentSpec("call", 100.0, t_months / 12.0, sigma, TABLE_RATE, TABLE_SPOT)
-        return mc_path_averages(proto, McConfig(max(TABLE_MC_PATHS), TABLE_MC_STEPS, cfg.seed))
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            pde_prices = dict(zip(pde_jobs, pool.map(pde_task, pde_jobs)))
-            mc_averages = dict(zip(mc_jobs, pool.map(mc_task, mc_jobs)))
-    else:
-        pde_prices = {job: pde_task(job) for job in pde_jobs}
-        mc_averages = {job: mc_task(job) for job in mc_jobs}
+    pde_prices = {job: pde_task(job) for job in pde_jobs}
+    protos = [InstrumentSpec("call", 100.0, t / 12.0, s, TABLE_RATE, TABLE_SPOT) for s, t in mc_keys]
+    mc_cfg = McConfig(max(TABLE_MC_PATHS), TABLE_MC_STEPS, cfg.seed)
+    mc_averages = dict(zip(mc_keys, mc_path_averages_many(protos, mc_cfg)))
 
     rows: list[tuple] = []
     cells: dict[tuple, dict[str, float]] = {}

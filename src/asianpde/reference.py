@@ -10,6 +10,7 @@ worker count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ConfigurationError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.n_paths < 2:
+            raise ConfigurationError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -87,18 +88,6 @@ def _path_key(seed: int, path_index: int) -> np.ndarray:
     return np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
 
 
-def _rekey(bit_gen: np.random.Philox, seed: int, path_index: int) -> None:
-    # resetting key/counter through the state dict skips object construction
-    # but yields the same stream as Philox(key=(seed, path_index))
-    state = bit_gen.state
-    state["state"]["counter"][:] = 0
-    state["state"]["key"][:] = _path_key(seed, path_index)
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bit_gen.state = state
-
-
 def gbm_path(inst: InstrumentSpec, cfg: McConfig, path_index: int) -> np.ndarray:
     """Exact log-normal path: the M samples after the spot, S_1 .. S_M.
 
@@ -112,24 +101,40 @@ def gbm_path(inst: InstrumentSpec, cfg: McConfig, path_index: int) -> np.ndarray
     return inst.spot * np.exp(np.cumsum(log_steps))
 
 
-def _unit_path_averages(rate: float, sigma: float, maturity: float, cfg: McConfig) -> np.ndarray:
-    """Per-path trapezoidal average of S/S0 over the M+1 samples incl. both endpoints."""
+def mc_path_averages_many(insts: Sequence[InstrumentSpec], cfg: McConfig) -> list[np.ndarray]:
+    """``mc_path_averages`` of every instrument, each bit-identical to a separate call.
+
+    The normals depend only on (seed, path index, M), so each block of paths
+    is drawn once and every instrument steps its paths on it.
+    """
     m = cfg.n_steps
-    d_tau = maturity / m
-    drift = (rate - 0.5 * sigma**2) * d_tau
-    vol = sigma * math.sqrt(d_tau)
+    steps = [
+        ((i.rate - 0.5 * i.sigma**2) * (i.maturity / m), i.sigma * math.sqrt(i.maturity / m))
+        for i in insts
+    ]
     bit_gen = np.random.Philox(key=_path_key(cfg.seed, 0))
     gen = np.random.Generator(bit_gen)
-    out = np.empty(cfg.n_paths)
+    # setting this fresh state with key[1] = i gives the stream of
+    # Philox(key=(seed, i)) without constructing one per path
+    fresh = bit_gen.state
+    outs = [np.empty(cfg.n_paths) for _ in insts]
     block = np.empty((min(_PATH_BLOCK, cfg.n_paths), m))
+    work = np.empty_like(block)
     for start in range(0, cfg.n_paths, _PATH_BLOCK):
         stop = min(start + _PATH_BLOCK, cfg.n_paths)
         for k in range(stop - start):
-            _rekey(bit_gen, cfg.seed, start + k)
+            fresh["state"]["key"][1] = start + k
+            bit_gen.state = fresh
             block[k] = gen.standard_normal(m)
-        rel = np.exp(np.cumsum(drift + vol * block[: stop - start], axis=1))
-        out[start:stop] = (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m
-    return out
+        rel = work[: stop - start]
+        for (drift, vol), out in zip(steps, outs):
+            # S/S0 = exp(cumsum(drift + vol * z)) in one buffer, operation for operation
+            np.multiply(block[: stop - start], vol, out=rel)
+            rel += drift
+            np.cumsum(rel, axis=1, out=rel)
+            np.exp(rel, out=rel)
+            out[start:stop] = (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m
+    return [inst.spot * out for inst, out in zip(insts, outs)]
 
 
 def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:
@@ -139,22 +144,21 @@ def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:
     payoff on the same (spot, rate, sigma, maturity, seed) configuration
     with bit-identical results.
     """
-    return inst.spot * _unit_path_averages(inst.rate, inst.sigma, inst.maturity, cfg)
+    return mc_path_averages_many([inst], cfg)[0]
 
 
 def mc_result_from_averages(averages: np.ndarray, inst: InstrumentSpec) -> McResult:
-    """Discounted payoff statistics for pre-computed path averages."""
+    """Discounted payoff statistics for pre-computed path averages (at least 2)."""
+    n = averages.size
+    if n < 2:
+        raise ConfigurationError(f"a standard error needs at least 2 paths, got {n}")
     if inst.kind == "call":
         payoffs = np.maximum(averages - inst.strike, 0.0)
     else:
         payoffs = np.maximum(inst.strike - averages, 0.0)
     discount = math.exp(-inst.rate * inst.maturity)
-    n = payoffs.size
     price = discount * float(np.mean(payoffs))
-    if n > 1:
-        std_error = discount * float(np.std(payoffs, ddof=1)) / math.sqrt(n)
-    else:
-        std_error = 0.0
+    std_error = discount * float(np.std(payoffs, ddof=1)) / math.sqrt(n)
     return McResult(price=price, std_error=std_error, n_paths=n)
 
 

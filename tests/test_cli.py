@@ -56,6 +56,7 @@ class TestPriceCommand:
             (["--sigma", "nan"], "sigma must be finite"),
             (["--rate", "nan"], "rate must be finite"),
             (["--amax", "50"], "lies above amax"),
+            (["--with-mc", "--paths", "1"], "n_paths must be >= 2"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):
@@ -79,6 +80,12 @@ class TestMcCommand:
         assert first.exit_code == 0
         assert first.output == second.output
         assert "mc price" in first.output
+
+    def test_one_path_refused(self, runner):
+        result = runner.invoke(main, ["mc", "--paths", "1", "--steps", "30"])
+        assert result.exit_code == 2
+        assert "n_paths must be >= 2" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestConvergeCommand:

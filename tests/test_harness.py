@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from asianpde.config import RunConfig, load_config_file, resolve_config
@@ -14,6 +16,7 @@ from asianpde.harness import (
 
 # coarse-but-stable settings so harness tests stay fast
 FAST = dict(nx=32, ny=32, dt=1.0 / 200.0, paths=400, steps=50)
+TABLE_GOLDEN = "d8033bfebab792eb6700bbc59db43986f0ec4979cb9da5df68e864754748aa3d"
 
 
 class TestConfigFile:
@@ -168,3 +171,13 @@ class TestRunTable:
         assert len(rows1) == 80
         methods = {row[4] for row in rows1}
         assert methods == {"upwind", "mpdata_2it", "mc_0k", "mc_2k", "geometric"}
+
+    def test_rows_match_golden_digest(self, monkeypatch):
+        # sha256 of repr(rows) as the table gave it when each (sigma, T) MC set
+        # drew its own normals; 5000 paths end in a partial 4096-path block
+        import asianpde.harness as harness
+
+        monkeypatch.setattr(harness, "TABLE_MC_PATHS", (100, 5000))
+        monkeypatch.setattr(harness, "TABLE_MC_STEPS", 20)
+        rows, _ = run_table(RunConfig(nx=24, ny=20, dt=1.0 / 100.0))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == TABLE_GOLDEN

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from asianpde.errors import ConfigurationError
 from asianpde.pricing import InstrumentSpec
 from asianpde.reference import (
+    _PATH_BLOCK,
     McConfig,
     european_bs_price,
     gbm_path,
     geometric_asian_price,
     mc_asian_price,
     mc_path_averages,
+    mc_path_averages_many,
     mc_result_from_averages,
     norm_cdf,
 )
@@ -102,7 +104,10 @@ class TestEuropean:
 
 
 class TestMcConfig:
-    @pytest.mark.parametrize("kwargs", [dict(n_paths=0, n_steps=10), dict(n_paths=10, n_steps=0)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n_paths=0, n_steps=10), dict(n_paths=10, n_steps=0), dict(n_paths=1, n_steps=10)],
+    )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             McConfig(**kwargs)
@@ -182,6 +187,26 @@ class TestMcAsianPrice:
             path = gbm_path(inst, cfg, p)
             trapezoid = (0.5 * inst.spot + path[:-1].sum() + 0.5 * path[-1]) / cfg.n_steps
             assert averages[p] == pytest.approx(trapezoid, rel=1e-13)
+
+    def test_shared_normals_match_separate_runs(self):
+        # one normal stream for every spec, bit for bit what separate runs draw,
+        # including the partial last block
+        specs = [
+            instrument(sigma=0.15, maturity=0.25, spot=90.0),
+            instrument(sigma=0.3, maturity=0.5, spot=100.0),
+            instrument(sigma=0.45, maturity=1.0, spot=110.0, rate=0.05),
+            instrument(sigma=0.6, maturity=2.0, spot=120.0),
+        ]
+        cfg = McConfig(_PATH_BLOCK + 37, 40, seed=21)
+        shared = mc_path_averages_many(specs, cfg)
+        assert len(shared) == len(specs)
+        for spec, averages in zip(specs, shared):
+            assert np.array_equal(averages, mc_path_averages(spec, cfg))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_averages_refused(self, n):
+        with pytest.raises(ConfigurationError, match="at least 2 paths"):
+            mc_result_from_averages(np.full(n, 100.0), instrument())
 
     def test_std_error_shrinks_like_sqrt_n(self):
         inst = instrument()
