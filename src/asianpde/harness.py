@@ -1,18 +1,21 @@
 """Command implementations behind the CLI: valuations, table and transect
 reproduction, convergence studies, and deterministic CSV emission.
 
-Every job runs in the calling thread and outputs are assembled in a fixed
-row order, so a fixed seed yields byte-identical files across runs.
-``RunConfig.workers`` (``--workers``) is accepted but currently changes
-nothing: a thread pool bought no speed, as the numpy work holds the GIL.
+Outputs are assembled in a fixed row order, so a fixed seed yields
+byte-identical files across runs.  ``RunConfig.workers`` (``--workers``) is
+the number of processes ``run_table`` spreads its jobs over (1 runs them in
+the calling process); the other commands ignore it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .advection import SolverOptions
 from .benchmarks import convergence_study
@@ -26,6 +29,7 @@ from .reference import (
     McResult,
     european_bs_price,
     geometric_asian_price,
+    mc_asian_price,
     mc_path_averages,
     mc_path_averages_many,
     mc_result_from_averages,
@@ -120,7 +124,7 @@ def run_price(cfg: RunConfig, with_mc: bool = False) -> PriceReport:
         ("european", european_bs_price(inst), None),
     ]
     if mc_cfg:
-        res = mc_result_from_averages(mc_path_averages(inst, mc_cfg), inst)
+        res = mc_asian_price(inst, mc_cfg)
         entries.append((f"mc_{cfg.paths}", res.price, res.std_error))
     report = PriceReport(inst, tuple(entries))
     if cfg.out:
@@ -136,39 +140,60 @@ def run_price(cfg: RunConfig, with_mc: bool = False) -> PriceReport:
 # table
 # ---------------------------------------------------------------------------
 
+def _pde_job(key: tuple, spec: GridSpec, dt: float, options: SolverOptions) -> float:
+    """One table PDE price; a stability error names its table row."""
+    sigma, t_months, strike, kind, _ = key
+    inst = InstrumentSpec(kind, strike, t_months / 12.0, sigma, TABLE_RATE, TABLE_SPOT)
+    try:
+        return price_instrument(inst, spec, dt, options)
+    except StabilityError as exc:
+        exc.args = (f"table row sigma={sigma:g} T={t_months:g}mo K={strike:g} {kind}: {exc.args[0]}",)
+        raise
+
+
+def _run_job(job: tuple):
+    fn, args = job
+    return fn(*args)
+
+
 def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     """All table rows x {call, put} x {upwind, mpdata_2it, mc_10k, mc_100k, geometric}.
 
     Returns the full-precision CSV rows and a human-readable companion table
-    rounded to 3 significant digits.  The PDE jobs run in turn, then one MC
-    call steps the four (sigma, T) sets on one shared normal stream;
-    assembly order is fixed by the row key.
+    rounded to 3 significant digits.  The jobs (32 PDE prices, then path
+    ranges of one MC call over the four (sigma, T) sets) run in the calling
+    process when ``workers == 1``, else on a spawned pool of at most
+    ``workers`` processes and CPUs, whose pending jobs are cancelled on the
+    first error.  Assembly order is fixed by the row key.
     """
     spec = _grid(cfg)
-
-    pde_jobs = [
+    pde_keys = [
         (sigma, t_months, strike, kind, n_iters)
         for (sigma, t_months, strike) in TABLE_ROWS
         for kind in ("call", "put")
         for n_iters in (1, cfg.iters)
     ]
     mc_keys = sorted({(sigma, t_months) for (sigma, t_months, _) in TABLE_ROWS})
-
-    def pde_task(job):
-        sigma, t_months, strike, kind, n_iters = job
-        inst = InstrumentSpec(kind, strike, t_months / 12.0, sigma, TABLE_RATE, TABLE_SPOT)
-        try:
-            return price_instrument(inst, spec, cfg.dt, _options(cfg, n_iters))
-        except StabilityError as exc:
-            exc.args = (
-                f"table row sigma={sigma:g} T={t_months:g}mo K={strike:g} {kind}: {exc.args[0]}",
-            )
-            raise
-
-    pde_prices = {job: pde_task(job) for job in pde_jobs}
     protos = [InstrumentSpec("call", 100.0, t / 12.0, s, TABLE_RATE, TABLE_SPOT) for s, t in mc_keys]
     mc_cfg = McConfig(max(TABLE_MC_PATHS), TABLE_MC_STEPS, cfg.seed)
-    mc_averages = dict(zip(mc_keys, mc_path_averages_many(protos, mc_cfg)))
+    # 4 MC ranges per process balance the load; len(jobs) > size, so it needs no bound
+    size = min(cfg.workers, os.cpu_count() or 1)
+    edges = [mc_cfg.n_paths * i // (4 * size) for i in range(4 * size + 1)]
+    jobs = [(_pde_job, (key, spec, cfg.dt, _options(cfg, key[4]))) for key in pde_keys]
+    jobs += [(mc_path_averages_many, (protos, mc_cfg, a, b)) for a, b in zip(edges, edges[1:])]
+    if size == 1:
+        results = list(map(_run_job, jobs))
+    else:
+        # imported here: only a pool pays their 20 ms; spawned: a fork copies locks other threads hold
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        pool = ProcessPoolExecutor(size, mp_context=get_context("spawn"))
+        try:
+            results = list(pool.map(_run_job, jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    pde_prices = dict(zip(pde_keys, results))
+    mc_averages = {k: np.concatenate([r[i] for r in results[len(pde_keys) :]]) for i, k in enumerate(mc_keys)}
 
     rows: list[tuple] = []
     cells: dict[tuple, dict[str, float]] = {}
@@ -268,9 +293,7 @@ def run_converge(cfg: RunConfig, levels: int) -> list[tuple]:
 
 def run_mc(cfg: RunConfig) -> McResult:
     inst = _instrument(cfg)
-    res = mc_result_from_averages(
-        mc_path_averages(inst, McConfig(cfg.paths, cfg.steps, cfg.seed)), inst
-    )
+    res = mc_asian_price(inst, McConfig(cfg.paths, cfg.steps, cfg.seed))
     if cfg.out:
         write_csv(
             cfg.out,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 
 import pytest
@@ -172,9 +173,36 @@ class TestRunTable:
         methods = {row[4] for row in rows1}
         assert methods == {"upwind", "mpdata_2it", "mc_0k", "mc_2k", "geometric"}
 
+    @pytest.mark.parametrize("workers, cpus, size", [(10_000, 3, 3), (2, 64, 2), (10_000, None, None)])
+    def test_pool_size_bounded_by_cpus(self, monkeypatch, workers, cpus, size):
+        # the recorder starts no process: it runs the jobs in the calling one
+        import asianpde.harness as harness
+
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+                assert mp_context.get_start_method() == "spawn"
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+            def shutdown(self, cancel_futures=False):
+                assert cancel_futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness, "TABLE_MC_PATHS", (100, 200))
+        monkeypatch.setattr(harness, "TABLE_MC_STEPS", 10)
+        base = dict(nx=24, ny=20, dt=1.0 / 100.0)
+        rows, _ = run_table(RunConfig(**base, workers=workers))
+        assert sizes == ([] if size is None else [size])
+        assert rows == run_table(RunConfig(**base, workers=1))[0]
+
     def test_rows_match_golden_digest(self, monkeypatch):
         # sha256 of repr(rows) as the table gave it when each (sigma, T) MC set
-        # drew its own normals; 5000 paths end in a partial 4096-path block
+        # drew its own normals; 5000 paths end in a partial block
         import asianpde.harness as harness
 
         monkeypatch.setattr(harness, "TABLE_MC_PATHS", (100, 5000))

@@ -203,6 +203,21 @@ class TestMcAsianPrice:
         for spec, averages in zip(specs, shared):
             assert np.array_equal(averages, mc_path_averages(spec, cfg))
 
+    def test_path_ranges_concatenate_to_whole(self):
+        # range edges off the block grid (301 = 2 * 128 + 45); each path keeps its
+        # own (seed, index) stream
+        specs = [instrument(sigma=0.2, maturity=0.5), instrument(sigma=0.4, maturity=1.0)]
+        cfg = McConfig(3 * _PATH_BLOCK + 45, 30, seed=8)
+        whole = mc_path_averages_many(specs, cfg)
+        parts = [mc_path_averages_many(specs, cfg, a, b) for a, b in ((0, 50), (50, 301), (301, None))]
+        for i, averages in enumerate(whole):
+            assert np.array_equal(np.concatenate([part[i] for part in parts]), averages)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 10), (10, 5), (0, 301)])
+    def test_path_range_outside_refused(self, start, stop):
+        with pytest.raises(ConfigurationError, match="path range"):
+            mc_path_averages_many([instrument()], McConfig(300, 30), start, stop)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_averages_refused(self, n):
         with pytest.raises(ConfigurationError, match="at least 2 paths"):
