@@ -1,52 +1,22 @@
 """Fixed-strike arithmetic Asian option valuation via an MPDATA transport solver."""
 
-from .advection import SolverOptions, StabilityReport, check_stability, mpdata_step, upwind_step
+from .advection import SolverOptions
 from .errors import ConfigurationError, StabilityError
-from .grid import GridSpec, ScalarField, VectorField, make_grid
-from .pricing import (
-    InstrumentSpec,
-    Transform,
-    grid_from_price_domain,
-    integrate,
-    make_transform,
-    price_instrument,
-    readout,
-)
-from .reference import (
-    McConfig,
-    McResult,
-    european_bs_price,
-    gbm_path,
-    geometric_asian_price,
-    mc_asian_price,
-)
+from .pricing import InstrumentSpec, grid_from_price_domain, integrate, readout
+from .reference import McConfig, geometric_asian_price, mc_asian_price
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "GridSpec",
     "InstrumentSpec",
     "McConfig",
-    "McResult",
-    "ScalarField",
     "SolverOptions",
     "StabilityError",
-    "StabilityReport",
-    "Transform",
-    "VectorField",
-    "check_stability",
-    "european_bs_price",
-    "gbm_path",
     "geometric_asian_price",
     "grid_from_price_domain",
     "integrate",
-    "make_grid",
-    "make_transform",
     "mc_asian_price",
-    "mpdata_step",
-    "price_instrument",
     "readout",
-    "upwind_step",
     "__version__",
 ]

@@ -46,13 +46,10 @@ class SolverOptions:
 
     n_iters: int = 2
     nonoscillatory: bool = True
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if self.n_iters < 1:
             raise ConfigurationError(f"n_iters must be >= 1, got {self.n_iters}")
-        if not self.epsilon > 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -62,16 +59,10 @@ class StabilityReport:
     max_abs_courant_y: float
     diffusion_number: float
     violations: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
 
 
 def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> StabilityReport:
-    """Check the advective (|C| <= 1) and diffusive (2|nu| dt / dx^2 <= 1/2) criteria.
-
-    The half-Courant guideline for divergent flow is reported as a warning
-    only: the valuation flow is divergence-free in y and the x component is
-    covered by the diffusive criterion.
-    """
+    """Check the advective (|C| <= 1) and diffusive (2|nu| dt / dx^2 <= 1/2) criteria."""
     max_cx = float(np.max(np.abs(courant.interior_x)))
     max_cy = float(np.max(np.abs(courant.interior_y)))
     diffusion = 2.0 * abs(nu) * abs(dt) / dx**2
@@ -84,19 +75,12 @@ def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> St
         violations.append(
             f"diffusive criterion violated: 2|nu| dt / dx^2 = {diffusion:.6g} > 1/2"
         )
-    warnings = ()
-    if not violations and max(max_cx, max_cy) > 0.5:
-        warnings = (
-            f"max |C| = {max(max_cx, max_cy):.6g} exceeds the half-Courant guideline "
-            "for divergent flow fields",
-        )
     return StabilityReport(
         ok=not violations,
         max_abs_courant_x=max_cx,
         max_abs_courant_y=max_cy,
         diffusion_number=diffusion,
         violations=tuple(violations),
-        warnings=warnings,
     )
 
 
@@ -105,11 +89,6 @@ def _guard(courant: VectorField) -> None:
     report = check_stability(courant, 0.0, 0.0, 1.0)
     if not report.ok:
         raise StabilityError(report)
-
-
-def flux(psi_left, psi_right, courant):
-    """Donor-cell flux: max(C, 0) * psi_left + min(C, 0) * psi_right."""
-    return np.maximum(courant, 0.0) * psi_left + np.minimum(courant, 0.0) * psi_right
 
 
 def _guarded_ratio(num, den, epsilon: float, out=None, small=None):
@@ -123,55 +102,6 @@ def _guarded_ratio(num, den, epsilon: float, out=None, small=None):
         out = np.divide(num, den, out=out if out is not None else np.empty_like(num))
     np.copyto(out, 0.0, where=small)
     return out
-
-
-def factor_a(psi_here, psi_next, epsilon: float = DEFAULT_EPSILON):
-    """First antidiffusive factor (psi_next - psi_here) / (psi_next + psi_here).
-
-    Returns 0 where the denominator magnitude falls below ``epsilon``.
-    Accepts scalars or arrays.
-    """
-    num = np.asarray(psi_next, dtype=float) - np.asarray(psi_here, dtype=float)
-    den = np.asarray(psi_next, dtype=float) + np.asarray(psi_here, dtype=float)
-    out = _guarded_ratio(np.asarray(num), np.asarray(den), epsilon)
-    return float(out) if out.ndim == 0 else out
-
-
-def factor_b(psi: ScalarField, i: int, j: int, d: int, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Cross-dimension antidiffusive factor at face (i+1/2, j) of dimension d.
-
-    Half the difference of the two +1-offset transverse neighbour pairs and
-    the two -1-offset ones, over their total; 0 on a vanishing denominator.
-    Interior cell indices; halos must be filled.
-    """
-    h = psi.halo
-    v = psi.values
-    a, b = h + i, h + j
-    if d == 0:
-        up = v[a + 1, b + 1] + v[a, b + 1]
-        dn = v[a + 1, b - 1] + v[a, b - 1]
-    elif d == 1:
-        up = v[a + 1, b + 1] + v[a + 1, b]
-        dn = v[a - 1, b + 1] + v[a - 1, b]
-    else:
-        raise ConfigurationError(f"dimension must be 0 or 1, got {d}")
-    den = up + dn
-    if abs(den) < epsilon:
-        return 0.0
-    return 0.5 * (up - dn) / den
-
-
-def transverse_mean_courant(courant: VectorField, i: int, j: int, d: int, q: int) -> float:
-    """Mean of the four q-component faces surrounding face (i+1/2, j) of dimension d."""
-    if {d, q} != {0, 1}:
-        raise ConfigurationError(f"need distinct dimensions from (0, 1), got d={d}, q={q}")
-    h = courant.halo
-    a, b = h + i, h + j
-    if d == 0:
-        cy = courant.comp_y
-        return 0.25 * (cy[a, b] + cy[a + 1, b] + cy[a, b + 1] + cy[a + 1, b + 1])
-    cx = courant.comp_x
-    return 0.25 * (cx[a, b] + cx[a + 1, b] + cx[a, b + 1] + cx[a + 1, b + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +118,6 @@ class WorkspaceScalar(ScalarField):
         # every finished workspace alive until the cyclic garbage collector runs
         self.workspace = weakref.ref(workspace)
         self.flat = flat
-
-    def detached(self) -> ScalarField:
-        """A plain copy, halos included."""
-        return ScalarField(self.values.copy(), self.halo)
 
 
 class WorkspaceVector(VectorField):
@@ -435,10 +361,10 @@ def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
     _guard(courant)
     ws = StepWorkspace.holding(psi, courant)
     _upwind(ws, ws.psi, ws.courant)
-    return ws.psi.detached()
+    return ws.psi.copy()
 
 
-def _corrective_field(kernel, psi: ScalarField, courant: VectorField, epsilon: float) -> VectorField:
+def _corrective_field(kernel, psi: ScalarField, courant: VectorField) -> VectorField:
     """Run ``kernel`` into the spare corrective slot; plain inputs get a plain result."""
     ws = workspace_of(psi, courant)
     plain = ws is None
@@ -446,7 +372,7 @@ def _corrective_field(kernel, psi: ScalarField, courant: VectorField, epsilon: f
         ws = StepWorkspace.holding(psi, courant)
         psi, courant = ws.psi, ws.courant
     out = ws.spare(courant)
-    kernel(ws, psi, courant, out, epsilon)
+    kernel(ws, psi, courant, out, DEFAULT_EPSILON)
     return out.detached() if plain else out
 
 
@@ -461,14 +387,10 @@ def antidiffusive_courant(
     for the caller to fill.  For workspace fields the result occupies the
     corrective slot that ``courant`` does not.
     """
-    return _corrective_field(_antidiffusive, psi, courant, opts.epsilon)
+    return _corrective_field(_antidiffusive, psi, courant)
 
 
-def nonoscillatory_limit(
-    psi_before: ScalarField,
-    courant_corrective: VectorField,
-    epsilon: float = DEFAULT_EPSILON,
-) -> VectorField:
+def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorField) -> VectorField:
     """Scale corrective Courant numbers by FCT ratios.
 
     Guarantees that the subsequent UPWIND pass keeps every cell within the
@@ -477,7 +399,7 @@ def nonoscillatory_limit(
     result are left for the caller.  For workspace fields the result
     occupies the corrective slot that ``courant_corrective`` does not.
     """
-    return _corrective_field(_limit, psi_before, courant_corrective, epsilon)
+    return _corrective_field(_limit, psi_before, courant_corrective)
 
 
 def mpdata_step(
@@ -512,9 +434,9 @@ def mpdata_step(
         corrective = antidiffusive_courant(out, current, opts)
         fill_vector(corrective)
         if opts.nonoscillatory:
-            corrective = nonoscillatory_limit(out, corrective, opts.epsilon)
+            corrective = nonoscillatory_limit(out, corrective)
             fill_vector(corrective)
         _guard(corrective)
         out = upwind_step(out, corrective)
         current = corrective
-    return out.detached() if plain else out
+    return out.copy() if plain else out

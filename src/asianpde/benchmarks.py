@@ -106,7 +106,6 @@ def run_translation(
     courant=DEFAULT_COURANT,
     width: float = DEFAULT_WIDTH,
     displacement: float = 0.25,
-    boundary=PERIODIC_BOUNDARY,
     step=None,
 ) -> TranslationResult:
     """Advect a Gaussian by ~``displacement`` at fixed Courant number.
@@ -124,7 +123,7 @@ def run_translation(
     vec = constant_courant(spec, courant[0], courant[1])
     advance = step or mpdata_step
     for _ in range(n_steps):
-        psi = advance(psi, vec, opts, boundary=boundary)
+        psi = advance(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
     centre = (
         (DEFAULT_CENTRE[0] + n_steps * courant[0] * spec.dx) % 1.0,
         (DEFAULT_CENTRE[1] + n_steps * courant[1] * spec.dy) % 1.0,
@@ -141,17 +140,11 @@ class ConvergenceLevel:
     order: float | None  # pairwise estimate vs the previous level
 
 
-def convergence_study(
-    base_n: int,
-    levels: int,
-    opts: SolverOptions,
-    courant=DEFAULT_COURANT,
-    width: float = DEFAULT_WIDTH,
-) -> list[ConvergenceLevel]:
+def convergence_study(base_n: int, levels: int, opts: SolverOptions) -> list[ConvergenceLevel]:
     """Translation errors at ``levels`` successively doubled resolutions."""
     out: list[ConvergenceLevel] = []
     for lvl in range(levels):
-        res = run_translation(base_n * 2**lvl, opts, courant=courant, width=width)
+        res = run_translation(base_n * 2**lvl, opts)
         order = None
         if out and res.error > 0 and out[-1].error > 0:
             order = float(np.log2(out[-1].error / res.error))
@@ -165,16 +158,3 @@ def observed_order(levels: list[ConvergenceLevel]) -> float:
     log_err = np.log([lvl.error for lvl in levels])
     return float(np.polyfit(log_dx, log_err, 1)[0])
 
-
-def split_mpdata_step(
-    psi: ScalarField, courant: VectorField, opts: SolverOptions, boundary=None
-) -> ScalarField:
-    """Dimensionally split composition: a 1D x pass followed by a 1D y pass.
-
-    Comparison baseline for the unsplit two-dimensional step; each pass runs
-    the full iterative scheme with the transverse component zeroed.
-    """
-    x_only = VectorField(courant.comp_x.copy(), np.zeros_like(courant.comp_y), courant.halo)
-    y_only = VectorField(np.zeros_like(courant.comp_x), courant.comp_y.copy(), courant.halo)
-    out = mpdata_step(psi, x_only, opts, boundary=boundary)
-    return mpdata_step(out, y_only, opts, boundary=boundary)

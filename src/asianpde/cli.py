@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: price, table, transect, converge, mc.  Every config-file key is
-mirrored by a flag of the same name; explicit flags override file values.
+Subcommands: price, table, transect, converge, mc.  Every config-file key (a
+``RunConfig`` field) is mirrored by a flag of the same name, built from the
+field; explicit flags override file values.
 Exit codes: 0 success, 2 configuration/usage error, 3 stability violation,
 4 I/O error.
 """
@@ -14,34 +15,27 @@ import sys
 import click
 
 from . import harness
-from .config import load_config_file, resolve_config
+from .config import SETTING_TYPES, load_config_file, resolve_config
 from .errors import ConfigurationError, StabilityError
+from .pricing import KINDS
 
 EXIT_STABILITY = 3
 EXIT_IO = 4
 
-_OPTIONS = [
-    click.option("--kind", type=click.Choice(["call", "put"]), default=None),
-    click.option("--strike", type=float, default=None),
-    click.option("--spot", type=float, default=None),
-    click.option("--rate", type=float, default=None),
-    click.option("--sigma", type=float, default=None),
-    click.option("--maturity-months", type=float, default=None),
-    click.option("--smin", type=float, default=None),
-    click.option("--smax", type=float, default=None),
-    click.option("--amax", type=float, default=None),
-    click.option("--nx", type=int, default=None),
-    click.option("--ny", type=int, default=None),
-    click.option("--dt", type=float, default=None),
-    click.option("--iters", type=int, default=None),
-    click.option("--nonosc/--no-nonosc", default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--paths", type=int, default=None),
-    click.option("--steps", type=int, default=None),
-    click.option("--workers", type=int, default=None),
-    click.option("--out", type=click.Path(dir_okay=False), default=None),
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None),
-]
+_FLAG_TYPES = {"kind": click.Choice(KINDS), "out": click.Path(dir_okay=False)}
+
+
+def _setting_option(name: str, kind: type):
+    flag = "--" + name.replace("_", "-")
+    if kind is bool:
+        return click.option(f"{flag}/--no-{flag[2:]}", default=None)
+    return click.option(flag, type=_FLAG_TYPES.get(name, kind), default=None)
+
+
+_OPTIONS = [_setting_option(name, kind) for name, kind in SETTING_TYPES.items()]
+_OPTIONS.append(
+    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
+)
 
 
 def _common_options(func):

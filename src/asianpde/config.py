@@ -10,7 +10,8 @@ the coarse figure grid and its coarser time step).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -63,18 +64,20 @@ COMMAND_DEFAULTS: dict[str, dict] = {
     "converge": {"nx": 24},
 }
 
-_INT_KEYS = {"nx", "ny", "iters", "seed", "paths", "steps", "workers"}
-_BOOL_KEYS = {"nonosc"}
-_STR_KEYS = {"kind", "out"}
-_VALID_KEYS = {f.name for f in fields(RunConfig)}
-_FLOAT_KEYS = sorted(_VALID_KEYS - _INT_KEYS - _BOOL_KEYS - _STR_KEYS)
+# setting name -> str, int, float or bool, in field order (an optional X is an X)
+SETTING_TYPES: dict[str, type] = {
+    name: typing.get_args(hint)[0] if typing.get_args(hint) else hint
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+_FLOAT_KEYS = sorted(name for name, kind in SETTING_TYPES.items() if kind is float)
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in _STR_KEYS:
+    kind = SETTING_TYPES[key]
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
@@ -82,7 +85,7 @@ def _parse_value(key: str, raw: str):
             return False
         raise ConfigurationError(f"config key {key!r}: expected a boolean, got {raw!r}")
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigurationError(f"config key {key!r}: cannot parse {raw!r}") from exc
 
@@ -99,7 +102,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _VALID_KEYS:
+        if key not in SETTING_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown setting {key!r}")
         values[key] = _parse_value(key, raw)
     return values
@@ -110,7 +113,7 @@ def resolve_config(command: str, file_values: dict, cli_values: dict) -> RunConf
     merged = dict(COMMAND_DEFAULTS.get(command, {}))
     merged.update(file_values)
     merged.update({k: v for k, v in cli_values.items() if v is not None})
-    unknown = set(merged) - _VALID_KEYS
+    unknown = set(merged) - set(SETTING_TYPES)
     if unknown:
         raise ConfigurationError(f"unknown settings: {sorted(unknown)}")
     return RunConfig(**merged)

@@ -126,11 +126,6 @@ def _checked_halo(halo: int) -> int:
     return int(halo)
 
 
-def make_grid(spec: GridSpec, halo: int = DEFAULT_HALO) -> tuple[ScalarField, VectorField]:
-    """Allocate a zeroed scalar/vector field pair with consistent shapes."""
-    return ScalarField.zeros(spec, halo), VectorField.zeros(spec, halo)
-
-
 def fill_halos_scalar(fld: ScalarField) -> ScalarField:
     """Fill scalar halos by linear extrapolation from the two nearest interior cells.
 

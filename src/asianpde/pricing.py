@@ -156,11 +156,9 @@ def _ramp_sq(z: np.ndarray) -> np.ndarray:
 def _step_sizes(maturity: float, dt: float) -> list[float]:
     """Uniform steps of dt plus a fractional tail when T/dt is not integral.
 
-    round(T/dt) == 0 (T < dt/2) yields no steps; otherwise the tail step is
-    added only when the remainder exceeds 1e-9 T.
+    The steps sum to T within 1e-9 T: the tail is added when the remainder
+    exceeds that, so T < dt gives one step of length T.
     """
-    if round(maturity / dt) == 0:
-        return []
     n_full = int(math.floor(maturity / dt + 1e-12))
     remainder = maturity - n_full * dt
     steps = [dt] * n_full
@@ -202,7 +200,7 @@ def integrate(
         if not report.ok:
             raise StabilityError(report, step_index=n)
         psi = mpdata_step(psi, courant, opts, boundary=(fill_scalar, fill_vector))
-    return psi.detached()
+    return psi.copy()
 
 
 def row_values(psi_t0: ScalarField, at_edge: bool = True) -> np.ndarray:

@@ -90,19 +90,6 @@ def _path_key(seed: int, path_index: int) -> np.ndarray:
     return np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
 
 
-def gbm_path(inst: InstrumentSpec, cfg: McConfig, path_index: int) -> np.ndarray:
-    """Exact log-normal path: the M samples after the spot, S_1 .. S_M.
-
-    Normals come from a counter-based stream keyed by (seed, path_index), so
-    the path is reproducible bit for bit and independent of any other path.
-    """
-    gen = np.random.Generator(np.random.Philox(key=_path_key(cfg.seed, path_index)))
-    z = gen.standard_normal(cfg.n_steps)
-    d_tau = inst.maturity / cfg.n_steps
-    log_steps = (inst.rate - 0.5 * inst.sigma**2) * d_tau + inst.sigma * math.sqrt(d_tau) * z
-    return inst.spot * np.exp(np.cumsum(log_steps))
-
-
 def mc_path_averages_many(
     insts: Sequence[InstrumentSpec], cfg: McConfig, start: int = 0, stop: int | None = None
 ) -> list[np.ndarray]:

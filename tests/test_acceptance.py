@@ -32,7 +32,6 @@ from asianpde.benchmarks import (
     periodic_fill_scalar,
     periodic_fill_vector,
     run_translation,
-    split_mpdata_step,
     unit_square,
 )
 from asianpde.cli import main as cli_main
@@ -43,6 +42,7 @@ from asianpde.harness import run_table, run_transect
 from asianpde.pricing import InstrumentSpec, grid_from_price_domain, integrate
 from asianpde.reference import McConfig, mc_asian_price
 from conftest import random_courant, random_positive_field, wrap_courant
+from oracles import split_mpdata_step
 
 # (sigma, T_months, K, kind) -> (lattice_ref, upwind, mpdata_2it, mc_100k)
 PUBLISHED = {

@@ -1,7 +1,12 @@
+from dataclasses import fields
+
 import pytest
 from click.testing import CliRunner
 
+from asianpde import harness
 from asianpde.cli import main
+from asianpde.config import RunConfig
+from asianpde.reference import McResult
 
 FAST = ["--nx", "32", "--ny", "32", "--dt", "0.005", "--paths", "300", "--steps", "40"]
 
@@ -47,6 +52,12 @@ class TestPriceCommand:
         result = runner.invoke(main, ["price", "--sigma", "0.4", "--nx", "200"])
         assert result.exit_code == 3
         assert "diffusive criterion" in result.output
+
+    def test_maturity_below_half_step_refused(self, runner):
+        # T = 0.5 < dt / 2: one step of length T, far past the advective limit, not a silent 0
+        result = runner.invoke(main, ["price", "--dt", "2"])
+        assert result.exit_code == 3
+        assert "advective criterion" in result.output
 
     @pytest.mark.parametrize(
         "args, message",
@@ -123,3 +134,22 @@ class TestTableCommand:
         assert result.exit_code == 3
         assert "table row sigma=0.2 T=6mo K=100" in result.output
         assert "diffusive criterion" in result.output
+
+
+class TestSettingFlags:
+    def test_every_setting_has_a_flag_that_reaches_the_config(self, runner, monkeypatch):
+        # a value off the default for every RunConfig field, numbers one above it
+        other = {"kind": "put", "out": "other.csv", "nonosc": False}
+        values = {f.name: other[f.name] if f.name in other else f.default + 1 for f in fields(RunConfig)}
+        args = ["mc"]
+        for name, value in values.items():
+            flag = "--" + name.replace("_", "-")
+            if isinstance(value, bool):
+                args.append(flag if value else "--no-" + flag[2:])
+            else:
+                args += [flag, str(value)]
+        seen = []
+        monkeypatch.setattr(harness, "run_mc", lambda cfg: seen.append(cfg) or McResult(1.0, 0.1, 2))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert seen == [RunConfig(**values)]

@@ -10,7 +10,6 @@ from asianpde.grid import (
     VectorField,
     fill_halos_scalar,
     fill_halos_vector,
-    make_grid,
 )
 
 SPEC = GridSpec(0.0, 1.0, 0.0, 2.0, 5, 4)
@@ -43,20 +42,22 @@ class TestGridSpec:
 
 class TestMakeGrid:
     def test_minimal_grid_storage(self):
-        scalar, vector = make_grid(GridSpec(0, 1, 0, 1, 3, 3), halo=2)
+        spec = GridSpec(0, 1, 0, 1, 3, 3)
+        scalar, vector = ScalarField.zeros(spec, halo=2), VectorField.zeros(spec, halo=2)
         assert scalar.values.shape == (7, 7)
         assert vector.comp_x.shape == (8, 7)
         assert vector.comp_y.shape == (7, 8)
 
     def test_sample_valuation_grid(self):
-        scalar, vector = make_grid(GridSpec(0, 1, 0, 1, 21, 31))
+        spec = GridSpec(0, 1, 0, 1, 21, 31)
+        scalar, vector = ScalarField.zeros(spec), VectorField.zeros(spec)
         assert scalar.interior.shape == (21, 31)
         # one extra face column/row relative to the scalar interior
         assert vector.interior_x.shape == (22, 31)
         assert vector.interior_y.shape == (21, 32)
 
     def test_zero_initialised(self):
-        scalar, vector = make_grid(SPEC)
+        scalar, vector = ScalarField.zeros(SPEC), VectorField.zeros(SPEC)
         assert not scalar.values.any()
         assert not vector.comp_x.any() and not vector.comp_y.any()
 
@@ -67,7 +68,9 @@ class TestMakeGrid:
     @pytest.mark.parametrize("halo", [0, 1, -3])
     def test_thin_halo_rejected(self, halo):
         with pytest.raises(ConfigurationError):
-            make_grid(SPEC, halo=halo)
+            ScalarField.zeros(SPEC, halo=halo)
+        with pytest.raises(ConfigurationError):
+            VectorField.zeros(SPEC, halo=halo)
 
 
 class TestScalarFill:

@@ -168,8 +168,8 @@ class TestTerminalCondition:
 
 
 class TestStepSizes:
-    def test_maturity_below_half_step_gives_no_steps(self):
-        assert _step_sizes(0.4e-3, 1e-3) == []
+    def test_maturity_below_half_step_gives_one_step(self):
+        assert _step_sizes(0.4e-3, 1e-3) == [0.4e-3]
 
     def test_exact_division(self):
         steps = _step_sizes(0.5, 1.0 / 1760.0)
@@ -195,12 +195,12 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError, match="dt"):
             integrate(sample_instrument(), spec, dt=dt, opts=OPTS)
 
-    def test_below_half_step_returns_terminal_condition(self):
+    def test_below_half_step_refused(self):
+        # the one step of length T moves y by dt * S / T = S per step: far past |C_y| <= 1
         spec = grid_from_price_domain(50.0, 200.0, 200.0, 8, 8)
         inst = sample_instrument(maturity=1e-4)
-        psi = integrate(inst, spec, dt=1e-3, opts=OPTS)
-        expected = terminal_condition(inst, spec)
-        np.testing.assert_array_equal(psi.interior, expected.interior)
+        with pytest.raises(StabilityError, match="advective criterion violated in y"):
+            integrate(inst, spec, dt=1e-3, opts=OPTS)
 
     def test_zero_vol_zero_rate_recovers_spot(self):
         # K -> 0 call has payoff A(T); with r = sigma = 0 the value is the

@@ -11,7 +11,6 @@ from asianpde.reference import (
     _PATH_BLOCK,
     McConfig,
     european_bs_price,
-    gbm_path,
     geometric_asian_price,
     mc_asian_price,
     mc_path_averages,
@@ -19,6 +18,7 @@ from asianpde.reference import (
     mc_result_from_averages,
     norm_cdf,
 )
+from oracles import gbm_path
 
 # golden constants computed with a 50-digit erfc-based normal CDF before the
 # implementation existed

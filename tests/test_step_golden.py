@@ -102,7 +102,7 @@ def test_public_passes_compose_to_mpdata_step(nonosc):
         fill_halos_scalar(out)
         corrective = fill_halos_vector(antidiffusive_courant(out, current, opts))
         if nonosc:
-            corrective = fill_halos_vector(nonoscillatory_limit(out, corrective, opts.epsilon))
+            corrective = fill_halos_vector(nonoscillatory_limit(out, corrective))
         out = upwind_step(out, corrective)
         current = corrective
     assert out.values.tobytes() == want.values.tobytes()
