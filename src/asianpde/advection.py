@@ -11,16 +11,12 @@ orchestrator refills halos before every corrective pass so the halo
 requirement stays independent of the iteration count.
 
 Layout: every field of a step lives in one :class:`StepWorkspace`, a stack of
-``(nx + 1 + 2h, ny + 1 + 2h)`` arrays with one row length ``R``.  Cell or
-face ``(a, b)`` of any field sits at flat offset ``a * R + b``, so each
-stencil is one contiguous 1D numpy operation over the flat span from the
-first to the last real element, with neighbours at offsets +-1 (y) and +-R
-(x).  The halo and pad lanes inside a span receive finite values that no
-real element reads: scalar updates write the interior only, and the boundary
-fill that follows every vector kernel overwrites the vector halos.  Every
-real element gets the same floating-point operations, in the same order, as
-a direct evaluation of the formulas below, so results are bit-identical to
-one.
+``(nx + 1 + 2h, ny + 1 + 2h)`` arrays with one row length ``R``, so cell or
+face ``(a, b)`` of any field sits at flat offset ``a * R + b``.  The stencils
+are C loops over that layout (``_step.c``, built on first use by
+:mod:`asianpde._step`).  They write the real cells and faces only, and give
+every one the same floating-point operations, in the same order, as a direct
+evaluation of the formulas below, so results are bit-identical to one.
 """
 
 from __future__ import annotations
@@ -30,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._step import library
 from .errors import ConfigurationError, StabilityError
-from .grid import ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
+from .grid import ScalarField, VectorField, _checked_halo, fill_halos_scalar, fill_halos_vector
 
 _COURANT_TOL = 1e-12  # |C| = 1 exactly (unit-Courant translation) must pass
 
 DEFAULT_EPSILON = 1e-15
-
-_N_SCRATCH = 9  # the FCT limiter needs the most flat temporaries
 
 
 @dataclass(frozen=True)
@@ -67,11 +62,12 @@ def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> St
     max_cy = float(np.max(np.abs(courant.interior_y)))
     diffusion = 2.0 * abs(nu) * abs(dt) / dx**2
     violations = []
-    if max_cx > 1.0 + _COURANT_TOL:
+    # written as "not <=" so that a NaN, which compares False, is a violation
+    if not max_cx <= 1.0 + _COURANT_TOL:
         violations.append(f"advective criterion violated in x: max |C_x| = {max_cx:.6g} > 1")
-    if max_cy > 1.0 + _COURANT_TOL:
+    if not max_cy <= 1.0 + _COURANT_TOL:
         violations.append(f"advective criterion violated in y: max |C_y| = {max_cy:.6g} > 1")
-    if diffusion > 0.5 + _COURANT_TOL:
+    if not diffusion <= 0.5 + _COURANT_TOL:
         violations.append(
             f"diffusive criterion violated: 2|nu| dt / dx^2 = {diffusion:.6g} > 1/2"
         )
@@ -91,43 +87,30 @@ def _guard(courant: VectorField) -> None:
         raise StabilityError(report)
 
 
-def _guarded_ratio(num, den, epsilon: float, out=None, small=None):
-    """num / den, or 0 where |den| < epsilon (vanishing-denominator guard).
-
-    ``out`` and the boolean ``small`` receive the result and the guard mask
-    when given; ``out`` may be ``num``.
-    """
-    small = np.less(np.abs(den), epsilon, out=small)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.divide(num, den, out=out if out is not None else np.empty_like(num))
-    np.copyto(out, 0.0, where=small)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # padded layout
 # ---------------------------------------------------------------------------
 
 class WorkspaceScalar(ScalarField):
-    """A scalar whose values are a view into a :class:`StepWorkspace`; ``flat``
-    is its whole padded array."""
+    """A scalar whose values are a view into a :class:`StepWorkspace`; ``ptr``
+    is the address of its whole padded array."""
 
-    def __init__(self, values: np.ndarray, halo: int, workspace: "StepWorkspace", flat: np.ndarray):
+    def __init__(self, values: np.ndarray, halo: int, workspace: "StepWorkspace", ptr: int):
         super().__init__(values, halo)
         # weak: the workspace holds its fields, and a reference cycle would keep
         # every finished workspace alive until the cyclic garbage collector runs
         self.workspace = weakref.ref(workspace)
-        self.flat = flat
+        self.ptr = ptr
 
 
 class WorkspaceVector(VectorField):
     """A face field whose components are views into a :class:`StepWorkspace`."""
 
-    def __init__(self, comp_x, comp_y, halo: int, workspace: "StepWorkspace", flat_x, flat_y):
+    def __init__(self, comp_x, comp_y, halo: int, workspace: "StepWorkspace", ptr_x: int, ptr_y: int):
         super().__init__(comp_x, comp_y, halo)
         self.workspace = weakref.ref(workspace)
-        self.flat_x = flat_x
-        self.flat_y = flat_y
+        self.ptr_x = ptr_x
+        self.ptr_y = ptr_y
 
     def detached(self) -> VectorField:
         """A plain copy of the interior faces with zero halos."""
@@ -149,30 +132,22 @@ class StepWorkspace:
     """
 
     def __init__(self, nx: int, ny: int, halo: int):
-        h = halo
+        h = _checked_halo(halo)  # the kernels read two cells deep
         rows, row = nx + 1 + 2 * h, ny + 1 + 2 * h
-        self.row = row
-        fields = np.zeros((7, rows, row))
-        flat = fields.reshape(7, -1)
-        self.psi = WorkspaceScalar(fields[0, :nx + 2 * h, :ny + 2 * h], h, self, flat[0])
+        self.dims = (nx, ny, h, row)
+        self.fields = np.zeros((7, rows, row))
+        fields, base, size = self.fields, self.fields.ctypes.data, rows * row * 8
+        self.psi = WorkspaceScalar(fields[0, :nx + 2 * h, :ny + 2 * h], h, self, base)
         self.courant, *self.corrective = (
             WorkspaceVector(
-                fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :], h, self, flat[s], flat[s + 1]
+                fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :], h, self,
+                base + s * size, base + (s + 1) * size,
             )
             for s in (1, 3, 5)
         )
-        self.scratch = np.zeros((_N_SCRATCH, rows * row))
-        self.small = np.zeros(rows * row, dtype=bool)
+        self.scratch = np.zeros((2, rows * row))
+        self.scratch_ptrs = (self.scratch[0].ctypes.data, self.scratch[1].ctypes.data)
         self.courant_y_key = None  # what the physical y component was last built for (pricing)
-
-        def span(a0, b0, a1, b1):  # flat [start, stop) from (a0, b0) through (a1, b1)
-            return a0 * row + b0, a1 * row + b1 + 1
-
-        self.cells = span(h, h, h + nx - 1, h + ny - 1)
-        self.x_faces = span(h, h, h + nx, h + ny - 1)
-        self.y_faces = span(h, h, h + nx - 1, h + ny)
-        self.ring = span(h - 1, h - 1, h + nx, h + ny)  # interior plus one cell
-        self.interior_index = (slice(h, h + nx), slice(h, h + ny))  # of a (rows, R) view
 
     @classmethod
     def holding(cls, psi: ScalarField, courant: VectorField | None = None) -> "StepWorkspace":
@@ -184,16 +159,13 @@ class StepWorkspace:
             ws.courant.comp_y[...] = courant.comp_y
         return ws
 
-    def x_face_ratio(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-        """Flat views over the x-face span: the guarded ratio
-        (psi[k] - psi[k - R]) / (psi[k] + psi[k - R]) of the two cells each face
-        separates, and the physical C_x there, for the caller to write."""
-        r, (x0, x1) = self.row, self.x_faces
-        p, num, den = self.psi.flat, self.scratch[0, x0:x1], self.scratch[1, x0:x1]
-        np.subtract(p[x0:x1], p[x0 - r:x1 - r], out=num)
-        np.add(p[x0:x1], p[x0 - r:x1 - r], out=den)
-        ratio = _guarded_ratio(num, den, epsilon, out=num, small=self.small[x0:x1])
-        return ratio, self.courant.flat_x[x0:x1]
+    def fill_courant_x(self, u: float, coef: float, scale: float) -> None:
+        """Write C_x = (u - coef A) scale on the real x faces of ``courant``,
+        with A the guarded ratio (psi[k] - psi[k - R]) / (psi[k] + psi[k - R])
+        of the two cells each face separates."""
+        library().courant_x(
+            self.psi.ptr, self.courant.ptr_x, *self.dims, u, coef, scale, DEFAULT_EPSILON
+        )
 
     def spare(self, busy: VectorField) -> WorkspaceVector:
         """The corrective slot not occupied by ``busy``."""
@@ -209,137 +181,22 @@ def workspace_of(*fields):
 
 def _upwind(ws: StepWorkspace, psi: WorkspaceScalar, courant: WorkspaceVector) -> None:
     """Donor-cell update of the interior of ``psi`` in place."""
-    p, ux, uy = psi.flat, courant.flat_x, courant.flat_y
-    r = ws.row
-    fx, fy, tmp, dy = ws.scratch[:4]
-    x0, x1 = ws.x_faces
-    y0, y1 = ws.y_faces
-    c0, c1 = ws.cells
-    # x faces: donor/receiver cells k - R and k
-    np.maximum(ux[x0:x1], 0.0, out=fx[x0:x1])
-    fx[x0:x1] *= p[x0 - r:x1 - r]
-    np.minimum(ux[x0:x1], 0.0, out=tmp[x0:x1])
-    tmp[x0:x1] *= p[x0:x1]
-    fx[x0:x1] += tmp[x0:x1]
-    # y faces: cells k - 1 and k
-    np.maximum(uy[y0:y1], 0.0, out=fy[y0:y1])
-    fy[y0:y1] *= p[y0 - 1:y1 - 1]
-    np.minimum(uy[y0:y1], 0.0, out=tmp[y0:y1])
-    tmp[y0:y1] *= p[y0:y1]
-    fy[y0:y1] += tmp[y0:y1]
-    # psi - ((fx[k + R] - fx[k]) + (fy[k + 1] - fy[k])), clipped at 0
-    div = tmp[c0:c1]
-    np.subtract(fx[c0 + r:c1 + r], fx[c0:c1], out=div)
-    np.subtract(fy[c0 + 1:c1 + 1], fy[c0:c1], out=dy[c0:c1])
-    div += dy[c0:c1]
-    np.subtract(p[c0:c1], div, out=div)
-    # the scheme is sign-preserving; clip only round-off-level undershoots
-    np.maximum(div, 0.0, out=div)
-    psi_rows, tmp_rows = p.reshape(-1, r), tmp.reshape(-1, r)
-    psi_rows[ws.interior_index] = tmp_rows[ws.interior_index]
+    library().upwind(psi.ptr, courant.ptr_x, courant.ptr_y, *ws.scratch_ptrs, *ws.dims)
 
 
-def _antidiffusive(ws, psi, courant, out, eps: float) -> None:
+def _antidiffusive(ws, psi, courant, out) -> None:
     """Antidiffusive Courant numbers of ``courant`` into ``out`` on the real faces."""
-    p, ux, uy, vx, vy = psi.flat, courant.flat_x, courant.flat_y, out.flat_x, out.flat_y
-    r = ws.row
-    pair, num, ratio_a, den, ratio_b = ws.scratch[:5]
-    small = ws.small
-    for (f0, f1), near, far, vel, cross, res_flat in (
-        (ws.x_faces, r, 1, ux, uy, vx),
-        (ws.y_faces, 1, r, uy, ux, vy),
-    ):
-        # A: donor/receiver cells k - near and k
-        np.add(p[f0 - far:f1 + far], p[f0 - far - near:f1 + far - near], out=pair[f0 - far:f1 + far])
-        np.subtract(p[f0:f1], p[f0 - near:f1 - near], out=num[f0:f1])
-        _guarded_ratio(num[f0:f1], pair[f0:f1], eps, out=ratio_a[f0:f1], small=small[f0:f1])
-        # B: the transverse neighbour pairs sit at k + far and k - far
-        up, dn = pair[f0 + far:f1 + far], pair[f0 - far:f1 - far]
-        np.subtract(up, dn, out=num[f0:f1])
-        np.add(up, dn, out=den[f0:f1])
-        _guarded_ratio(num[f0:f1], den[f0:f1], eps, out=ratio_b[f0:f1], small=small[f0:f1])
-        ratio_b[f0:f1] *= 0.5
-        # transverse mean of the four cross faces around the face
-        cbar = den[f0:f1]
-        if near == r:  # x face: y faces of cells k - R and k, bottom then top
-            np.add(cross[f0 - r:f1 - r], cross[f0:f1], out=cbar)
-            cbar += cross[f0 - r + 1:f1 - r + 1]
-            cbar += cross[f0 + 1:f1 + 1]
-        else:  # y face: x faces of cells k - 1 and k, left then right
-            np.add(cross[f0 - 1:f1 - 1], cross[f0 + r - 1:f1 + r - 1], out=cbar)
-            cbar += cross[f0:f1]
-            cbar += cross[f0 + r:f1 + r]
-        cbar *= 0.25
-        # |C| (1 - |C|) A - C Cbar B
-        c = vel[f0:f1]
-        abs_c = num[f0:f1]
-        np.abs(c, out=abs_c)
-        res = res_flat[f0:f1]
-        np.subtract(1.0, abs_c, out=res)
-        res *= abs_c
-        res *= ratio_a[f0:f1]
-        cbar *= c
-        cbar *= ratio_b[f0:f1]
-        res -= cbar
+    library().antidiffusive(
+        psi.ptr, courant.ptr_x, courant.ptr_y, out.ptr_x, out.ptr_y, *ws.dims, DEFAULT_EPSILON
+    )
 
 
-def _limit(ws, psi, courant, out, eps: float) -> None:
+def _limit(ws, psi, courant, out) -> None:
     """FCT-limited copy of corrective field ``courant`` into ``out`` on the real faces."""
-    p, ux, uy, vx, vy = psi.flat, courant.flat_x, courant.flat_y, out.flat_x, out.flat_y
-    r = ws.row
-    hi, lo, uxp, uxm, uyp, uym, f_in, f_out, tmp = ws.scratch
-    r0, r1 = ws.ring
-    c0 = p[r0:r1]
-    xm, xp = p[r0 - r:r1 - r], p[r0 + r:r1 + r]
-    ym, yp = p[r0 - 1:r1 - 1], p[r0 + 1:r1 + 1]
-    bound_hi, bound_lo = hi[r0:r1], lo[r0:r1]
-    np.maximum(c0, xm, out=bound_hi)
-    np.minimum(c0, xm, out=bound_lo)
-    for nb in (xp, ym, yp):
-        np.maximum(bound_hi, nb, out=bound_hi)
-        np.minimum(bound_lo, nb, out=bound_lo)
-    np.maximum(ux[r0:r1 + r], 0.0, out=uxp[r0:r1 + r])
-    np.minimum(ux[r0:r1 + r], 0.0, out=uxm[r0:r1 + r])
-    np.maximum(uy[r0:r1 + 1], 0.0, out=uyp[r0:r1 + 1])
-    np.minimum(uy[r0:r1 + 1], 0.0, out=uym[r0:r1 + 1])
-    # inflow: left, right, bottom, top neighbours
-    t = tmp[r0:r1]
-    fin = f_in[r0:r1]
-    np.multiply(uxp[r0:r1], xm, out=fin)
-    np.multiply(uxm[r0 + r:r1 + r], xp, out=t)
-    fin -= t
-    np.multiply(uyp[r0:r1], ym, out=t)
-    fin += t
-    np.multiply(uym[r0 + 1:r1 + 1], yp, out=t)
-    fin -= t
-    # outflow
-    fout = f_out[r0:r1]
-    np.subtract(uxp[r0 + r:r1 + r], uxm[r0:r1], out=fout)
-    fout += uyp[r0 + 1:r1 + 1]
-    fout -= uym[r0:r1]
-    fout *= c0
-    # beta_up = (max - psi) / (f_in + eps), beta_dn = (psi - min) / (f_out + eps)
-    beta_up, beta_dn = bound_hi, bound_lo
-    beta_up -= c0
-    fin += eps
-    beta_up /= fin
-    np.subtract(c0, bound_lo, out=beta_dn)
-    fout += eps
-    beta_dn /= fout
-    beta_up, beta_dn = hi, lo
-    for (f0, f1), near, pos, neg, res_flat in (
-        (ws.x_faces, r, uxp, uxm, vx),
-        (ws.y_faces, 1, uyp, uym, vy),
-    ):
-        # donor side k - near, receiver side k
-        res, t = res_flat[f0:f1], tmp[f0:f1]
-        np.minimum(beta_dn[f0 - near:f1 - near], beta_up[f0:f1], out=res)
-        np.minimum(1.0, res, out=res)
-        res *= pos[f0:f1]
-        np.minimum(beta_dn[f0:f1], beta_up[f0 - near:f1 - near], out=t)
-        np.minimum(1.0, t, out=t)
-        t *= neg[f0:f1]
-        res += t
+    library().limit(
+        psi.ptr, courant.ptr_x, courant.ptr_y, out.ptr_x, out.ptr_y,
+        *ws.scratch_ptrs, *ws.dims, DEFAULT_EPSILON,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +229,11 @@ def _corrective_field(kernel, psi: ScalarField, courant: VectorField) -> VectorF
         ws = StepWorkspace.holding(psi, courant)
         psi, courant = ws.psi, ws.courant
     out = ws.spare(courant)
-    kernel(ws, psi, courant, out, DEFAULT_EPSILON)
+    kernel(ws, psi, courant, out)
     return out.detached() if plain else out
 
 
-def antidiffusive_courant(
-    psi: ScalarField, courant: VectorField, opts: SolverOptions
-) -> VectorField:
+def antidiffusive_courant(psi: ScalarField, courant: VectorField) -> VectorField:
     """Antidiffusive Courant field from the modified-equation analysis.
 
     Per face of dimension d: |C| (1 - |C|) A - sum_{q != d} C Cbar_q B, with
@@ -431,7 +286,7 @@ def mpdata_step(
     current = courant
     for _ in range(opts.n_iters - 1):
         fill_scalar(out)
-        corrective = antidiffusive_courant(out, current, opts)
+        corrective = antidiffusive_courant(out, current)
         fill_vector(corrective)
         if opts.nonoscillatory:
             corrective = nonoscillatory_limit(out, corrective)

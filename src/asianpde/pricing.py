@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advection import (
-    DEFAULT_EPSILON,
     SolverOptions,
     StepWorkspace,
     check_stability,
@@ -113,10 +112,7 @@ def build_courant(
     if plain:
         ws = StepWorkspace.holding(psi)
     out = ws.courant
-    ratio, cx = ws.x_face_ratio(DEFAULT_EPSILON)
-    ratio *= tr.nu * (2.0 / spec.dx)
-    np.subtract(tr.u, ratio, out=cx)
-    cx *= dt / spec.dx
+    ws.fill_courant_x(tr.u, tr.nu * (2.0 / spec.dx), dt / spec.dx)
     if ws.courant_y_key != (dt, tr, spec):
         out.interior_y[:] = ((dt / spec.dy) * np.exp(spec.x_centres) / tr.T)[:, None]
         ws.courant_y_key = (dt, tr, spec)

@@ -12,11 +12,24 @@ import math
 
 import numpy as np
 
-from asianpde.advection import DEFAULT_EPSILON, SolverOptions, _guarded_ratio, mpdata_step
+from asianpde.advection import DEFAULT_EPSILON, SolverOptions, mpdata_step
 from asianpde.errors import ConfigurationError
 from asianpde.grid import ScalarField, VectorField
 from asianpde.pricing import InstrumentSpec
 from asianpde.reference import McConfig, _path_key
+
+
+def _guarded_ratio(num, den, epsilon: float, out=None, small=None):
+    """num / den, or 0 where |den| < epsilon (vanishing-denominator guard).
+
+    ``out`` and the boolean ``small`` receive the result and the guard mask
+    when given; ``out`` may be ``num``.
+    """
+    small = np.less(np.abs(den), epsilon, out=small)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(num, den, out=out if out is not None else np.empty_like(num))
+    np.copyto(out, 0.0, where=small)
+    return out
 
 
 def flux(psi_left, psi_right, courant):

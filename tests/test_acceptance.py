@@ -264,7 +264,7 @@ class TestCriterion5SchemeProperties:
                 current = vec
                 for _ in range(opts.n_iters - 1):
                     periodic_fill_scalar(psi)
-                    corrective = antidiffusive_courant(psi, current, opts)
+                    corrective = antidiffusive_courant(psi, current)
                     periodic_fill_vector(corrective)
                     corrective = nonoscillatory_limit(psi, corrective)
                     periodic_fill_vector(corrective)

@@ -20,11 +20,11 @@ from asianpde.grid import (
     fill_halos_scalar,
     fill_halos_vector,
 )
+from asianpde.pricing import InstrumentSpec, build_courant, make_transform
 from conftest import random_courant, random_positive_field, wrap_courant
 from oracles import factor_a, factor_b, flux, transverse_mean_courant
 
 SPEC = GridSpec(0.0, 1.0, 0.0, 1.0, 12, 10)
-OPTS = SolverOptions(n_iters=2, nonoscillatory=False)
 
 
 def filled_pair(rng, bound=0.22, spec=SPEC):
@@ -162,6 +162,14 @@ class TestUpwindStep:
         out = upwind_step(psi, vec)
         assert abs(out.interior.sum() - before) <= 1e-12 * before
 
+    def test_halo_below_two_rejected(self):
+        # the kernels read two cells deep; a thinner halo would read outside the arrays
+        nx, ny = SPEC.nx, SPEC.ny
+        psi = ScalarField(np.ones((nx + 2, ny + 2)), halo=1)
+        vec = VectorField(np.zeros((nx + 3, ny + 2)), np.zeros((nx + 2, ny + 3)), halo=1)
+        with pytest.raises(ConfigurationError):
+            upwind_step(psi, vec)
+
     def test_courant_above_one_rejected(self):
         psi = ScalarField.zeros(SPEC)
         vec = VectorField.zeros(SPEC)
@@ -179,7 +187,7 @@ class TestAntidiffusiveCourant:
         vec.comp_x[:] = 0.5
         vec.comp_y[:] = 0.25
         fill_halos_scalar(psi)
-        out = antidiffusive_courant(psi, vec, OPTS)
+        out = antidiffusive_courant(psi, vec)
         np.testing.assert_array_equal(out.interior_x, 0.0)
         np.testing.assert_array_equal(out.interior_y, 0.0)
 
@@ -191,7 +199,7 @@ class TestAntidiffusiveCourant:
         vec.comp_x[:] = 1.0
         vec.comp_y[:] = 0.3
         fill_halos_scalar(psi)
-        out = antidiffusive_courant(psi, vec, OPTS)
+        out = antidiffusive_courant(psi, vec)
         np.testing.assert_array_equal(out.interior_x, 0.0)
 
     def test_one_dimensional_magnitude(self):
@@ -202,13 +210,13 @@ class TestAntidiffusiveCourant:
         vec = VectorField.zeros(SPEC)
         vec.comp_x[:] = 0.5
         fill_halos_scalar(psi)
-        out = antidiffusive_courant(psi, vec, OPTS)
+        out = antidiffusive_courant(psi, vec)
         h = vec.halo
         assert out.comp_x[h + 5, h + 4] == pytest.approx(0.125)
 
     def test_matches_pointwise_composition(self, rng):
         psi, vec = filled_pair(rng)
-        out = antidiffusive_courant(psi, vec, OPTS)
+        out = antidiffusive_courant(psi, vec)
         h = psi.halo
         for i in range(-1, SPEC.nx):
             for j in range(SPEC.ny):
@@ -255,7 +263,7 @@ class TestNonoscillatoryLimit:
         periodic_fill_vector(vec)
         stepped = upwind_step(psi, vec)
         periodic_fill_scalar(stepped)
-        corrective = antidiffusive_courant(stepped, vec, OPTS)
+        corrective = antidiffusive_courant(stepped, vec)
         periodic_fill_vector(corrective)
         limited = nonoscillatory_limit(stepped, corrective)
         periodic_fill_vector(limited)
@@ -349,3 +357,61 @@ class TestCheckStability:
 
     def test_unit_courant_allowed(self):
         assert check_stability(self.uniform(1.0, -1.0), nu=0.0, dt=1.0, dx=1.0).ok
+
+    @pytest.mark.parametrize("component", ["x", "y"])
+    def test_nan_courant_rejected(self, component):
+        vec = self.uniform(0.5, 0.5)
+        getattr(vec, f"interior_{component}")[3, 3] = np.nan
+        assert not check_stability(vec, nu=0.0, dt=1.0, dx=1.0).ok
+        psi = fill_halos_scalar(random_positive_field(SPEC, np.random.default_rng(7)))
+        with pytest.raises(StabilityError):
+            upwind_step(psi, vec)
+
+    def test_nan_corrective_field_rejected(self):
+        # a NaN cell makes the antidiffusive field NaN around it, which the
+        # guard on every corrective field must refuse
+        psi, vec = filled_pair(np.random.default_rng(7))
+        psi.interior[3, 3] = np.nan
+        with pytest.raises(StabilityError):
+            mpdata_step(psi, vec, SolverOptions(n_iters=2), boundary=PERIODIC_BOUNDARY)
+
+
+class TestNanPropagation:
+    """One NaN cell stays visible through every kernel: a max or min that
+    turned NaN into 0 would hide a broken field behind a finite price."""
+
+    SPEC = GridSpec(0.0, 1.0, 0.0, 1.0, 8, 8)
+
+    def nan_pair(self):
+        rng = np.random.default_rng(11)
+        psi = random_positive_field(self.SPEC, rng, lo=0.5, hi=1.5)
+        psi.interior[3, 3] = np.nan
+        vec = random_courant(self.SPEC, rng)
+        return fill_halos_scalar(psi), fill_halos_vector(vec)
+
+    def test_upwind_step(self):
+        psi, vec = self.nan_pair()
+        want = np.zeros((8, 8), dtype=bool)
+        want[3, 3] = want[2, 3] = want[4, 3] = want[3, 2] = want[3, 4] = True
+        np.testing.assert_array_equal(np.isnan(upwind_step(psi, vec).interior), want)
+        out = mpdata_step(psi, vec, SolverOptions(n_iters=1))
+        np.testing.assert_array_equal(np.isnan(out.interior), want)
+
+    def test_antidiffusive_courant(self):
+        psi, vec = self.nan_pair()
+        out = antidiffusive_courant(psi, vec)
+        assert np.isnan(out.interior_x).sum() == 6  # 2 faces of the cell, 4 through B
+        assert np.isnan(out.interior_y).sum() == 6
+
+    def test_nonoscillatory_limit(self):
+        psi, vec = self.nan_pair()
+        out = nonoscillatory_limit(psi, vec)
+        assert np.isnan(out.interior_x).sum() == 8
+        assert np.isnan(out.interior_y).sum() == 8
+
+    def test_build_courant(self):
+        psi, _ = self.nan_pair()
+        inst = InstrumentSpec("call", 100.0, 0.5, 0.3, 0.1, 100.0)
+        out = build_courant(psi, make_transform(inst), self.SPEC, -0.001)
+        assert np.isnan(out.interior_x).sum() == 2
+        assert not np.isnan(out.interior_y).any()

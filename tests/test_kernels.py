@@ -1,0 +1,92 @@
+"""The build cache of the C step kernels (``asianpde._step``).
+
+Each test runs the program in fresh processes with ``XDG_CACHE_HOME`` in a
+temporary directory, so it starts from an empty cache and this process's
+loaded build plays no part.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from asianpde import _step
+
+PACKAGE_ROOT = Path(_step.__file__).parents[1]
+LOAD = "from asianpde._step import library; print(library()._name)"
+FIRST_KERNEL_CALL = """
+from asianpde.advection import upwind_step
+from asianpde.grid import GridSpec, ScalarField, VectorField
+spec = GridSpec(0.0, 1.0, 0.0, 1.0, 4, 4)
+try:
+    upwind_step(ScalarField.zeros(spec), VectorField.zeros(spec))
+except OSError as exc:
+    print(repr(exc))
+"""
+FAST = ["--nx", "32", "--ny", "32", "--dt", "0.005", "--paths", "300", "--steps", "40"]
+
+
+def environment(cache: Path, path: str | None = None) -> dict:
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=str(PACKAGE_ROOT))
+    if path is not None:
+        env["PATH"] = path
+    return env
+
+
+def run(args, env) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def no_gcc_path(tmp_path: Path) -> str:
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    return str(empty)
+
+
+def test_concurrent_builds_leave_one_build(tmp_path):
+    env = environment(tmp_path)
+    procs = [
+        subprocess.Popen([sys.executable, "-c", LOAD], env=env, stdout=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    loaded = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    build = tmp_path / "asianpde" / _step.build_path().name
+    assert loaded == [str(build)] * 2
+    assert list((tmp_path / "asianpde").iterdir()) == [build]
+
+
+def test_missing_gcc_raises_one_os_error(tmp_path):
+    env = environment(tmp_path / "cache", no_gcc_path(tmp_path))
+    done = run(["-c", FIRST_KERNEL_CALL], env)
+    assert done.returncode == 0, done.stderr
+    message = done.stdout.strip()
+    assert message.startswith("OSError(") and "gcc" in message
+    assert str(tmp_path / "cache" / "asianpde") in message
+    assert not (tmp_path / "cache").exists()
+
+
+def test_missing_gcc_exits_4_without_traceback(tmp_path):
+    env = environment(tmp_path / "cache", no_gcc_path(tmp_path))
+    done = run(["-m", "asianpde.cli", "price", *FAST], env)
+    assert done.returncode == 4
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error:") and "gcc" in lines[0]
+    assert "Traceback" not in done.stderr
+
+
+def test_help_and_mc_never_build(tmp_path):
+    env = environment(tmp_path / "cache", no_gcc_path(tmp_path))
+    assert "Usage" in run(["-m", "asianpde.cli", "--help"], env).stdout
+    done = run(["-m", "asianpde.cli", "mc", *FAST], env)
+    assert done.returncode == 0, done.stderr
+    assert "mc price" in done.stdout
+    assert not (tmp_path / "cache").exists()
+
+
+def test_source_compiles_without_warnings():
+    done = subprocess.run(
+        ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_step.SOURCE)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr

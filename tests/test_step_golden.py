@@ -100,7 +100,7 @@ def test_public_passes_compose_to_mpdata_step(nonosc):
     current = courant
     for _ in range(opts.n_iters - 1):
         fill_halos_scalar(out)
-        corrective = fill_halos_vector(antidiffusive_courant(out, current, opts))
+        corrective = fill_halos_vector(antidiffusive_courant(out, current))
         if nonosc:
             corrective = fill_halos_vector(nonoscillatory_limit(out, corrective))
         out = upwind_step(out, corrective)
