@@ -28,7 +28,7 @@ import numpy as np
 
 from ._step import library
 from .errors import ConfigurationError, StabilityError
-from .grid import ScalarField, VectorField, _checked_halo, fill_halos_scalar, fill_halos_vector
+from .grid import ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
 
 _COURANT_TOL = 1e-12  # |C| = 1 exactly (unit-Courant translation) must pass
 
@@ -112,13 +112,6 @@ class WorkspaceVector(VectorField):
         self.ptr_x = ptr_x
         self.ptr_y = ptr_y
 
-    def detached(self) -> VectorField:
-        """A plain copy of the interior faces with zero halos."""
-        out = VectorField(np.zeros(self.comp_x.shape), np.zeros(self.comp_y.shape), self.halo)
-        out.interior_x[:] = self.interior_x
-        out.interior_y[:] = self.interior_y
-        return out
-
 
 class StepWorkspace:
     """Padded storage for every field of a transport step on one grid.
@@ -132,7 +125,9 @@ class StepWorkspace:
     """
 
     def __init__(self, nx: int, ny: int, halo: int):
-        h = _checked_halo(halo)  # the kernels read two cells deep
+        if int(halo) != halo or halo < 2:  # the kernels read two cells deep
+            raise ConfigurationError(f"halo width must be an integer >= 2, got {halo}")
+        h = int(halo)
         rows, row = nx + 1 + 2 * h, ny + 1 + 2 * h
         self.dims = (nx, ny, h, row)
         self.fields = np.zeros((7, rows, row))
@@ -204,12 +199,13 @@ def _limit(ws, psi, courant, out) -> None:
 # ---------------------------------------------------------------------------
 
 def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
-    """One donor-cell pass updating the interior; halos of both inputs must be filled.
+    """One donor-cell pass updating the interior.
 
-    Raises :class:`StabilityError` when any interior |C| exceeds 1.  Plain
-    fields are left as they are and a new field is returned; workspace
-    fields are updated in place, with the check left to whoever filled the
-    workspace (see :func:`mpdata_step`).
+    The halo of ``psi`` must be filled; of ``courant`` only the interior
+    faces are read.  Raises :class:`StabilityError` when any interior |C|
+    exceeds 1.  Plain fields are left as they are and a new field is
+    returned; workspace fields are updated in place, with the check left to
+    whoever filled the workspace (see :func:`mpdata_step`).
     """
     ws = workspace_of(psi, courant)
     if ws is not None:
@@ -230,7 +226,7 @@ def _corrective_field(kernel, psi: ScalarField, courant: VectorField) -> VectorF
         psi, courant = ws.psi, ws.courant
     out = ws.spare(courant)
     kernel(ws, psi, courant, out)
-    return out.detached() if plain else out
+    return out.copy() if plain else out
 
 
 def antidiffusive_courant(psi: ScalarField, courant: VectorField) -> VectorField:

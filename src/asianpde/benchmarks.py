@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advection import SolverOptions, mpdata_step
-from .grid import DEFAULT_HALO, GridSpec, ScalarField, VectorField
+from .grid import GridSpec, ScalarField, VectorField
 
 DEFAULT_COURANT = (0.35, 0.35)
 DEFAULT_WIDTH = 0.1
@@ -73,16 +73,15 @@ def gaussian_values(spec: GridSpec, centre, width: float) -> np.ndarray:
     return out
 
 
-def gaussian_field(
-    spec: GridSpec, centre=DEFAULT_CENTRE, width: float = DEFAULT_WIDTH, halo: int = DEFAULT_HALO
-) -> ScalarField:
-    fld = ScalarField.zeros(spec, halo)
-    fld.interior[:] = gaussian_values(spec, centre, width)
+def gaussian_field(spec: GridSpec, width: float = DEFAULT_WIDTH) -> ScalarField:
+    """The pulse of :func:`gaussian_values` centred at ``DEFAULT_CENTRE``."""
+    fld = ScalarField.zeros(spec)
+    fld.interior[:] = gaussian_values(spec, DEFAULT_CENTRE, width)
     return fld
 
 
-def constant_courant(spec: GridSpec, cx: float, cy: float, halo: int = DEFAULT_HALO) -> VectorField:
-    fld = VectorField.zeros(spec, halo)
+def constant_courant(spec: GridSpec, cx: float, cy: float) -> VectorField:
+    fld = VectorField.zeros(spec)
     fld.comp_x[:] = cx
     fld.comp_y[:] = cy
     return fld
@@ -97,7 +96,6 @@ class TranslationResult:
     n: int
     dx: float
     error: float
-    n_steps: int
 
 
 def run_translation(
@@ -106,30 +104,27 @@ def run_translation(
     courant=DEFAULT_COURANT,
     width: float = DEFAULT_WIDTH,
     displacement: float = 0.25,
-    step=None,
 ) -> TranslationResult:
     """Advect a Gaussian by ~``displacement`` at fixed Courant number.
 
     The step count scales with resolution so the Courant number stays fixed
     across refinement levels; the analytic solution is the initial profile
-    shifted by the exact accumulated displacement.  ``step`` overrides the
-    per-step update (same signature as :func:`mpdata_step`), which lets the
-    dimensionally split composition reuse this harness.
+    shifted by the exact accumulated displacement.  Each step is
+    :func:`mpdata_step` with the periodic fills.
     """
     spec = unit_square(n)
     c_lead = max(abs(courant[0]), abs(courant[1]))
     n_steps = max(1, round(displacement * n / c_lead)) if c_lead > 0 else 1
     psi = gaussian_field(spec, width=width)
     vec = constant_courant(spec, courant[0], courant[1])
-    advance = step or mpdata_step
     for _ in range(n_steps):
-        psi = advance(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
+        psi = mpdata_step(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
     centre = (
         (DEFAULT_CENTRE[0] + n_steps * courant[0] * spec.dx) % 1.0,
         (DEFAULT_CENTRE[1] + n_steps * courant[1] * spec.dy) % 1.0,
     )
     exact = gaussian_values(spec, centre, width)
-    return TranslationResult(n, spec.dx, l2_error(psi.interior, exact, spec), n_steps)
+    return TranslationResult(n, spec.dx, l2_error(psi.interior, exact, spec))
 
 
 @dataclass(frozen=True)
@@ -150,11 +145,4 @@ def convergence_study(base_n: int, levels: int, opts: SolverOptions) -> list[Con
             order = float(np.log2(out[-1].error / res.error))
         out.append(ConvergenceLevel(res.n, res.dx, res.error, order))
     return out
-
-
-def observed_order(levels: list[ConvergenceLevel]) -> float:
-    """Least-squares slope of log(error) against log(dx)."""
-    log_dx = np.log([lvl.dx for lvl in levels])
-    log_err = np.log([lvl.error for lvl in levels])
-    return float(np.polyfit(log_dx, log_err, 1)[0])
 

@@ -17,7 +17,9 @@ must not race an interior update on the same field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +40,11 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (isinstance(self.nx, Integral) and isinstance(self.ny, Integral)):
+            raise ConfigurationError(f"cell counts must be integers, got nx={self.nx!r}, ny={self.ny!r}")
         if not self.x_min < self.x_max:
             raise ConfigurationError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
         if not self.y_min < self.y_max:
@@ -70,8 +77,8 @@ class ScalarField:
     halo: int = DEFAULT_HALO
 
     @classmethod
-    def zeros(cls, spec: GridSpec, halo: int = DEFAULT_HALO) -> "ScalarField":
-        h = _checked_halo(halo)
+    def zeros(cls, spec: GridSpec) -> "ScalarField":
+        h = DEFAULT_HALO
         return cls(np.zeros((spec.nx + 2 * h, spec.ny + 2 * h)), h)
 
     @property
@@ -100,8 +107,8 @@ class VectorField:
     halo: int = DEFAULT_HALO
 
     @classmethod
-    def zeros(cls, spec: GridSpec, halo: int = DEFAULT_HALO) -> "VectorField":
-        h = _checked_halo(halo)
+    def zeros(cls, spec: GridSpec) -> "VectorField":
+        h = DEFAULT_HALO
         cx = np.zeros((spec.nx + 1 + 2 * h, spec.ny + 2 * h))
         cy = np.zeros((spec.nx + 2 * h, spec.ny + 1 + 2 * h))
         return cls(cx, cy, h)
@@ -118,12 +125,6 @@ class VectorField:
 
     def copy(self) -> "VectorField":
         return VectorField(self.comp_x.copy(), self.comp_y.copy(), self.halo)
-
-
-def _checked_halo(halo: int) -> int:
-    if int(halo) != halo or halo < 2:
-        raise ConfigurationError(f"halo width must be an integer >= 2, got {halo}")
-    return int(halo)
 
 
 def fill_halos_scalar(fld: ScalarField) -> ScalarField:

@@ -14,8 +14,11 @@ backward marching flips the sign of the Courant field, which is why
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +31,7 @@ from .advection import (
     workspace_of,
 )
 from .errors import ConfigurationError, StabilityError
-from .grid import (
-    DEFAULT_HALO,
-    GridSpec,
-    ScalarField,
-    VectorField,
-    fill_halos_scalar,
-    fill_halos_vector,
-)
+from .grid import GridSpec, ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
 
 KINDS = ("call", "put")
 
@@ -85,13 +81,11 @@ def make_transform(inst: InstrumentSpec) -> Transform:
     return Transform(u=inst.rate - half_var, nu=-half_var, T=inst.maturity)
 
 
-def grid_from_price_domain(
-    s_min: float, s_max: float, a_max: float, nx: int, ny: int, a_min: float = 0.0
-) -> GridSpec:
-    """GridSpec over x in [ln s_min, ln s_max], y in [a_min, a_max]."""
+def grid_from_price_domain(s_min: float, s_max: float, a_max: float, nx: int, ny: int) -> GridSpec:
+    """GridSpec over x in [ln s_min, ln s_max], y in [0, a_max]."""
     if not s_min > 0:
         raise ConfigurationError(f"s_min must be positive for the log transform, got {s_min}")
-    return GridSpec(math.log(s_min), math.log(s_max), a_min, a_max, nx, ny)
+    return GridSpec(math.log(s_min), math.log(s_max), 0.0, a_max, nx, ny)
 
 
 def build_courant(
@@ -116,12 +110,10 @@ def build_courant(
     if ws.courant_y_key != (dt, tr, spec):
         out.interior_y[:] = ((dt / spec.dy) * np.exp(spec.x_centres) / tr.T)[:, None]
         ws.courant_y_key = (dt, tr, spec)
-    return out.detached() if plain else out
+    return out.copy() if plain else out
 
 
-def terminal_condition(
-    inst: InstrumentSpec, spec: GridSpec, halo: int = DEFAULT_HALO
-) -> ScalarField:
+def terminal_condition(inst: InstrumentSpec, spec: GridSpec) -> ScalarField:
     """Discounted payoff at maturity, cell-averaged over each cell's y extent.
 
     The payoff depends on y only, so the average over [y_lo, y_hi] of the
@@ -140,7 +132,7 @@ def terminal_condition(
         cell_avg = (_ramp_sq(y_hi - inst.strike) - _ramp_sq(y_lo - inst.strike)) / (2 * spec.dy)
     else:
         cell_avg = (_ramp_sq(inst.strike - y_lo) - _ramp_sq(inst.strike - y_hi)) / (2 * spec.dy)
-    fld = ScalarField.zeros(spec, halo)
+    fld = ScalarField.zeros(spec)
     fld.interior[:] = math.exp(-inst.rate * inst.maturity) * cell_avg[None, :]
     return fld
 
@@ -149,18 +141,23 @@ def _ramp_sq(z: np.ndarray) -> np.ndarray:
     return np.square(np.maximum(z, 0.0))
 
 
-def _step_sizes(maturity: float, dt: float) -> list[float]:
+def _step_sizes(maturity: float, dt: float) -> Iterator[float]:
     """Uniform steps of dt plus a fractional tail when T/dt is not integral.
 
     The steps sum to T within 1e-9 T: the tail is added when the remainder
-    exceeds that, so T < dt gives one step of length T.
+    exceeds that, so T < dt gives one step of length T.  A step count above
+    ``sys.maxsize`` raises :class:`ConfigurationError` before the first step.
     """
-    n_full = int(math.floor(maturity / dt + 1e-12))
+    n_steps = maturity / dt + 1e-12
+    if not n_steps <= sys.maxsize:
+        raise ConfigurationError(
+            f"dt = {dt:g} gives {n_steps:.3g} time steps over T = {maturity:g}, more than {sys.maxsize}"
+        )
+    n_full = int(math.floor(n_steps))
     remainder = maturity - n_full * dt
-    steps = [dt] * n_full
+    yield from itertools.repeat(dt, n_full)
     if remainder > 1e-9 * maturity:
-        steps.append(remainder)
-    return steps
+        yield remainder
 
 
 def integrate(
@@ -168,56 +165,49 @@ def integrate(
     spec: GridSpec,
     dt: float,
     opts: SolverOptions,
-    halo: int = DEFAULT_HALO,
-    boundary=None,
 ) -> ScalarField:
     """March the discounted payoff from t = T back to t = 0.
 
     The Courant field is rebuilt from the current field before every step
     (the pseudo-velocity is state-dependent) and checked against both
     stability criteria; a violation raises :class:`StabilityError` carrying
-    the step index, before any field update at that step.  Every field of
-    the march lives in one :class:`StepWorkspace` created for this call.
+    the step index, before any field update at that step.  Halos are filled
+    with the production fills of :mod:`asianpde.grid` (linear extrapolation
+    for psi, constant extension for the Courant field).  Every field of the
+    march lives in one :class:`StepWorkspace` created for this call.
 
     Since Psi = exp(-r t) f, the returned field at t = 0 is the price
     surface f itself.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"dt must be a positive finite number, got {dt}")
-    fill_scalar, fill_vector = boundary or (fill_halos_scalar, fill_halos_vector)
     tr = make_transform(inst)
-    ws = StepWorkspace.holding(terminal_condition(inst, spec, halo))
+    ws = StepWorkspace.holding(terminal_condition(inst, spec))
     psi = ws.psi
     for n, step in enumerate(_step_sizes(inst.maturity, dt)):
-        fill_scalar(psi)
+        fill_halos_scalar(psi)
         courant = build_courant(psi, tr, spec, -step)
-        fill_vector(courant)
+        fill_halos_vector(courant)
         report = check_stability(courant, tr.nu, step, spec.dx)
         if not report.ok:
             raise StabilityError(report, step_index=n)
-        psi = mpdata_step(psi, courant, opts, boundary=(fill_scalar, fill_vector))
+        psi = mpdata_step(psi, courant, opts)
     return psi.copy()
 
 
-def row_values(psi_t0: ScalarField, at_edge: bool = True) -> np.ndarray:
-    """Price-per-column along the row nearest A = 0.
+def row_values(psi_t0: ScalarField) -> np.ndarray:
+    """Price per column at the A = 0 edge.
 
-    With ``at_edge`` the j = 0 and j = 1 cell-centre rows are linearly
-    extrapolated to the y = 0 edge (removing the O(dy) readout bias);
-    otherwise the j = 0 row (at y = dy/2) is returned as is.  Clipped at 0.
+    The j = 0 and j = 1 cell-centre rows are linearly extrapolated to the
+    y = 0 edge, which removes the O(dy) bias of reading the j = 0 row (at
+    y = dy/2) as is.  Clipped at 0.
     """
     interior = psi_t0.interior
-    if at_edge:
-        vals = 1.5 * interior[:, 0] - 0.5 * interior[:, 1]
-    else:
-        vals = interior[:, 0].copy()
-    return np.maximum(vals, 0.0)
+    return np.maximum(1.5 * interior[:, 0] - 0.5 * interior[:, 1], 0.0)
 
 
-def readout(
-    psi_t0: ScalarField, inst: InstrumentSpec, spec: GridSpec, at_edge: bool = True
-) -> float:
-    """Interpolate the t = 0 field at x = ln(spot) along the row nearest A = 0."""
+def readout(psi_t0: ScalarField, inst: InstrumentSpec, spec: GridSpec) -> float:
+    """Interpolate the t = 0 field at x = ln(spot) along the A = 0 edge (see :func:`row_values`)."""
     x0 = math.log(inst.spot)
     tol = 1e-9 * spec.dx
     if not (spec.x_min + spec.dx / 2 - tol <= x0 <= spec.x_max - spec.dx / 2 + tol):
@@ -225,17 +215,10 @@ def readout(
             f"spot {inst.spot} (x = {x0:.6g}) is outside the readout range "
             f"[{math.exp(spec.x_min + spec.dx / 2):.6g}, {math.exp(spec.x_max - spec.dx / 2):.6g}]"
         )
-    vals = row_values(psi_t0, at_edge=at_edge)
+    vals = row_values(psi_t0)
     return float(max(np.interp(x0, spec.x_centres, vals), 0.0))
 
 
-def price_instrument(
-    inst: InstrumentSpec,
-    spec: GridSpec,
-    dt: float,
-    opts: SolverOptions,
-    at_edge: bool = True,
-) -> float:
+def price_instrument(inst: InstrumentSpec, spec: GridSpec, dt: float, opts: SolverOptions) -> float:
     """Full valuation: terminal condition, backward integration, spot readout."""
-    psi = integrate(inst, spec, dt, opts)
-    return readout(psi, inst, spec, at_edge=at_edge)
+    return readout(integrate(inst, spec, dt, opts), inst, spec)

@@ -3,7 +3,8 @@
 The library runs the step as flat stencils on a padded layout
 (:class:`asianpde.advection.StepWorkspace`); these functions evaluate the same
 formulas face by face, path by path or pass by pass, so the tests can check
-the library against them.
+the library against them.  :func:`observed_order` fits the convergence order
+that the tests assert on :func:`asianpde.benchmarks.convergence_study`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from asianpde.advection import DEFAULT_EPSILON, SolverOptions, mpdata_step
+from asianpde.benchmarks import ConvergenceLevel
 from asianpde.errors import ConfigurationError
 from asianpde.grid import ScalarField, VectorField
 from asianpde.pricing import InstrumentSpec
@@ -98,6 +100,13 @@ def split_mpdata_step(
     y_only = VectorField(np.zeros_like(courant.comp_x), courant.comp_y.copy(), courant.halo)
     out = mpdata_step(psi, x_only, opts, boundary=boundary)
     return mpdata_step(out, y_only, opts, boundary=boundary)
+
+
+def observed_order(levels: list[ConvergenceLevel]) -> float:
+    """Least-squares slope of log(error) against log(dx)."""
+    log_dx = np.log([lvl.dx for lvl in levels])
+    log_err = np.log([lvl.error for lvl in levels])
+    return float(np.polyfit(log_dx, log_err, 1)[0])
 
 
 def gbm_path(inst: InstrumentSpec, cfg: McConfig, path_index: int) -> np.ndarray:

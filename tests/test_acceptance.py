@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from asianpde import benchmarks
 from asianpde.advection import (
     SolverOptions,
     antidiffusive_courant,
@@ -28,7 +29,6 @@ from asianpde.advection import (
 from asianpde.benchmarks import (
     PERIODIC_BOUNDARY,
     convergence_study,
-    observed_order,
     periodic_fill_scalar,
     periodic_fill_vector,
     run_translation,
@@ -42,7 +42,7 @@ from asianpde.harness import run_table, run_transect
 from asianpde.pricing import InstrumentSpec, grid_from_price_domain, integrate
 from asianpde.reference import McConfig, mc_asian_price
 from conftest import random_courant, random_positive_field, wrap_courant
-from oracles import split_mpdata_step
+from oracles import observed_order, split_mpdata_step
 
 # (sigma, T_months, K, kind) -> (lattice_ref, upwind, mpdata_2it, mc_100k)
 PUBLISHED = {
@@ -310,11 +310,13 @@ class TestCriterion5SchemeProperties:
         assert corrective >= 1.8, f"2-iteration order {corrective:.3f}"
         _pass(5, f"orders: upwind {upwind:.2f}, corrective {corrective:.2f}")
 
-    def test_unsplit_beats_split_composition(self):
+    def test_unsplit_beats_split_composition(self, monkeypatch):
         opts = SolverOptions(n_iters=2, nonoscillatory=False)
         kwargs = dict(courant=(0.1, 0.1), width=0.12, displacement=0.2)
         unsplit = run_translation(64, opts, **kwargs).error
-        split = run_translation(64, opts, step=split_mpdata_step, **kwargs).error
+        # run_translation looks mpdata_step up at call time
+        monkeypatch.setattr(benchmarks, "mpdata_step", split_mpdata_step)
+        split = run_translation(64, opts, **kwargs).error
         assert unsplit < split, f"2D {unsplit:.6e} vs split {split:.6e}"
         _pass(5, f"unsplit advantage at 64^2: {unsplit:.4e} < {split:.4e}")
 

@@ -9,14 +9,13 @@ from asianpde.benchmarks import (
     gaussian_field,
     gaussian_values,
     l2_error,
-    observed_order,
     periodic_fill_scalar,
     periodic_fill_vector,
     run_translation,
     unit_square,
 )
 from asianpde.grid import ScalarField, VectorField
-from oracles import split_mpdata_step
+from oracles import observed_order, split_mpdata_step
 
 
 class TestPeriodicFills:

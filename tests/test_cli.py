@@ -68,6 +68,7 @@ class TestPriceCommand:
             (["--rate", "nan"], "rate must be finite"),
             (["--amax", "50"], "lies above amax"),
             (["--with-mc", "--paths", "1"], "n_paths must be >= 2"),
+            (["--dt", "1e-300"], "time steps over T"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,12 @@ class TestGridSpec:
             dict(x_min=0.0, x_max=1.0, y_min=1.0, y_max=1.0, nx=4, ny=4),
             dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=2, ny=4),
             dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=4, ny=2),
+            dict(x_min=0.0, x_max=math.inf, y_min=0.0, y_max=1.0, nx=4, ny=4),
+            dict(x_min=-math.inf, x_max=1.0, y_min=0.0, y_max=1.0, nx=4, ny=4),
+            dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=math.inf, nx=4, ny=4),
+            dict(x_min=0.0, x_max=1.0, y_min=math.nan, y_max=1.0, nx=4, ny=4),
+            dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=20.5, ny=4),
+            dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=4, ny=4.0),
         ],
     )
     def test_invalid_spec_rejected(self, kwargs):
@@ -43,7 +51,7 @@ class TestGridSpec:
 class TestMakeGrid:
     def test_minimal_grid_storage(self):
         spec = GridSpec(0, 1, 0, 1, 3, 3)
-        scalar, vector = ScalarField.zeros(spec, halo=2), VectorField.zeros(spec, halo=2)
+        scalar, vector = ScalarField.zeros(spec), VectorField.zeros(spec)
         assert scalar.values.shape == (7, 7)
         assert vector.comp_x.shape == (8, 7)
         assert vector.comp_y.shape == (7, 8)
@@ -64,13 +72,6 @@ class TestMakeGrid:
     def test_too_few_cells_rejected(self):
         with pytest.raises(ConfigurationError):
             GridSpec(0, 1, 0, 1, 2, 4)
-
-    @pytest.mark.parametrize("halo", [0, 1, -3])
-    def test_thin_halo_rejected(self, halo):
-        with pytest.raises(ConfigurationError):
-            ScalarField.zeros(SPEC, halo=halo)
-        with pytest.raises(ConfigurationError):
-            VectorField.zeros(SPEC, halo=halo)
 
 
 class TestScalarFill:

@@ -4,8 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
+from asianpde import advection, pricing
 from asianpde.advection import SolverOptions, check_stability, mpdata_step
-from asianpde.benchmarks import PERIODIC_BOUNDARY
+from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import GridSpec, ScalarField, fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
@@ -169,22 +170,22 @@ class TestTerminalCondition:
 
 class TestStepSizes:
     def test_maturity_below_half_step_gives_one_step(self):
-        assert _step_sizes(0.4e-3, 1e-3) == [0.4e-3]
+        assert list(_step_sizes(0.4e-3, 1e-3)) == [0.4e-3]
 
     def test_exact_division(self):
-        steps = _step_sizes(0.5, 1.0 / 1760.0)
+        steps = list(_step_sizes(0.5, 1.0 / 1760.0))
         assert len(steps) == 880
         assert all(s == 1.0 / 1760.0 for s in steps)
 
     def test_fractional_tail(self):
-        steps = _step_sizes(1.05e-3, 1e-3)
+        steps = list(_step_sizes(1.05e-3, 1e-3))
         assert len(steps) == 2
         assert steps[0] == 1e-3
         assert steps[1] == pytest.approx(0.05e-3)
 
     def test_total_duration_preserved(self):
         for maturity in (0.5, 0.7331, 1.0, 0.251):
-            steps = _step_sizes(maturity, 1.0 / 500.0)
+            steps = list(_step_sizes(maturity, 1.0 / 500.0))
             assert sum(steps) == pytest.approx(maturity, rel=1e-9)
 
 
@@ -221,12 +222,16 @@ class TestIntegrate:
         price = readout(psi, inst, spec)
         assert price == pytest.approx(exact, rel=0.10)
 
-    def test_mass_conserved_under_periodic_test_fill(self):
+    def test_mass_conserved_under_periodic_test_fill(self, monkeypatch):
+        # integrate and mpdata_step look their fills up at call time
+        for module in (pricing, advection):
+            monkeypatch.setattr(module, "fill_halos_scalar", periodic_fill_scalar)
+            monkeypatch.setattr(module, "fill_halos_vector", periodic_fill_vector)
         spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 24)
         inst = sample_instrument(kind="call", strike=1e-6, maturity=0.1, sigma=0.0, rate=0.0)
         psi0 = terminal_condition(inst, spec)
         before = psi0.interior.sum()
-        psi = integrate(inst, spec, dt=1e-3, opts=OPTS, boundary=PERIODIC_BOUNDARY)
+        psi = integrate(inst, spec, dt=1e-3, opts=OPTS)
         assert abs(psi.interior.sum() - before) <= 1e-11 * before
 
     def test_sample_valuation_profile_shape(self):
@@ -301,9 +306,8 @@ class TestReadout:
         spec = GridSpec(x0 - 10.5 * dx, x0 + 10.5 * dx, 0.0, 10.0, 21, 5)
         fld = self.field_with_rows(spec, np.arange(21.0), np.arange(21.0))
         inst = sample_instrument()
-        assert readout(fld, inst, spec, at_edge=False) == pytest.approx(10.0, abs=1e-9)
         # with identical first two rows the edge extrapolation degenerates
-        assert readout(fld, inst, spec, at_edge=True) == pytest.approx(10.0, abs=1e-9)
+        assert readout(fld, inst, spec) == pytest.approx(10.0, abs=1e-9)
 
     def test_edge_extrapolation_from_two_rows(self):
         dx = 0.01
@@ -311,14 +315,14 @@ class TestReadout:
         spec = GridSpec(x0 - 10.5 * dx, x0 + 10.5 * dx, 0.0, 10.0, 21, 5)
         fld = self.field_with_rows(spec, np.full(21, 3.0), np.full(21, 5.0))
         # rows at dy/2 and 3 dy/2 holding 3 and 5 extrapolate to 2 at y = 0
-        assert readout(fld, sample_instrument(), spec, at_edge=True) == pytest.approx(2.0)
+        assert readout(fld, sample_instrument(), spec) == pytest.approx(2.0)
 
     def test_negative_extrapolation_clipped(self):
         dx = 0.01
         x0 = math.log(100.0)
         spec = GridSpec(x0 - 10.5 * dx, x0 + 10.5 * dx, 0.0, 10.0, 21, 5)
         fld = self.field_with_rows(spec, np.full(21, 1.0), np.full(21, 9.0))
-        assert readout(fld, sample_instrument(), spec, at_edge=True) == 0.0
+        assert readout(fld, sample_instrument(), spec) == 0.0
 
     def test_zero_field_prices_zero(self):
         spec = grid_from_price_domain(50.0, 200.0, 200.0, 8, 8)
@@ -335,4 +339,4 @@ class TestReadout:
     def test_row_values_clip_at_zero(self):
         spec = grid_from_price_domain(50.0, 200.0, 200.0, 8, 8)
         fld = self.field_with_rows(spec, np.full(8, 1.0), np.full(8, 9.0))
-        assert np.all(row_values(fld, at_edge=True) == 0.0)
+        assert np.all(row_values(fld) == 0.0)

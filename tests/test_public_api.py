@@ -1,5 +1,8 @@
-"""The package's public surface: the README's library example and ``__all__``."""
+"""The package's public surface: the README's library example, ``__all__`` and
+the module names that the benchmark's tracer wraps."""
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -7,7 +10,8 @@ import pytest
 
 import asianpde
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PUBLIC_NAMES = {
     "InstrumentSpec",
@@ -45,3 +49,17 @@ def test_all_holds_exactly_the_public_names():
     assert len(asianpde.__all__) == len(PUBLIC_NAMES)
     for name in asianpde.__all__:
         assert getattr(asianpde, name) is not None
+
+
+def test_benchmark_patch_sites_resolve():
+    # perfbench's own tests are not collected here, so without this test a
+    # renamed or deleted name would surface only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"asianpde.{module}.{attribute}"
+        for module, attribute, _ in tracing.PATCH_SITES
+        if not callable(getattr(importlib.import_module(f"asianpde.{module}"), attribute, None))
+    ]
+    assert tracing.PATCH_SITES and not missing
