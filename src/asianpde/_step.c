@@ -5,8 +5,9 @@
  * sits at flat offset a * r + b, with neighbours at +-r (x) and +-1 (y).
  * With halo width h the real cells are a in [h, h + nx), b in [h, h + ny);
  * the real x faces run to a = h + nx and the real y faces to b = h + ny.
- * The kernels write real elements only and read halos that the caller has
- * filled.
+ * The stencil kernels write real elements only and read halos that the
+ * caller has filled; the fill kernels at the end write the halos, and the
+ * scan reads real elements only.
  *
  * Each real element gets the same floating-point operations, in the same
  * order, as a direct numpy evaluation of its formula, so the results are
@@ -16,6 +17,8 @@
  */
 
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 /* numpy's maximum and minimum: a NaN in either operand gives NaN */
 static inline double max_nan(double a, double b) { return (a >= b || a != a) ? a : b; }
@@ -114,4 +117,73 @@ void courant_x(const double *restrict psi, double *restrict cx, long nx, long ny
     for (long a = h; a <= h + nx; a++)
         for (long k = a * r + h; k < a * r + h + ny; k++)
             cx[k] = (u - guarded_ratio(psi[k] - psi[k - r], psi[k] + psi[k - r], eps) * coef) * scale;
+}
+
+/* x with negatives clipped to 0, as numpy's maximum(x, 0.0) gives it: a NaN
+ * stays the same NaN, and -0.0 becomes +0.0 */
+static inline double clip_negative(double x) { return (x > 0.0 || x != x) ? x : 0.0; }
+
+/* Linear extrapolation outward from cells k and k - step (k the edge cell)
+ * into the h cells k + step, ..., k + h step, each clipped at 0.  The walk
+ * adds the slope once per layer, so a constant line stays bit-exact. */
+static inline void extrapolate(double *v, long k, long step, long h)
+{
+    double slope = v[k] - v[k - step], out = v[k];
+    for (long layer = 1; layer <= h; layer++) {
+        out += slope;
+        v[k + layer * step] = clip_negative(out);
+    }
+}
+
+/* Halos of a scalar with nx x ny real cells: linear extrapolation from the
+ * two nearest real cells, x first and then y over every row, so the corners
+ * continue the rows the x pass filled. */
+void fill_scalar(double *v, long nx, long ny, long h, long r)
+{
+    /* halo columns of the halo rows are left to the y pass, which rewrites them */
+    for (long b = h; b < h + ny; b++) {
+        extrapolate(v, h * r + b, -r, h);
+        extrapolate(v, (h + nx - 1) * r + b, r, h);
+    }
+    for (long a = 0; a < nx + 2 * h; a++) {
+        extrapolate(v, a * r + h, -1, h);
+        extrapolate(v, a * r + h + ny - 1, 1, h);
+    }
+}
+
+/* Halos of a face component with n0 x n1 real faces: each halo element takes
+ * the value of the nearest real face, rows along y first, then whole rows. */
+void fill_faces(double *v, long n0, long n1, long h, long r)
+{
+    for (long a = h; a < h + n0; a++) {
+        double *row = v + a * r;
+        for (long b = 0; b < h; b++) {
+            row[b] = row[h];
+            row[h + n1 + b] = row[h + n1 - 1];
+        }
+    }
+    size_t width = (size_t)(n1 + 2 * h) * sizeof(double);
+    for (long layer = 1; layer <= h; layer++) {
+        memcpy(v + (h - layer) * r, v + h * r, width);
+        memcpy(v + (h + n0 - 1 + layer) * r, v + (h + n0 - 1) * r, width);
+    }
+}
+
+/* max |v| over the n0 x n1 real elements, a NaN if any is NaN.  With the sign
+ * bit cleared a double orders as its bit pattern read as an integer, and
+ * every NaN above inf: the integer max has no NaN test to serialise on, so
+ * it vectorises. */
+double max_abs(const double *v, long n0, long n1, long h, long r)
+{
+    int64_t top = 0;
+    for (long a = h; a < h + n0; a++)
+        for (long k = a * r + h; k < a * r + h + n1; k++) {
+            int64_t bits;
+            memcpy(&bits, v + k, sizeof bits);
+            bits &= INT64_MAX;
+            top = bits > top ? bits : top;
+        }
+    double out;
+    memcpy(&out, &top, sizeof out);
+    return out;
 }

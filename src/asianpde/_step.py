@@ -6,6 +6,11 @@ gcc builds it first.  The cache lives in ``$XDG_CACHE_HOME/asianpde`` (by
 default ``~/.cache/asianpde``).  A build is written to a temporary file and
 renamed into place, so processes that build at the same time (the spawned
 workers of ``run_table``) never load a partial file.
+
+The halo fills and the Courant scan reach their kernels through
+:func:`dims`, which checks the layout that the kernels' indices assume and C
+cannot check for itself; the stencil kernels take the addresses of a
+``StepWorkspace``, whose constructor fixes its layout.
 """
 
 from __future__ import annotations
@@ -19,18 +24,27 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from .errors import ConfigurationError
+
 SOURCE = Path(__file__).with_name("_step.c")
 # -ffp-contract=off and no -ffast-math keep every operation as written, which
 # bit-identity needs; -march=native is why the cache key names the CPU
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 _PTR, _INT, _REAL = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-_DIMS = (_INT,) * 4  # nx, ny, halo, row length
+_DIMS = (_INT,) * 4  # real extents along x and y, halo, row length
+# kernel -> (argument types, return type); without a return type ctypes reads
+# every result as a C int, silently
 ARGTYPES = {
-    "upwind": (_PTR,) * 5 + _DIMS,
-    "antidiffusive": (_PTR,) * 5 + _DIMS + (_REAL,),
-    "limit": (_PTR,) * 7 + _DIMS + (_REAL,),
-    "courant_x": (_PTR,) * 2 + _DIMS + (_REAL,) * 4,
+    "upwind": ((_PTR,) * 5 + _DIMS, None),
+    "antidiffusive": ((_PTR,) * 5 + _DIMS + (_REAL,), None),
+    "limit": ((_PTR,) * 7 + _DIMS + (_REAL,), None),
+    "courant_x": ((_PTR,) * 2 + _DIMS + (_REAL,) * 4, None),
+    "fill_scalar": ((_PTR,) + _DIMS, None),
+    "fill_faces": ((_PTR,) + _DIMS, None),
+    "max_abs": ((_PTR,) + _DIMS, _REAL),
 }
 
 
@@ -80,7 +94,30 @@ def library() -> ctypes.CDLL:
     if not path.exists():
         _build(path)
     lib = ctypes.CDLL(str(path))
-    for name, argtypes in ARGTYPES.items():
+    for name, (argtypes, restype) in ARGTYPES.items():
         kernel = getattr(lib, name)
-        kernel.argtypes, kernel.restype = argtypes, None
+        kernel.argtypes, kernel.restype = argtypes, restype
     return lib
+
+
+def dims(a: np.ndarray, halo: int, least: int, writes: bool = True) -> tuple[int, int, int, int, int]:
+    """``(address, n0, n1, halo, row length)`` of ``a`` for a kernel that reads
+    its ``n0 x n1`` real elements and, if it ``writes``, its halo ring.
+
+    Raises :class:`ConfigurationError` unless ``a`` is a 2D float64 array,
+    writable if the kernel writes, of rows with unit stride that do not
+    overlap, with at least ``least`` real elements per axis inside a halo of
+    width ``halo``.
+    """
+    if a.dtype != np.float64 or a.ndim != 2:
+        raise ConfigurationError(f"need a 2D float64 array, got {a.ndim}D {a.dtype}")
+    if writes and not a.flags.writeable:
+        raise ConfigurationError("need a writable array, got a read-only one")
+    (rows, cols), (row_bytes, step) = a.shape, a.strides
+    if step != 8 or row_bytes % 8 or row_bytes < 8 * cols:
+        raise ConfigurationError(f"need rows of adjacent elements that do not overlap, got strides {a.strides}")
+    if halo < 0 or min(rows, cols) - 2 * halo < least:
+        raise ConfigurationError(
+            f"need at least {least} real elements per axis inside a halo of {halo}, got shape {a.shape}"
+        )
+    return a.ctypes.data, rows - 2 * halo, cols - 2 * halo, halo, row_bytes // 8

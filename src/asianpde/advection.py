@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import library
+from ._step import dims, library
 from .errors import ConfigurationError, StabilityError
 from .grid import ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
 
@@ -58,8 +58,9 @@ class StabilityReport:
 
 def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> StabilityReport:
     """Check the advective (|C| <= 1) and diffusive (2|nu| dt / dx^2 <= 1/2) criteria."""
-    max_cx = float(np.max(np.abs(courant.interior_x)))
-    max_cy = float(np.max(np.abs(courant.interior_y)))
+    max_abs = library().max_abs  # NaN if any interior face is NaN
+    max_cx = max_abs(*dims(courant.comp_x, courant.halo, 1, writes=False))
+    max_cy = max_abs(*dims(courant.comp_y, courant.halo, 1, writes=False))
     diffusion = 2.0 * abs(nu) * abs(dt) / dx**2
     violations = []
     # written as "not <=" so that a NaN, which compares False, is a violation

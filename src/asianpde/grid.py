@@ -11,6 +11,12 @@ Storage is row-major with the x index on axis 0.  With halo width ``h``:
   (``nx + 1`` interior face columns, the last one at ``h + nx``)
 * y-face on the *bottom* edge of cell ``j`` -> ``comp_y[h + i, h + j]``
 
+The halo fills are C loops (``fill_scalar`` and ``fill_faces`` in
+``_step.c``, built on first use by :mod:`asianpde._step`) over any field of
+this layout, a plain array or a :class:`asianpde.advection.StepWorkspace`
+view with longer rows; an array of another layout raises
+:class:`ConfigurationError` before it reaches C.
+
 Fields are single-writer objects: concurrent reads are fine, but a halo fill
 must not race an interior update on the same field.
 """
@@ -23,6 +29,7 @@ from numbers import Integral
 
 import numpy as np
 
+from ._step import dims, library
 from .errors import ConfigurationError
 
 DEFAULT_HALO = 2  # the corrective stencils and the FCT limiter read 2 cells deep
@@ -134,27 +141,9 @@ def fill_halos_scalar(fld: ScalarField) -> ScalarField:
     halos pick up the already-extrapolated columns).  Negative extrapolated
     values are clipped to zero to keep the field sign-preserving.  The fill
     is idempotent and runs in place; the field is returned for chaining.
+    The interior needs at least two cells per axis.
     """
-    v = fld.values
-    h = fld.halo
-    for axis in (0, 1):
-        lo0, lo1 = (v[h], v[h + 1]) if axis == 0 else (v[:, h], v[:, h + 1])
-        hi0, hi1 = (v[-h - 1], v[-h - 2]) if axis == 0 else (v[:, -h - 1], v[:, -h - 2])
-        # walk outward along the line through the two edge cells; the
-        # incremental form keeps constant fields bit-exact
-        lo, hi = lo0.copy(), hi0.copy()
-        lo_slope, hi_slope = lo0 - lo1, hi0 - hi1
-        for layer in range(1, h + 1):
-            lo += lo_slope
-            hi += hi_slope
-            lo_clipped = np.maximum(lo, 0.0)
-            hi_clipped = np.maximum(hi, 0.0)
-            if axis == 0:
-                v[h - layer] = lo_clipped
-                v[-h - 1 + layer] = hi_clipped
-            else:
-                v[:, h - layer] = lo_clipped
-                v[:, -h - 1 + layer] = hi_clipped
+    library().fill_scalar(*dims(fld.values, fld.halo, 2))
     return fld
 
 
@@ -163,10 +152,7 @@ def fill_halos_vector(fld: VectorField) -> VectorField:
 
     Interior faces are never touched.  In place; returns the field.
     """
-    for comp in (fld.comp_x, fld.comp_y):
-        h = fld.halo
-        comp[:h, :] = comp[h, :]
-        comp[-h:, :] = comp[-h - 1, :]
-        comp[:, :h] = comp[:, h][:, None]
-        comp[:, -h:] = comp[:, -h - 1][:, None]
+    fill = library().fill_faces
+    fill(*dims(fld.comp_x, fld.halo, 1))
+    fill(*dims(fld.comp_y, fld.halo, 1))
     return fld

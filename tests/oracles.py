@@ -1,9 +1,9 @@
 """Direct, unoptimised evaluations of the scheme that the tests compare against.
 
-The library runs the step as flat stencils on a padded layout
+The library runs the step and its halo fills as C loops on a padded layout
 (:class:`asianpde.advection.StepWorkspace`); these functions evaluate the same
-formulas face by face, path by path or pass by pass, so the tests can check
-the library against them.  :func:`observed_order` fits the convergence order
+formulas face by face, path by path, pass by pass or slice by slice, so the
+tests can check the library against them.  :func:`observed_order` fits the convergence order
 that the tests assert on :func:`asianpde.benchmarks.convergence_study`.
 """
 
@@ -86,6 +86,44 @@ def transverse_mean_courant(courant: VectorField, i: int, j: int, d: int, q: int
         return 0.25 * (cy[a, b] + cy[a + 1, b] + cy[a, b + 1] + cy[a + 1, b + 1])
     cx = courant.comp_x
     return 0.25 * (cx[a, b] + cx[a + 1, b] + cx[a, b + 1] + cx[a + 1, b + 1])
+
+
+def reference_fill_scalar(fld: ScalarField) -> ScalarField:
+    """numpy evaluation of :func:`asianpde.grid.fill_halos_scalar`: linear
+    extrapolation from the two nearest interior cells, x then y, clipped at 0."""
+    v = fld.values
+    h = fld.halo
+    for axis in (0, 1):
+        lo0, lo1 = (v[h], v[h + 1]) if axis == 0 else (v[:, h], v[:, h + 1])
+        hi0, hi1 = (v[-h - 1], v[-h - 2]) if axis == 0 else (v[:, -h - 1], v[:, -h - 2])
+        # walk outward along the line through the two edge cells; the
+        # incremental form keeps constant fields bit-exact
+        lo, hi = lo0.copy(), hi0.copy()
+        lo_slope, hi_slope = lo0 - lo1, hi0 - hi1
+        for layer in range(1, h + 1):
+            lo += lo_slope
+            hi += hi_slope
+            lo_clipped = np.maximum(lo, 0.0)
+            hi_clipped = np.maximum(hi, 0.0)
+            if axis == 0:
+                v[h - layer] = lo_clipped
+                v[-h - 1 + layer] = hi_clipped
+            else:
+                v[:, h - layer] = lo_clipped
+                v[:, -h - 1 + layer] = hi_clipped
+    return fld
+
+
+def reference_fill_vector(fld: VectorField) -> VectorField:
+    """numpy evaluation of :func:`asianpde.grid.fill_halos_vector`: constant
+    extension of the nearest face."""
+    for comp in (fld.comp_x, fld.comp_y):
+        h = fld.halo
+        comp[:h, :] = comp[h, :]
+        comp[-h:, :] = comp[-h - 1, :]
+        comp[:, :h] = comp[:, h][:, None]
+        comp[:, -h:] = comp[:, -h - 1][:, None]
+    return fld
 
 
 def split_mpdata_step(

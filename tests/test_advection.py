@@ -367,6 +367,40 @@ class TestCheckStability:
         with pytest.raises(StabilityError):
             upwind_step(psi, vec)
 
+    @pytest.mark.parametrize("case", ["random", "inf", "-inf", "negative zeros"])
+    def test_reports_numpy_max_abs(self, case):
+        rng = np.random.default_rng(len(case))
+        vec = random_courant(SPEC, rng, bound=3.0)
+        vec.interior_x[rng.random(vec.interior_x.shape) < 0.2] = -0.0
+        vec.interior_y[rng.random(vec.interior_y.shape) < 0.2] = -0.0
+        if case == "inf":
+            vec.interior_x[-1, 2] = np.inf
+        elif case == "-inf":
+            vec.interior_y[0, -1] = -np.inf
+        elif case == "negative zeros":
+            vec.interior_y[...] = -0.0
+        # halo faces are not scanned
+        halo = np.ones(vec.comp_x.shape, dtype=bool)
+        halo[2:-2, 2:-2] = False
+        vec.comp_x[halo] = np.nan
+        vec.comp_y[:, :2] = 9.0
+        report = check_stability(vec, nu=0.0, dt=1.0, dx=1.0)
+        for got, comp in ((report.max_abs_courant_x, vec.interior_x), (report.max_abs_courant_y, vec.interior_y)):
+            want = np.max(np.abs(comp))
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+
+    @pytest.mark.parametrize("face", [(0, 0), (-1, -1)])
+    @pytest.mark.parametrize("component", ["x", "y"])
+    def test_nan_on_edge_face_rejected(self, component, face):
+        vec = self.uniform(0.5, 0.5)
+        getattr(vec, f"interior_{component}")[face] = np.nan
+        report = check_stability(vec, nu=0.0, dt=1.0, dx=1.0)
+        assert not report.ok and np.isnan(getattr(report, f"max_abs_courant_{component}"))
+        psi = fill_halos_scalar(random_positive_field(SPEC, np.random.default_rng(7)))
+        with pytest.raises(StabilityError):
+            upwind_step(psi, vec)
+
     def test_nan_corrective_field_rejected(self):
         # a NaN cell makes the antidiffusive field NaN around it, which the
         # guard on every corrective field must refuse

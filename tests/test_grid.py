@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asianpde.advection import StepWorkspace
 from asianpde.errors import ConfigurationError
 from asianpde.grid import (
     GridSpec,
@@ -13,6 +14,7 @@ from asianpde.grid import (
     fill_halos_scalar,
     fill_halos_vector,
 )
+from oracles import reference_fill_scalar, reference_fill_vector
 
 SPEC = GridSpec(0.0, 1.0, 0.0, 2.0, 5, 4)
 
@@ -152,3 +154,110 @@ class TestVectorFill:
         fill_halos_vector(fld)
         np.testing.assert_array_equal(fld.interior_x, ix)
         np.testing.assert_array_equal(fld.interior_y, iy)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def awkward(rng, shape) -> np.ndarray:
+    """Values in [-1, 3) with a NaN, -0.0 and inf on the first and last rows
+    and columns, where the fills read: many halo cells extrapolate below 0."""
+    a = rng.uniform(-1.0, 3.0, shape)
+    a[0, 1] = a[-1, -2] = a[2, 0] = np.nan
+    # -0.0 on the edge next to +0.0 extrapolates to -0.0, which numpy clips to +0.0
+    a[0, 2] = a[-1, 1] = a[3, 0] = a[4, -1] = -0.0
+    a[1, 2] = a[-2, 1] = a[3, 1] = a[4, -2] = 0.0
+    a[1, -1] = np.inf
+    return a
+
+
+class TestFillsMatchReference:
+    """The C fills give the old numpy fills' bits (``oracles``), on plain
+    fields and on workspace views, whose rows are longer than the field."""
+
+    NX, NY = 7, 6
+
+    def fields_of(self, halo, where, rng):
+        """A scalar, a face field with stale values in every halo, and the
+        workspace that holds them (None for plain fields)."""
+        ws = StepWorkspace(self.NX, self.NY, halo)
+        ws.fields[...] = rng.uniform(-5.0, 5.0, ws.fields.shape)
+        if where == "plain":
+            return (
+                ScalarField(ws.psi.values.copy(), halo),
+                VectorField(ws.courant.comp_x.copy(), ws.courant.comp_y.copy(), halo),
+                None,
+            )
+        assert ws.psi.values.strides[0] > 8 * ws.psi.values.shape[1]
+        return ws.psi, ws.courant, ws
+
+    @pytest.mark.parametrize("where", ["plain", "workspace"])
+    @pytest.mark.parametrize("halo", [2, 3])
+    def test_scalar_fill(self, halo, where, rng):
+        fld, _, ws = self.fields_of(halo, where, rng)
+        fld.interior[...] = awkward(rng, fld.interior.shape)
+        before = None if ws is None else ws.fields.copy()
+        want = reference_fill_scalar(ScalarField(fld.values.copy(), halo)).values
+        assert (want == 0.0).sum() > 2 * halo and np.isnan(want).sum() > 3  # clipped cells, NaN lines
+        fill_halos_scalar(fld)
+        np.testing.assert_array_equal(bits(fld.values), bits(want))
+        if ws is not None:  # nothing outside the view is written
+            before[0, :self.NX + 2 * halo, :self.NY + 2 * halo] = want
+            np.testing.assert_array_equal(bits(ws.fields), bits(before))
+
+    @pytest.mark.parametrize("where", ["plain", "workspace"])
+    @pytest.mark.parametrize("halo", [2, 3])
+    def test_vector_fill(self, halo, where, rng):
+        _, fld, ws = self.fields_of(halo, where, rng)
+        fld.interior_x[...] = awkward(rng, fld.interior_x.shape)
+        fld.interior_y[...] = awkward(rng, fld.interior_y.shape)
+        before = None if ws is None else ws.fields.copy()
+        want = reference_fill_vector(VectorField(fld.comp_x.copy(), fld.comp_y.copy(), halo))
+        fill_halos_vector(fld)
+        np.testing.assert_array_equal(bits(fld.comp_x), bits(want.comp_x))
+        np.testing.assert_array_equal(bits(fld.comp_y), bits(want.comp_y))
+        if ws is not None:
+            before[1, :, :self.NY + 2 * halo] = want.comp_x
+            before[2, :self.NX + 2 * halo, :] = want.comp_y
+            np.testing.assert_array_equal(bits(ws.fields), bits(before))
+
+    def test_smallest_interior(self, rng):
+        scalar = ScalarField(np.zeros((6, 6)), 2)
+        scalar.interior[...] = rng.uniform(-1.0, 3.0, (2, 2))
+        want = reference_fill_scalar(scalar.copy()).values
+        np.testing.assert_array_equal(bits(fill_halos_scalar(scalar).values), bits(want))
+        vector = VectorField(np.zeros((5, 5)), np.full((5, 5), -0.5), 2)  # one real face each
+        vector.interior_x[...] = 0.25
+        vector.interior_y[...] = 0.75
+        fill_halos_vector(vector)
+        np.testing.assert_array_equal(vector.comp_x, 0.25)
+        np.testing.assert_array_equal(vector.comp_y, 0.75)
+
+
+class TestLayoutGuard:
+    """An array whose layout the kernels' indices do not fit is refused
+    before its address reaches C."""
+
+    def test_not_float64(self):
+        with pytest.raises(ConfigurationError, match="float64"):
+            fill_halos_scalar(ScalarField(np.zeros((9, 8), dtype=np.float32), 2))
+
+    def test_inner_stride(self):
+        with pytest.raises(ConfigurationError, match="strides"):
+            fill_halos_scalar(ScalarField(np.zeros((9, 8), order="F"), 2))
+        with pytest.raises(ConfigurationError, match="strides"):
+            fill_halos_vector(VectorField(np.zeros((10, 16))[:, ::2], np.zeros((9, 9)), 2))
+
+    def test_too_small(self):
+        # one interior cell along x: the extrapolation needs two
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            fill_halos_scalar(ScalarField(np.zeros((5, 8)), 2))
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            fill_halos_vector(VectorField(np.zeros((4, 8)), np.zeros((4, 9)), 2))
+
+    def test_read_only(self):
+        values = np.zeros((9, 8))
+        values.flags.writeable = False
+        with pytest.raises(ConfigurationError, match="writable"):
+            fill_halos_scalar(ScalarField(values, 2))

@@ -1,11 +1,14 @@
-"""The build cache of the C step kernels (``asianpde._step``).
+"""The build cache of the C step kernels (``asianpde._step``) and the
+declarations that ctypes calls them with.
 
-Each test runs the program in fresh processes with ``XDG_CACHE_HOME`` in a
+Each build-cache test runs the program in fresh processes with ``XDG_CACHE_HOME`` in a
 temporary directory, so it starts from an empty cache and this process's
 loaded build plays no part.
 """
 
+import ctypes
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +93,18 @@ def test_source_compiles_without_warnings():
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0 and done.stderr == "", done.stderr
+
+
+def test_every_kernel_has_declared_types():
+    source = _step.SOURCE.read_text()
+    # definitions start a line with their return type; static helpers are not exported
+    defined = {
+        name for static, name in re.findall(r"^(static\s+)?[a-z_][\w ]*?\**\s*\b(\w+)\(", source, re.M)
+        if not static
+    }
+    assert defined == set(_step.ARGTYPES)
+    lib = _step.library()
+    for name, (argtypes, restype) in _step.ARGTYPES.items():
+        kernel = getattr(lib, name)
+        assert tuple(kernel.argtypes) == argtypes and kernel.restype is restype
+    assert _step.ARGTYPES["max_abs"][1] is ctypes.c_double
