@@ -7,13 +7,16 @@
  * the real x faces run to a = h + nx and the real y faces to b = h + ny.
  * The stencil kernels write real elements only and read halos that the
  * caller has filled; the fill kernels at the end write the halos, and the
- * scan reads real elements only.
+ * scan reads real elements only.  Every kernel takes first the record that
+ * asianpde._step.dims makes of the array it walks.
  *
  * Each real element gets the same floating-point operations, in the same
  * order, as a direct numpy evaluation of its formula, so the results are
  * bit-identical to one.  That holds only when the compiler neither
  * reassociates nor fuses them: build with -ffp-contract=off and without
- * -ffast-math.
+ * -ffast-math.  One signed-zero difference remains: in the flux and limiter
+ * terms max_nan(-0.0, 0.0) is -0.0 and numpy's maximum +0.0; the final clip
+ * of upwind removes it, so it reaches only limit's corrective Courant numbers.
  */
 
 #include <math.h>
@@ -24,6 +27,10 @@
 static inline double max_nan(double a, double b) { return (a >= b || a != a) ? a : b; }
 static inline double min_nan(double a, double b) { return (a <= b || a != a) ? a : b; }
 
+/* x with negatives clipped to 0, as numpy's maximum(x, 0.0) gives it: a NaN
+ * stays the same NaN, and -0.0 becomes +0.0 */
+static inline double clip_negative(double x) { return (x > 0.0 || x != x) ? x : 0.0; }
+
 /* num / den, or 0 where |den| < eps (vanishing-denominator guard) */
 static inline double guarded_ratio(double num, double den, double eps)
 {
@@ -33,8 +40,8 @@ static inline double guarded_ratio(double num, double den, double eps)
 /* Donor-cell pass: psi -= (fx[k + r] - fx[k]) + (fy[k + 1] - fy[k]), clipped
  * at 0, with the face fluxes max(C, 0) psi_donor + min(C, 0) psi_receiver
  * staged in fx and fy. */
-void upwind(double *restrict psi, const double *restrict cx, const double *restrict cy,
-            double *restrict fx, double *restrict fy, long nx, long ny, long h, long r)
+void upwind(double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
+            const double *restrict cy, double *restrict fx, double *restrict fy)
 {
     for (long a = h; a <= h + nx; a++)
         for (long k = a * r + h; k < a * r + h + ny; k++)
@@ -45,7 +52,7 @@ void upwind(double *restrict psi, const double *restrict cx, const double *restr
     /* the scheme is sign-preserving; the clip removes round-off undershoots */
     for (long a = h; a < h + nx; a++)
         for (long k = a * r + h; k < a * r + h + ny; k++)
-            psi[k] = max_nan(psi[k] - ((fx[k + r] - fx[k]) + (fy[k + 1] - fy[k])), 0.0);
+            psi[k] = clip_negative(psi[k] - ((fx[k + r] - fx[k]) + (fy[k + 1] - fy[k])));
 }
 
 /* |C| (1 - |C|) A - C Cbar B at face k between cells k - near and k, with
@@ -62,9 +69,9 @@ static inline double antidiffusive_face(const double *restrict psi, double c, do
 }
 
 /* Antidiffusive Courant numbers of (cx, cy) into (vx, vy). */
-void antidiffusive(const double *restrict psi, const double *restrict cx,
-                   const double *restrict cy, double *restrict vx, double *restrict vy,
-                   long nx, long ny, long h, long r, double eps)
+void antidiffusive(const double *restrict psi, long nx, long ny, long h, long r,
+                   const double *restrict cx, const double *restrict cy, double *restrict vx,
+                   double *restrict vy, double eps)
 {
     /* x face: the y faces of cells k - r and k, bottom then top */
     for (long a = h; a <= h + nx; a++)
@@ -81,9 +88,9 @@ void antidiffusive(const double *restrict psi, const double *restrict cx,
 /* FCT-limited copy of the corrective field (cx, cy) into (vx, vy).  The
  * ratios beta_up = (max - psi) / (f_in + eps) and beta_dn = (psi - min) /
  * (f_out + eps) are staged in up and dn over the interior plus one cell. */
-void limit(const double *restrict psi, const double *restrict cx, const double *restrict cy,
-           double *restrict vx, double *restrict vy, double *restrict up, double *restrict dn,
-           long nx, long ny, long h, long r, double eps)
+void limit(const double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
+           const double *restrict cy, double *restrict vx, double *restrict vy, double *restrict up,
+           double *restrict dn, double eps)
 {
     for (long a = h - 1; a <= h + nx; a++)
         for (long k = a * r + h - 1; k <= a * r + h + ny; k++) {
@@ -111,17 +118,13 @@ void limit(const double *restrict psi, const double *restrict cx, const double *
 
 /* x component of the physical Courant field: (u - coef A) scale, with A the
  * guarded ratio (psi[k] - psi[k - r]) / (psi[k] + psi[k - r]) across the face. */
-void courant_x(const double *restrict psi, double *restrict cx, long nx, long ny, long h,
-               long r, double u, double coef, double scale, double eps)
+void courant_x(const double *restrict psi, long nx, long ny, long h, long r, double *restrict cx,
+               double u, double coef, double scale, double eps)
 {
     for (long a = h; a <= h + nx; a++)
         for (long k = a * r + h; k < a * r + h + ny; k++)
             cx[k] = (u - guarded_ratio(psi[k] - psi[k - r], psi[k] + psi[k - r], eps) * coef) * scale;
 }
-
-/* x with negatives clipped to 0, as numpy's maximum(x, 0.0) gives it: a NaN
- * stays the same NaN, and -0.0 becomes +0.0 */
-static inline double clip_negative(double x) { return (x > 0.0 || x != x) ? x : 0.0; }
 
 /* Linear extrapolation outward from cells k and k - step (k the edge cell)
  * into the h cells k + step, ..., k + h step, each clipped at 0.  The walk

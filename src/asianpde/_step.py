@@ -7,10 +7,10 @@ default ``~/.cache/asianpde``).  A build is written to a temporary file and
 renamed into place, so processes that build at the same time (the spawned
 workers of ``run_table``) never load a partial file.
 
-The halo fills and the Courant scan reach their kernels through
-:func:`dims`, which checks the layout that the kernels' indices assume and C
-cannot check for itself; the stencil kernels take the addresses of a
-``StepWorkspace``, whose constructor fixes its layout.
+Every array reaches its kernel through :func:`dims`, which checks the layout
+that the kernels' indices assume and C cannot check for itself.  Each
+``grid.ScalarField`` and ``grid.VectorField`` runs it once per array and
+keeps the record, so the fills, the scan and the stencils read the same one.
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ SOURCE = Path(__file__).with_name("_step.c")
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 _PTR, _INT, _REAL = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-_DIMS = (_INT,) * 4  # real extents along x and y, halo, row length
+_DIMS = (_PTR,) + (_INT,) * 4  # what dims() returns: address, extents, halo, row length
 # kernel -> (argument types, return type); without a return type ctypes reads
 # every result as a C int, silently
 ARGTYPES = {
-    "upwind": ((_PTR,) * 5 + _DIMS, None),
-    "antidiffusive": ((_PTR,) * 5 + _DIMS + (_REAL,), None),
-    "limit": ((_PTR,) * 7 + _DIMS + (_REAL,), None),
-    "courant_x": ((_PTR,) * 2 + _DIMS + (_REAL,) * 4, None),
-    "fill_scalar": ((_PTR,) + _DIMS, None),
-    "fill_faces": ((_PTR,) + _DIMS, None),
-    "max_abs": ((_PTR,) + _DIMS, _REAL),
+    "upwind": (_DIMS + (_PTR,) * 4, None),
+    "antidiffusive": (_DIMS + (_PTR,) * 4 + (_REAL,), None),
+    "limit": (_DIMS + (_PTR,) * 6 + (_REAL,), None),
+    "courant_x": (_DIMS + (_PTR,) + (_REAL,) * 4, None),
+    "fill_scalar": (_DIMS, None),
+    "fill_faces": (_DIMS, None),
+    "max_abs": (_DIMS, _REAL),
 }
 
 
@@ -100,19 +100,17 @@ def library() -> ctypes.CDLL:
     return lib
 
 
-def dims(a: np.ndarray, halo: int, least: int, writes: bool = True) -> tuple[int, int, int, int, int]:
-    """``(address, n0, n1, halo, row length)`` of ``a`` for a kernel that reads
-    its ``n0 x n1`` real elements and, if it ``writes``, its halo ring.
+def dims(a: np.ndarray, halo: int, least: int) -> tuple[ctypes.c_void_p, int, int, int, int]:
+    """``(address, n0, n1, halo, row length)`` of ``a`` for a kernel over its
+    ``n0 x n1`` real elements and halo ring; the address holds ``a``, so numpy
+    refuses to resize ``a`` in place while the record lives.
 
-    Raises :class:`ConfigurationError` unless ``a`` is a 2D float64 array,
-    writable if the kernel writes, of rows with unit stride that do not
-    overlap, with at least ``least`` real elements per axis inside a halo of
-    width ``halo``.
+    Raises :class:`ConfigurationError` unless ``a`` is a 2D float64 array of
+    rows with unit stride that do not overlap, with at least ``least`` real
+    elements per axis inside a halo of width ``halo``.
     """
     if a.dtype != np.float64 or a.ndim != 2:
         raise ConfigurationError(f"need a 2D float64 array, got {a.ndim}D {a.dtype}")
-    if writes and not a.flags.writeable:
-        raise ConfigurationError("need a writable array, got a read-only one")
     (rows, cols), (row_bytes, step) = a.shape, a.strides
     if step != 8 or row_bytes % 8 or row_bytes < 8 * cols:
         raise ConfigurationError(f"need rows of adjacent elements that do not overlap, got strides {a.strides}")
@@ -120,4 +118,11 @@ def dims(a: np.ndarray, halo: int, least: int, writes: bool = True) -> tuple[int
         raise ConfigurationError(
             f"need at least {least} real elements per axis inside a halo of {halo}, got shape {a.shape}"
         )
-    return a.ctypes.data, rows - 2 * halo, cols - 2 * halo, halo, row_bytes // 8
+    return a.ctypes.data_as(_PTR), rows - 2 * halo, cols - 2 * halo, halo, row_bytes // 8
+
+
+def writable(a: np.ndarray, record: tuple) -> tuple:
+    """``record``, the :func:`dims` of ``a``, for a kernel that writes ``a``."""
+    if not a.flags.writeable:
+        raise ConfigurationError("need a writable array, got a read-only one")
+    return record

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import dims, library
+from ._step import library
 from .errors import ConfigurationError, StabilityError
 from .grid import ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
 
@@ -58,9 +58,8 @@ class StabilityReport:
 
 def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> StabilityReport:
     """Check the advective (|C| <= 1) and diffusive (2|nu| dt / dx^2 <= 1/2) criteria."""
-    max_abs = library().max_abs  # NaN if any interior face is NaN
-    max_cx = max_abs(*dims(courant.comp_x, courant.halo, 1, writes=False))
-    max_cy = max_abs(*dims(courant.comp_y, courant.halo, 1, writes=False))
+    max_abs = library().max_abs  # NaN if any interior face is NaN; only reads
+    max_cx, max_cy = max_abs(*courant.c_comp_x), max_abs(*courant.c_comp_y)
     diffusion = 2.0 * abs(nu) * abs(dt) / dx**2
     violations = []
     # written as "not <=" so that a NaN, which compares False, is a violation
@@ -93,25 +92,21 @@ def _guard(courant: VectorField) -> None:
 # ---------------------------------------------------------------------------
 
 class WorkspaceScalar(ScalarField):
-    """A scalar whose values are a view into a :class:`StepWorkspace`; ``ptr``
-    is the address of its whole padded array."""
+    """A scalar whose values are a view into a :class:`StepWorkspace`."""
 
-    def __init__(self, values: np.ndarray, halo: int, workspace: "StepWorkspace", ptr: int):
+    def __init__(self, values: np.ndarray, halo: int, workspace: "StepWorkspace"):
         super().__init__(values, halo)
         # weak: the workspace holds its fields, and a reference cycle would keep
         # every finished workspace alive until the cyclic garbage collector runs
         self.workspace = weakref.ref(workspace)
-        self.ptr = ptr
 
 
 class WorkspaceVector(VectorField):
     """A face field whose components are views into a :class:`StepWorkspace`."""
 
-    def __init__(self, comp_x, comp_y, halo: int, workspace: "StepWorkspace", ptr_x: int, ptr_y: int):
+    def __init__(self, comp_x, comp_y, halo: int, workspace: "StepWorkspace"):
         super().__init__(comp_x, comp_y, halo)
         self.workspace = weakref.ref(workspace)
-        self.ptr_x = ptr_x
-        self.ptr_y = ptr_y
 
 
 class StepWorkspace:
@@ -130,15 +125,10 @@ class StepWorkspace:
             raise ConfigurationError(f"halo width must be an integer >= 2, got {halo}")
         h = int(halo)
         rows, row = nx + 1 + 2 * h, ny + 1 + 2 * h
-        self.dims = (nx, ny, h, row)
-        self.fields = np.zeros((7, rows, row))
-        fields, base, size = self.fields, self.fields.ctypes.data, rows * row * 8
-        self.psi = WorkspaceScalar(fields[0, :nx + 2 * h, :ny + 2 * h], h, self, base)
+        self.fields = fields = np.zeros((7, rows, row))
+        self.psi = WorkspaceScalar(fields[0, :nx + 2 * h, :ny + 2 * h], h, self)
         self.courant, *self.corrective = (
-            WorkspaceVector(
-                fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :], h, self,
-                base + s * size, base + (s + 1) * size,
-            )
+            WorkspaceVector(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :], h, self)
             for s in (1, 3, 5)
         )
         self.scratch = np.zeros((2, rows * row))
@@ -159,9 +149,7 @@ class StepWorkspace:
         """Write C_x = (u - coef A) scale on the real x faces of ``courant``,
         with A the guarded ratio (psi[k] - psi[k - R]) / (psi[k] + psi[k - R])
         of the two cells each face separates."""
-        library().courant_x(
-            self.psi.ptr, self.courant.ptr_x, *self.dims, u, coef, scale, DEFAULT_EPSILON
-        )
+        library().courant_x(*self.psi.c_values, self.courant.c_comp_x[0], u, coef, scale, DEFAULT_EPSILON)
 
     def spare(self, busy: VectorField) -> WorkspaceVector:
         """The corrective slot not occupied by ``busy``."""
@@ -177,21 +165,22 @@ def workspace_of(*fields):
 
 def _upwind(ws: StepWorkspace, psi: WorkspaceScalar, courant: WorkspaceVector) -> None:
     """Donor-cell update of the interior of ``psi`` in place."""
-    library().upwind(psi.ptr, courant.ptr_x, courant.ptr_y, *ws.scratch_ptrs, *ws.dims)
+    library().upwind(*psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], *ws.scratch_ptrs)
 
 
 def _antidiffusive(ws, psi, courant, out) -> None:
     """Antidiffusive Courant numbers of ``courant`` into ``out`` on the real faces."""
     library().antidiffusive(
-        psi.ptr, courant.ptr_x, courant.ptr_y, out.ptr_x, out.ptr_y, *ws.dims, DEFAULT_EPSILON
+        *psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
+        DEFAULT_EPSILON,
     )
 
 
 def _limit(ws, psi, courant, out) -> None:
     """FCT-limited copy of corrective field ``courant`` into ``out`` on the real faces."""
     library().limit(
-        psi.ptr, courant.ptr_x, courant.ptr_y, out.ptr_x, out.ptr_y,
-        *ws.scratch_ptrs, *ws.dims, DEFAULT_EPSILON,
+        *psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
+        *ws.scratch_ptrs, DEFAULT_EPSILON,
     )
 
 

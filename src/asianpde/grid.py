@@ -14,8 +14,8 @@ Storage is row-major with the x index on axis 0.  With halo width ``h``:
 The halo fills are C loops (``fill_scalar`` and ``fill_faces`` in
 ``_step.c``, built on first use by :mod:`asianpde._step`) over any field of
 this layout, a plain array or a :class:`asianpde.advection.StepWorkspace`
-view with longer rows; an array of another layout raises
-:class:`ConfigurationError` before it reaches C.
+view with longer rows.  A field is frozen; its first kernel call checks each
+array's layout (:class:`ConfigurationError` if wrong) and keeps the record.
 
 Fields are single-writer objects: concurrent reads are fine, but a halo fill
 must not race an interior update on the same field.
@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
-from ._step import dims, library
+from ._step import dims, library, writable
 from .errors import ConfigurationError
 
 DEFAULT_HALO = 2  # the corrective stencils and the FCT limiter read 2 cells deep
@@ -76,8 +77,14 @@ class GridSpec:
         return self.y_min + (np.arange(self.ny) + 0.5) * self.dy
 
 
-@dataclass
-class ScalarField:
+class _Field:
+    def __getstate__(self):
+        # the c_ records hold this field's addresses: a copy or a pickle makes its own
+        return {k: v for k, v in vars(self).items() if not k.startswith("c_")}
+
+
+@dataclass(frozen=True)
+class ScalarField(_Field):
     """Cell-centred scalar with a halo ring; interior shape (nx, ny)."""
 
     values: np.ndarray
@@ -101,12 +108,15 @@ class ScalarField:
         h = self.halo
         return self.values[h:-h, h:-h]
 
+    # the record of values (see _step.dims), made once; the fill reads two cells
+    c_values = cached_property(lambda self: dims(self.values, self.halo, 2))
+
     def copy(self) -> "ScalarField":
         return ScalarField(self.values.copy(), self.halo)
 
 
-@dataclass
-class VectorField:
+@dataclass(frozen=True)
+class VectorField(_Field):
     """Face-centred vector components on the staggered (Arakawa-C) positions."""
 
     comp_x: np.ndarray
@@ -130,6 +140,10 @@ class VectorField:
         h = self.halo
         return self.comp_y[h:-h, h:-h]  # (nx, ny + 1)
 
+    # the records of the components (see _step.dims), made once
+    c_comp_x = cached_property(lambda self: dims(self.comp_x, self.halo, 1))
+    c_comp_y = cached_property(lambda self: dims(self.comp_y, self.halo, 1))
+
     def copy(self) -> "VectorField":
         return VectorField(self.comp_x.copy(), self.comp_y.copy(), self.halo)
 
@@ -143,7 +157,7 @@ def fill_halos_scalar(fld: ScalarField) -> ScalarField:
     is idempotent and runs in place; the field is returned for chaining.
     The interior needs at least two cells per axis.
     """
-    library().fill_scalar(*dims(fld.values, fld.halo, 2))
+    library().fill_scalar(*writable(fld.values, fld.c_values))
     return fld
 
 
@@ -153,6 +167,6 @@ def fill_halos_vector(fld: VectorField) -> VectorField:
     Interior faces are never touched.  In place; returns the field.
     """
     fill = library().fill_faces
-    fill(*dims(fld.comp_x, fld.halo, 1))
-    fill(*dims(fld.comp_y, fld.halo, 1))
+    fill(*writable(fld.comp_x, fld.c_comp_x))
+    fill(*writable(fld.comp_y, fld.c_comp_y))
     return fld

@@ -162,6 +162,15 @@ class TestUpwindStep:
         out = upwind_step(psi, vec)
         assert abs(out.interior.sum() - before) <= 1e-12 * before
 
+    def test_clip_turns_negative_zero_positive(self):
+        # numpy's maximum(x, 0.0) gives +0.0 for x = -0.0; so does the C clip
+        psi = ScalarField.zeros(GridSpec(0.0, 1.0, 0.0, 1.0, 4, 4))
+        psi.values[...] = 1.0
+        psi.interior[1, 2] = -0.0
+        out = upwind_step(psi, VectorField.zeros(GridSpec(0.0, 1.0, 0.0, 1.0, 4, 4)))
+        assert out.interior[1, 2].view(np.uint64) == 0
+        assert (out.interior == 1.0).sum() == 15
+
     def test_halo_below_two_rejected(self):
         # the kernels read two cells deep; a thinner halo would read outside the arrays
         nx, ny = SPEC.nx, SPEC.ny

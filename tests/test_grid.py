@@ -1,11 +1,14 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asianpde.advection import StepWorkspace
+from asianpde.advection import StepWorkspace, check_stability, upwind_step
 from asianpde.errors import ConfigurationError
 from asianpde.grid import (
     GridSpec,
@@ -255,9 +258,51 @@ class TestLayoutGuard:
             fill_halos_scalar(ScalarField(np.zeros((5, 8)), 2))
         with pytest.raises(ConfigurationError, match="at least 1"):
             fill_halos_vector(VectorField(np.zeros((4, 8)), np.zeros((4, 9)), 2))
+        # a scalar's record is the fill's, so the stencils refuse it too
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            upwind_step(ScalarField(np.ones((5, 8)), 2), VectorField(np.zeros((6, 8)), np.zeros((5, 9)), 2))
 
     def test_read_only(self):
         values = np.zeros((9, 8))
         values.flags.writeable = False
         with pytest.raises(ConfigurationError, match="writable"):
             fill_halos_scalar(ScalarField(values, 2))
+        comp_y = np.zeros((9, 9))
+        comp_y.flags.writeable = False
+        with pytest.raises(ConfigurationError, match="writable"):
+            fill_halos_vector(VectorField(np.zeros((10, 8)), comp_y, 2))
+
+    def test_scan_accepts_read_only(self):
+        # check_stability only reads the Courant field
+        vec = VectorField.zeros(SPEC)
+        vec.comp_x[...] = -0.5
+        vec.comp_x.flags.writeable = vec.comp_y.flags.writeable = False
+        report = check_stability(vec, 0.0, 1.0, 1.0)
+        assert report.ok and report.max_abs_courant_x == 0.5
+
+
+class TestFrozenLayout:
+    """A field checks the layout of its arrays once and keeps the record,
+    address included, so the arrays under it must stay where they are."""
+
+    @pytest.mark.parametrize("cls, name", [(ScalarField, "values"), (ScalarField, "halo"),
+                                           (VectorField, "comp_x"), (VectorField, "comp_y"),
+                                           (VectorField, "halo")])
+    def test_arrays_cannot_be_replaced(self, cls, name):
+        fld = cls.zeros(SPEC)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fld, name, getattr(fld, name))
+
+    def test_filled_arrays_cannot_be_resized(self):
+        fld = fill_halos_scalar(ScalarField.zeros(SPEC))
+        with pytest.raises(ValueError):
+            fld.values.resize((20, 20))
+        vec = fill_halos_vector(VectorField.zeros(SPEC))
+        with pytest.raises(ValueError):
+            vec.comp_x.resize((20, 20))
+
+    @pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_copies_make_their_own_records(self, twin):
+        fld = fill_halos_vector(VectorField.zeros(SPEC))
+        other = fill_halos_vector(twin(fld))
+        assert other.c_comp_y[0].value == other.comp_y.ctypes.data

@@ -6,6 +6,7 @@ temporary directory, so it starts from an empty cache and this process's
 loaded build plays no part.
 """
 
+import ast
 import ctypes
 import os
 import re
@@ -108,3 +109,18 @@ def test_every_kernel_has_declared_types():
         kernel = getattr(lib, name)
         assert tuple(kernel.argtypes) == argtypes and kernel.restype is restype
     assert _step.ARGTYPES["max_abs"][1] is ctypes.c_double
+
+
+def test_one_route_to_c():
+    # every field array reaches C through the record _step.dims makes; only the
+    # workspace's scratch rows, which no field holds, take their address directly
+    found = []
+    for path in sorted(Path(_step.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                for number in range(node.lineno, node.end_lineno + 1):
+                    if "ctypes.data" in lines[number - 1]:
+                        found.append((path.name, node.name, "scratch" in lines[number - 1]))
+    assert sorted(found) == [("_step.py", "dims", False), ("advection.py", "__init__", True)]

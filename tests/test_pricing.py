@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from asianpde import advection, pricing
+from asianpde import _step, advection, grid, pricing
 from asianpde.advection import SolverOptions, check_stability, mpdata_step
 from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
 from asianpde.errors import ConfigurationError, StabilityError
@@ -221,6 +221,26 @@ class TestIntegrate:
         psi = integrate(inst, spec, dt=1.0 / 440.0, opts=OPTS)
         price = readout(psi, inst, spec)
         assert price == pytest.approx(exact, rel=0.10)
+
+    def test_layout_checks_do_not_grow_with_steps(self, monkeypatch):
+        # each field checks its arrays' layout once, not once per kernel call
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return check(*args)
+
+        check = _step.dims
+        for module in (_step, grid, advection):
+            if getattr(module, "dims", None) is check:
+                monkeypatch.setattr(module, "dims", counted)
+        spec = grid_from_price_domain(50.0, 200.0, 200.0, 8, 8)
+        counts = []
+        for n_steps in (20, 40):
+            calls.clear()
+            integrate(sample_instrument(), spec, dt=0.5 / n_steps, opts=OPTS)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_mass_conserved_under_periodic_test_fill(self, monkeypatch):
         # integrate and mpdata_step look their fills up at call time
