@@ -6,9 +6,9 @@ derived antidiffusive Courant field that cancels the leading-order numerical
 diffusion of the previous pass.  An optional flux-corrected-transport (FCT)
 limiter keeps the corrective passes from creating new local extrema.
 
-All operations assume the halos of their inputs have been filled; the step
-orchestrator refills halos before every corrective pass so the halo
-requirement stays independent of the iteration count.
+All operations assume the halos of their inputs have been filled;
+:meth:`StepWorkspace.step` refills halos before every corrective pass so the
+halo requirement stays independent of the iteration count.
 
 Layout: every field of a step lives in one :class:`StepWorkspace`, a stack of
 ``(nx + 1 + 2h, ny + 1 + 2h)`` arrays with one row length ``R``, so cell or
@@ -17,11 +17,15 @@ are C loops over that layout (``_step.c``, built on first use by
 :mod:`asianpde._step`).  They write the real cells and faces only, and give
 every one the same floating-point operations, in the same order, as a direct
 evaluation of the formulas below, so results are bit-identical to one.
+
+The workspace's methods run the kernels in place, and ``pricing.integrate``
+marches one workspace through every step.  The public passes take plain
+fields: each copies its inputs into a new workspace, runs there and returns
+a copy, so its inputs are never changed.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,33 +95,17 @@ def _guard(courant: VectorField) -> None:
 # padded layout
 # ---------------------------------------------------------------------------
 
-class WorkspaceScalar(ScalarField):
-    """A scalar whose values are a view into a :class:`StepWorkspace`."""
-
-    def __init__(self, values: np.ndarray, halo: int, workspace: "StepWorkspace"):
-        super().__init__(values, halo)
-        # weak: the workspace holds its fields, and a reference cycle would keep
-        # every finished workspace alive until the cyclic garbage collector runs
-        self.workspace = weakref.ref(workspace)
-
-
-class WorkspaceVector(VectorField):
-    """A face field whose components are views into a :class:`StepWorkspace`."""
-
-    def __init__(self, comp_x, comp_y, halo: int, workspace: "StepWorkspace"):
-        super().__init__(comp_x, comp_y, halo)
-        self.workspace = weakref.ref(workspace)
-
-
 class StepWorkspace:
-    """Padded storage for every field of a transport step on one grid.
+    """Padded storage for every field of a transport step on one grid, and
+    the kernel calls that run on it.
 
     ``psi`` is the scalar, ``courant`` the physical Courant field and
     ``corrective`` two slots that the antidiffusive field and the limiter
-    alternate between.  The step functions update workspace fields in place
-    and trust that their Courant fields were checked by the code that filled
-    them; plain fields are copied into a new workspace and checked there.
-    One workspace serves one caller at a time: ``integrate`` creates its own.
+    alternate between; each is a plain field viewing one stack of arrays.
+    The methods update these fields in place and trust their caller: psi's
+    halo is filled and ``courant`` is filled and checked before
+    :meth:`step`, as ``integrate`` and :func:`mpdata_step` do.  One
+    workspace serves one caller at a time.
     """
 
     def __init__(self, nx: int, ny: int, halo: int):
@@ -126,14 +114,12 @@ class StepWorkspace:
         h = int(halo)
         rows, row = nx + 1 + 2 * h, ny + 1 + 2 * h
         self.fields = fields = np.zeros((7, rows, row))
-        self.psi = WorkspaceScalar(fields[0, :nx + 2 * h, :ny + 2 * h], h, self)
+        self.psi = ScalarField(fields[0, :nx + 2 * h, :ny + 2 * h], h)
         self.courant, *self.corrective = (
-            WorkspaceVector(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :], h, self)
-            for s in (1, 3, 5)
+            VectorField(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :], h) for s in (1, 3, 5)
         )
         self.scratch = np.zeros((2, rows * row))
         self.scratch_ptrs = (self.scratch[0].ctypes.data, self.scratch[1].ctypes.data)
-        self.courant_y_key = None  # what the physical y component was last built for (pricing)
 
     @classmethod
     def holding(cls, psi: ScalarField, courant: VectorField | None = None) -> "StepWorkspace":
@@ -151,41 +137,49 @@ class StepWorkspace:
         of the two cells each face separates."""
         library().courant_x(*self.psi.c_values, self.courant.c_comp_x[0], u, coef, scale, DEFAULT_EPSILON)
 
-    def spare(self, busy: VectorField) -> WorkspaceVector:
-        """The corrective slot not occupied by ``busy``."""
+    def upwind(self, courant: VectorField) -> None:
+        """Donor-cell update of the interior of ``psi`` in place."""
+        library().upwind(*self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], *self.scratch_ptrs)
+
+    def antidiffusive(self, courant: VectorField, out: VectorField) -> VectorField:
+        """Antidiffusive Courant numbers of ``courant`` into ``out`` on the real faces."""
+        library().antidiffusive(
+            *self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
+            DEFAULT_EPSILON,
+        )
+        return out
+
+    def limit(self, courant: VectorField, out: VectorField) -> VectorField:
+        """FCT-limited copy of corrective field ``courant`` into ``out`` on the real faces."""
+        library().limit(
+            *self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
+            *self.scratch_ptrs, DEFAULT_EPSILON,
+        )
+        return out
+
+    def step(self, opts: SolverOptions, boundary=None) -> None:
+        """One transport step of ``psi`` in place: UPWIND with ``courant``,
+        then ``n_iters - 1`` corrective passes, each on refilled halos and
+        checked against |C| <= 1.  ``boundary`` is as in :func:`mpdata_step`."""
+        fill_scalar, fill_vector = boundary or (fill_halos_scalar, fill_halos_vector)
         first, second = self.corrective
-        return second if busy is first else first
-
-
-def workspace_of(*fields):
-    """The workspace holding every one of ``fields``, or None."""
-    held = {f.workspace() if hasattr(f, "workspace") else None for f in fields}
-    return held.pop() if len(held) == 1 else None
-
-
-def _upwind(ws: StepWorkspace, psi: WorkspaceScalar, courant: WorkspaceVector) -> None:
-    """Donor-cell update of the interior of ``psi`` in place."""
-    library().upwind(*psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], *ws.scratch_ptrs)
-
-
-def _antidiffusive(ws, psi, courant, out) -> None:
-    """Antidiffusive Courant numbers of ``courant`` into ``out`` on the real faces."""
-    library().antidiffusive(
-        *psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-        DEFAULT_EPSILON,
-    )
-
-
-def _limit(ws, psi, courant, out) -> None:
-    """FCT-limited copy of corrective field ``courant`` into ``out`` on the real faces."""
-    library().limit(
-        *psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-        *ws.scratch_ptrs, DEFAULT_EPSILON,
-    )
+        self.upwind(self.courant)
+        current = self.courant
+        for _ in range(opts.n_iters - 1):
+            fill_scalar(self.psi)
+            # a kernel never writes the slot it reads
+            corrective = self.antidiffusive(current, second if current is first else first)
+            fill_vector(corrective)
+            if opts.nonoscillatory:
+                corrective = self.limit(corrective, second if corrective is first else first)
+                fill_vector(corrective)
+            _guard(corrective)
+            self.upwind(corrective)
+            current = corrective
 
 
 # ---------------------------------------------------------------------------
-# passes
+# passes: plain fields in, a new field out, the inputs left as they are
 # ---------------------------------------------------------------------------
 
 def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
@@ -193,30 +187,12 @@ def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
 
     The halo of ``psi`` must be filled; of ``courant`` only the interior
     faces are read.  Raises :class:`StabilityError` when any interior |C|
-    exceeds 1.  Plain fields are left as they are and a new field is
-    returned; workspace fields are updated in place, with the check left to
-    whoever filled the workspace (see :func:`mpdata_step`).
+    exceeds 1.
     """
-    ws = workspace_of(psi, courant)
-    if ws is not None:
-        _upwind(ws, psi, courant)
-        return psi
     _guard(courant)
     ws = StepWorkspace.holding(psi, courant)
-    _upwind(ws, ws.psi, ws.courant)
+    ws.upwind(ws.courant)
     return ws.psi.copy()
-
-
-def _corrective_field(kernel, psi: ScalarField, courant: VectorField) -> VectorField:
-    """Run ``kernel`` into the spare corrective slot; plain inputs get a plain result."""
-    ws = workspace_of(psi, courant)
-    plain = ws is None
-    if plain:
-        ws = StepWorkspace.holding(psi, courant)
-        psi, courant = ws.psi, ws.courant
-    out = ws.spare(courant)
-    kernel(ws, psi, courant, out)
-    return out.copy() if plain else out
 
 
 def antidiffusive_courant(psi: ScalarField, courant: VectorField) -> VectorField:
@@ -225,10 +201,10 @@ def antidiffusive_courant(psi: ScalarField, courant: VectorField) -> VectorField
     Per face of dimension d: |C| (1 - |C|) A - sum_{q != d} C Cbar_q B, with
     A and B the guarded psi ratios and Cbar the four-face transverse mean.
     Computed on the faces bounding the interior; halos of the result are left
-    for the caller to fill.  For workspace fields the result occupies the
-    corrective slot that ``courant`` does not.
+    for the caller to fill.
     """
-    return _corrective_field(_antidiffusive, psi, courant)
+    ws = StepWorkspace.holding(psi, courant)
+    return ws.antidiffusive(ws.courant, ws.corrective[0]).copy()
 
 
 def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorField) -> VectorField:
@@ -237,10 +213,10 @@ def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorFiel
     Guarantees that the subsequent UPWIND pass keeps every cell within the
     min/max of its face-neighbour stencil in ``psi_before`` (a subset of the
     3x3 neighbourhood).  Halos of both inputs must be filled; halos of the
-    result are left for the caller.  For workspace fields the result
-    occupies the corrective slot that ``courant_corrective`` does not.
+    result are left for the caller.
     """
-    return _corrective_field(_limit, psi_before, courant_corrective)
+    ws = StepWorkspace.holding(psi_before, courant_corrective)
+    return ws.limit(ws.courant, ws.corrective[0]).copy()
 
 
 def mpdata_step(
@@ -251,33 +227,17 @@ def mpdata_step(
 ) -> ScalarField:
     """One full transport step: UPWIND plus ``n_iters - 1`` corrective passes.
 
-    Halos are refilled before every corrective pass, and every corrective
-    Courant field is checked against |C| <= 1.  ``boundary`` is an optional
-    ``(fill_scalar, fill_vector)`` pair; the production extrapolation /
-    constant-extension fills are used by default.  Plain inputs are copied,
-    filled and checked, and a new field is returned.  Workspace inputs (as
-    ``integrate`` passes them) must arrive filled and checked; they are
-    updated in place.  With ``n_iters=1`` the result is bit-identical to
-    :func:`upwind_step` on a filled field.
+    The inputs are copied into a new workspace, whose halos are filled and
+    refilled before every corrective pass, and every Courant field is checked
+    against |C| <= 1.  ``boundary`` is an optional ``(fill_scalar,
+    fill_vector)`` pair; the production extrapolation / constant-extension
+    fills are used by default.  With ``n_iters=1`` the result is
+    bit-identical to :func:`upwind_step` on a filled field.
     """
     fill_scalar, fill_vector = boundary or (fill_halos_scalar, fill_halos_vector)
-    plain = workspace_of(psi, courant) is None
-    if plain:
-        ws = StepWorkspace.holding(psi, courant)
-        psi, courant = ws.psi, ws.courant
-        fill_vector(courant)
-        fill_scalar(psi)
-        _guard(courant)
-    out = upwind_step(psi, courant)
-    current = courant
-    for _ in range(opts.n_iters - 1):
-        fill_scalar(out)
-        corrective = antidiffusive_courant(out, current)
-        fill_vector(corrective)
-        if opts.nonoscillatory:
-            corrective = nonoscillatory_limit(out, corrective)
-            fill_vector(corrective)
-        _guard(corrective)
-        out = upwind_step(out, corrective)
-        current = corrective
-    return out.copy() if plain else out
+    ws = StepWorkspace.holding(psi, courant)
+    fill_vector(ws.courant)
+    fill_scalar(ws.psi)
+    _guard(ws.courant)
+    ws.step(opts, boundary)
+    return ws.psi.copy()

@@ -9,31 +9,26 @@ integrates the whole equation.
 
 The terminal payoff is prescribed at t = T and marched backward to t = 0;
 backward marching flips the sign of the Courant field, which is why
-:func:`integrate` hands a negative time step to :func:`build_courant`.
+:func:`integrate` writes it with a negative time step.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .advection import (
-    SolverOptions,
-    StepWorkspace,
-    check_stability,
-    mpdata_step,
-    workspace_of,
-)
+from .advection import SolverOptions, StepWorkspace, check_stability
+from .advection import mpdata_step  # noqa: F401 -- perfbench/tracing.py wraps pricing.mpdata_step
 from .errors import ConfigurationError, StabilityError
 from .grid import GridSpec, ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
 
 KINDS = ("call", "put")
+MAX_CELL_STEPS = 1e11  # time steps x cells of one march: ~37 min of 2-iteration steps at 4.5e7/s
 
 
 @dataclass(frozen=True)
@@ -97,20 +92,20 @@ def build_courant(
     ratio across each face; the y component uses exp(x) at the cell-centre x
     of the face's row (it is constant in y and t).  Psi halos must be filled.
     Halos of the result are left for the caller; ``dt`` carries the marching
-    sign (negative for backward-in-time integration).  For a workspace psi
-    the field is written into the workspace's physical Courant slot, and the
-    y component is rebuilt only when ``dt``, ``tr`` or ``spec`` change.
+    sign (negative for backward-in-time integration).  ``psi`` is left as it
+    is and a new field is returned.
     """
-    ws = workspace_of(psi)
-    plain = ws is None
-    if plain:
-        ws = StepWorkspace.holding(psi)
-    out = ws.courant
+    ws = StepWorkspace.holding(psi)
+    _write_courant(ws, tr, spec, dt, with_y=True)
+    return ws.courant.copy()
+
+
+def _write_courant(ws: StepWorkspace, tr: Transform, spec: GridSpec, dt: float, with_y: bool) -> None:
+    """Write the Courant field of ``ws.psi`` into ``ws.courant``: C_x always,
+    the constant C_y only ``with_y``."""
     ws.fill_courant_x(tr.u, tr.nu * (2.0 / spec.dx), dt / spec.dx)
-    if ws.courant_y_key != (dt, tr, spec):
-        out.interior_y[:] = ((dt / spec.dy) * np.exp(spec.x_centres) / tr.T)[:, None]
-        ws.courant_y_key = (dt, tr, spec)
-    return out.copy() if plain else out
+    if with_y:
+        ws.courant.interior_y[:] = ((dt / spec.dy) * np.exp(spec.x_centres) / tr.T)[:, None]
 
 
 def terminal_condition(inst: InstrumentSpec, spec: GridSpec) -> ScalarField:
@@ -145,15 +140,9 @@ def _step_sizes(maturity: float, dt: float) -> Iterator[float]:
     """Uniform steps of dt plus a fractional tail when T/dt is not integral.
 
     The steps sum to T within 1e-9 T: the tail is added when the remainder
-    exceeds that, so T < dt gives one step of length T.  A step count above
-    ``sys.maxsize`` raises :class:`ConfigurationError` before the first step.
+    exceeds that, so T < dt gives one step of length T.
     """
-    n_steps = maturity / dt + 1e-12
-    if not n_steps <= sys.maxsize:
-        raise ConfigurationError(
-            f"dt = {dt:g} gives {n_steps:.3g} time steps over T = {maturity:g}, more than {sys.maxsize}"
-        )
-    n_full = int(math.floor(n_steps))
+    n_full = int(math.floor(maturity / dt + 1e-12))
     remainder = maturity - n_full * dt
     yield from itertools.repeat(dt, n_full)
     if remainder > 1e-9 * maturity:
@@ -168,31 +157,39 @@ def integrate(
 ) -> ScalarField:
     """March the discounted payoff from t = T back to t = 0.
 
-    The Courant field is rebuilt from the current field before every step
-    (the pseudo-velocity is state-dependent) and checked against both
-    stability criteria; a violation raises :class:`StabilityError` carrying
-    the step index, before any field update at that step.  Halos are filled
-    with the production fills of :mod:`asianpde.grid` (linear extrapolation
-    for psi, constant extension for the Courant field).  Every field of the
-    march lives in one :class:`StepWorkspace` created for this call.
+    Every field of the march lives in one :class:`StepWorkspace` made for
+    this call.  Before each step C_x is rewritten from the current field
+    (the pseudo-velocity is state-dependent), C_y when the step length
+    changes, and both stability criteria are checked; a violation raises
+    :class:`StabilityError` carrying the step index, before any field update
+    at that step.  Halos are filled with the :mod:`asianpde.grid` fills,
+    looked up at call time.  More than ``MAX_CELL_STEPS`` cell-steps raise
+    :class:`ConfigurationError` before the march starts.
 
     Since Psi = exp(-r t) f, the returned field at t = 0 is the price
-    surface f itself.
+    surface f itself; it owns its memory.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"dt must be a positive finite number, got {dt}")
+    n_steps = inst.maturity / dt
+    if not n_steps * spec.nx * spec.ny <= MAX_CELL_STEPS:
+        raise ConfigurationError(
+            f"dt = {dt:g} gives {n_steps:.3g} time steps over T = {inst.maturity:g} on "
+            f"{spec.nx}x{spec.ny} cells, more than {MAX_CELL_STEPS:.0e} cell-steps"
+        )
     tr = make_transform(inst)
     ws = StepWorkspace.holding(terminal_condition(inst, spec))
-    psi = ws.psi
+    y_step = None  # the step length C_y was last written for
     for n, step in enumerate(_step_sizes(inst.maturity, dt)):
-        fill_halos_scalar(psi)
-        courant = build_courant(psi, tr, spec, -step)
-        fill_halos_vector(courant)
-        report = check_stability(courant, tr.nu, step, spec.dx)
+        fill_halos_scalar(ws.psi)
+        _write_courant(ws, tr, spec, -step, with_y=step != y_step)
+        y_step = step
+        fill_halos_vector(ws.courant)
+        report = check_stability(ws.courant, tr.nu, step, spec.dx)
         if not report.ok:
             raise StabilityError(report, step_index=n)
-        psi = mpdata_step(psi, courant, opts)
-    return psi.copy()
+        ws.step(opts)
+    return ws.psi.copy()
 
 
 def row_values(psi_t0: ScalarField) -> np.ndarray:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from asianpde.advection import (
     SolverOptions,
+    StepWorkspace,
     antidiffusive_courant,
     check_stability,
     mpdata_step,
@@ -186,6 +187,21 @@ class TestUpwindStep:
         fill_halos_scalar(psi)
         with pytest.raises(StabilityError):
             upwind_step(psi, vec)
+
+    @pytest.mark.parametrize(
+        "run",
+        [upwind_step, lambda psi, vec: mpdata_step(psi, vec, SolverOptions())],
+        ids=["upwind_step", "mpdata_step"],
+    )
+    def test_courant_above_one_rejected_on_workspace_arrays(self, run):
+        # the fields of a workspace get no trust: they are copied and checked like any other
+        ws = StepWorkspace(SPEC.nx, SPEC.ny, 2)
+        ws.psi.values[...] = 1.0
+        ws.courant.comp_x[...] = 5.0
+        before = ws.fields.copy()
+        with pytest.raises(StabilityError):
+            run(ws.psi, ws.courant)
+        np.testing.assert_array_equal(ws.fields, before)
 
 
 class TestAntidiffusiveCourant:

@@ -69,6 +69,7 @@ class TestPriceCommand:
             (["--amax", "50"], "lies above amax"),
             (["--with-mc", "--paths", "1"], "n_paths must be >= 2"),
             (["--dt", "1e-300"], "time steps over T"),
+            (["--dt", "1e-12"], "time steps over T"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):
@@ -135,6 +136,14 @@ class TestTableCommand:
         assert result.exit_code == 3
         assert "table row sigma=0.2 T=6mo K=100" in result.output
         assert "diffusive criterion" in result.output
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_march_too_long_refused(self, runner, workers):
+        # up to 1e12 steps of 102x121 cells would run for years; refused before the first
+        result = runner.invoke(main, ["table", "--dt", "1e-12", "--workers", str(workers)])
+        assert result.exit_code == 2
+        assert "time steps over T" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestSettingFlags:

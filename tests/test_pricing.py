@@ -1,11 +1,13 @@
+import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
 from asianpde import _step, advection, grid, pricing
-from asianpde.advection import SolverOptions, check_stability, mpdata_step
+from asianpde.advection import SolverOptions, StepWorkspace, check_stability, mpdata_step
 from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import GridSpec, ScalarField, fill_halos_scalar, fill_halos_vector
@@ -241,6 +243,31 @@ class TestIntegrate:
             integrate(sample_instrument(), spec, dt=0.5 / n_steps, opts=OPTS)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_workspaces_freed_without_the_cycle_collector(self, monkeypatch):
+        # a reference cycle through the workspace would keep every finished
+        # march's arrays alive until the cyclic collector ran
+        made = []
+        holding = StepWorkspace.holding.__func__
+
+        def tracked(cls, *args):
+            ws = holding(cls, *args)
+            made.append(weakref.ref(ws))
+            return ws
+
+        monkeypatch.setattr(StepWorkspace, "holding", classmethod(tracked))
+        spec = grid_from_price_domain(50.0, 200.0, 200.0, 8, 8)
+        gc.disable()
+        try:
+            psi = integrate(sample_instrument(), spec, dt=0.05, opts=SolverOptions(n_iters=3))
+            fill_halos_scalar(psi)
+            courant = fill_halos_vector(build_courant(psi, make_transform(sample_instrument()), spec, -0.05))
+            mpdata_step(psi, courant, OPTS)
+            freed = [ref() is None for ref in made]
+        finally:
+            gc.enable()
+        assert len(freed) == 3 and all(freed)  # integrate's, build_courant's, mpdata_step's
+        assert psi.values.base is None
 
     def test_mass_conserved_under_periodic_test_fill(self, monkeypatch):
         # integrate and mpdata_step look their fills up at call time
