@@ -1,14 +1,16 @@
 /* The flat kernels of one MPDATA step, on the padded layout of
- * asianpde.advection.StepWorkspace.
+ * asianpde.advection.StepWorkspace, and march, which runs them for every
+ * step of a backward march in one call.
  *
  * Every field is a row-major array of rows of length r.  Cell or face (a, b)
  * sits at flat offset a * r + b, with neighbours at +-r (x) and +-1 (y).
  * With halo width h the real cells are a in [h, h + nx), b in [h, h + ny);
  * the real x faces run to a = h + nx and the real y faces to b = h + ny.
  * The stencil kernels write real elements only and read halos that the
- * caller has filled; the fill kernels at the end write the halos, and the
+ * caller has filled; the fill kernels after them write the halos, and the
  * scan reads real elements only.  Every kernel takes first the record that
- * asianpde._step.dims makes of the array it walks.
+ * asianpde._step.dims makes of the array it walks; march takes psi's, and
+ * the face arrays of the same workspace share its row length.
  *
  * Each real element gets the same floating-point operations, in the same
  * order, as a direct numpy evaluation of its formula, so the results are
@@ -189,4 +191,72 @@ double max_abs(const double *v, long n0, long n1, long h, long r)
     double out;
     memcpy(&out, &top, sizeof out);
     return out;
+}
+
+/* The two components of one Courant field in the workspace. */
+struct faces {
+    double *x, *y;
+};
+
+static void fill_vector(struct faces c, long nx, long ny, long h, long r)
+{
+    fill_faces(c.x, nx + 1, ny, h, r);
+    fill_faces(c.y, nx, ny + 1, h, r);
+}
+
+/* Writes max |C_x| and max |C_y| of c to out[0] and out[1]; true when both
+ * are at most courant_max.  A NaN maximum compares false and fails. */
+static int courant_ok(struct faces c, long nx, long ny, long h, long r, double courant_max, double *out)
+{
+    out[0] = max_abs(c.x, nx + 1, ny, h, r);
+    out[1] = max_abs(c.y, nx, ny + 1, h, r);
+    return out[0] <= courant_max && out[1] <= courant_max;
+}
+
+/* n_steps transport steps of one length on the workspace: psi, the physical
+ * field c (its y component already written), the corrective slots a and b
+ * and the scratch rows up and dn.  Each step fills psi, writes C_x = (u -
+ * coef A) scale, fills c and checks it; then one upwind pass and n_iters - 1
+ * corrective passes, each on a refilled psi, with the antidiffusive field
+ * (FCT-limited if nonoscillatory) checked before it is used.  A step whose
+ * physical field fails |C| <= courant_max, or any step when diffusion_ok is
+ * 0, stops the march before the step changes psi; a corrective field that
+ * fails stops it before its own pass.  Returns the index of the stopping
+ * step, or n_steps; out gets the failing field's max |C_x|, max |C_y| and
+ * 1.0 if it was a corrective field, 0.0 if the physical one. */
+long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
+           double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
+           long nonoscillatory, long diffusion_ok, double u, double coef, double scale,
+           double courant_max, double eps, double *out)
+{
+    struct faces c = {cx, cy}, a = {ax, ay}, b = {bx, by};
+    for (long n = 0; n < n_steps; n++) {
+        fill_scalar(psi, nx, ny, h, r);
+        courant_x(psi, nx, ny, h, r, c.x, u, coef, scale, eps);
+        fill_vector(c, nx, ny, h, r);
+        out[2] = 0.0;
+        if (!courant_ok(c, nx, ny, h, r, courant_max, out) || !diffusion_ok)
+            return n;
+        upwind(psi, nx, ny, h, r, c.x, c.y, up, dn);
+        struct faces current = c;
+        for (long pass = 1; pass < n_iters; pass++) {
+            fill_scalar(psi, nx, ny, h, r);
+            /* a kernel never writes the slot it reads */
+            struct faces next = current.x == a.x ? b : a;
+            antidiffusive(psi, nx, ny, h, r, current.x, current.y, next.x, next.y, eps);
+            fill_vector(next, nx, ny, h, r);
+            if (nonoscillatory) {
+                struct faces limited = next.x == a.x ? b : a;
+                limit(psi, nx, ny, h, r, next.x, next.y, limited.x, limited.y, up, dn, eps);
+                fill_vector(limited, nx, ny, h, r);
+                next = limited;
+            }
+            out[2] = 1.0;
+            if (!courant_ok(next, nx, ny, h, r, courant_max, out))
+                return n;
+            upwind(psi, nx, ny, h, r, next.x, next.y, up, dn);
+            current = next;
+        }
+    }
+    return n_steps;
 }

@@ -35,6 +35,9 @@ FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 _PTR, _INT, _REAL = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 _DIMS = (_PTR,) + (_INT,) * 4  # what dims() returns: address, extents, halo, row length
+# what march writes: the failing field's max |C_x| and max |C_y|, and 1.0 if
+# it was a corrective field
+MARCH_RESULT = ctypes.c_double * 3
 # kernel -> (argument types, return type); without a return type ctypes reads
 # every result as a C int, silently
 ARGTYPES = {
@@ -45,6 +48,7 @@ ARGTYPES = {
     "fill_scalar": (_DIMS, None),
     "fill_faces": (_DIMS, None),
     "max_abs": (_DIMS, _REAL),
+    "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 4 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
 }
 
 

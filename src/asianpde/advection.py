@@ -6,9 +6,9 @@ derived antidiffusive Courant field that cancels the leading-order numerical
 diffusion of the previous pass.  An optional flux-corrected-transport (FCT)
 limiter keeps the corrective passes from creating new local extrema.
 
-All operations assume the halos of their inputs have been filled;
-:meth:`StepWorkspace.step` refills halos before every corrective pass so the
-halo requirement stays independent of the iteration count.
+All operations assume the halos of their inputs have been filled; a step
+refills halos before every corrective pass so the halo requirement stays
+independent of the iteration count.
 
 Layout: every field of a step lives in one :class:`StepWorkspace`, a stack of
 ``(nx + 1 + 2h, ny + 1 + 2h)`` arrays with one row length ``R``, so cell or
@@ -18,10 +18,13 @@ are C loops over that layout (``_step.c``, built on first use by
 every one the same floating-point operations, in the same order, as a direct
 evaluation of the formulas below, so results are bit-identical to one.
 
-The workspace's methods run the kernels in place, and ``pricing.integrate``
-marches one workspace through every step.  The public passes take plain
-fields: each copies its inputs into a new workspace, runs there and returns
-a copy, so its inputs are never changed.
+The workspace's methods run the kernels in place, and the step sequence
+runs in two places: :meth:`StepWorkspace.march`, one C call (``march`` in
+``_step.c``) for every step of one length with the :mod:`asianpde.grid`
+fills, which ``pricing.integrate`` uses; and :meth:`StepWorkspace.step`, one
+step in Python with any pair of fills, which :func:`mpdata_step` uses.  The
+public passes take plain fields: each copies its inputs into a new
+workspace, runs there and returns a copy, so its inputs are never changed.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import library
+from ._step import MARCH_RESULT, library
 from .errors import ConfigurationError, StabilityError
 from .grid import ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
 
-_COURANT_TOL = 1e-12  # |C| = 1 exactly (unit-Courant translation) must pass
+# the largest passing max |C| and diffusion number: |C| = 1 exactly
+# (unit-Courant translation) must pass
+_COURANT_LIMIT, _DIFFUSION_LIMIT = 1.0 + 1e-12, 0.5 + 1e-12
 
 DEFAULT_EPSILON = 1e-15
 
@@ -60,18 +65,21 @@ class StabilityReport:
     violations: tuple[str, ...] = ()
 
 
-def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> StabilityReport:
-    """Check the advective (|C| <= 1) and diffusive (2|nu| dt / dx^2 <= 1/2) criteria."""
-    max_abs = library().max_abs  # NaN if any interior face is NaN; only reads
-    max_cx, max_cy = max_abs(*courant.c_comp_x), max_abs(*courant.c_comp_y)
-    diffusion = 2.0 * abs(nu) * abs(dt) / dx**2
+def diffusion_number(nu: float, dt: float, dx: float) -> float:
+    """2|nu| dt / dx^2, which the diffusive criterion bounds by 1/2."""
+    return 2.0 * abs(nu) * abs(dt) / dx**2
+
+
+def stability_report(max_cx: float, max_cy: float, diffusion: float) -> StabilityReport:
+    """The report of the advective (|C| <= 1) and diffusive (2|nu| dt / dx^2
+    <= 1/2) criteria, given the largest |C| per component and the diffusion number."""
     violations = []
     # written as "not <=" so that a NaN, which compares False, is a violation
-    if not max_cx <= 1.0 + _COURANT_TOL:
+    if not max_cx <= _COURANT_LIMIT:
         violations.append(f"advective criterion violated in x: max |C_x| = {max_cx:.6g} > 1")
-    if not max_cy <= 1.0 + _COURANT_TOL:
+    if not max_cy <= _COURANT_LIMIT:
         violations.append(f"advective criterion violated in y: max |C_y| = {max_cy:.6g} > 1")
-    if not diffusion <= 0.5 + _COURANT_TOL:
+    if not diffusion <= _DIFFUSION_LIMIT:
         violations.append(
             f"diffusive criterion violated: 2|nu| dt / dx^2 = {diffusion:.6g} > 1/2"
         )
@@ -84,9 +92,20 @@ def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> St
     )
 
 
+def _max_abs(courant: VectorField) -> tuple[float, float]:
+    """max |C_x| and max |C_y| over the interior faces, NaN if any is NaN; only reads."""
+    max_abs = library().max_abs
+    return max_abs(*courant.c_comp_x), max_abs(*courant.c_comp_y)
+
+
+def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> StabilityReport:
+    """Check the advective (|C| <= 1) and diffusive (2|nu| dt / dx^2 <= 1/2) criteria."""
+    return stability_report(*_max_abs(courant), diffusion_number(nu, dt, dx))
+
+
 def _guard(courant: VectorField) -> None:
     """Raise :class:`StabilityError` when any interior |C| exceeds 1."""
-    report = check_stability(courant, 0.0, 0.0, 1.0)
+    report = stability_report(*_max_abs(courant), 0.0)
     if not report.ok:
         raise StabilityError(report)
 
@@ -104,8 +123,8 @@ class StepWorkspace:
     alternate between; each is a plain field viewing one stack of arrays.
     The methods update these fields in place and trust their caller: psi's
     halo is filled and ``courant`` is filled and checked before
-    :meth:`step`, as ``integrate`` and :func:`mpdata_step` do.  One
-    workspace serves one caller at a time.
+    :meth:`step`, as :func:`mpdata_step` does; :meth:`march` fills and
+    checks them itself.  One workspace serves one caller at a time.
     """
 
     def __init__(self, nx: int, ny: int, halo: int):
@@ -156,6 +175,30 @@ class StepWorkspace:
             *self.scratch_ptrs, DEFAULT_EPSILON,
         )
         return out
+
+    def march(
+        self, n_steps: int, u: float, coef: float, scale: float, diffusion: float, opts: SolverOptions
+    ) -> tuple[int, bool, float, float]:
+        """``n_steps`` transport steps of one length in one C call.  Each
+        fills psi, writes C_x as :meth:`fill_courant_x` does, fills
+        ``courant`` (whose C_y the caller wrote) and checks it, then runs
+        :meth:`step`'s passes, all with the :mod:`asianpde.grid` fills.
+
+        Returns ``(steps run, corrective, max |C_x|, max |C_y|)``.  A failed
+        check stops the march at the index ``steps run``: before any update
+        when the physical field fails |C| <= 1 or ``diffusion`` its bound
+        (``corrective`` False), before its own pass when a corrective field
+        fails |C| <= 1 (True).  The maxima are the failing field's.
+        """
+        first, second = self.corrective
+        out = MARCH_RESULT()
+        ran = library().march(
+            *self.psi.c_values, self.courant.c_comp_x[0], self.courant.c_comp_y[0],
+            first.c_comp_x[0], first.c_comp_y[0], second.c_comp_x[0], second.c_comp_y[0],
+            *self.scratch_ptrs, n_steps, opts.n_iters, opts.nonoscillatory,
+            diffusion <= _DIFFUSION_LIMIT, u, coef, scale, _COURANT_LIMIT, DEFAULT_EPSILON, out,
+        )
+        return ran, out[2] != 0.0, out[0], out[1]
 
     def step(self, opts: SolverOptions, boundary=None) -> None:
         """One transport step of ``psi`` in place: UPWIND with ``courant``,

@@ -9,23 +9,24 @@ integrates the whole equation.
 
 The terminal payoff is prescribed at t = T and marched backward to t = 0;
 backward marching flips the sign of the Courant field, which is why
-:func:`integrate` writes it with a negative time step.
+:func:`integrate` writes it with a negative time step.  The march runs in C,
+one call per run of equal steps; :func:`build_courant` and
+``advection.mpdata_step`` give the same steps one at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .advection import SolverOptions, StepWorkspace, check_stability
-from .advection import mpdata_step  # noqa: F401 -- perfbench/tracing.py wraps pricing.mpdata_step
+from .advection import SolverOptions, StepWorkspace, diffusion_number, stability_report
+from .advection import check_stability, mpdata_step  # noqa: F401 -- perfbench/tracing.py wraps both here
 from .errors import ConfigurationError, StabilityError
-from .grid import GridSpec, ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
+from .grid import GridSpec, ScalarField, VectorField
+from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
 
 KINDS = ("call", "put")
 MAX_CELL_STEPS = 1e11  # time steps x cells of one march: ~37 min of 2-iteration steps at 4.5e7/s
@@ -96,16 +97,19 @@ def build_courant(
     is and a new field is returned.
     """
     ws = StepWorkspace.holding(psi)
-    _write_courant(ws, tr, spec, dt, with_y=True)
+    ws.fill_courant_x(*_courant_x_terms(tr, spec, dt))
+    _write_courant_y(ws, tr, spec, dt)
     return ws.courant.copy()
 
 
-def _write_courant(ws: StepWorkspace, tr: Transform, spec: GridSpec, dt: float, with_y: bool) -> None:
-    """Write the Courant field of ``ws.psi`` into ``ws.courant``: C_x always,
-    the constant C_y only ``with_y``."""
-    ws.fill_courant_x(tr.u, tr.nu * (2.0 / spec.dx), dt / spec.dx)
-    if with_y:
-        ws.courant.interior_y[:] = ((dt / spec.dy) * np.exp(spec.x_centres) / tr.T)[:, None]
+def _courant_x_terms(tr: Transform, spec: GridSpec, dt: float) -> tuple[float, float, float]:
+    """``(u, coef, scale)`` of C_x = (u - coef A) scale, see :meth:`StepWorkspace.fill_courant_x`."""
+    return tr.u, tr.nu * (2.0 / spec.dx), dt / spec.dx
+
+
+def _write_courant_y(ws: StepWorkspace, tr: Transform, spec: GridSpec, dt: float) -> None:
+    """Write the constant C_y into the real y faces of ``ws.courant``."""
+    ws.courant.interior_y[:] = ((dt / spec.dy) * np.exp(spec.x_centres) / tr.T)[:, None]
 
 
 def terminal_condition(inst: InstrumentSpec, spec: GridSpec) -> ScalarField:
@@ -136,17 +140,19 @@ def _ramp_sq(z: np.ndarray) -> np.ndarray:
     return np.square(np.maximum(z, 0.0))
 
 
-def _step_sizes(maturity: float, dt: float) -> Iterator[float]:
-    """Uniform steps of dt plus a fractional tail when T/dt is not integral.
+def _step_runs(maturity: float, dt: float) -> list[tuple[float, int]]:
+    """``(length, count)`` runs of the steps: uniform steps of dt plus a
+    fractional tail when T/dt is not integral.
 
     The steps sum to T within 1e-9 T: the tail is added when the remainder
     exceeds that, so T < dt gives one step of length T.
     """
     n_full = int(math.floor(maturity / dt + 1e-12))
     remainder = maturity - n_full * dt
-    yield from itertools.repeat(dt, n_full)
+    runs = [(dt, n_full)] if n_full else []
     if remainder > 1e-9 * maturity:
-        yield remainder
+        runs.append((remainder, 1))
+    return runs
 
 
 def integrate(
@@ -158,13 +164,16 @@ def integrate(
     """March the discounted payoff from t = T back to t = 0.
 
     Every field of the march lives in one :class:`StepWorkspace` made for
-    this call.  Before each step C_x is rewritten from the current field
-    (the pseudo-velocity is state-dependent), C_y when the step length
-    changes, and both stability criteria are checked; a violation raises
-    :class:`StabilityError` carrying the step index, before any field update
-    at that step.  Halos are filled with the :mod:`asianpde.grid` fills,
-    looked up at call time.  More than ``MAX_CELL_STEPS`` cell-steps raise
-    :class:`ConfigurationError` before the march starts.
+    this call, and each run of equal steps (the full steps, then a
+    fractional tail) is one :meth:`StepWorkspace.march` call, which runs the
+    whole step sequence in C with the :mod:`asianpde.grid` fills.  C_y is
+    written once per run; before each step C_x is rewritten from the current
+    field (the pseudo-velocity is state-dependent) and both stability
+    criteria are checked.  A violation raises :class:`StabilityError`
+    before any field update at that step, carrying the step index; a
+    corrective field over |C| = 1 raises it without one.  More than
+    ``MAX_CELL_STEPS`` cell-steps raise :class:`ConfigurationError` before
+    the march starts.
 
     Since Psi = exp(-r t) f, the returned field at t = 0 is the price
     surface f itself; it owns its memory.
@@ -179,16 +188,17 @@ def integrate(
         )
     tr = make_transform(inst)
     ws = StepWorkspace.holding(terminal_condition(inst, spec))
-    y_step = None  # the step length C_y was last written for
-    for n, step in enumerate(_step_sizes(inst.maturity, dt)):
-        fill_halos_scalar(ws.psi)
-        _write_courant(ws, tr, spec, -step, with_y=step != y_step)
-        y_step = step
-        fill_halos_vector(ws.courant)
-        report = check_stability(ws.courant, tr.nu, step, spec.dx)
-        if not report.ok:
-            raise StabilityError(report, step_index=n)
-        ws.step(opts)
+    done = 0  # steps before this run
+    for step, count in _step_runs(inst.maturity, dt):
+        _write_courant_y(ws, tr, spec, -step)
+        diffusion = diffusion_number(tr.nu, step, spec.dx)
+        ran, corrective, max_cx, max_cy = ws.march(
+            count, *_courant_x_terms(tr, spec, -step), diffusion, opts
+        )
+        if ran < count:
+            report = stability_report(max_cx, max_cy, 0.0 if corrective else diffusion)
+            raise StabilityError(report, step_index=None if corrective else done + ran)
+        done += count
     return ws.psi.copy()
 
 

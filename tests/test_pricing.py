@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from asianpde import _step, advection, grid, pricing
-from asianpde.advection import SolverOptions, StepWorkspace, check_stability, mpdata_step
-from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
+from asianpde.advection import SolverOptions, StabilityReport, StepWorkspace, mpdata_step
+from asianpde.benchmarks import PERIODIC_BOUNDARY, periodic_fill_scalar, periodic_fill_vector
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import GridSpec, ScalarField, fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
@@ -21,7 +21,7 @@ from asianpde.pricing import (
     readout,
     row_values,
     terminal_condition,
-    _step_sizes,
+    _step_runs,
 )
 
 OPTS = SolverOptions(n_iters=2, nonoscillatory=True)
@@ -170,24 +170,28 @@ class TestTerminalCondition:
             terminal_condition(sample_instrument(strike=100.0), spec)
 
 
+def _step_sizes(maturity, dt):
+    return [step for step, count in _step_runs(maturity, dt) for _ in range(count)]
+
+
 class TestStepSizes:
     def test_maturity_below_half_step_gives_one_step(self):
-        assert list(_step_sizes(0.4e-3, 1e-3)) == [0.4e-3]
+        assert _step_sizes(0.4e-3, 1e-3) == [0.4e-3]
 
     def test_exact_division(self):
-        steps = list(_step_sizes(0.5, 1.0 / 1760.0))
+        steps = _step_sizes(0.5, 1.0 / 1760.0)
         assert len(steps) == 880
         assert all(s == 1.0 / 1760.0 for s in steps)
 
     def test_fractional_tail(self):
-        steps = list(_step_sizes(1.05e-3, 1e-3))
+        steps = _step_sizes(1.05e-3, 1e-3)
         assert len(steps) == 2
         assert steps[0] == 1e-3
         assert steps[1] == pytest.approx(0.05e-3)
 
     def test_total_duration_preserved(self):
         for maturity in (0.5, 0.7331, 1.0, 0.251):
-            steps = list(_step_sizes(maturity, 1.0 / 500.0))
+            steps = _step_sizes(maturity, 1.0 / 500.0)
             assert sum(steps) == pytest.approx(maturity, rel=1e-9)
 
 
@@ -244,6 +248,24 @@ class TestIntegrate:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    def test_march_calls_do_not_grow_with_steps(self, monkeypatch):
+        # the whole march of one step length is one C call
+        calls = []
+        march = _step.library().march
+
+        def counted(*args):
+            calls.append(None)
+            return march(*args)
+
+        monkeypatch.setattr(_step.library(), "march", counted)
+        spec = grid_from_price_domain(50.0, 200.0, 200.0, 8, 8)
+        counts = []
+        for n_steps in (20, 40):
+            calls.clear()
+            integrate(sample_instrument(), spec, dt=0.5 / n_steps, opts=OPTS)
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
     def test_workspaces_freed_without_the_cycle_collector(self, monkeypatch):
         # a reference cycle through the workspace would keep every finished
         # march's arrays alive until the cyclic collector ran
@@ -269,16 +291,18 @@ class TestIntegrate:
         assert len(freed) == 3 and all(freed)  # integrate's, build_courant's, mpdata_step's
         assert psi.values.base is None
 
-    def test_mass_conserved_under_periodic_test_fill(self, monkeypatch):
-        # integrate and mpdata_step look their fills up at call time
-        for module in (pricing, advection):
-            monkeypatch.setattr(module, "fill_halos_scalar", periodic_fill_scalar)
-            monkeypatch.setattr(module, "fill_halos_vector", periodic_fill_vector)
+    def test_mass_conserved_under_periodic_test_fill(self):
+        # integrate's step sequence, run through the passes that take a boundary:
+        # integrate's own march always uses the grid fills
         spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 24)
         inst = sample_instrument(kind="call", strike=1e-6, maturity=0.1, sigma=0.0, rate=0.0)
-        psi0 = terminal_condition(inst, spec)
-        before = psi0.interior.sum()
-        psi = integrate(inst, spec, dt=1e-3, opts=OPTS)
+        tr = make_transform(inst)
+        psi = terminal_condition(inst, spec)
+        before = psi.interior.sum()
+        for _ in range(100):
+            periodic_fill_scalar(psi)
+            courant = periodic_fill_vector(build_courant(psi, tr, spec, -1e-3))
+            psi = mpdata_step(psi, courant, OPTS, boundary=PERIODIC_BOUNDARY)
         assert abs(psi.interior.sum() - before) <= 1e-11 * before
 
     def test_sample_valuation_profile_shape(self):
@@ -300,6 +324,82 @@ class TestIntegrate:
         assert err.value.step_index == 0
         assert "diffusive" in str(err.value)
         assert not err.value.report.ok
+
+    # (a_max, n_iters) -> (step, max |C_x|, max |C_y|): sigma 1.04 and r 8.86 on 8x8
+    # cells and dt = 0.0125 march stably until C_x, rebuilt from psi every step, passes 1
+    LATE_FAILURES = {
+        (400.0, 2): (18, 1.0503451671793067, 0.09170040432046707),
+        (200.0, 2): (5, 1.0503451671793067, 0.18340080864093414),
+        (400.0, 4): (16, 1.0503451671793067, 0.09170040432046707),
+    }
+
+    @pytest.mark.parametrize("key", sorted(LATE_FAILURES), ids=lambda k: f"amax{k[0]:g}-iters{k[1]}")
+    def test_stability_violation_after_step_zero(self, key):
+        a_max, n_iters = key
+        step, max_cx, max_cy = self.LATE_FAILURES[key]
+        spec = grid_from_price_domain(50.0, 200.0, a_max, 8, 8)
+        inst = InstrumentSpec("call", 100.0, 0.5, 1.04, 8.86, 100.0)
+        with pytest.raises(StabilityError) as err:
+            integrate(inst, spec, dt=0.0125, opts=SolverOptions(n_iters=n_iters))
+        violation = "advective criterion violated in x: max |C_x| = 1.05035 > 1"
+        assert err.value.step_index == step
+        assert str(err.value) == f"stability violation at step {step}: {violation}"
+        assert err.value.report == StabilityReport(
+            ok=False,
+            max_abs_courant_x=max_cx,
+            max_abs_courant_y=max_cy,
+            diffusion_number=0.45024173797113337,
+            violations=(violation,),
+        )
+
+    def test_failing_step_leaves_psi_alone(self, monkeypatch):
+        # the check of the failing step runs before its update: psi is the
+        # field the steps before it made
+        marched = []
+        march = StepWorkspace.march
+
+        def recorded(ws, *args):
+            marched.append(ws)
+            return march(ws, *args)
+
+        monkeypatch.setattr(StepWorkspace, "march", recorded)
+        spec = grid_from_price_domain(50.0, 200.0, 400.0, 8, 8)
+        inst = InstrumentSpec("call", 100.0, 0.5, 1.04, 8.86, 100.0)
+        with pytest.raises(StabilityError) as err:
+            integrate(inst, spec, dt=0.0125, opts=OPTS)
+        tr = make_transform(inst)
+        psi = terminal_condition(inst, spec)
+        for _ in range(err.value.step_index):
+            courant = fill_halos_vector(build_courant(fill_halos_scalar(psi), tr, spec, -0.0125))
+            psi = mpdata_step(psi, courant, OPTS)
+        assert marched[0].psi.values.tobytes() == fill_halos_scalar(psi).values.tobytes()
+
+    @pytest.mark.parametrize("n_iters", [1, 2, 3])
+    def test_overflow_fails_the_next_check(self, monkeypatch, n_iters):
+        # a cell 0 among neighbours of 1.3e308 overflows to inf in the first
+        # upwind pass (C_x = -0.87 and C_y up to -0.84: an outflow sum above 1);
+        # the next field built from psi is NaN: the first corrective field,
+        # which carries no step index, or with one iteration step 1's C_x
+        def huge(inst, spec):
+            psi = ScalarField.zeros(spec)
+            psi.interior[:] = 1.3e308
+            psi.interior[5, 4] = 0.0
+            return psi
+
+        monkeypatch.setattr(pricing, "terminal_condition", huge)
+        spec = grid_from_price_domain(50.0, 200.0, 35.0, 8, 8)
+        inst = InstrumentSpec("call", 10.0, 0.5, 0.0, 15.0, 100.0)
+        with pytest.raises(StabilityError) as err:
+            integrate(inst, spec, dt=0.01, opts=SolverOptions(n_iters=n_iters))
+        report = err.value.report
+        assert math.isnan(report.max_abs_courant_x) and report.diffusion_number == 0.0
+        if n_iters == 1:
+            assert err.value.step_index == 1 and report.max_abs_courant_y == 0.8384036966442704
+            assert str(err.value) == "stability violation at step 1: " + report.violations[0]
+        else:
+            assert err.value.step_index is None and math.isnan(report.max_abs_courant_y)
+            assert str(err.value) == "stability violation: " + "; ".join(report.violations)
+            assert len(report.violations) == 2
 
     @pytest.mark.parametrize("prefix", ["", "table row sigma=0.4 T=6mo K=100 call: "])
     def test_stability_error_survives_pickling(self, prefix):

@@ -27,6 +27,7 @@ from asianpde.pricing import (
     integrate,
     make_transform,
     terminal_condition,
+    _step_runs,
 )
 
 GRID_DT = {(24, 20): 1.0 / 100.0, (48, 40): 1.0 / 400.0}
@@ -78,6 +79,27 @@ def test_integrate_interior_bytes(key):
 
 def test_fractional_tail_step_bytes():
     assert _digest(24, 20, 1.0 / 100.0, 2, True, "call", maturity=0.503) == TAIL_DIGEST
+
+
+@pytest.mark.parametrize(
+    "n_iters, nonosc, maturity",
+    [(n, lim, 0.5) for n in (1, 2, 4) for lim in (True, False)] + [(2, True, 0.503)],
+)
+def test_integrate_matches_a_loop_of_public_passes(n_iters, nonosc, maturity):
+    """integrate's march in C gives, byte for byte, the field of a loop over
+    the public passes: fill psi, build the Courant field, fill its faces,
+    mpdata_step."""
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
+    inst = InstrumentSpec("call", 100.0, maturity, 0.3, 0.1, 100.0)
+    opts = SolverOptions(n_iters=n_iters, nonoscillatory=nonosc)
+    tr = make_transform(inst)
+    psi = terminal_condition(inst, spec)
+    for step, count in _step_runs(maturity, 0.01):
+        for _ in range(count):
+            fill_halos_scalar(psi)
+            courant = fill_halos_vector(build_courant(psi, tr, spec, -step))
+            psi = mpdata_step(psi, courant, opts)
+    assert integrate(inst, spec, 0.01, opts).values.tobytes() == psi.values.tobytes()
 
 
 @pytest.mark.parametrize("nonosc", [True, False])
