@@ -1,6 +1,6 @@
 /* The flat kernels of one MPDATA step, on the padded layout of
  * asianpde.advection.StepWorkspace, and march, which runs them for every
- * step of a backward march in one call.
+ * step of a march in one call: the only driver of the step sequence.
  *
  * Every field is a row-major array of rows of length r.  Cell or face (a, b)
  * sits at flat offset a * r + b, with neighbours at +-r (x) and +-1 (y).
@@ -193,15 +193,49 @@ double max_abs(const double *v, long n0, long n1, long h, long r)
     return out;
 }
 
+/* Halos on the torus with periods 1 <= p <= n: walking outward, whole rows
+ * and then each row take the value one period in, so a face one period past
+ * the first takes the first's value (the first wins: boundary fluxes telescope). */
+void wrap(double *v, long n0, long n1, long h, long r, long p0, long p1)
+{
+    size_t width = (size_t)(n1 + 2 * h) * sizeof(double);
+    for (long a = h - 1; a >= 0; a--)
+        memcpy(v + a * r, v + (a + p0) * r, width);
+    for (long a = h + p0; a < n0 + 2 * h; a++)
+        memcpy(v + a * r, v + (a - p0) * r, width);
+    for (long a = 0; a < n0 + 2 * h; a++) {
+        double *row = v + a * r;
+        for (long b = h - 1; b >= 0; b--)
+            row[b] = row[b + p1];
+        for (long b = h + p1; b < n1 + 2 * h; b++)
+            row[b] = row[b - p1];
+    }
+}
+
 /* The two components of one Courant field in the workspace. */
 struct faces {
     double *x, *y;
 };
 
-static void fill_vector(struct faces c, long nx, long ny, long h, long r)
+/* psi's halos: wrapped on the nx x ny torus, or extrapolated */
+static void fill_psi(double *psi, long nx, long ny, long h, long r, long periodic)
 {
-    fill_faces(c.x, nx + 1, ny, h, r);
-    fill_faces(c.y, nx, ny + 1, h, r);
+    if (periodic)
+        wrap(psi, nx, ny, h, r, nx, ny);
+    else
+        fill_scalar(psi, nx, ny, h, r);
+}
+
+/* c's halos: wrapped on the nx x ny torus, or extended from the nearest face */
+static void fill_vector(struct faces c, long nx, long ny, long h, long r, long periodic)
+{
+    if (periodic) {
+        wrap(c.x, nx + 1, ny, h, r, nx, ny);
+        wrap(c.y, nx, ny + 1, h, r, nx, ny);
+    } else {
+        fill_faces(c.x, nx + 1, ny, h, r);
+        fill_faces(c.y, nx, ny + 1, h, r);
+    }
 }
 
 /* Writes max |C_x| and max |C_y| of c to out[0] and out[1]; true when both
@@ -214,41 +248,41 @@ static int courant_ok(struct faces c, long nx, long ny, long h, long r, double c
 }
 
 /* n_steps transport steps of one length on the workspace: psi, the physical
- * field c (its y component already written), the corrective slots a and b
- * and the scratch rows up and dn.  Each step fills psi, writes C_x = (u -
- * coef A) scale, fills c and checks it; then one upwind pass and n_iters - 1
- * corrective passes, each on a refilled psi, with the antidiffusive field
- * (FCT-limited if nonoscillatory) checked before it is used.  A step whose
- * physical field fails |C| <= courant_max, or any step when diffusion_ok is
- * 0, stops the march before the step changes psi; a corrective field that
- * fails stops it before its own pass.  Returns the index of the stopping
- * step, or n_steps; out gets the failing field's max |C_x|, max |C_y| and
- * 1.0 if it was a corrective field, 0.0 if the physical one. */
+ * field c (C_y written, and C_x too unless rebuild), the corrective slots a
+ * and b and the scratch rows up and dn; every fill wraps on the torus if
+ * periodic.  Each step fills psi, writes C_x = (u - coef A) scale if rebuild,
+ * fills c and checks it, then runs one upwind pass and n_iters - 1 corrective
+ * passes on a refilled psi, each antidiffusive field (FCT-limited if
+ * nonoscillatory) checked before use.  A failed check of c, or diffusion_ok 0,
+ * stops the march before the step changes psi; of a corrective field, before
+ * its pass.  Returns the stopping step's index, or n_steps; out gets the
+ * failing field's max |C_x|, max |C_y| and 1.0 if corrective, 0.0 if not. */
 long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
            double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
-           long nonoscillatory, long diffusion_ok, double u, double coef, double scale,
-           double courant_max, double eps, double *out)
+           long nonoscillatory, long diffusion_ok, long periodic, long rebuild, double u,
+           double coef, double scale, double courant_max, double eps, double *out)
 {
     struct faces c = {cx, cy}, a = {ax, ay}, b = {bx, by};
     for (long n = 0; n < n_steps; n++) {
-        fill_scalar(psi, nx, ny, h, r);
-        courant_x(psi, nx, ny, h, r, c.x, u, coef, scale, eps);
-        fill_vector(c, nx, ny, h, r);
+        fill_psi(psi, nx, ny, h, r, periodic);
+        if (rebuild)
+            courant_x(psi, nx, ny, h, r, c.x, u, coef, scale, eps);
+        fill_vector(c, nx, ny, h, r, periodic);
         out[2] = 0.0;
         if (!courant_ok(c, nx, ny, h, r, courant_max, out) || !diffusion_ok)
             return n;
         upwind(psi, nx, ny, h, r, c.x, c.y, up, dn);
         struct faces current = c;
         for (long pass = 1; pass < n_iters; pass++) {
-            fill_scalar(psi, nx, ny, h, r);
+            fill_psi(psi, nx, ny, h, r, periodic);
             /* a kernel never writes the slot it reads */
             struct faces next = current.x == a.x ? b : a;
             antidiffusive(psi, nx, ny, h, r, current.x, current.y, next.x, next.y, eps);
-            fill_vector(next, nx, ny, h, r);
+            fill_vector(next, nx, ny, h, r, periodic);
             if (nonoscillatory) {
                 struct faces limited = next.x == a.x ? b : a;
                 limit(psi, nx, ny, h, r, next.x, next.y, limited.x, limited.y, up, dn, eps);
-                fill_vector(limited, nx, ny, h, r);
+                fill_vector(limited, nx, ny, h, r, periodic);
                 next = limited;
             }
             out[2] = 1.0;

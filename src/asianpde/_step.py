@@ -48,7 +48,8 @@ ARGTYPES = {
     "fill_scalar": (_DIMS, None),
     "fill_faces": (_DIMS, None),
     "max_abs": (_DIMS, _REAL),
-    "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 4 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
+    "wrap": (_DIMS + (_INT,) * 2, None),
+    "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 6 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
 }
 
 

@@ -18,11 +18,9 @@ are C loops over that layout (``_step.c``, built on first use by
 every one the same floating-point operations, in the same order, as a direct
 evaluation of the formulas below, so results are bit-identical to one.
 
-The workspace's methods run the kernels in place, and the step sequence
-runs in two places: :meth:`StepWorkspace.march`, one C call (``march`` in
-``_step.c``) for every step of one length with the :mod:`asianpde.grid`
-fills, which ``pricing.integrate`` uses; and :meth:`StepWorkspace.step`, one
-step in Python with any pair of fills, which :func:`mpdata_step` uses.  The
+The workspace's methods run the kernels in place; the whole step sequence
+runs only in :meth:`StepWorkspace.march`, one C call (``march`` in
+``_step.c``), for ``pricing.integrate`` and :func:`mpdata_step` alike.  The
 public passes take plain fields: each copies its inputs into a new
 workspace, runs there and returns a copy, so its inputs are never changed.
 """
@@ -35,7 +33,8 @@ import numpy as np
 
 from ._step import MARCH_RESULT, library
 from .errors import ConfigurationError, StabilityError
-from .grid import ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
+from .grid import ScalarField, VectorField
+from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
 
 # the largest passing max |C| and diffusion number: |C| = 1 exactly
 # (unit-Courant translation) must pass
@@ -80,16 +79,8 @@ def stability_report(max_cx: float, max_cy: float, diffusion: float) -> Stabilit
     if not max_cy <= _COURANT_LIMIT:
         violations.append(f"advective criterion violated in y: max |C_y| = {max_cy:.6g} > 1")
     if not diffusion <= _DIFFUSION_LIMIT:
-        violations.append(
-            f"diffusive criterion violated: 2|nu| dt / dx^2 = {diffusion:.6g} > 1/2"
-        )
-    return StabilityReport(
-        ok=not violations,
-        max_abs_courant_x=max_cx,
-        max_abs_courant_y=max_cy,
-        diffusion_number=diffusion,
-        violations=tuple(violations),
-    )
+        violations.append(f"diffusive criterion violated: 2|nu| dt / dx^2 = {diffusion:.6g} > 1/2")
+    return StabilityReport(not violations, max_cx, max_cy, diffusion, tuple(violations))
 
 
 def _max_abs(courant: VectorField) -> tuple[float, float]:
@@ -103,9 +94,9 @@ def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> St
     return stability_report(*_max_abs(courant), diffusion_number(nu, dt, dx))
 
 
-def _guard(courant: VectorField) -> None:
-    """Raise :class:`StabilityError` when any interior |C| exceeds 1."""
-    report = stability_report(*_max_abs(courant), 0.0)
+def _guard(max_cx: float, max_cy: float) -> None:
+    """Raise :class:`StabilityError` when either max |C| exceeds 1."""
+    report = stability_report(max_cx, max_cy, 0.0)
     if not report.ok:
         raise StabilityError(report)
 
@@ -121,10 +112,9 @@ class StepWorkspace:
     ``psi`` is the scalar, ``courant`` the physical Courant field and
     ``corrective`` two slots that the antidiffusive field and the limiter
     alternate between; each is a plain field viewing one stack of arrays.
-    The methods update these fields in place and trust their caller: psi's
-    halo is filled and ``courant`` is filled and checked before
-    :meth:`step`, as :func:`mpdata_step` does; :meth:`march` fills and
-    checks them itself.  One workspace serves one caller at a time.
+    The pass methods update these fields in place and trust their caller to
+    have filled the halos they read; :meth:`march` fills and checks every
+    field itself.  One workspace serves one caller at a time.
     """
 
     def __init__(self, nx: int, ny: int, halo: int):
@@ -177,12 +167,14 @@ class StepWorkspace:
         return out
 
     def march(
-        self, n_steps: int, u: float, coef: float, scale: float, diffusion: float, opts: SolverOptions
+        self, n_steps: int, opts: SolverOptions, courant_x=None, diffusion: float = 0.0, periodic=False
     ) -> tuple[int, bool, float, float]:
         """``n_steps`` transport steps of one length in one C call.  Each
-        fills psi, writes C_x as :meth:`fill_courant_x` does, fills
-        ``courant`` (whose C_y the caller wrote) and checks it, then runs
-        :meth:`step`'s passes, all with the :mod:`asianpde.grid` fills.
+        fills psi, writes C_x from ``courant_x = (u, coef, scale)`` as
+        :meth:`fill_courant_x` does (None keeps it), fills ``courant`` and
+        checks it; then UPWIND and ``n_iters - 1`` corrective passes, each on
+        refilled halos and checked against |C| <= 1.  Every fill wraps on the
+        torus if ``periodic`` and is the :mod:`asianpde.grid` fill if not.
 
         Returns ``(steps run, corrective, max |C_x|, max |C_y|)``.  A failed
         check stops the march at the index ``steps run``: before any update
@@ -196,29 +188,10 @@ class StepWorkspace:
             *self.psi.c_values, self.courant.c_comp_x[0], self.courant.c_comp_y[0],
             first.c_comp_x[0], first.c_comp_y[0], second.c_comp_x[0], second.c_comp_y[0],
             *self.scratch_ptrs, n_steps, opts.n_iters, opts.nonoscillatory,
-            diffusion <= _DIFFUSION_LIMIT, u, coef, scale, _COURANT_LIMIT, DEFAULT_EPSILON, out,
+            diffusion <= _DIFFUSION_LIMIT, periodic, courant_x is not None,
+            *(courant_x or (0.0, 0.0, 0.0)), _COURANT_LIMIT, DEFAULT_EPSILON, out,
         )
         return ran, out[2] != 0.0, out[0], out[1]
-
-    def step(self, opts: SolverOptions, boundary=None) -> None:
-        """One transport step of ``psi`` in place: UPWIND with ``courant``,
-        then ``n_iters - 1`` corrective passes, each on refilled halos and
-        checked against |C| <= 1.  ``boundary`` is as in :func:`mpdata_step`."""
-        fill_scalar, fill_vector = boundary or (fill_halos_scalar, fill_halos_vector)
-        first, second = self.corrective
-        self.upwind(self.courant)
-        current = self.courant
-        for _ in range(opts.n_iters - 1):
-            fill_scalar(self.psi)
-            # a kernel never writes the slot it reads
-            corrective = self.antidiffusive(current, second if current is first else first)
-            fill_vector(corrective)
-            if opts.nonoscillatory:
-                corrective = self.limit(corrective, second if corrective is first else first)
-                fill_vector(corrective)
-            _guard(corrective)
-            self.upwind(corrective)
-            current = corrective
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +205,7 @@ def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
     faces are read.  Raises :class:`StabilityError` when any interior |C|
     exceeds 1.
     """
-    _guard(courant)
+    _guard(*_max_abs(courant))
     ws = StepWorkspace.holding(psi, courant)
     ws.upwind(ws.courant)
     return ws.psi.copy()
@@ -262,25 +235,18 @@ def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorFiel
     return ws.limit(ws.courant, ws.corrective[0]).copy()
 
 
-def mpdata_step(
-    psi: ScalarField,
-    courant: VectorField,
-    opts: SolverOptions,
-    boundary=None,
-) -> ScalarField:
+def mpdata_step(psi: ScalarField, courant: VectorField, opts: SolverOptions, periodic=False) -> ScalarField:
     """One full transport step: UPWIND plus ``n_iters - 1`` corrective passes.
 
     The inputs are copied into a new workspace, whose halos are filled and
     refilled before every corrective pass, and every Courant field is checked
-    against |C| <= 1.  ``boundary`` is an optional ``(fill_scalar,
-    fill_vector)`` pair; the production extrapolation / constant-extension
-    fills are used by default.  With ``n_iters=1`` the result is
+    against |C| <= 1, as in :func:`upwind_step`.  The fills wrap on the
+    torus if ``periodic`` and are the production extrapolation /
+    constant-extension fills if not.  With ``n_iters=1`` the result is
     bit-identical to :func:`upwind_step` on a filled field.
     """
-    fill_scalar, fill_vector = boundary or (fill_halos_scalar, fill_halos_vector)
     ws = StepWorkspace.holding(psi, courant)
-    fill_vector(ws.courant)
-    fill_scalar(ws.psi)
-    _guard(ws.courant)
-    ws.step(opts, boundary)
+    ran, _, max_cx, max_cy = ws.march(1, opts, periodic=periodic)
+    if not ran:
+        _guard(max_cx, max_cy)
     return ws.psi.copy()

@@ -4,9 +4,9 @@ A periodised Gaussian pulse is advected around the unit torus by a constant
 Courant field and compared against the exactly translated profile.  Used by
 the convergence CLI command and by the scheme-property tests.
 
-The periodic wrap fills below belong to this benchmark/test harness only;
-valuations always use the production extrapolation and constant-extension
-fills from :mod:`asianpde.grid`.
+The periodic wrap fills below (``wrap`` in ``_step.c``, as ``mpdata_step(periodic=True)``
+runs it) belong to this benchmark/test harness only; valuations always use
+the production extrapolation and constant-extension fills of :mod:`asianpde.grid`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._step import library, writable
 from .advection import SolverOptions, mpdata_step
+from .errors import ConfigurationError
 from .grid import GridSpec, ScalarField, VectorField
 
 DEFAULT_COURANT = (0.35, 0.35)
@@ -25,11 +27,7 @@ DEFAULT_CENTRE = (0.5, 0.5)
 
 def periodic_fill_scalar(fld: ScalarField) -> ScalarField:
     """Wrap scalar halos around the torus (benchmark/test fill, not production)."""
-    v, h, nx, ny = fld.values, fld.halo, fld.nx, fld.ny
-    v[:h, :] = v[nx:nx + h, :]
-    v[nx + h:, :] = v[h:2 * h, :]
-    v[:, :h] = v[:, ny:ny + h]
-    v[:, ny + h:] = v[:, h:2 * h]
+    _wrap(fld.values, fld.c_values, fld.nx, fld.ny)
     return fld
 
 
@@ -39,23 +37,18 @@ def periodic_fill_vector(fld: VectorField) -> VectorField:
     The first and last interior face columns coincide on the torus; the
     first one wins so that boundary fluxes telescope exactly.
     """
-    h = fld.halo
-    cx, cy = fld.comp_x, fld.comp_y
-    nx, ny = cy.shape[0] - 2 * h, cx.shape[1] - 2 * h
-    cx[h + nx, :] = cx[h, :]
-    cx[:h, :] = cx[nx:nx + h, :]
-    cx[h + nx + 1:, :] = cx[h + 1:2 * h + 1, :]
-    cx[:, :h] = cx[:, ny:ny + h]
-    cx[:, ny + h:] = cx[:, h:2 * h]
-    cy[:, h + ny] = cy[:, h]
-    cy[:, :h] = cy[:, ny:ny + h]
-    cy[:, h + ny + 1:] = cy[:, h + 1:2 * h + 1]
-    cy[:h, :] = cy[nx:nx + h, :]
-    cy[nx + h:, :] = cy[h:2 * h, :]
+    periods = fld.c_comp_y[1], fld.c_comp_x[2]  # C_y's real rows (nx), C_x's real columns (ny)
+    _wrap(fld.comp_x, fld.c_comp_x, *periods)
+    _wrap(fld.comp_y, fld.c_comp_y, *periods)
     return fld
 
 
-PERIODIC_BOUNDARY = (periodic_fill_scalar, periodic_fill_vector)
+def _wrap(a: np.ndarray, record: tuple, p0: int, p1: int) -> None:
+    """The torus fill of ``a`` (its ``_step.dims`` is ``record``) with periods ``p0 x p1``."""
+    _, n0, n1, _, _ = record
+    if not (p0 <= n0 and p1 <= n1):  # and p >= 1: dims refuses a component without real elements
+        raise ConfigurationError(f"need periods within the real extents {n0}x{n1}, got {p0}x{p1}")
+    library().wrap(*writable(a, record), p0, p1)
 
 
 def unit_square(n: int) -> GridSpec:
@@ -110,7 +103,7 @@ def run_translation(
     The step count scales with resolution so the Courant number stays fixed
     across refinement levels; the analytic solution is the initial profile
     shifted by the exact accumulated displacement.  Each step is
-    :func:`mpdata_step` with the periodic fills.
+    ``mpdata_step(periodic=True)``.
     """
     spec = unit_square(n)
     c_lead = max(abs(courant[0]), abs(courant[1]))
@@ -118,7 +111,7 @@ def run_translation(
     psi = gaussian_field(spec, width=width)
     vec = constant_courant(spec, courant[0], courant[1])
     for _ in range(n_steps):
-        psi = mpdata_step(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
+        psi = mpdata_step(psi, vec, opts, periodic=True)
     centre = (
         (DEFAULT_CENTRE[0] + n_steps * courant[0] * spec.dx) % 1.0,
         (DEFAULT_CENTRE[1] + n_steps * courant[1] * spec.dy) % 1.0,

@@ -10,7 +10,7 @@ integrates the whole equation.
 The terminal payoff is prescribed at t = T and marched backward to t = 0;
 backward marching flips the sign of the Courant field, which is why
 :func:`integrate` writes it with a negative time step.  The march runs in C,
-one call per run of equal steps; :func:`build_courant` and
+in ``advection.StepWorkspace.march``; :func:`build_courant` and
 ``advection.mpdata_step`` give the same steps one at a time.
 """
 
@@ -30,6 +30,7 @@ from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbenc
 
 KINDS = ("call", "put")
 MAX_CELL_STEPS = 1e11  # time steps x cells of one march: ~37 min of 2-iteration steps at 4.5e7/s
+MARCH_CALL_CELL_STEPS = 2**25  # of one C call: Python sees Ctrl-C between calls, at most ~1 s apart
 
 
 @dataclass(frozen=True)
@@ -165,11 +166,11 @@ def integrate(
 
     Every field of the march lives in one :class:`StepWorkspace` made for
     this call, and each run of equal steps (the full steps, then a
-    fractional tail) is one :meth:`StepWorkspace.march` call, which runs the
-    whole step sequence in C with the :mod:`asianpde.grid` fills.  C_y is
-    written once per run; before each step C_x is rewritten from the current
-    field (the pseudo-velocity is state-dependent) and both stability
-    criteria are checked.  A violation raises :class:`StabilityError`
+    fractional tail) runs in C with the :mod:`asianpde.grid` fills, in
+    :meth:`StepWorkspace.march` calls of at most ``MARCH_CALL_CELL_STEPS``
+    cell-steps.  C_y is written once per run; before each step C_x is
+    rewritten from the current field (the pseudo-velocity is state-dependent)
+    and both stability criteria are checked.  A violation raises :class:`StabilityError`
     before any field update at that step, carrying the step index; a
     corrective field over |C| = 1 raises it without one.  More than
     ``MAX_CELL_STEPS`` cell-steps raise :class:`ConfigurationError` before
@@ -188,17 +189,20 @@ def integrate(
         )
     tr = make_transform(inst)
     ws = StepWorkspace.holding(terminal_condition(inst, spec))
-    done = 0  # steps before this run
+    per_call = max(1, MARCH_CALL_CELL_STEPS // (spec.nx * spec.ny))
+    done = 0  # steps before this call
     for step, count in _step_runs(inst.maturity, dt):
         _write_courant_y(ws, tr, spec, -step)
         diffusion = diffusion_number(tr.nu, step, spec.dx)
-        ran, corrective, max_cx, max_cy = ws.march(
-            count, *_courant_x_terms(tr, spec, -step), diffusion, opts
-        )
-        if ran < count:
-            report = stability_report(max_cx, max_cy, 0.0 if corrective else diffusion)
-            raise StabilityError(report, step_index=None if corrective else done + ran)
-        done += count
+        for start in range(0, count, per_call):
+            size = min(per_call, count - start)
+            ran, corrective, max_cx, max_cy = ws.march(
+                size, opts, _courant_x_terms(tr, spec, -step), diffusion
+            )
+            if ran < size:
+                report = stability_report(max_cx, max_cy, 0.0 if corrective else diffusion)
+                raise StabilityError(report, step_index=None if corrective else done + ran)
+            done += size
     return ws.psi.copy()
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from asianpde.benchmarks import PERIODIC_BOUNDARY
 from asianpde.grid import GridSpec, ScalarField, VectorField
 
 
@@ -33,4 +32,4 @@ def wrap_courant(fld: VectorField) -> VectorField:
     return fld
 
 
-__all__ = ["PERIODIC_BOUNDARY", "random_positive_field", "random_courant", "wrap_courant"]
+__all__ = ["random_positive_field", "random_courant", "wrap_courant"]

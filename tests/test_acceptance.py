@@ -27,7 +27,6 @@ from asianpde.advection import (
     upwind_step,
 )
 from asianpde.benchmarks import (
-    PERIODIC_BOUNDARY,
     convergence_study,
     periodic_fill_scalar,
     periodic_fill_vector,
@@ -221,7 +220,7 @@ class TestCriterion5SchemeProperties:
             vec = wrap_courant(random_courant(spec, rng))
             opts = SolverOptions(n_iters=int(rng.integers(1, 4)), nonoscillatory=bool(trial % 2))
             before = psi.interior.sum()
-            out = mpdata_step(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
+            out = mpdata_step(psi, vec, opts, periodic=True)
             assert abs(out.interior.sum() - before) <= 1e-12 * before
         _pass(5, "conservation to 1e-12 relative per step")
 
@@ -235,7 +234,7 @@ class TestCriterion5SchemeProperties:
             psi.interior[rng.integers(0, 20), :] = 0.0
             vec = wrap_courant(random_courant(spec, rng))
             opts = SolverOptions(n_iters=int(rng.integers(1, 4)), nonoscillatory=bool(trial % 2))
-            out = mpdata_step(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
+            out = mpdata_step(psi, vec, opts, periodic=True)
             assert np.all(out.interior >= 0.0)
         _pass(5, "positivity, exact")
 
@@ -290,7 +289,7 @@ class TestCriterion5SchemeProperties:
         vec.comp_x[:] = 0.4
         opts = SolverOptions(n_iters=2, nonoscillatory=True)
         for _ in range(10):
-            psi = mpdata_step(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
+            psi = mpdata_step(psi, vec, opts, periodic=True)
         profile = psi.interior[:, 8]
         # range preserved exactly, and the profile stays bitonic on the
         # torus (one rising front, one falling front, no ringing)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from asianpde.advection import (
     SolverOptions,
+    StabilityReport,
     StepWorkspace,
     antidiffusive_courant,
     check_stability,
@@ -12,7 +15,7 @@ from asianpde.advection import (
     nonoscillatory_limit,
     upwind_step,
 )
-from asianpde.benchmarks import PERIODIC_BOUNDARY, periodic_fill_scalar, periodic_fill_vector
+from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import (
     GridSpec,
@@ -313,7 +316,7 @@ def _local_extrema_3x3(psi: ScalarField):
 class TestMpdataStep:
     def test_single_iteration_is_upwind(self, rng):
         psi, vec = filled_pair(rng)
-        via_mpdata = mpdata_step(psi, vec, SolverOptions(n_iters=1), boundary=PERIODIC_BOUNDARY)
+        via_mpdata = mpdata_step(psi, vec, SolverOptions(n_iters=1), periodic=True)
         via_upwind = upwind_step(psi, vec)
         np.testing.assert_array_equal(via_mpdata.interior, via_upwind.interior)
 
@@ -324,7 +327,7 @@ class TestMpdataStep:
         vec.comp_x[:] = 0.3
         vec.comp_y[:] = 0.2
         for n_iters in (1, 2, 3):
-            out = mpdata_step(psi, vec, SolverOptions(n_iters=n_iters), boundary=PERIODIC_BOUNDARY)
+            out = mpdata_step(psi, vec, SolverOptions(n_iters=n_iters), periodic=True)
             np.testing.assert_allclose(out.interior, 1.7, rtol=1e-14)
 
     @pytest.mark.parametrize("nonosc", [False, True])
@@ -332,7 +335,7 @@ class TestMpdataStep:
         psi, vec = filled_pair(rng)
         opts = SolverOptions(n_iters=3, nonoscillatory=nonosc)
         before = psi.interior.sum()
-        out = mpdata_step(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
+        out = mpdata_step(psi, vec, opts, periodic=True)
         assert abs(out.interior.sum() - before) <= 1e-12 * before
 
     @pytest.mark.parametrize("nonosc", [False, True])
@@ -342,7 +345,7 @@ class TestMpdataStep:
             psi = random_positive_field(SPEC, rng, lo=0.0, hi=1.0)
             psi.interior[rng.integers(0, SPEC.nx), :] = 0.0  # exercise vanishing denominators
             vec = wrap_courant(random_courant(SPEC, rng, bound=0.22))
-            out = mpdata_step(psi, vec, opts, boundary=PERIODIC_BOUNDARY)
+            out = mpdata_step(psi, vec, opts, periodic=True)
             assert np.all(out.interior >= 0.0)
 
     def test_corrective_iterations_reduce_translation_error(self):
@@ -426,13 +429,34 @@ class TestCheckStability:
         with pytest.raises(StabilityError):
             upwind_step(psi, vec)
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_mpdata_step_reports_like_the_guard(self, periodic):
+        # the physical field's report and a corrective field's carry no step
+        # index and no diffusion number
+        psi, vec = filled_pair(np.random.default_rng(7))
+        vec.comp_x[...] = -1.25
+        with pytest.raises(StabilityError) as err:
+            mpdata_step(psi, vec, SolverOptions(n_iters=2), periodic=periodic)
+        violation = "advective criterion violated in x: max |C_x| = 1.25 > 1"
+        assert err.value.step_index is None and str(err.value) == f"stability violation: {violation}"
+        max_cy = np.abs(vec.interior_y).max()
+        assert err.value.report == StabilityReport(False, 1.25, max_cy, 0.0, (violation,))
+        vec.comp_x[...] = 0.2
+        psi.interior[3, 3] = np.nan
+        with pytest.raises(StabilityError) as err:
+            mpdata_step(psi, vec, SolverOptions(n_iters=2), periodic=periodic)
+        report = err.value.report
+        assert err.value.step_index is None and report.diffusion_number == 0.0
+        assert math.isnan(report.max_abs_courant_x) and math.isnan(report.max_abs_courant_y)
+        assert str(err.value) == "stability violation: " + "; ".join(report.violations)
+
     def test_nan_corrective_field_rejected(self):
         # a NaN cell makes the antidiffusive field NaN around it, which the
         # guard on every corrective field must refuse
         psi, vec = filled_pair(np.random.default_rng(7))
         psi.interior[3, 3] = np.nan
         with pytest.raises(StabilityError):
-            mpdata_step(psi, vec, SolverOptions(n_iters=2), boundary=PERIODIC_BOUNDARY)
+            mpdata_step(psi, vec, SolverOptions(n_iters=2), periodic=True)
 
 
 class TestNanPropagation:

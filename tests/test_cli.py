@@ -1,8 +1,15 @@
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import asianpde
 from asianpde import harness
 from asianpde.cli import main
 from asianpde.config import RunConfig
@@ -83,6 +90,24 @@ class TestPriceCommand:
             main, ["price", *FAST, "--out", "/nonexistent-dir/x.csv"]
         )
         assert result.exit_code == 4
+
+    def test_ctrl_c_stops_a_long_march(self):
+        # 50000 steps of 102x121 cells run for about 15 s; Python handles the
+        # SIGINT at the end of the running march call, at most 2**25 cell-steps
+        env = dict(os.environ, PYTHONPATH=str(Path(asianpde.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "asianpde.cli", "price", "--dt", "0.00001"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        time.sleep(2.0)
+        sent = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once it has exited
+        assert time.monotonic() - sent < 4.0
+        assert proc.returncode == 1 and "Aborted!" in err
 
 
 class TestMcCommand:

@@ -17,7 +17,13 @@ from asianpde.grid import (
     fill_halos_scalar,
     fill_halos_vector,
 )
-from oracles import reference_fill_scalar, reference_fill_vector
+from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
+from oracles import (
+    reference_fill_scalar,
+    reference_fill_vector,
+    reference_periodic_fill_scalar,
+    reference_periodic_fill_vector,
+)
 
 SPEC = GridSpec(0.0, 1.0, 0.0, 2.0, 5, 4)
 
@@ -236,6 +242,70 @@ class TestFillsMatchReference:
         fill_halos_vector(vector)
         np.testing.assert_array_equal(vector.comp_x, 0.25)
         np.testing.assert_array_equal(vector.comp_y, 0.75)
+
+
+class TestPeriodicFillsMatchReference:
+    """The C torus fill (``wrap``) gives the numpy periodic fills' bits
+    (``oracles``), on plain fields and on workspace views."""
+
+    NX, NY = 7, 6
+    fields_of = TestFillsMatchReference.fields_of
+
+    @pytest.mark.parametrize("where", ["plain", "workspace"])
+    @pytest.mark.parametrize("halo", [2, 3])
+    def test_scalar_fill(self, halo, where, rng):
+        fld, _, ws = self.fields_of(halo, where, rng)
+        fld.interior[...] = awkward(rng, fld.interior.shape)
+        before = None if ws is None else ws.fields.copy()
+        want = reference_periodic_fill_scalar(ScalarField(fld.values.copy(), halo)).values
+        assert np.isnan(want).sum() > np.isnan(fld.interior).sum()  # NaNs wrapped into the halo
+        periodic_fill_scalar(fld)
+        np.testing.assert_array_equal(bits(fld.values), bits(want))
+        if ws is not None:  # nothing outside the view is written
+            before[0, :self.NX + 2 * halo, :self.NY + 2 * halo] = want
+            np.testing.assert_array_equal(bits(ws.fields), bits(before))
+
+    @pytest.mark.parametrize("where", ["plain", "workspace"])
+    @pytest.mark.parametrize("halo", [2, 3])
+    def test_vector_fill(self, halo, where, rng):
+        _, fld, ws = self.fields_of(halo, where, rng)
+        fld.interior_x[...] = awkward(rng, fld.interior_x.shape)
+        fld.interior_y[...] = awkward(rng, fld.interior_y.shape)
+        before = None if ws is None else ws.fields.copy()
+        want = reference_periodic_fill_vector(VectorField(fld.comp_x.copy(), fld.comp_y.copy(), halo))
+        periodic_fill_vector(fld)
+        np.testing.assert_array_equal(bits(fld.comp_x), bits(want.comp_x))
+        np.testing.assert_array_equal(bits(fld.comp_y), bits(want.comp_y))
+        if ws is not None:
+            before[1, :, :self.NY + 2 * halo] = want.comp_x
+            before[2, :self.NX + 2 * halo, :] = want.comp_y
+            np.testing.assert_array_equal(bits(ws.fields), bits(before))
+
+    def test_period_longer_than_the_array_refused(self):
+        # the x period is comp_y's real row count: 8 would read past comp_x's 6 real rows
+        fld = VectorField(np.ones((10, 8)), np.ones((12, 9)), 2)
+        with pytest.raises(ConfigurationError, match="periods"):
+            periodic_fill_vector(fld)
+        np.testing.assert_array_equal(fld.comp_x, 1.0)
+
+    @pytest.mark.parametrize("nx, ny, halo", [(2, 3, 3), (1, 2, 3), (4, 5, 2)])
+    def test_every_element_takes_its_value_one_period_in(self, nx, ny, halo, rng):
+        # periods shorter than the halo too: element a takes real element
+        # h + (a - h) mod p, which is the periodic extension
+        def extension(a, p0, p1):
+            rows, cols = (halo + (np.arange(n) - halo) % p for n, p in zip(a.shape, (p0, p1)))
+            return a[np.ix_(rows, cols)]
+
+        vec = VectorField(rng.uniform(size=(nx + 1 + 2 * halo, ny + 2 * halo)),
+                          rng.uniform(size=(nx + 2 * halo, ny + 1 + 2 * halo)), halo)
+        want = extension(vec.comp_x, nx, ny), extension(vec.comp_y, nx, ny)
+        periodic_fill_vector(vec)
+        np.testing.assert_array_equal(vec.comp_x, want[0])
+        np.testing.assert_array_equal(vec.comp_y, want[1])
+        if nx > 1:  # a scalar needs two real cells per axis
+            psi = ScalarField(rng.uniform(size=(nx + 2 * halo, ny + 2 * halo)), halo)
+            want = extension(psi.values, nx, ny)
+            np.testing.assert_array_equal(periodic_fill_scalar(psi).values, want)
 
 
 class TestLayoutGuard:

@@ -8,7 +8,7 @@ import pytest
 
 from asianpde import _step, advection, grid, pricing
 from asianpde.advection import SolverOptions, StabilityReport, StepWorkspace, mpdata_step
-from asianpde.benchmarks import PERIODIC_BOUNDARY, periodic_fill_scalar, periodic_fill_vector
+from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import GridSpec, ScalarField, fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
@@ -266,6 +266,59 @@ class TestIntegrate:
             counts.append(len(calls))
         assert counts == [1, 1]
 
+    @pytest.mark.parametrize(
+        "nx, ny, dt, maturity, sizes",
+        [
+            (102, 121, 1.0 / 1760.0, 0.5, [880]),  # price_mpdata, 10.9M cell-steps
+            (102, 121, 1.0 / 1760.0, 1.0, [1760]),  # the table's 12-month rows
+            (204, 242, 1.0 / 7040.0, 0.5, [679] * 5 + [125]),  # price_upwind_fine
+            (128, 128, 1.0 / 2048.0, 1.0, [2048]),  # 2**25 cell-steps
+            (128, 128, 1.0 / 2049.0, 1.0, [2048, 1]),  # one step more
+        ],
+        ids=["price_mpdata", "table-12mo", "price_upwind_fine", "at-bound", "above-bound"],
+    )
+    def test_march_calls_bounded_in_cell_steps(self, monkeypatch, nx, ny, dt, maturity, sizes):
+        # Python sees a Ctrl-C only between march calls, so none runs more than
+        # MARCH_CALL_CELL_STEPS cell-steps
+        asked = []
+
+        def ran_all(ws, n_steps, *args, **kwargs):
+            asked.append(n_steps)
+            return n_steps, False, 0.0, 0.0
+
+        monkeypatch.setattr(StepWorkspace, "march", ran_all)
+        spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
+        integrate(sample_instrument(maturity=maturity), spec, dt=dt, opts=OPTS)
+        assert asked == sizes
+
+    @pytest.mark.parametrize("per_call", [1, 4, 18])
+    def test_march_calls_carry_the_step_index(self, monkeypatch, per_call):
+        # cut into calls of per_call steps, the march stops at the same step
+        # with the same error and psi as in one call; with 18 the failing
+        # step is the first of a call
+        spec = grid_from_price_domain(50.0, 200.0, 400.0, 8, 8)
+        inst = InstrumentSpec("call", 100.0, 0.5, 1.04, 8.86, 100.0)
+        marched = []
+        march = StepWorkspace.march
+
+        def recorded(ws, *args, **kwargs):
+            marched.append(ws)
+            return march(ws, *args, **kwargs)
+
+        monkeypatch.setattr(StepWorkspace, "march", recorded)
+        with pytest.raises(StabilityError) as whole:
+            integrate(inst, spec, dt=0.0125, opts=OPTS)
+        assert len(marched) == 1
+        psi_whole = marched[0].psi.values.tobytes()
+        marched.clear()
+        monkeypatch.setattr(pricing, "MARCH_CALL_CELL_STEPS", 64 * per_call)
+        with pytest.raises(StabilityError) as cut:
+            integrate(inst, spec, dt=0.0125, opts=OPTS)
+        assert len(marched) == 18 // per_call + 1
+        assert cut.value.step_index == whole.value.step_index == 18
+        assert str(cut.value) == str(whole.value) and cut.value.report == whole.value.report
+        assert marched[0].psi.values.tobytes() == psi_whole
+
     def test_workspaces_freed_without_the_cycle_collector(self, monkeypatch):
         # a reference cycle through the workspace would keep every finished
         # march's arrays alive until the cyclic collector ran
@@ -292,8 +345,8 @@ class TestIntegrate:
         assert psi.values.base is None
 
     def test_mass_conserved_under_periodic_test_fill(self):
-        # integrate's step sequence, run through the passes that take a boundary:
-        # integrate's own march always uses the grid fills
+        # integrate's step sequence with the periodic fills, which
+        # integrate's own march never uses
         spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 24)
         inst = sample_instrument(kind="call", strike=1e-6, maturity=0.1, sigma=0.0, rate=0.0)
         tr = make_transform(inst)
@@ -302,7 +355,7 @@ class TestIntegrate:
         for _ in range(100):
             periodic_fill_scalar(psi)
             courant = periodic_fill_vector(build_courant(psi, tr, spec, -1e-3))
-            psi = mpdata_step(psi, courant, OPTS, boundary=PERIODIC_BOUNDARY)
+            psi = mpdata_step(psi, courant, OPTS, periodic=True)
         assert abs(psi.interior.sum() - before) <= 1e-11 * before
 
     def test_sample_valuation_profile_shape(self):
@@ -358,9 +411,9 @@ class TestIntegrate:
         marched = []
         march = StepWorkspace.march
 
-        def recorded(ws, *args):
+        def recorded(ws, *args, **kwargs):
             marched.append(ws)
-            return march(ws, *args)
+            return march(ws, *args, **kwargs)
 
         monkeypatch.setattr(StepWorkspace, "march", recorded)
         spec = grid_from_price_domain(50.0, 200.0, 400.0, 8, 8)

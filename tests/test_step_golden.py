@@ -19,6 +19,8 @@ from asianpde.advection import (
     nonoscillatory_limit,
     upwind_step,
 )
+from asianpde import pricing
+from asianpde.benchmarks import gaussian_field, unit_square
 from asianpde.grid import fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
     InstrumentSpec,
@@ -29,6 +31,8 @@ from asianpde.pricing import (
     terminal_condition,
     _step_runs,
 )
+from conftest import random_courant, wrap_courant
+from oracles import reference_periodic_fill_scalar, reference_periodic_fill_vector
 
 GRID_DT = {(24, 20): 1.0 / 100.0, (48, 40): 1.0 / 400.0}
 
@@ -81,6 +85,15 @@ def test_fractional_tail_step_bytes():
     assert _digest(24, 20, 1.0 / 100.0, 2, True, "call", maturity=0.503) == TAIL_DIGEST
 
 
+@pytest.mark.parametrize("per_call", [1, 7])
+def test_march_cut_into_calls_gives_the_same_bytes(monkeypatch, per_call):
+    monkeypatch.setattr(pricing, "MARCH_CALL_CELL_STEPS", 24 * 20 * per_call)
+    for key in [(24, 20, 2, True, "call"), (24, 20, 4, False, "put")]:
+        nx, ny, n_iters, nonosc, kind = key
+        assert _digest(nx, ny, GRID_DT[(nx, ny)], n_iters, nonosc, kind) == DIGESTS[key]
+    assert _digest(24, 20, 1.0 / 100.0, 2, True, "call", maturity=0.503) == TAIL_DIGEST
+
+
 @pytest.mark.parametrize(
     "n_iters, nonosc, maturity",
     [(n, lim, 0.5) for n in (1, 2, 4) for lim in (True, False)] + [(2, True, 0.503)],
@@ -130,3 +143,26 @@ def test_public_passes_compose_to_mpdata_step(nonosc):
     assert out.values.tobytes() == want.values.tobytes()
     np.testing.assert_array_equal(psi.values, psi_before)
     np.testing.assert_array_equal(courant.comp_x, courant_before)
+
+
+@pytest.mark.parametrize("nonosc", [True, False])
+def test_public_passes_with_periodic_fills_compose_to_periodic_mpdata_step(nonosc):
+    """The per-pass functions with the numpy periodic fills, composed as the
+    step composes them, give mpdata_step(periodic=True)'s field bit for bit."""
+    spec = unit_square(16)
+    opts = SolverOptions(n_iters=3, nonoscillatory=nonosc)
+    psi = reference_periodic_fill_scalar(gaussian_field(spec))
+    courant = reference_periodic_fill_vector(wrap_courant(random_courant(spec, np.random.default_rng(5))))
+
+    want = mpdata_step(psi, courant, opts, periodic=True)
+
+    out = upwind_step(psi, courant)
+    current = courant
+    for _ in range(opts.n_iters - 1):
+        reference_periodic_fill_scalar(out)
+        corrective = reference_periodic_fill_vector(antidiffusive_courant(out, current))
+        if nonosc:
+            corrective = reference_periodic_fill_vector(nonoscillatory_limit(out, corrective))
+        out = upwind_step(out, corrective)
+        current = corrective
+    assert out.values.tobytes() == want.values.tobytes()
