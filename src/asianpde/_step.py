@@ -8,9 +8,8 @@ renamed into place, so processes that build at the same time (the spawned
 workers of ``run_table``) never load a partial file.
 
 Every array reaches its kernel through :func:`dims`, which checks the layout
-that the kernels' indices assume and C cannot check for itself.  Each
-``grid.ScalarField`` and ``grid.VectorField`` runs it once per array and
-keeps the record, so the fills, the scan and the stencils read the same one.
+that the kernels' indices assume and C cannot check for itself, with the one
+halo width :data:`HALO`.  Each kernel call makes the records it passes.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ SOURCE = Path(__file__).with_name("_step.c")
 # bit-identity needs; -march=native is why the cache key names the CPU
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
+HALO = 2  # the corrective stencils and the FCT limiter read two cells deep
 _PTR, _INT, _REAL = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 _DIMS = (_PTR,) + (_INT,) * 4  # what dims() returns: address, extents, halo, row length
 # what march writes: the failing field's max |C_x| and max |C_y|, and 1.0 if
@@ -105,25 +105,24 @@ def library() -> ctypes.CDLL:
     return lib
 
 
-def dims(a: np.ndarray, halo: int, least: int) -> tuple[ctypes.c_void_p, int, int, int, int]:
-    """``(address, n0, n1, halo, row length)`` of ``a`` for a kernel over its
-    ``n0 x n1`` real elements and halo ring; the address holds ``a``, so numpy
-    refuses to resize ``a`` in place while the record lives.
+def dims(a: np.ndarray, least: int) -> tuple[ctypes.c_void_p, int, int, int, int]:
+    """``(address, n0, n1, HALO, row length)`` of ``a`` for a kernel over its
+    ``n0 x n1`` real elements and the ring of :data:`HALO` around them.
 
     Raises :class:`ConfigurationError` unless ``a`` is a 2D float64 array of
     rows with unit stride that do not overlap, with at least ``least`` real
-    elements per axis inside a halo of width ``halo``.
+    elements per axis inside that ring.
     """
     if a.dtype != np.float64 or a.ndim != 2:
         raise ConfigurationError(f"need a 2D float64 array, got {a.ndim}D {a.dtype}")
     (rows, cols), (row_bytes, step) = a.shape, a.strides
     if step != 8 or row_bytes % 8 or row_bytes < 8 * cols:
         raise ConfigurationError(f"need rows of adjacent elements that do not overlap, got strides {a.strides}")
-    if halo < 0 or min(rows, cols) - 2 * halo < least:
+    if min(rows, cols) - 2 * HALO < least:
         raise ConfigurationError(
-            f"need at least {least} real elements per axis inside a halo of {halo}, got shape {a.shape}"
+            f"need at least {least} real elements per axis inside a halo of {HALO}, got shape {a.shape}"
         )
-    return a.ctypes.data_as(_PTR), rows - 2 * halo, cols - 2 * halo, halo, row_bytes // 8
+    return a.ctypes.data_as(_PTR), rows - 2 * HALO, cols - 2 * HALO, HALO, row_bytes // 8
 
 
 def writable(a: np.ndarray, record: tuple) -> tuple:

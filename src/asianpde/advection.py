@@ -11,12 +11,13 @@ refills halos before every corrective pass so the halo requirement stays
 independent of the iteration count.
 
 Layout: every field of a step lives in one :class:`StepWorkspace`, a stack of
-``(nx + 1 + 2h, ny + 1 + 2h)`` arrays with one row length ``R``, so cell or
-face ``(a, b)`` of any field sits at flat offset ``a * R + b``.  The stencils
-are C loops over that layout (``_step.c``, built on first use by
-:mod:`asianpde._step`).  They write the real cells and faces only, and give
-every one the same floating-point operations, in the same order, as a direct
-evaluation of the formulas below, so results are bit-identical to one.
+``(nx + 1 + 2h, ny + 1 + 2h)`` arrays (``h = HALO``) with one row length
+``R``, so cell or face ``(a, b)`` of any field sits at flat offset
+``a * R + b``.  The stencils are C loops over that layout (``_step.c``, built
+on first use by :mod:`asianpde._step`).  They write the real cells and faces
+only, and give every one the same floating-point operations, in the same
+order, as a direct evaluation of the formulas below, so results are
+bit-identical to one.
 
 The workspace's methods run the kernels in place; the whole step sequence
 runs only in :meth:`StepWorkspace.march`, one C call (``march`` in
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import MARCH_RESULT, library
+from ._step import HALO, MARCH_RESULT, dims, library
 from .errors import ConfigurationError, StabilityError
 from .grid import ScalarField, VectorField
 from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
@@ -117,23 +118,21 @@ class StepWorkspace:
     field itself.  One workspace serves one caller at a time.
     """
 
-    def __init__(self, nx: int, ny: int, halo: int):
-        if int(halo) != halo or halo < 2:  # the kernels read two cells deep
-            raise ConfigurationError(f"halo width must be an integer >= 2, got {halo}")
-        h = int(halo)
-        rows, row = nx + 1 + 2 * h, ny + 1 + 2 * h
-        self.fields = fields = np.zeros((7, rows, row))
-        self.psi = ScalarField(fields[0, :nx + 2 * h, :ny + 2 * h], h)
+    def __init__(self, nx: int, ny: int):
+        h = HALO
+        self.fields = fields = np.zeros((9, nx + 1 + 2 * h, ny + 1 + 2 * h))
+        self.psi = ScalarField(fields[0, :nx + 2 * h, :ny + 2 * h])
         self.courant, *self.corrective = (
-            VectorField(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :], h) for s in (1, 3, 5)
+            VectorField(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :]) for s in (1, 3, 5)
         )
-        self.scratch = np.zeros((2, rows * row))
-        self.scratch_ptrs = (self.scratch[0].ctypes.data, self.scratch[1].ctypes.data)
+
+    # the addresses of the scratch rows of the donor-cell pass and the limiter: the last two slots
+    c_scratch = property(lambda self: (dims(self.fields[7], 1)[0], dims(self.fields[8], 1)[0]))
 
     @classmethod
     def holding(cls, psi: ScalarField, courant: VectorField | None = None) -> "StepWorkspace":
         """A new workspace holding copies of ``psi`` and, if given, ``courant``."""
-        ws = cls(psi.nx, psi.ny, psi.halo)
+        ws = cls(psi.nx, psi.ny)
         ws.psi.values[...] = psi.values
         if courant is not None:
             ws.courant.comp_x[...] = courant.comp_x
@@ -148,7 +147,7 @@ class StepWorkspace:
 
     def upwind(self, courant: VectorField) -> None:
         """Donor-cell update of the interior of ``psi`` in place."""
-        library().upwind(*self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], *self.scratch_ptrs)
+        library().upwind(*self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], *self.c_scratch)
 
     def antidiffusive(self, courant: VectorField, out: VectorField) -> VectorField:
         """Antidiffusive Courant numbers of ``courant`` into ``out`` on the real faces."""
@@ -162,7 +161,7 @@ class StepWorkspace:
         """FCT-limited copy of corrective field ``courant`` into ``out`` on the real faces."""
         library().limit(
             *self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-            *self.scratch_ptrs, DEFAULT_EPSILON,
+            *self.c_scratch, DEFAULT_EPSILON,
         )
         return out
 
@@ -187,7 +186,7 @@ class StepWorkspace:
         ran = library().march(
             *self.psi.c_values, self.courant.c_comp_x[0], self.courant.c_comp_y[0],
             first.c_comp_x[0], first.c_comp_y[0], second.c_comp_x[0], second.c_comp_y[0],
-            *self.scratch_ptrs, n_steps, opts.n_iters, opts.nonoscillatory,
+            *self.c_scratch, n_steps, opts.n_iters, opts.nonoscillatory,
             diffusion <= _DIFFUSION_LIMIT, periodic, courant_x is not None,
             *(courant_x or (0.0, 0.0, 0.0)), _COURANT_LIMIT, DEFAULT_EPSILON, out,
         )

@@ -19,6 +19,7 @@ from ._step import library, writable
 from .advection import SolverOptions, mpdata_step
 from .errors import ConfigurationError
 from .grid import GridSpec, ScalarField, VectorField
+from .pricing import MAX_CELL_STEPS
 
 DEFAULT_COURANT = (0.35, 0.35)
 DEFAULT_WIDTH = 0.1
@@ -37,9 +38,10 @@ def periodic_fill_vector(fld: VectorField) -> VectorField:
     The first and last interior face columns coincide on the torus; the
     first one wins so that boundary fluxes telescope exactly.
     """
-    periods = fld.c_comp_y[1], fld.c_comp_x[2]  # C_y's real rows (nx), C_x's real columns (ny)
-    _wrap(fld.comp_x, fld.c_comp_x, *periods)
-    _wrap(fld.comp_y, fld.c_comp_y, *periods)
+    cx, cy = fld.c_comp_x, fld.c_comp_y
+    periods = cy[1], cx[2]  # C_y's real rows (nx), C_x's real columns (ny)
+    _wrap(fld.comp_x, cx, *periods)
+    _wrap(fld.comp_y, cy, *periods)
     return fld
 
 
@@ -84,6 +86,12 @@ def l2_error(numeric: np.ndarray, exact: np.ndarray, spec: GridSpec) -> float:
     return float(np.sqrt(np.sum((numeric - exact) ** 2) * spec.dx * spec.dy))
 
 
+def translation_steps(n: int, courant=DEFAULT_COURANT, displacement: float = 0.25) -> int:
+    """The step count of :func:`run_translation` on ``n x n`` cells."""
+    c_lead = max(abs(courant[0]), abs(courant[1]))
+    return max(1, round(displacement * n / c_lead)) if c_lead > 0 else 1
+
+
 @dataclass(frozen=True)
 class TranslationResult:
     n: int
@@ -106,8 +114,7 @@ def run_translation(
     ``mpdata_step(periodic=True)``.
     """
     spec = unit_square(n)
-    c_lead = max(abs(courant[0]), abs(courant[1]))
-    n_steps = max(1, round(displacement * n / c_lead)) if c_lead > 0 else 1
+    n_steps = translation_steps(n, courant, displacement)
     psi = gaussian_field(spec, width=width)
     vec = constant_courant(spec, courant[0], courant[1])
     for _ in range(n_steps):
@@ -129,7 +136,19 @@ class ConvergenceLevel:
 
 
 def convergence_study(base_n: int, levels: int, opts: SolverOptions) -> list[ConvergenceLevel]:
-    """Translation errors at ``levels`` successively doubled resolutions."""
+    """Translation errors at ``levels`` successively doubled resolutions.
+
+    More than ``pricing.MAX_CELL_STEPS`` cell-steps over all the levels raise
+    :class:`ConfigurationError` before the first level runs.
+    """
+    cell_steps = 0
+    for lvl in range(levels):  # stops early: a level costs 8x the last
+        spec = unit_square(base_n * 2**lvl)  # refuses fewer than 3 cells, which cost nothing
+        cell_steps += spec.nx * spec.ny * translation_steps(spec.nx)
+        if cell_steps > MAX_CELL_STEPS:
+            raise ConfigurationError(
+                f"{levels} levels from n = {base_n} need more than {MAX_CELL_STEPS:.0e} cell-steps"
+            )
     out: list[ConvergenceLevel] = []
     for lvl in range(levels):
         res = run_translation(base_n * 2**lvl, opts)

@@ -3,8 +3,8 @@
 Subcommands: price, table, transect, converge, mc.  Every config-file key (a
 ``RunConfig`` field) is mirrored by a flag of the same name, built from the
 field; explicit flags override file values.
-Exit codes: 0 success, 2 configuration/usage error, 3 stability violation,
-4 I/O error.
+Exit codes: 0 success, 2 configuration/usage error (a configuration that
+does not fit in memory too), 3 stability violation, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .config import SETTING_TYPES, load_config_file, resolve_config
 from .errors import ConfigurationError, StabilityError
 from .pricing import KINDS
 
+EXIT_USAGE = 2
 EXIT_STABILITY = 3
 EXIT_IO = 4
 
@@ -64,6 +65,9 @@ def _handle_errors(func):
             return func(*args, **kwargs)
         except ConfigurationError as exc:
             raise click.UsageError(str(exc)) from exc
+        except MemoryError as exc:
+            click.echo(f"error: this configuration does not fit in memory. {exc}".rstrip(), err=True)
+            sys.exit(EXIT_USAGE)
         except StabilityError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_STABILITY)

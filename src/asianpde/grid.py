@@ -1,10 +1,11 @@
 """Staggered-grid containers and boundary fills.
 
 Arakawa-C layout: scalars live at cell centres, transport (Courant number)
-components on cell faces.  Both carry a halo of ghost cells so that wide
-stencils can be evaluated up to the domain edge once a boundary fill has run.
+components on cell faces.  Both carry a halo of ghost cells, ``HALO = 2``
+wide (see :mod:`asianpde._step`), so that wide stencils can be evaluated up
+to the domain edge once a boundary fill has run.
 
-Storage is row-major with the x index on axis 0.  With halo width ``h``:
+Storage is row-major with the x index on axis 0.  With ``h = HALO``:
 
 * scalar cell ``(i, j)``            -> ``values[h + i, h + j]``
 * x-face on the *left* edge of cell ``i``  -> ``comp_x[h + i, h + j]``
@@ -14,8 +15,9 @@ Storage is row-major with the x index on axis 0.  With halo width ``h``:
 The halo fills are C loops (``fill_scalar`` and ``fill_faces`` in
 ``_step.c``, built on first use by :mod:`asianpde._step`) over any field of
 this layout, a plain array or a :class:`asianpde.advection.StepWorkspace`
-view with longer rows.  A field is frozen; its first kernel call checks each
-array's layout (:class:`ConfigurationError` if wrong) and keeps the record.
+view with longer rows.  A field is a frozen dataclass of its arrays and
+holds nothing else; every kernel call checks the layout of the arrays it
+passes (:class:`ConfigurationError` if wrong).
 
 Fields are single-writer objects: concurrent reads are fine, but a halo fill
 must not race an interior update on the same field.
@@ -25,15 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
-from ._step import dims, library, writable
+from ._step import HALO, dims, library, writable
 from .errors import ConfigurationError
-
-DEFAULT_HALO = 2  # the corrective stencils and the FCT limiter read 2 cells deep
 
 
 @dataclass(frozen=True)
@@ -77,75 +76,62 @@ class GridSpec:
         return self.y_min + (np.arange(self.ny) + 0.5) * self.dy
 
 
-class _Field:
-    def __getstate__(self):
-        # the c_ records hold this field's addresses: a copy or a pickle makes its own
-        return {k: v for k, v in vars(self).items() if not k.startswith("c_")}
-
-
 @dataclass(frozen=True)
-class ScalarField(_Field):
+class ScalarField:
     """Cell-centred scalar with a halo ring; interior shape (nx, ny)."""
 
     values: np.ndarray
-    halo: int = DEFAULT_HALO
 
     @classmethod
     def zeros(cls, spec: GridSpec) -> "ScalarField":
-        h = DEFAULT_HALO
-        return cls(np.zeros((spec.nx + 2 * h, spec.ny + 2 * h)), h)
+        return cls(np.zeros((spec.nx + 2 * HALO, spec.ny + 2 * HALO)))
 
     @property
     def nx(self) -> int:
-        return self.values.shape[0] - 2 * self.halo
+        return self.values.shape[0] - 2 * HALO
 
     @property
     def ny(self) -> int:
-        return self.values.shape[1] - 2 * self.halo
+        return self.values.shape[1] - 2 * HALO
 
     @property
     def interior(self) -> np.ndarray:
-        h = self.halo
-        return self.values[h:-h, h:-h]
+        return self.values[HALO:-HALO, HALO:-HALO]
 
-    # the record of values (see _step.dims), made once; the fill reads two cells
-    c_values = cached_property(lambda self: dims(self.values, self.halo, 2))
+    # the record of values (see _step.dims), made at each call; the fill reads two cells
+    c_values = property(lambda self: dims(self.values, 2))
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.values.copy(), self.halo)
+        return ScalarField(self.values.copy())
 
 
 @dataclass(frozen=True)
-class VectorField(_Field):
+class VectorField:
     """Face-centred vector components on the staggered (Arakawa-C) positions."""
 
     comp_x: np.ndarray
     comp_y: np.ndarray
-    halo: int = DEFAULT_HALO
 
     @classmethod
     def zeros(cls, spec: GridSpec) -> "VectorField":
-        h = DEFAULT_HALO
-        cx = np.zeros((spec.nx + 1 + 2 * h, spec.ny + 2 * h))
-        cy = np.zeros((spec.nx + 2 * h, spec.ny + 1 + 2 * h))
-        return cls(cx, cy, h)
+        cx = np.zeros((spec.nx + 1 + 2 * HALO, spec.ny + 2 * HALO))
+        cy = np.zeros((spec.nx + 2 * HALO, spec.ny + 1 + 2 * HALO))
+        return cls(cx, cy)
 
     @property
     def interior_x(self) -> np.ndarray:
-        h = self.halo
-        return self.comp_x[h:-h, h:-h]  # (nx + 1, ny)
+        return self.comp_x[HALO:-HALO, HALO:-HALO]  # (nx + 1, ny)
 
     @property
     def interior_y(self) -> np.ndarray:
-        h = self.halo
-        return self.comp_y[h:-h, h:-h]  # (nx, ny + 1)
+        return self.comp_y[HALO:-HALO, HALO:-HALO]  # (nx, ny + 1)
 
-    # the records of the components (see _step.dims), made once
-    c_comp_x = cached_property(lambda self: dims(self.comp_x, self.halo, 1))
-    c_comp_y = cached_property(lambda self: dims(self.comp_y, self.halo, 1))
+    # the records of the components (see _step.dims), made at each call
+    c_comp_x = property(lambda self: dims(self.comp_x, 1))
+    c_comp_y = property(lambda self: dims(self.comp_y, 1))
 
     def copy(self) -> "VectorField":
-        return VectorField(self.comp_x.copy(), self.comp_y.copy(), self.halo)
+        return VectorField(self.comp_x.copy(), self.comp_y.copy())
 
 
 def fill_halos_scalar(fld: ScalarField) -> ScalarField:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from asianpde._step import HALO
 from asianpde.grid import GridSpec, ScalarField, VectorField
 
 
@@ -26,7 +27,7 @@ def random_courant(spec: GridSpec, rng: np.random.Generator, bound=0.22) -> Vect
 
 def wrap_courant(fld: VectorField) -> VectorField:
     """Make the interior faces periodic so boundary fluxes telescope."""
-    h = fld.halo
+    h = HALO
     fld.comp_x[-h - 1, :] = fld.comp_x[h, :]
     fld.comp_y[:, -h - 1] = fld.comp_y[:, h]
     return fld

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from asianpde._step import HALO
 from asianpde.advection import DEFAULT_EPSILON, SolverOptions, mpdata_step
 from asianpde.benchmarks import ConvergenceLevel
 from asianpde.errors import ConfigurationError
@@ -58,7 +59,7 @@ def factor_b(psi: ScalarField, i: int, j: int, d: int, epsilon: float = DEFAULT_
     the two -1-offset ones, over their total; 0 on a vanishing denominator.
     Interior cell indices; halos must be filled.
     """
-    h = psi.halo
+    h = HALO
     v = psi.values
     a, b = h + i, h + j
     if d == 0:
@@ -79,7 +80,7 @@ def transverse_mean_courant(courant: VectorField, i: int, j: int, d: int, q: int
     """Mean of the four q-component faces surrounding face (i+1/2, j) of dimension d."""
     if {d, q} != {0, 1}:
         raise ConfigurationError(f"need distinct dimensions from (0, 1), got d={d}, q={q}")
-    h = courant.halo
+    h = HALO
     a, b = h + i, h + j
     if d == 0:
         cy = courant.comp_y
@@ -92,7 +93,7 @@ def reference_fill_scalar(fld: ScalarField) -> ScalarField:
     """numpy evaluation of :func:`asianpde.grid.fill_halos_scalar`: linear
     extrapolation from the two nearest interior cells, x then y, clipped at 0."""
     v = fld.values
-    h = fld.halo
+    h = HALO
     for axis in (0, 1):
         lo0, lo1 = (v[h], v[h + 1]) if axis == 0 else (v[:, h], v[:, h + 1])
         hi0, hi1 = (v[-h - 1], v[-h - 2]) if axis == 0 else (v[:, -h - 1], v[:, -h - 2])
@@ -118,7 +119,7 @@ def reference_fill_vector(fld: VectorField) -> VectorField:
     """numpy evaluation of :func:`asianpde.grid.fill_halos_vector`: constant
     extension of the nearest face."""
     for comp in (fld.comp_x, fld.comp_y):
-        h = fld.halo
+        h = HALO
         comp[:h, :] = comp[h, :]
         comp[-h:, :] = comp[-h - 1, :]
         comp[:, :h] = comp[:, h][:, None]
@@ -129,7 +130,7 @@ def reference_fill_vector(fld: VectorField) -> VectorField:
 def reference_periodic_fill_scalar(fld: ScalarField) -> ScalarField:
     """numpy evaluation of :func:`asianpde.benchmarks.periodic_fill_scalar`:
     halos wrapped around the torus, rows then columns."""
-    v, h, nx, ny = fld.values, fld.halo, fld.nx, fld.ny
+    v, h, nx, ny = fld.values, HALO, fld.nx, fld.ny
     v[:h, :] = v[nx:nx + h, :]
     v[nx + h:, :] = v[h:2 * h, :]
     v[:, :h] = v[:, ny:ny + h]
@@ -141,7 +142,7 @@ def reference_periodic_fill_vector(fld: VectorField) -> VectorField:
     """numpy evaluation of :func:`asianpde.benchmarks.periodic_fill_vector`:
     face components wrapped with the interior period in each axis, the
     first of the two coinciding boundary faces winning."""
-    h = fld.halo
+    h = HALO
     cx, cy = fld.comp_x, fld.comp_y
     nx, ny = cy.shape[0] - 2 * h, cx.shape[1] - 2 * h
     cx[h + nx, :] = cx[h, :]
@@ -165,8 +166,8 @@ def split_mpdata_step(
     Comparison baseline for the unsplit two-dimensional step; each pass runs
     the full iterative scheme with the transverse component zeroed.
     """
-    x_only = VectorField(courant.comp_x.copy(), np.zeros_like(courant.comp_y), courant.halo)
-    y_only = VectorField(np.zeros_like(courant.comp_x), courant.comp_y.copy(), courant.halo)
+    x_only = VectorField(courant.comp_x.copy(), np.zeros_like(courant.comp_y))
+    y_only = VectorField(np.zeros_like(courant.comp_x), courant.comp_y.copy())
     out = mpdata_step(psi, x_only, opts, periodic=periodic)
     return mpdata_step(out, y_only, opts, periodic=periodic)
 

@@ -20,6 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 from asianpde import benchmarks
+from asianpde._step import HALO
 from asianpde.advection import (
     SolverOptions,
     antidiffusive_courant,
@@ -321,7 +322,7 @@ class TestCriterion5SchemeProperties:
 
 
 def _extrema_3x3(psi: ScalarField):
-    h = psi.halo
+    h = HALO
     nx, ny = psi.nx, psi.ny
     views = [
         psi.values[h + di:h + di + nx, h + dj:h + dj + ny]

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from asianpde._step import HALO
 from asianpde.advection import SolverOptions
 from asianpde.benchmarks import (
     constant_courant,
@@ -25,7 +26,7 @@ class TestPeriodicFills:
         fld = ScalarField.zeros(spec)
         fld.interior[:] = rng.uniform(0, 1, fld.interior.shape)
         periodic_fill_scalar(fld)
-        h = fld.halo
+        h = HALO
         np.testing.assert_array_equal(fld.values[h - 1, h:-h], fld.values[h + 5, h:-h])
         np.testing.assert_array_equal(fld.values[h + 6, h:-h], fld.values[h, h:-h])
         np.testing.assert_array_equal(fld.values[h:-h, h - 1], fld.values[h:-h, h + 5])
@@ -36,7 +37,7 @@ class TestPeriodicFills:
         fld.interior_x[:] = rng.uniform(-1, 1, fld.interior_x.shape)
         fld.interior_y[:] = rng.uniform(-1, 1, fld.interior_y.shape)
         periodic_fill_vector(fld)
-        h = fld.halo
+        h = HALO
         np.testing.assert_array_equal(fld.comp_x[h, :], fld.comp_x[h + 6, :])
         np.testing.assert_array_equal(fld.comp_y[:, h], fld.comp_y[:, h + 6])
 

@@ -6,6 +6,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -85,6 +86,23 @@ class TestPriceCommand:
         assert message in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("args, allocation", [(["mc", "--paths", "300", "--steps", "40"], "empty"),
+                                                  (["transect", *FAST], "zeros"),
+                                                  (["price", *FAST], "zeros")])
+    def test_out_of_memory_exit_code(self, runner, monkeypatch, args, allocation):
+        # a refused allocation is faked: a real one that the kernel allows can
+        # get this process killed instead of raising MemoryError
+        def refused(*_, **__):
+            raise MemoryError("Unable to allocate 954. GiB for an array")
+
+        monkeypatch.setattr(np, allocation, refused)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "error: this configuration does not fit in memory. Unable to allocate 954. GiB for an array"
+        ]
+        assert isinstance(result.exception, SystemExit)
+
     def test_io_error_exit_code(self, runner):
         result = runner.invoke(
             main, ["price", *FAST, "--out", "/nonexistent-dir/x.csv"]
@@ -133,6 +151,20 @@ class TestConvergeCommand:
         assert "order" in result.output
         result = runner.invoke(main, ["converge", "--levels", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--levels", "9"], "more than 1e+11 cell-steps"),
+        (["--levels", "40"], "more than 1e+11 cell-steps"),
+        (["--nx", "1000000", "--levels", "3"], "more than 1e+11 cell-steps"),
+        (["--nx", "0", "--levels", "1000000000"], "at least 3 cells"),
+    ])
+    def test_study_too_long_refused(self, runner, args, message):
+        # the whole study's cell-steps are counted before the first level runs
+        start = time.perf_counter()
+        result = runner.invoke(main, ["converge", *args])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert time.perf_counter() - start < 5.0
 
 
 class TestTransectCommand:

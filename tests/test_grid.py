@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asianpde._step import HALO
 from asianpde.advection import StepWorkspace, check_stability, upwind_step
 from asianpde.errors import ConfigurationError
 from asianpde.grid import (
@@ -92,7 +93,7 @@ class TestScalarFill:
         fld.interior[-2, :] = 2.0
         fld.interior[-1, :] = 3.0
         fill_halos_scalar(fld)
-        h = fld.halo
+        h = HALO
         # interior row ends (..., 2, 3): first halo layer continues the line to 4, second to 5
         assert fld.values[h + 5, h] == 4.0
         assert fld.values[h + 6, h] == 5.0
@@ -109,7 +110,7 @@ class TestScalarFill:
         fld.interior[-2, :] = 5.0
         fld.interior[-1, :] = 1.0
         fill_halos_scalar(fld)
-        h = fld.halo
+        h = HALO
         # 2*1 - 5 = -3 clips to 0
         assert fld.values[h + 5, h] == 0.0
 
@@ -119,7 +120,7 @@ class TestScalarFill:
         j = np.arange(4)[None, :]
         fld.interior[:] = 10.0 + 2.0 * i + 3.0 * j
         fill_halos_scalar(fld)
-        h = fld.halo
+        h = HALO
         full_i = np.arange(-h, 5 + h)[:, None]
         full_j = np.arange(-h, 4 + h)[None, :]
         np.testing.assert_allclose(fld.values, 10.0 + 2.0 * full_i + 3.0 * full_j)
@@ -131,7 +132,7 @@ class TestScalarFill:
         fld = ScalarField.zeros(SPEC)
         fld.interior[:] = rng.uniform(0.0, 3.0, fld.interior.shape)
         once = fill_halos_scalar(fld.copy()).values
-        twice = fill_halos_scalar(ScalarField(once.copy(), fld.halo)).values
+        twice = fill_halos_scalar(ScalarField(once.copy())).values
         np.testing.assert_array_equal(once, twice)
 
 
@@ -146,7 +147,7 @@ class TestVectorFill:
         fld = VectorField.zeros(SPEC)
         fld.interior_x[0, :] = -0.1
         fill_halos_vector(fld)
-        h = fld.halo
+        h = HALO
         assert fld.comp_x[0, h] == -0.1
         assert fld.comp_x[h - 1, h] == -0.1
 
@@ -187,56 +188,54 @@ class TestFillsMatchReference:
 
     NX, NY = 7, 6
 
-    def fields_of(self, halo, where, rng):
+    def fields_of(self, where, rng):
         """A scalar, a face field with stale values in every halo, and the
         workspace that holds them (None for plain fields)."""
-        ws = StepWorkspace(self.NX, self.NY, halo)
+        ws = StepWorkspace(self.NX, self.NY)
         ws.fields[...] = rng.uniform(-5.0, 5.0, ws.fields.shape)
         if where == "plain":
             return (
-                ScalarField(ws.psi.values.copy(), halo),
-                VectorField(ws.courant.comp_x.copy(), ws.courant.comp_y.copy(), halo),
+                ScalarField(ws.psi.values.copy()),
+                VectorField(ws.courant.comp_x.copy(), ws.courant.comp_y.copy()),
                 None,
             )
         assert ws.psi.values.strides[0] > 8 * ws.psi.values.shape[1]
         return ws.psi, ws.courant, ws
 
     @pytest.mark.parametrize("where", ["plain", "workspace"])
-    @pytest.mark.parametrize("halo", [2, 3])
-    def test_scalar_fill(self, halo, where, rng):
-        fld, _, ws = self.fields_of(halo, where, rng)
+    def test_scalar_fill(self, where, rng):
+        fld, _, ws = self.fields_of(where, rng)
         fld.interior[...] = awkward(rng, fld.interior.shape)
         before = None if ws is None else ws.fields.copy()
-        want = reference_fill_scalar(ScalarField(fld.values.copy(), halo)).values
-        assert (want == 0.0).sum() > 2 * halo and np.isnan(want).sum() > 3  # clipped cells, NaN lines
+        want = reference_fill_scalar(ScalarField(fld.values.copy())).values
+        assert (want == 0.0).sum() > 2 * HALO and np.isnan(want).sum() > 3  # clipped cells, NaN lines
         fill_halos_scalar(fld)
         np.testing.assert_array_equal(bits(fld.values), bits(want))
         if ws is not None:  # nothing outside the view is written
-            before[0, :self.NX + 2 * halo, :self.NY + 2 * halo] = want
+            before[0, :self.NX + 2 * HALO, :self.NY + 2 * HALO] = want
             np.testing.assert_array_equal(bits(ws.fields), bits(before))
 
     @pytest.mark.parametrize("where", ["plain", "workspace"])
-    @pytest.mark.parametrize("halo", [2, 3])
-    def test_vector_fill(self, halo, where, rng):
-        _, fld, ws = self.fields_of(halo, where, rng)
+    def test_vector_fill(self, where, rng):
+        _, fld, ws = self.fields_of(where, rng)
         fld.interior_x[...] = awkward(rng, fld.interior_x.shape)
         fld.interior_y[...] = awkward(rng, fld.interior_y.shape)
         before = None if ws is None else ws.fields.copy()
-        want = reference_fill_vector(VectorField(fld.comp_x.copy(), fld.comp_y.copy(), halo))
+        want = reference_fill_vector(VectorField(fld.comp_x.copy(), fld.comp_y.copy()))
         fill_halos_vector(fld)
         np.testing.assert_array_equal(bits(fld.comp_x), bits(want.comp_x))
         np.testing.assert_array_equal(bits(fld.comp_y), bits(want.comp_y))
         if ws is not None:
-            before[1, :, :self.NY + 2 * halo] = want.comp_x
-            before[2, :self.NX + 2 * halo, :] = want.comp_y
+            before[1, :, :self.NY + 2 * HALO] = want.comp_x
+            before[2, :self.NX + 2 * HALO, :] = want.comp_y
             np.testing.assert_array_equal(bits(ws.fields), bits(before))
 
     def test_smallest_interior(self, rng):
-        scalar = ScalarField(np.zeros((6, 6)), 2)
+        scalar = ScalarField(np.zeros((6, 6)))
         scalar.interior[...] = rng.uniform(-1.0, 3.0, (2, 2))
         want = reference_fill_scalar(scalar.copy()).values
         np.testing.assert_array_equal(bits(fill_halos_scalar(scalar).values), bits(want))
-        vector = VectorField(np.zeros((5, 5)), np.full((5, 5), -0.5), 2)  # one real face each
+        vector = VectorField(np.zeros((5, 5)), np.full((5, 5), -0.5))  # one real face each
         vector.interior_x[...] = 0.25
         vector.interior_y[...] = 0.75
         fill_halos_vector(vector)
@@ -252,58 +251,56 @@ class TestPeriodicFillsMatchReference:
     fields_of = TestFillsMatchReference.fields_of
 
     @pytest.mark.parametrize("where", ["plain", "workspace"])
-    @pytest.mark.parametrize("halo", [2, 3])
-    def test_scalar_fill(self, halo, where, rng):
-        fld, _, ws = self.fields_of(halo, where, rng)
+    def test_scalar_fill(self, where, rng):
+        fld, _, ws = self.fields_of(where, rng)
         fld.interior[...] = awkward(rng, fld.interior.shape)
         before = None if ws is None else ws.fields.copy()
-        want = reference_periodic_fill_scalar(ScalarField(fld.values.copy(), halo)).values
+        want = reference_periodic_fill_scalar(ScalarField(fld.values.copy())).values
         assert np.isnan(want).sum() > np.isnan(fld.interior).sum()  # NaNs wrapped into the halo
         periodic_fill_scalar(fld)
         np.testing.assert_array_equal(bits(fld.values), bits(want))
         if ws is not None:  # nothing outside the view is written
-            before[0, :self.NX + 2 * halo, :self.NY + 2 * halo] = want
+            before[0, :self.NX + 2 * HALO, :self.NY + 2 * HALO] = want
             np.testing.assert_array_equal(bits(ws.fields), bits(before))
 
     @pytest.mark.parametrize("where", ["plain", "workspace"])
-    @pytest.mark.parametrize("halo", [2, 3])
-    def test_vector_fill(self, halo, where, rng):
-        _, fld, ws = self.fields_of(halo, where, rng)
+    def test_vector_fill(self, where, rng):
+        _, fld, ws = self.fields_of(where, rng)
         fld.interior_x[...] = awkward(rng, fld.interior_x.shape)
         fld.interior_y[...] = awkward(rng, fld.interior_y.shape)
         before = None if ws is None else ws.fields.copy()
-        want = reference_periodic_fill_vector(VectorField(fld.comp_x.copy(), fld.comp_y.copy(), halo))
+        want = reference_periodic_fill_vector(VectorField(fld.comp_x.copy(), fld.comp_y.copy()))
         periodic_fill_vector(fld)
         np.testing.assert_array_equal(bits(fld.comp_x), bits(want.comp_x))
         np.testing.assert_array_equal(bits(fld.comp_y), bits(want.comp_y))
         if ws is not None:
-            before[1, :, :self.NY + 2 * halo] = want.comp_x
-            before[2, :self.NX + 2 * halo, :] = want.comp_y
+            before[1, :, :self.NY + 2 * HALO] = want.comp_x
+            before[2, :self.NX + 2 * HALO, :] = want.comp_y
             np.testing.assert_array_equal(bits(ws.fields), bits(before))
 
     def test_period_longer_than_the_array_refused(self):
         # the x period is comp_y's real row count: 8 would read past comp_x's 6 real rows
-        fld = VectorField(np.ones((10, 8)), np.ones((12, 9)), 2)
+        fld = VectorField(np.ones((10, 8)), np.ones((12, 9)))
         with pytest.raises(ConfigurationError, match="periods"):
             periodic_fill_vector(fld)
         np.testing.assert_array_equal(fld.comp_x, 1.0)
 
-    @pytest.mark.parametrize("nx, ny, halo", [(2, 3, 3), (1, 2, 3), (4, 5, 2)])
-    def test_every_element_takes_its_value_one_period_in(self, nx, ny, halo, rng):
+    @pytest.mark.parametrize("nx, ny", [(2, 3), (1, 2), (4, 5), (1, 1)])
+    def test_every_element_takes_its_value_one_period_in(self, nx, ny, rng):
         # periods shorter than the halo too: element a takes real element
         # h + (a - h) mod p, which is the periodic extension
         def extension(a, p0, p1):
-            rows, cols = (halo + (np.arange(n) - halo) % p for n, p in zip(a.shape, (p0, p1)))
+            rows, cols = (HALO + (np.arange(n) - HALO) % p for n, p in zip(a.shape, (p0, p1)))
             return a[np.ix_(rows, cols)]
 
-        vec = VectorField(rng.uniform(size=(nx + 1 + 2 * halo, ny + 2 * halo)),
-                          rng.uniform(size=(nx + 2 * halo, ny + 1 + 2 * halo)), halo)
+        vec = VectorField(rng.uniform(size=(nx + 1 + 2 * HALO, ny + 2 * HALO)),
+                          rng.uniform(size=(nx + 2 * HALO, ny + 1 + 2 * HALO)))
         want = extension(vec.comp_x, nx, ny), extension(vec.comp_y, nx, ny)
         periodic_fill_vector(vec)
         np.testing.assert_array_equal(vec.comp_x, want[0])
         np.testing.assert_array_equal(vec.comp_y, want[1])
         if nx > 1:  # a scalar needs two real cells per axis
-            psi = ScalarField(rng.uniform(size=(nx + 2 * halo, ny + 2 * halo)), halo)
+            psi = ScalarField(rng.uniform(size=(nx + 2 * HALO, ny + 2 * HALO)))
             want = extension(psi.values, nx, ny)
             np.testing.assert_array_equal(periodic_fill_scalar(psi).values, want)
 
@@ -314,33 +311,33 @@ class TestLayoutGuard:
 
     def test_not_float64(self):
         with pytest.raises(ConfigurationError, match="float64"):
-            fill_halos_scalar(ScalarField(np.zeros((9, 8), dtype=np.float32), 2))
+            fill_halos_scalar(ScalarField(np.zeros((9, 8), dtype=np.float32)))
 
     def test_inner_stride(self):
         with pytest.raises(ConfigurationError, match="strides"):
-            fill_halos_scalar(ScalarField(np.zeros((9, 8), order="F"), 2))
+            fill_halos_scalar(ScalarField(np.zeros((9, 8), order="F")))
         with pytest.raises(ConfigurationError, match="strides"):
-            fill_halos_vector(VectorField(np.zeros((10, 16))[:, ::2], np.zeros((9, 9)), 2))
+            fill_halos_vector(VectorField(np.zeros((10, 16))[:, ::2], np.zeros((9, 9))))
 
     def test_too_small(self):
         # one interior cell along x: the extrapolation needs two
         with pytest.raises(ConfigurationError, match="at least 2"):
-            fill_halos_scalar(ScalarField(np.zeros((5, 8)), 2))
+            fill_halos_scalar(ScalarField(np.zeros((5, 8))))
         with pytest.raises(ConfigurationError, match="at least 1"):
-            fill_halos_vector(VectorField(np.zeros((4, 8)), np.zeros((4, 9)), 2))
+            fill_halos_vector(VectorField(np.zeros((4, 8)), np.zeros((4, 9))))
         # a scalar's record is the fill's, so the stencils refuse it too
         with pytest.raises(ConfigurationError, match="at least 2"):
-            upwind_step(ScalarField(np.ones((5, 8)), 2), VectorField(np.zeros((6, 8)), np.zeros((5, 9)), 2))
+            upwind_step(ScalarField(np.ones((5, 8))), VectorField(np.zeros((6, 8)), np.zeros((5, 9))))
 
     def test_read_only(self):
         values = np.zeros((9, 8))
         values.flags.writeable = False
         with pytest.raises(ConfigurationError, match="writable"):
-            fill_halos_scalar(ScalarField(values, 2))
+            fill_halos_scalar(ScalarField(values))
         comp_y = np.zeros((9, 9))
         comp_y.flags.writeable = False
         with pytest.raises(ConfigurationError, match="writable"):
-            fill_halos_vector(VectorField(np.zeros((10, 8)), comp_y, 2))
+            fill_halos_vector(VectorField(np.zeros((10, 8)), comp_y))
 
     def test_scan_accepts_read_only(self):
         # check_stability only reads the Courant field
@@ -352,24 +349,15 @@ class TestLayoutGuard:
 
 
 class TestFrozenLayout:
-    """A field checks the layout of its arrays once and keeps the record,
-    address included, so the arrays under it must stay where they are."""
+    """A field is a frozen dataclass of its arrays, and each kernel call makes
+    the records of the arrays that the field holds then."""
 
-    @pytest.mark.parametrize("cls, name", [(ScalarField, "values"), (ScalarField, "halo"),
-                                           (VectorField, "comp_x"), (VectorField, "comp_y"),
-                                           (VectorField, "halo")])
+    @pytest.mark.parametrize("cls, name", [(ScalarField, "values"), (VectorField, "comp_x"),
+                                           (VectorField, "comp_y")])
     def test_arrays_cannot_be_replaced(self, cls, name):
         fld = cls.zeros(SPEC)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(fld, name, getattr(fld, name))
-
-    def test_filled_arrays_cannot_be_resized(self):
-        fld = fill_halos_scalar(ScalarField.zeros(SPEC))
-        with pytest.raises(ValueError):
-            fld.values.resize((20, 20))
-        vec = fill_halos_vector(VectorField.zeros(SPEC))
-        with pytest.raises(ValueError):
-            vec.comp_x.resize((20, 20))
 
     @pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
     def test_copies_make_their_own_records(self, twin):

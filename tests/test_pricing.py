@@ -229,7 +229,7 @@ class TestIntegrate:
         assert price == pytest.approx(exact, rel=0.10)
 
     def test_layout_checks_do_not_grow_with_steps(self, monkeypatch):
-        # each field checks its arrays' layout once, not once per kernel call
+        # the layout checks run once per march call, not once per step
         calls = []
 
         def counted(*args):
@@ -478,7 +478,7 @@ class TestIntegrate:
         inst = sample_instrument()
         tr = make_transform(inst)
         psi1 = terminal_condition(inst, spec)
-        psi4 = ScalarField(4.0 * psi1.values, psi1.halo)
+        psi4 = ScalarField(4.0 * psi1.values)
         dt = 1.0 / 500.0
         for _ in range(60):
             for psi in (psi1, psi4):
