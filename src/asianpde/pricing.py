@@ -29,8 +29,9 @@ from .grid import GridSpec, ScalarField, VectorField
 from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
 
 KINDS = ("call", "put")
-MAX_CELL_STEPS = 1e11  # time steps x cells of one march: ~37 min of 2-iteration steps at 4.5e7/s
-MARCH_CALL_CELL_STEPS = 2**25  # of one C call: Python sees Ctrl-C between calls, at most ~1 s apart
+MAX_CELL_STEPS = 1e11  # time steps x cells of one march: ~29 min of 2-iteration steps at 5.8e7/s
+# of one C call: Python sees Ctrl-C between calls, ~0.6 s apart at 2 iterations, ~1.5 s at 4
+MARCH_CALL_CELL_STEPS = 2**25
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from asianpde import _step
+from asianpde.advection import SolverOptions, StepWorkspace
+from asianpde.pricing import (
+    KINDS,
+    InstrumentSpec,
+    _courant_x_terms,
+    _write_courant_y,
+    grid_from_price_domain,
+    make_transform,
+    terminal_condition,
+)
 
 PACKAGE_ROOT = Path(_step.__file__).parents[1]
 LOAD = "from asianpde._step import library; print(library()._name)"
@@ -88,9 +100,18 @@ def test_help_and_mc_never_build(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+def test_python_m_asianpde_runs_the_cli_without_a_build(tmp_path):
+    env = environment(tmp_path / "cache", no_gcc_path(tmp_path))
+    done = run(["-m", "asianpde", "--help"], env)
+    assert done.returncode == 0, done.stderr
+    assert "Usage" in done.stdout
+    assert not (tmp_path / "cache").exists()
+
+
 def test_source_compiles_without_warnings():
+    # with the build's own flags, so that one the local gcc rejects fails here
     done = subprocess.run(
-        ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_step.SOURCE)],
+        ["gcc", "-Wall", "-Wextra", "-Werror", *_step.FLAGS, "-fsyntax-only", str(_step.SOURCE)],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0 and done.stderr == "", done.stderr
@@ -124,3 +145,52 @@ def test_one_route_to_c():
                     if "ctypes.data" in lines[number - 1]:
                         found.append((path.name, node.name, "scratch" in lines[number - 1]))
     assert sorted(found) == [("_step.py", "dims", False)]
+
+
+@pytest.mark.parametrize("machine, width", [("x86_64", True), ("AMD64", True), ("aarch64", False)])
+def test_vector_width_flag_only_on_x86(monkeypatch, machine, width):
+    monkeypatch.setattr(_step.platform, "machine", lambda: machine)
+    assert (_step.VECTOR_WIDTH in _step._flags()) == width
+
+
+def _march_bytes(nx: int, ny: int, dt: float) -> list:
+    """What StepWorkspace.march returns and leaves in the whole stack, for
+    both kinds, 1, 2 and 4 iterations, with and without the limiter."""
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
+    marched = []
+    for kind in KINDS:
+        inst = InstrumentSpec(kind, 100.0, 0.5, 0.3, 0.1, 100.0)
+        tr = make_transform(inst)
+        for n_iters in (1, 2, 4):
+            for nonoscillatory in (True, False):
+                ws = StepWorkspace.holding(terminal_condition(inst, spec))
+                _write_courant_y(ws, tr, spec, -dt)
+                ran = ws.march(
+                    round(inst.maturity / dt), SolverOptions(n_iters, nonoscillatory),
+                    _courant_x_terms(tr, spec, -dt),
+                )
+                marched.append((ran, ws.fields.tobytes()))
+    return marched
+
+
+@pytest.fixture
+def fresh_library():
+    """library() loads anew inside the test and again after it."""
+    _step.library.cache_clear()
+    yield
+    _step.library.cache_clear()
+
+
+@pytest.mark.skipif(_step.VECTOR_WIDTH not in _step.FLAGS, reason="this platform's build takes no width flag")
+def test_vector_width_moves_no_bit(tmp_path, monkeypatch, fresh_library):
+    # row lengths that leave a tail after the last full vector of a row
+    grids = [(24, 21, 1.0 / 100.0), (48, 43, 1.0 / 400.0)]
+    marched, builds = [], []
+    for flags in (_step.FLAGS, tuple(f for f in _step.FLAGS if f != _step.VECTOR_WIDTH)):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / str(len(flags))))
+        monkeypatch.setattr(_step, "FLAGS", flags)
+        _step.library.cache_clear()
+        builds.append(_step.library()._name)
+        marched.append([_march_bytes(*grid) for grid in grids])
+    assert builds[0] != builds[1]
+    assert marched[0] == marched[1]
