@@ -29,7 +29,8 @@ from .errors import ConfigurationError
 
 SOURCE = Path(__file__).with_name("_step.c")
 # gcc picks 32-byte vectors on AVX-512 CPUs unless told otherwise; 64-byte
-# ones run a step about 25% faster with the same bytes.  Only x86 gcc takes it.
+# ones give the same bytes and cut a 2-iteration step at 102x121 from about
+# 0.28 to 0.21 ms.  Only x86 gcc takes the option.
 VECTOR_WIDTH = "-mprefer-vector-width=512"
 
 

@@ -1,5 +1,5 @@
-"""The build cache of the C step kernels (``asianpde._step``) and the
-declarations that ctypes calls them with.
+"""The build cache and flags of the C step kernels (``asianpde._step``) and
+the declarations that ctypes calls them with.
 
 Each build-cache test runs the program in fresh processes with ``XDG_CACHE_HOME`` in a
 temporary directory, so it starts from an empty cache and this process's
@@ -175,8 +175,7 @@ def _march_bytes(nx: int, ny: int, dt: float) -> list:
 
 @pytest.fixture
 def fresh_library():
-    """library() loads anew inside the test and again after it."""
-    _step.library.cache_clear()
+    """After the test, library() loads the usual build again."""
     yield
     _step.library.cache_clear()
 
