@@ -20,10 +20,11 @@ order, as a direct evaluation of the formulas below, so results are
 bit-identical to one.
 
 The workspace's methods run the kernels in place; the whole step sequence
-runs only in :meth:`StepWorkspace.march`, one C call (``march`` in
-``_step.c``), for ``pricing.integrate`` and :func:`mpdata_step` alike.  The
-public passes take plain fields: each copies its inputs into a new
-workspace, runs there and returns a copy, so its inputs are never changed.
+runs only in :meth:`StepWorkspace.march` (``march`` in ``_step.c``, in calls
+of at most ``MARCH_CALL_CELL_STEPS`` cell-steps), for ``pricing.integrate``,
+``benchmarks.run_translation`` and :func:`mpdata_step` alike.  The public
+passes take plain fields: each copies its inputs into a new workspace, runs
+there and returns a copy, so its inputs are never changed.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbenc
 _COURANT_LIMIT, _DIFFUSION_LIMIT = 1.0 + 1e-12, 0.5 + 1e-12
 
 DEFAULT_EPSILON = 1e-15
+# cell-steps of one C march call: Python sees Ctrl-C between calls, ~0.6 s
+# apart at 2 iterations, ~1.5 s at 4
+MARCH_CALL_CELL_STEPS = 2**25
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,14 @@ class StepWorkspace:
     def march(
         self, n_steps: int, opts: SolverOptions, courant_x=None, diffusion: float = 0.0, periodic=False
     ) -> tuple[int, bool, float, float]:
-        """``n_steps`` transport steps of one length in one C call.  Each
-        fills psi, writes C_x from ``courant_x = (u, coef, scale)`` as
-        :meth:`fill_courant_x` does (None keeps it), fills ``courant`` and
-        checks it; then UPWIND and ``n_iters - 1`` corrective passes, each on
-        refilled halos and checked against |C| <= 1.  Every fill wraps on the
-        torus if ``periodic`` and is the :mod:`asianpde.grid` fill if not.
+        """``n_steps`` transport steps of one length, in C calls of at most
+        ``MARCH_CALL_CELL_STEPS`` cell-steps so that Python sees a Ctrl-C
+        between them.  Each step fills psi, writes C_x from ``courant_x =
+        (u, coef, scale)`` as :meth:`fill_courant_x` does (None keeps it),
+        fills ``courant`` and checks it; then UPWIND and ``n_iters - 1``
+        corrective passes, each on refilled halos and checked against
+        |C| <= 1.  Every fill wraps on the ``nx x ny`` torus if ``periodic``
+        and is the :mod:`asianpde.grid` fill if not.
 
         Returns ``(steps run, corrective, max |C_x|, max |C_y|)``.  A failed
         check stops the march at the index ``steps run``: before any update
@@ -181,16 +187,20 @@ class StepWorkspace:
         (``corrective`` False), before its own pass when a corrective field
         fails |C| <= 1 (True).  The maxima are the failing field's.
         """
-        first, second = self.corrective
-        out = MARCH_RESULT()
-        ran = library().march(
-            *self.psi.c_values, self.courant.c_comp_x[0], self.courant.c_comp_y[0],
-            first.c_comp_x[0], first.c_comp_y[0], second.c_comp_x[0], second.c_comp_y[0],
-            *self.c_scratch, n_steps, opts.n_iters, opts.nonoscillatory,
-            diffusion <= _DIFFUSION_LIMIT, periodic, courant_x is not None,
-            *(courant_x or (0.0, 0.0, 0.0)), _COURANT_LIMIT, DEFAULT_EPSILON, out,
+        faces = (c[0] for fld in (self.courant, *self.corrective) for c in (fld.c_comp_x, fld.c_comp_y))
+        arrays = (*self.psi.c_values, *faces, *self.c_scratch)
+        settings = (
+            opts.n_iters, opts.nonoscillatory, diffusion <= _DIFFUSION_LIMIT, periodic, courant_x is not None,
+            *(courant_x or (0.0, 0.0, 0.0)), _COURANT_LIMIT, DEFAULT_EPSILON,
         )
-        return ran, out[2] != 0.0, out[0], out[1]
+        per_call = max(1, MARCH_CALL_CELL_STEPS // (self.psi.nx * self.psi.ny))
+        out, done = MARCH_RESULT(), 0
+        while True:
+            size = min(per_call, n_steps - done)
+            ran = library().march(*arrays, size, *settings, out)
+            done += ran
+            if ran < size or done == n_steps:
+                return done, out[2] != 0.0, out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +244,17 @@ def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorFiel
     return ws.limit(ws.courant, ws.corrective[0]).copy()
 
 
-def mpdata_step(psi: ScalarField, courant: VectorField, opts: SolverOptions, periodic=False) -> ScalarField:
+def mpdata_step(psi: ScalarField, courant: VectorField, opts: SolverOptions) -> ScalarField:
     """One full transport step: UPWIND plus ``n_iters - 1`` corrective passes.
 
-    The inputs are copied into a new workspace, whose halos are filled and
-    refilled before every corrective pass, and every Courant field is checked
-    against |C| <= 1, as in :func:`upwind_step`.  The fills wrap on the
-    torus if ``periodic`` and are the production extrapolation /
-    constant-extension fills if not.  With ``n_iters=1`` the result is
+    The inputs are copied into a new workspace, whose halos are filled with
+    the production extrapolation / constant-extension fills and refilled
+    before every corrective pass, and every Courant field is checked against
+    |C| <= 1, as in :func:`upwind_step`.  With ``n_iters=1`` the result is
     bit-identical to :func:`upwind_step` on a filled field.
     """
     ws = StepWorkspace.holding(psi, courant)
-    ran, _, max_cx, max_cy = ws.march(1, opts, periodic=periodic)
+    ran, _, max_cx, max_cy = ws.march(1, opts)
     if not ran:
         _guard(max_cx, max_cy)
     return ws.psi.copy()

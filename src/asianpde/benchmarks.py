@@ -4,9 +4,9 @@ A periodised Gaussian pulse is advected around the unit torus by a constant
 Courant field and compared against the exactly translated profile.  Used by
 the convergence CLI command and by the scheme-property tests.
 
-The periodic wrap fills below (``wrap`` in ``_step.c``, as ``mpdata_step(periodic=True)``
-runs it) belong to this benchmark/test harness only; valuations always use
-the production extrapolation and constant-extension fills of :mod:`asianpde.grid`.
+The translation is one ``StepWorkspace.march(periodic=True)``, whose halo
+fills wrap on the torus (``wrap`` in ``_step.c``); valuations always use the
+production extrapolation and constant-extension fills of :mod:`asianpde.grid`.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import library, writable
-from .advection import SolverOptions, mpdata_step
+from .advection import SolverOptions, StepWorkspace, _guard
 from .errors import ConfigurationError
 from .grid import GridSpec, ScalarField, VectorField
 from .pricing import MAX_CELL_STEPS
@@ -24,33 +23,6 @@ from .pricing import MAX_CELL_STEPS
 DEFAULT_COURANT = (0.35, 0.35)
 DEFAULT_WIDTH = 0.1
 DEFAULT_CENTRE = (0.5, 0.5)
-
-
-def periodic_fill_scalar(fld: ScalarField) -> ScalarField:
-    """Wrap scalar halos around the torus (benchmark/test fill, not production)."""
-    _wrap(fld.values, fld.c_values, fld.nx, fld.ny)
-    return fld
-
-
-def periodic_fill_vector(fld: VectorField) -> VectorField:
-    """Wrap face components with the interior period in each axis.
-
-    The first and last interior face columns coincide on the torus; the
-    first one wins so that boundary fluxes telescope exactly.
-    """
-    cx, cy = fld.c_comp_x, fld.c_comp_y
-    periods = cy[1], cx[2]  # C_y's real rows (nx), C_x's real columns (ny)
-    _wrap(fld.comp_x, cx, *periods)
-    _wrap(fld.comp_y, cy, *periods)
-    return fld
-
-
-def _wrap(a: np.ndarray, record: tuple, p0: int, p1: int) -> None:
-    """The torus fill of ``a`` (its ``_step.dims`` is ``record``) with periods ``p0 x p1``."""
-    _, n0, n1, _, _ = record
-    if not (p0 <= n0 and p1 <= n1):  # and p >= 1: dims refuses a component without real elements
-        raise ConfigurationError(f"need periods within the real extents {n0}x{n1}, got {p0}x{p1}")
-    library().wrap(*writable(a, record), p0, p1)
 
 
 def unit_square(n: int) -> GridSpec:
@@ -110,21 +82,21 @@ def run_translation(
 
     The step count scales with resolution so the Courant number stays fixed
     across refinement levels; the analytic solution is the initial profile
-    shifted by the exact accumulated displacement.  Each step is
-    ``mpdata_step(periodic=True)``.
+    shifted by the exact accumulated displacement.  The steps are one
+    periodic march; a Courant number over 1 raises :class:`StabilityError`.
     """
     spec = unit_square(n)
     n_steps = translation_steps(n, courant, displacement)
-    psi = gaussian_field(spec, width=width)
-    vec = constant_courant(spec, courant[0], courant[1])
-    for _ in range(n_steps):
-        psi = mpdata_step(psi, vec, opts, periodic=True)
+    ws = StepWorkspace.holding(gaussian_field(spec, width=width), constant_courant(spec, *courant))
+    ran, _, max_cx, max_cy = ws.march(n_steps, opts, periodic=True)
+    if ran < n_steps:
+        _guard(max_cx, max_cy)
     centre = (
         (DEFAULT_CENTRE[0] + n_steps * courant[0] * spec.dx) % 1.0,
         (DEFAULT_CENTRE[1] + n_steps * courant[1] * spec.dy) % 1.0,
     )
     exact = gaussian_values(spec, centre, width)
-    return TranslationResult(n, spec.dx, l2_error(psi.interior, exact, spec))
+    return TranslationResult(n, spec.dx, l2_error(ws.psi.interior, exact, spec))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ integrates the whole equation.
 
 The terminal payoff is prescribed at t = T and marched backward to t = 0;
 backward marching flips the sign of the Courant field, which is why
-:func:`integrate` writes it with a negative time step.  The march runs in C,
-in ``advection.StepWorkspace.march``; :func:`build_courant` and
-``advection.mpdata_step`` give the same steps one at a time.
+:func:`integrate` writes it with a negative time step.  Each run of equal
+steps is one ``advection.StepWorkspace.march``, which runs in C calls that a
+Ctrl-C can stop between; :func:`build_courant` and ``advection.mpdata_step``
+give the same steps one at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbenc
 
 KINDS = ("call", "put")
 MAX_CELL_STEPS = 1e11  # time steps x cells of one march: ~29 min of 2-iteration steps at 5.8e7/s
-# of one C call: Python sees Ctrl-C between calls, ~0.6 s apart at 2 iterations, ~1.5 s at 4
-MARCH_CALL_CELL_STEPS = 2**25
 
 
 @dataclass(frozen=True)
@@ -167,15 +166,14 @@ def integrate(
 
     Every field of the march lives in one :class:`StepWorkspace` made for
     this call, and each run of equal steps (the full steps, then a
-    fractional tail) runs in C with the :mod:`asianpde.grid` fills, in
-    :meth:`StepWorkspace.march` calls of at most ``MARCH_CALL_CELL_STEPS``
-    cell-steps.  C_y is written once per run; before each step C_x is
-    rewritten from the current field (the pseudo-velocity is state-dependent)
-    and both stability criteria are checked.  A violation raises :class:`StabilityError`
-    before any field update at that step, carrying the step index; a
-    corrective field over |C| = 1 raises it without one.  More than
-    ``MAX_CELL_STEPS`` cell-steps raise :class:`ConfigurationError` before
-    the march starts.
+    fractional tail) is one :meth:`StepWorkspace.march` with the
+    :mod:`asianpde.grid` fills.  C_y is written once per run; before each
+    step C_x is rewritten from the current field (the pseudo-velocity is
+    state-dependent) and both stability criteria are checked.  A violation
+    raises :class:`StabilityError` before any field update at that step,
+    carrying the step index; a corrective field over |C| = 1 raises it
+    without one.  More than ``MAX_CELL_STEPS`` cell-steps raise
+    :class:`ConfigurationError` before the march starts.
 
     Since Psi = exp(-r t) f, the returned field at t = 0 is the price
     surface f itself; it owns its memory.
@@ -190,20 +188,15 @@ def integrate(
         )
     tr = make_transform(inst)
     ws = StepWorkspace.holding(terminal_condition(inst, spec))
-    per_call = max(1, MARCH_CALL_CELL_STEPS // (spec.nx * spec.ny))
-    done = 0  # steps before this call
+    done = 0  # steps of the runs before this one
     for step, count in _step_runs(inst.maturity, dt):
         _write_courant_y(ws, tr, spec, -step)
         diffusion = diffusion_number(tr.nu, step, spec.dx)
-        for start in range(0, count, per_call):
-            size = min(per_call, count - start)
-            ran, corrective, max_cx, max_cy = ws.march(
-                size, opts, _courant_x_terms(tr, spec, -step), diffusion
-            )
-            if ran < size:
-                report = stability_report(max_cx, max_cy, 0.0 if corrective else diffusion)
-                raise StabilityError(report, step_index=None if corrective else done + ran)
-            done += size
+        ran, corrective, max_cx, max_cy = ws.march(count, opts, _courant_x_terms(tr, spec, -step), diffusion)
+        if ran < count:
+            report = stability_report(max_cx, max_cy, 0.0 if corrective else diffusion)
+            raise StabilityError(report, step_index=None if corrective else done + ran)
+        done += count
     return ws.psi.copy()
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from asianpde._step import HALO
-from asianpde.advection import DEFAULT_EPSILON, SolverOptions, mpdata_step
+from asianpde.advection import DEFAULT_EPSILON, SolverOptions, StepWorkspace, _guard, mpdata_step
 from asianpde.benchmarks import ConvergenceLevel
 from asianpde.errors import ConfigurationError
 from asianpde.grid import ScalarField, VectorField
@@ -128,8 +128,8 @@ def reference_fill_vector(fld: VectorField) -> VectorField:
 
 
 def reference_periodic_fill_scalar(fld: ScalarField) -> ScalarField:
-    """numpy evaluation of :func:`asianpde.benchmarks.periodic_fill_scalar`:
-    halos wrapped around the torus, rows then columns."""
+    """numpy evaluation of the C torus fill ``wrap`` on a scalar, as a
+    periodic march runs it: halos wrapped around the torus, rows then columns."""
     v, h, nx, ny = fld.values, HALO, fld.nx, fld.ny
     v[:h, :] = v[nx:nx + h, :]
     v[nx + h:, :] = v[h:2 * h, :]
@@ -139,9 +139,9 @@ def reference_periodic_fill_scalar(fld: ScalarField) -> ScalarField:
 
 
 def reference_periodic_fill_vector(fld: VectorField) -> VectorField:
-    """numpy evaluation of :func:`asianpde.benchmarks.periodic_fill_vector`:
-    face components wrapped with the interior period in each axis, the
-    first of the two coinciding boundary faces winning."""
+    """numpy evaluation of the C torus fill ``wrap`` on a face field, as a
+    periodic march runs it: face components wrapped with the interior period
+    in each axis, the first of the two coinciding boundary faces winning."""
     h = HALO
     cx, cy = fld.comp_x, fld.comp_y
     nx, ny = cy.shape[0] - 2 * h, cx.shape[1] - 2 * h
@@ -158,18 +158,30 @@ def reference_periodic_fill_vector(fld: VectorField) -> VectorField:
     return fld
 
 
+def periodic_mpdata_step(psi: ScalarField, courant: VectorField, opts: SolverOptions) -> ScalarField:
+    """:func:`asianpde.advection.mpdata_step` with every fill wrapped on the
+    torus: a one-step periodic march on copies of the inputs, as
+    ``benchmarks.run_translation`` marches."""
+    ws = StepWorkspace.holding(psi, courant)
+    ran, _, max_cx, max_cy = ws.march(1, opts, periodic=True)
+    if not ran:
+        _guard(max_cx, max_cy)
+    return ws.psi.copy()
+
+
 def split_mpdata_step(
     psi: ScalarField, courant: VectorField, opts: SolverOptions, periodic: bool = False
 ) -> ScalarField:
     """Dimensionally split composition: a 1D x pass followed by a 1D y pass.
 
     Comparison baseline for the unsplit two-dimensional step; each pass runs
-    the full iterative scheme with the transverse component zeroed.
+    the full iterative scheme with the transverse component zeroed, as
+    :func:`periodic_mpdata_step` if ``periodic``.
     """
+    step = periodic_mpdata_step if periodic else mpdata_step
     x_only = VectorField(courant.comp_x.copy(), np.zeros_like(courant.comp_y))
     y_only = VectorField(np.zeros_like(courant.comp_x), courant.comp_y.copy())
-    out = mpdata_step(psi, x_only, opts, periodic=periodic)
-    return mpdata_step(out, y_only, opts, periodic=periodic)
+    return step(step(psi, x_only, opts), y_only, opts)
 
 
 def observed_order(levels: list[ConvergenceLevel]) -> float:

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from asianpde import benchmarks
 from asianpde._step import HALO
 from asianpde.advection import (
     SolverOptions,
@@ -28,10 +27,14 @@ from asianpde.advection import (
     upwind_step,
 )
 from asianpde.benchmarks import (
+    DEFAULT_CENTRE,
+    constant_courant,
     convergence_study,
-    periodic_fill_scalar,
-    periodic_fill_vector,
+    gaussian_field,
+    gaussian_values,
+    l2_error,
     run_translation,
+    translation_steps,
     unit_square,
 )
 from asianpde.cli import main as cli_main
@@ -42,7 +45,13 @@ from asianpde.harness import run_table, run_transect
 from asianpde.pricing import InstrumentSpec, grid_from_price_domain, integrate
 from asianpde.reference import McConfig, mc_asian_price
 from conftest import random_courant, random_positive_field, wrap_courant
-from oracles import observed_order, split_mpdata_step
+from oracles import (
+    observed_order,
+    periodic_mpdata_step,
+    reference_periodic_fill_scalar,
+    reference_periodic_fill_vector,
+    split_mpdata_step,
+)
 
 # (sigma, T_months, K, kind) -> (lattice_ref, upwind, mpdata_2it, mc_100k)
 PUBLISHED = {
@@ -214,28 +223,24 @@ class TestCriterion5SchemeProperties:
     def test_conservation_under_periodic_fill(self):
         rng = np.random.default_rng(7)
         spec = unit_square(20)
-        from asianpde.advection import mpdata_step
-
         for trial in range(10):
             psi = random_positive_field(spec, rng)
             vec = wrap_courant(random_courant(spec, rng))
             opts = SolverOptions(n_iters=int(rng.integers(1, 4)), nonoscillatory=bool(trial % 2))
             before = psi.interior.sum()
-            out = mpdata_step(psi, vec, opts, periodic=True)
+            out = periodic_mpdata_step(psi, vec, opts)
             assert abs(out.interior.sum() - before) <= 1e-12 * before
         _pass(5, "conservation to 1e-12 relative per step")
 
     def test_positivity_exact(self):
         rng = np.random.default_rng(8)
         spec = unit_square(20)
-        from asianpde.advection import mpdata_step
-
         for trial in range(10):
             psi = random_positive_field(spec, rng, lo=0.0)
             psi.interior[rng.integers(0, 20), :] = 0.0
             vec = wrap_courant(random_courant(spec, rng))
             opts = SolverOptions(n_iters=int(rng.integers(1, 4)), nonoscillatory=bool(trial % 2))
-            out = mpdata_step(psi, vec, opts, periodic=True)
+            out = periodic_mpdata_step(psi, vec, opts)
             assert np.all(out.interior >= 0.0)
         _pass(5, "positivity, exact")
 
@@ -256,18 +261,18 @@ class TestCriterion5SchemeProperties:
             vec = VectorField.zeros(spec)
             vec.comp_x[:] = rng.uniform(-0.45, 0.45)
             vec.comp_y[:] = rng.uniform(-0.45, 0.45)
-            periodic_fill_vector(vec)
+            reference_periodic_fill_vector(vec)
             for _ in range(15):
                 lo_global, hi_global = psi.interior.min(), psi.interior.max()
-                periodic_fill_scalar(psi)
+                reference_periodic_fill_scalar(psi)
                 psi = upwind_step(psi, vec)
                 current = vec
                 for _ in range(opts.n_iters - 1):
-                    periodic_fill_scalar(psi)
+                    reference_periodic_fill_scalar(psi)
                     corrective = antidiffusive_courant(psi, current)
-                    periodic_fill_vector(corrective)
+                    reference_periodic_fill_vector(corrective)
                     corrective = nonoscillatory_limit(psi, corrective)
-                    periodic_fill_vector(corrective)
+                    reference_periodic_fill_vector(corrective)
                     lo, hi = _extrema_3x3(psi)
                     psi = upwind_step(psi, corrective)
                     assert np.all(psi.interior <= hi)
@@ -280,8 +285,6 @@ class TestCriterion5SchemeProperties:
 
     @staticmethod
     def _monotone_step_profile_stays_monotone():
-        from asianpde.advection import mpdata_step
-
         spec = unit_square(32)
         psi = ScalarField.zeros(spec)
         psi.interior[:] = 0.1
@@ -290,7 +293,7 @@ class TestCriterion5SchemeProperties:
         vec.comp_x[:] = 0.4
         opts = SolverOptions(n_iters=2, nonoscillatory=True)
         for _ in range(10):
-            psi = mpdata_step(psi, vec, opts, periodic=True)
+            psi = periodic_mpdata_step(psi, vec, opts)
         profile = psi.interior[:, 8]
         # range preserved exactly, and the profile stays bitonic on the
         # torus (one rising front, one falling front, no ringing)
@@ -310,13 +313,21 @@ class TestCriterion5SchemeProperties:
         assert corrective >= 1.8, f"2-iteration order {corrective:.3f}"
         _pass(5, f"orders: upwind {upwind:.2f}, corrective {corrective:.2f}")
 
-    def test_unsplit_beats_split_composition(self, monkeypatch):
+    def test_unsplit_beats_split_composition(self):
         opts = SolverOptions(n_iters=2, nonoscillatory=False)
-        kwargs = dict(courant=(0.1, 0.1), width=0.12, displacement=0.2)
-        unsplit = run_translation(64, opts, **kwargs).error
-        # run_translation looks mpdata_step up at call time
-        monkeypatch.setattr(benchmarks, "mpdata_step", split_mpdata_step)
-        split = run_translation(64, opts, **kwargs).error
+        courant, width, displacement = (0.1, 0.1), 0.12, 0.2
+        unsplit = run_translation(64, opts, courant, width, displacement).error
+        # the same translation as a loop of split steps
+        spec = unit_square(64)
+        n_steps = translation_steps(64, courant, displacement)
+        psi, vec = gaussian_field(spec, width), constant_courant(spec, *courant)
+        for _ in range(n_steps):
+            psi = split_mpdata_step(psi, vec, opts, periodic=True)
+        centre = (
+            (DEFAULT_CENTRE[0] + n_steps * courant[0] * spec.dx) % 1.0,
+            (DEFAULT_CENTRE[1] + n_steps * courant[1] * spec.dy) % 1.0,
+        )
+        split = l2_error(psi.interior, gaussian_values(spec, centre, width), spec)
         assert unsplit < split, f"2D {unsplit:.6e} vs split {split:.6e}"
         _pass(5, f"unsplit advantage at 64^2: {unsplit:.4e} < {split:.4e}")
 

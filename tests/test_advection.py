@@ -16,7 +16,6 @@ from asianpde.advection import (
     nonoscillatory_limit,
     upwind_step,
 )
-from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import (
     GridSpec,
@@ -27,7 +26,15 @@ from asianpde.grid import (
 )
 from asianpde.pricing import InstrumentSpec, build_courant, make_transform
 from conftest import random_courant, random_positive_field, wrap_courant
-from oracles import factor_a, factor_b, flux, transverse_mean_courant
+from oracles import (
+    factor_a,
+    factor_b,
+    flux,
+    periodic_mpdata_step,
+    reference_periodic_fill_scalar,
+    reference_periodic_fill_vector,
+    transverse_mean_courant,
+)
 
 SPEC = GridSpec(0.0, 1.0, 0.0, 1.0, 12, 10)
 
@@ -35,8 +42,8 @@ SPEC = GridSpec(0.0, 1.0, 0.0, 1.0, 12, 10)
 def filled_pair(rng, bound=0.22, spec=SPEC):
     psi = random_positive_field(spec, rng)
     vec = wrap_courant(random_courant(spec, rng, bound))
-    periodic_fill_scalar(psi)
-    periodic_fill_vector(vec)
+    reference_periodic_fill_scalar(psi)
+    reference_periodic_fill_vector(vec)
     return psi, vec
 
 
@@ -280,14 +287,14 @@ class TestNonoscillatoryLimit:
         psi.interior[:] = 0.1
         psi.interior[4:8, 3:7] = 1.0
         vec = wrap_courant(random_courant(SPEC, rng, bound=0.22))
-        periodic_fill_scalar(psi)
-        periodic_fill_vector(vec)
+        reference_periodic_fill_scalar(psi)
+        reference_periodic_fill_vector(vec)
         stepped = upwind_step(psi, vec)
-        periodic_fill_scalar(stepped)
+        reference_periodic_fill_scalar(stepped)
         corrective = antidiffusive_courant(stepped, vec)
-        periodic_fill_vector(corrective)
+        reference_periodic_fill_vector(corrective)
         limited = nonoscillatory_limit(stepped, corrective)
-        periodic_fill_vector(limited)
+        reference_periodic_fill_vector(limited)
         out = upwind_step(stepped, limited)
         lo, hi = _local_extrema_3x3(stepped)
         assert np.all(out.interior <= hi + 1e-14)
@@ -309,7 +316,7 @@ def _local_extrema_3x3(psi: ScalarField):
 class TestMpdataStep:
     def test_single_iteration_is_upwind(self, rng):
         psi, vec = filled_pair(rng)
-        via_mpdata = mpdata_step(psi, vec, SolverOptions(n_iters=1), periodic=True)
+        via_mpdata = periodic_mpdata_step(psi, vec, SolverOptions(n_iters=1))
         via_upwind = upwind_step(psi, vec)
         np.testing.assert_array_equal(via_mpdata.interior, via_upwind.interior)
 
@@ -320,7 +327,7 @@ class TestMpdataStep:
         vec.comp_x[:] = 0.3
         vec.comp_y[:] = 0.2
         for n_iters in (1, 2, 3):
-            out = mpdata_step(psi, vec, SolverOptions(n_iters=n_iters), periodic=True)
+            out = periodic_mpdata_step(psi, vec, SolverOptions(n_iters=n_iters))
             np.testing.assert_allclose(out.interior, 1.7, rtol=1e-14)
 
     @pytest.mark.parametrize("nonosc", [False, True])
@@ -328,7 +335,7 @@ class TestMpdataStep:
         psi, vec = filled_pair(rng)
         opts = SolverOptions(n_iters=3, nonoscillatory=nonosc)
         before = psi.interior.sum()
-        out = mpdata_step(psi, vec, opts, periodic=True)
+        out = periodic_mpdata_step(psi, vec, opts)
         assert abs(out.interior.sum() - before) <= 1e-12 * before
 
     @pytest.mark.parametrize("nonosc", [False, True])
@@ -338,7 +345,7 @@ class TestMpdataStep:
             psi = random_positive_field(SPEC, rng, lo=0.0, hi=1.0)
             psi.interior[rng.integers(0, SPEC.nx), :] = 0.0  # exercise vanishing denominators
             vec = wrap_courant(random_courant(SPEC, rng, bound=0.22))
-            out = mpdata_step(psi, vec, opts, periodic=True)
+            out = periodic_mpdata_step(psi, vec, opts)
             assert np.all(out.interior >= 0.0)
 
     def test_corrective_iterations_reduce_translation_error(self):
@@ -426,10 +433,11 @@ class TestCheckStability:
     def test_mpdata_step_reports_like_the_guard(self, periodic):
         # the physical field's report and a corrective field's carry no step
         # index and no diffusion number
+        step = periodic_mpdata_step if periodic else mpdata_step
         psi, vec = filled_pair(np.random.default_rng(7))
         vec.comp_x[...] = -1.25
         with pytest.raises(StabilityError) as err:
-            mpdata_step(psi, vec, SolverOptions(n_iters=2), periodic=periodic)
+            step(psi, vec, SolverOptions(n_iters=2))
         violation = "advective criterion violated in x: max |C_x| = 1.25 > 1"
         assert err.value.step_index is None and str(err.value) == f"stability violation: {violation}"
         max_cy = np.abs(vec.interior_y).max()
@@ -437,7 +445,7 @@ class TestCheckStability:
         vec.comp_x[...] = 0.2
         psi.interior[3, 3] = np.nan
         with pytest.raises(StabilityError) as err:
-            mpdata_step(psi, vec, SolverOptions(n_iters=2), periodic=periodic)
+            step(psi, vec, SolverOptions(n_iters=2))
         report = err.value.report
         assert err.value.step_index is None and report.diffusion_number == 0.0
         assert math.isnan(report.max_abs_courant_x) and math.isnan(report.max_abs_courant_y)
@@ -449,7 +457,7 @@ class TestCheckStability:
         psi, vec = filled_pair(np.random.default_rng(7))
         psi.interior[3, 3] = np.nan
         with pytest.raises(StabilityError):
-            mpdata_step(psi, vec, SolverOptions(n_iters=2), periodic=True)
+            periodic_mpdata_step(psi, vec, SolverOptions(n_iters=2))
 
 
 class TestNanPropagation:

@@ -3,21 +3,27 @@ import hashlib
 import numpy as np
 import pytest
 
+from asianpde import advection
 from asianpde._step import HALO
-from asianpde.advection import SolverOptions
+from asianpde.advection import SolverOptions, StabilityReport
 from asianpde.benchmarks import (
     constant_courant,
     convergence_study,
     gaussian_field,
     gaussian_values,
     l2_error,
-    periodic_fill_scalar,
-    periodic_fill_vector,
     run_translation,
     unit_square,
 )
+from asianpde.errors import StabilityError
 from asianpde.grid import ScalarField, VectorField
-from oracles import observed_order, split_mpdata_step
+from oracles import (
+    observed_order,
+    periodic_mpdata_step,
+    reference_periodic_fill_scalar,
+    reference_periodic_fill_vector,
+    split_mpdata_step,
+)
 
 
 class TestPeriodicFills:
@@ -25,7 +31,7 @@ class TestPeriodicFills:
         spec = unit_square(6)
         fld = ScalarField.zeros(spec)
         fld.interior[:] = rng.uniform(0, 1, fld.interior.shape)
-        periodic_fill_scalar(fld)
+        reference_periodic_fill_scalar(fld)
         h = HALO
         np.testing.assert_array_equal(fld.values[h - 1, h:-h], fld.values[h + 5, h:-h])
         np.testing.assert_array_equal(fld.values[h + 6, h:-h], fld.values[h, h:-h])
@@ -36,7 +42,7 @@ class TestPeriodicFills:
         fld = VectorField.zeros(spec)
         fld.interior_x[:] = rng.uniform(-1, 1, fld.interior_x.shape)
         fld.interior_y[:] = rng.uniform(-1, 1, fld.interior_y.shape)
-        periodic_fill_vector(fld)
+        reference_periodic_fill_vector(fld)
         h = HALO
         np.testing.assert_array_equal(fld.comp_x[h, :], fld.comp_x[h + 6, :])
         np.testing.assert_array_equal(fld.comp_y[:, h], fld.comp_y[:, h + 6])
@@ -52,6 +58,14 @@ class TestTranslation:
         vals = gaussian_values(spec, (0.0, 0.5), 0.1)
         # the pulse centred on the seam is symmetric across it
         np.testing.assert_allclose(vals[0, :], vals[-1, :], rtol=1e-12)
+
+    def test_courant_over_one_refused(self):
+        # the march stops before the first update and raises the guard's error
+        with pytest.raises(StabilityError) as err:
+            run_translation(16, SolverOptions(2), courant=(1.5, 0.2))
+        violation = "advective criterion violated in x: max |C_x| = 1.5 > 1"
+        assert err.value.step_index is None and str(err.value) == f"stability violation: {violation}"
+        assert err.value.report == StabilityReport(False, 1.5, 0.2, 0.0, (violation,))
 
     def test_errors_decrease_with_iterations(self):
         errs = [
@@ -87,11 +101,16 @@ CONVERGENCE_DIGESTS = {
 
 
 @pytest.mark.parametrize("key", sorted(CONVERGENCE_DIGESTS), ids=lambda k: f"iters{k[0]}-nonosc{k[1]}")
-def test_convergence_study_bytes(key):
+def test_convergence_study_bytes(monkeypatch, key):
+    # each level is one march: whole, then cut into C calls of 1, 3 and 7
+    # steps of the 16x16 level's 11 (1 step a call at the finer levels)
     n_iters, nonosc = key
-    levels = convergence_study(16, 3, SolverOptions(n_iters=n_iters, nonoscillatory=nonosc))
-    errors = np.array([lvl.error for lvl in levels])
-    assert hashlib.sha256(errors.tobytes()).hexdigest() == CONVERGENCE_DIGESTS[key]
+    for per_call in (None, 1, 3, 7):
+        if per_call is not None:
+            monkeypatch.setattr(advection, "MARCH_CALL_CELL_STEPS", 16 * 16 * per_call)
+        levels = convergence_study(16, 3, SolverOptions(n_iters=n_iters, nonoscillatory=nonosc))
+        errors = np.array([lvl.error for lvl in levels])
+        assert hashlib.sha256(errors.tobytes()).hexdigest() == CONVERGENCE_DIGESTS[key], per_call
 
 
 class TestSplitStep:
@@ -101,10 +120,8 @@ class TestSplitStep:
         spec = unit_square(16)
         psi = gaussian_field(spec)
         vec = constant_courant(spec, 0.3, 0.0)
-        from asianpde.advection import mpdata_step
-
         opts = SolverOptions(n_iters=2, nonoscillatory=False)
-        full = mpdata_step(psi, vec, opts, periodic=True)
+        full = periodic_mpdata_step(psi, vec, opts)
         split = split_mpdata_step(psi, vec, opts, periodic=True)
         np.testing.assert_allclose(split.interior, full.interior, rtol=1e-13, atol=1e-15)
 

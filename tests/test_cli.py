@@ -110,22 +110,25 @@ class TestPriceCommand:
         assert result.exit_code == 4
 
     def test_ctrl_c_stops_a_long_march(self):
-        # 50000 steps of 102x121 cells run for about 15 s; Python handles the
-        # SIGINT at the end of the running march call, at most 2**25 cell-steps
+        # 50000 steps of 102x121 cells run for about 15 s, and the first
+        # converge level, 731 steps of 1024x1024 cells, for about 13 s; Python
+        # handles the SIGINT at the end of the running march call, at most
+        # 2**25 cell-steps
         env = dict(os.environ, PYTHONPATH=str(Path(asianpde.__file__).parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "asianpde.cli", "price", "--dt", "0.00001"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        time.sleep(2.0)
-        sent = time.monotonic()
-        proc.send_signal(signal.SIGINT)
-        try:
-            _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()  # a no-op once it has exited
-        assert time.monotonic() - sent < 4.0
-        assert proc.returncode == 1 and "Aborted!" in err
+        for args in (["price", "--dt", "0.00001"], ["converge", "--nx", "1024", "--levels", "3"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "asianpde.cli", *args],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            time.sleep(2.0)
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            try:
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # a no-op once it has exited
+            assert time.monotonic() - sent < 4.0, args
+            assert proc.returncode == 1 and "Aborted!" in err, args
 
 
 class TestMcCommand:

@@ -8,7 +8,6 @@ import pytest
 
 from asianpde import _step, advection, grid, pricing
 from asianpde.advection import SolverOptions, StabilityReport, StepWorkspace, mpdata_step
-from asianpde.benchmarks import periodic_fill_scalar, periodic_fill_vector
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import GridSpec, ScalarField, fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
@@ -23,6 +22,7 @@ from asianpde.pricing import (
     terminal_condition,
     _step_runs,
 )
+from oracles import periodic_mpdata_step, reference_periodic_fill_scalar, reference_periodic_fill_vector
 
 OPTS = SolverOptions(n_iters=2, nonoscillatory=True)
 
@@ -278,15 +278,15 @@ class TestIntegrate:
         ids=["price_mpdata", "table-12mo", "price_upwind_fine", "at-bound", "above-bound"],
     )
     def test_march_calls_bounded_in_cell_steps(self, monkeypatch, nx, ny, dt, maturity, sizes):
-        # Python sees a Ctrl-C only between march calls, so none runs more than
-        # MARCH_CALL_CELL_STEPS cell-steps
+        # Python sees a Ctrl-C only between C march calls, so none runs more
+        # than MARCH_CALL_CELL_STEPS cell-steps
         asked = []
 
-        def ran_all(ws, n_steps, *args, **kwargs):
-            asked.append(n_steps)
-            return n_steps, False, 0.0, 0.0
+        def ran_all(*args):
+            asked.append(args[13])  # n_steps, after psi's record and the 8 face and scratch arrays
+            return args[13]
 
-        monkeypatch.setattr(StepWorkspace, "march", ran_all)
+        monkeypatch.setattr(_step.library(), "march", ran_all)
         spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
         integrate(sample_instrument(maturity=maturity), spec, dt=dt, opts=OPTS)
         assert asked == sizes
@@ -298,26 +298,33 @@ class TestIntegrate:
         # step is the first of a call
         spec = grid_from_price_domain(50.0, 200.0, 400.0, 8, 8)
         inst = InstrumentSpec("call", 100.0, 0.5, 1.04, 8.86, 100.0)
-        marched = []
-        march = StepWorkspace.march
+        marched, made = [], []
+        march = _step.library().march
+        holding = StepWorkspace.holding.__func__
 
-        def recorded(ws, *args, **kwargs):
-            marched.append(ws)
-            return march(ws, *args, **kwargs)
+        def recorded(*args):
+            marched.append(None)
+            return march(*args)
 
-        monkeypatch.setattr(StepWorkspace, "march", recorded)
+        def tracked(cls, *args):
+            made.append(holding(cls, *args))
+            return made[-1]
+
+        monkeypatch.setattr(_step.library(), "march", recorded)
+        monkeypatch.setattr(StepWorkspace, "holding", classmethod(tracked))
         with pytest.raises(StabilityError) as whole:
             integrate(inst, spec, dt=0.0125, opts=OPTS)
         assert len(marched) == 1
-        psi_whole = marched[0].psi.values.tobytes()
+        psi_whole = made[0].psi.values.tobytes()
         marched.clear()
-        monkeypatch.setattr(pricing, "MARCH_CALL_CELL_STEPS", 64 * per_call)
+        made.clear()
+        monkeypatch.setattr(advection, "MARCH_CALL_CELL_STEPS", 64 * per_call)
         with pytest.raises(StabilityError) as cut:
             integrate(inst, spec, dt=0.0125, opts=OPTS)
         assert len(marched) == 18 // per_call + 1
         assert cut.value.step_index == whole.value.step_index == 18
         assert str(cut.value) == str(whole.value) and cut.value.report == whole.value.report
-        assert marched[0].psi.values.tobytes() == psi_whole
+        assert made[0].psi.values.tobytes() == psi_whole
 
     def test_workspaces_freed_without_the_cycle_collector(self, monkeypatch):
         # a reference cycle through the workspace would keep every finished
@@ -353,9 +360,9 @@ class TestIntegrate:
         psi = terminal_condition(inst, spec)
         before = psi.interior.sum()
         for _ in range(100):
-            periodic_fill_scalar(psi)
-            courant = periodic_fill_vector(build_courant(psi, tr, spec, -1e-3))
-            psi = mpdata_step(psi, courant, OPTS, periodic=True)
+            reference_periodic_fill_scalar(psi)
+            courant = reference_periodic_fill_vector(build_courant(psi, tr, spec, -1e-3))
+            psi = periodic_mpdata_step(psi, courant, OPTS)
         assert abs(psi.interior.sum() - before) <= 1e-11 * before
 
     def test_sample_valuation_profile_shape(self):

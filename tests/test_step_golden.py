@@ -19,7 +19,7 @@ from asianpde.advection import (
     nonoscillatory_limit,
     upwind_step,
 )
-from asianpde import pricing
+from asianpde import advection
 from asianpde.benchmarks import gaussian_field, unit_square
 from asianpde.grid import fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
@@ -32,7 +32,7 @@ from asianpde.pricing import (
     _step_runs,
 )
 from conftest import random_courant, wrap_courant
-from oracles import reference_periodic_fill_scalar, reference_periodic_fill_vector
+from oracles import periodic_mpdata_step, reference_periodic_fill_scalar, reference_periodic_fill_vector
 
 GRID_DT = {(24, 20): 1.0 / 100.0, (48, 40): 1.0 / 400.0}
 
@@ -87,7 +87,7 @@ def test_fractional_tail_step_bytes():
 
 @pytest.mark.parametrize("per_call", [1, 7])
 def test_march_cut_into_calls_gives_the_same_bytes(monkeypatch, per_call):
-    monkeypatch.setattr(pricing, "MARCH_CALL_CELL_STEPS", 24 * 20 * per_call)
+    monkeypatch.setattr(advection, "MARCH_CALL_CELL_STEPS", 24 * 20 * per_call)
     for key in [(24, 20, 2, True, "call"), (24, 20, 4, False, "put")]:
         nx, ny, n_iters, nonosc, kind = key
         assert _digest(nx, ny, GRID_DT[(nx, ny)], n_iters, nonosc, kind) == DIGESTS[key]
@@ -148,13 +148,13 @@ def test_public_passes_compose_to_mpdata_step(nonosc):
 @pytest.mark.parametrize("nonosc", [True, False])
 def test_public_passes_with_periodic_fills_compose_to_periodic_mpdata_step(nonosc):
     """The per-pass functions with the numpy periodic fills, composed as the
-    step composes them, give mpdata_step(periodic=True)'s field bit for bit."""
+    step composes them, give the one-step periodic march's field bit for bit."""
     spec = unit_square(16)
     opts = SolverOptions(n_iters=3, nonoscillatory=nonosc)
     psi = reference_periodic_fill_scalar(gaussian_field(spec))
     courant = reference_periodic_fill_vector(wrap_courant(random_courant(spec, np.random.default_rng(5))))
 
-    want = mpdata_step(psi, courant, opts, periodic=True)
+    want = periodic_mpdata_step(psi, courant, opts)
 
     out = upwind_step(psi, courant)
     current = courant
