@@ -1,6 +1,7 @@
 /* The flat kernels of one MPDATA step, on the padded layout of
  * asianpde.advection.StepWorkspace, and march, which runs them for every
- * step of a march in one call: the only driver of the step sequence.
+ * step of a march in one call: the only driver of the step sequence.  Last,
+ * walk: the running sum of the Monte Carlo log-price paths.
  *
  * Every field is a row-major array of rows of length r.  Cell or face (a, b)
  * sits at flat offset a * r + b, with neighbours at +-r (x) and +-1 (y).
@@ -293,4 +294,21 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
         }
     }
     return n_steps;
+}
+
+/* The log-price walk of n Monte Carlo paths of m >= 1 steps, rows of z and
+ * rel: rel[0] = z[0] vol + drift, rel[t] = rel[t - 1] + (z[t] vol + drift).
+ * numpy's cumsum of z vol + drift adds in the same order, so the bits are its. */
+void walk(const double *restrict z, double *restrict rel, long n, long m, double vol, double drift)
+{
+    for (long i = 0; i < n; i++) {
+        const double *zi = z + i * m;
+        double *ri = rel + i * m;
+        double sum = zi[0] * vol + drift;
+        ri[0] = sum;
+        for (long t = 1; t < m; t++) {
+            sum = sum + (zi[t] * vol + drift);
+            ri[t] = sum;
+        }
+    }
 }

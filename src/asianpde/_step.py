@@ -4,12 +4,14 @@ The first kernel call of a process loads the shared object that gcc built
 from this source, with these flags, for this CPU; when the cache holds none,
 gcc builds it first.  The cache lives in ``$XDG_CACHE_HOME/asianpde`` (by
 default ``~/.cache/asianpde``).  A build is written to a temporary file and
-renamed into place, so processes that build at the same time (the spawned
-workers of ``run_table``) never load a partial file.
+renamed into place, so builds that run at the same time (in separate
+processes, or the first kernel calls of two ``run_table`` threads) never
+load a partial file.
 
-Every array reaches its kernel through :func:`dims`, which checks the layout
-that the kernels' indices assume and C cannot check for itself, with the one
-halo width :data:`HALO`.  Each kernel call makes the records it passes.
+Every array of the step kernels reaches them through :func:`dims`, which
+checks the layout that the kernels' indices assume and C cannot check for
+itself, with the one halo width :data:`HALO`; each kernel call makes the
+records it passes.  The Monte Carlo ``walk``'s argument types check its arrays.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ FLAGS = _flags()
 HALO = 2  # the corrective stencils and the FCT limiter read two cells deep
 _PTR, _INT, _REAL = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 _DIMS = (_PTR,) + (_INT,) * 4  # what dims() returns: address, extents, halo, row length
+_ROWS = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
 # what march writes: the failing field's max |C_x| and max |C_y|, and 1.0 if
 # it was a corrective field
 MARCH_RESULT = ctypes.c_double * 3
@@ -62,6 +65,7 @@ ARGTYPES = {
     "max_abs": (_DIMS, _REAL),
     "wrap": (_DIMS + (_INT,) * 2, None),
     "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 6 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
+    "walk": ((_ROWS, _ROWS) + (_INT,) * 2 + (_REAL,) * 2, None),
 }
 
 

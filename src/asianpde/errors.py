@@ -17,7 +17,3 @@ class StabilityError(RuntimeError):
         self.step_index = step_index
         where = "" if step_index is None else f" at step {step_index}"
         super().__init__(f"stability violation{where}: " + "; ".join(report.violations))
-
-    def __reduce__(self):
-        # rebuild from report and step index, then restore args, which a caller may have rewritten
-        return type(self), (self.report, self.step_index), {"args": self.args}

@@ -3,8 +3,8 @@ reproduction, convergence studies, and deterministic CSV emission.
 
 Outputs are assembled in a fixed row order, so a fixed seed yields
 byte-identical files across runs.  ``RunConfig.workers`` (``--workers``) is
-the number of processes ``run_table`` spreads its jobs over (1 runs them in
-the calling process); the other commands ignore it.
+the number of threads ``run_table`` spreads its jobs over (1 runs them in
+the calling thread); the other commands ignore it.
 """
 
 from __future__ import annotations
@@ -162,9 +162,9 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     Returns the full-precision CSV rows and a human-readable companion table
     rounded to 3 significant digits.  The jobs (32 PDE prices, then path
     ranges of one MC call over the four (sigma, T) sets) run in the calling
-    process when ``workers == 1``, else on a spawned pool of at most
-    ``workers`` processes and CPUs, whose pending jobs are cancelled on the
-    first error.  Assembly order is fixed by the row key.
+    thread when ``workers == 1``, else on a pool of at most ``workers``
+    threads and CPUs (the C march and MC walk release the GIL), whose pending
+    jobs are cancelled on the first error.  Assembly order is fixed by the row key.
     """
     spec = _grid(cfg)
     pde_keys = [
@@ -176,7 +176,7 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     mc_keys = sorted({(sigma, t_months) for (sigma, t_months, _) in TABLE_ROWS})
     protos = [InstrumentSpec("call", 100.0, t / 12.0, s, TABLE_RATE, TABLE_SPOT) for s, t in mc_keys]
     mc_cfg = McConfig(max(TABLE_MC_PATHS), TABLE_MC_STEPS, cfg.seed)
-    # 4 MC ranges per process balance the load; len(jobs) > size, so it needs no bound
+    # 4 MC ranges per thread balance the load; len(jobs) > size, so it needs no bound
     size = min(cfg.workers, os.cpu_count() or 1)
     edges = [mc_cfg.n_paths * i // (4 * size) for i in range(4 * size + 1)]
     jobs = [(_pde_job, (key, spec, cfg.dt, _options(cfg, key[4]))) for key in pde_keys]
@@ -184,10 +184,8 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     if size == 1:
         results = list(map(_run_job, jobs))
     else:
-        # imported here: only a pool pays their 20 ms; spawned: a fork copies locks other threads hold
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        pool = ProcessPoolExecutor(size, mp_context=get_context("spawn"))
+        from concurrent.futures import ThreadPoolExecutor  # imported here: only a pool pays its 8 ms
+        pool = ThreadPoolExecutor(size)
         try:
             results = list(pool.map(_run_job, jobs))
         finally:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _step
 from .errors import ConfigurationError
 from .pricing import InstrumentSpec
 
@@ -115,6 +116,7 @@ def mc_path_averages_many(
     outs = [np.empty(stop - start) for _ in insts]
     block = np.empty((min(_PATH_BLOCK, stop - start), m))
     work = np.empty_like(block)
+    walk = _step.library().walk
     for lo in range(start, stop, _PATH_BLOCK):
         hi = min(lo + _PATH_BLOCK, stop)
         for k in range(hi - lo):
@@ -123,10 +125,9 @@ def mc_path_averages_many(
             block[k] = gen.standard_normal(m)
         rel = work[: hi - lo]
         for (drift, vol), out in zip(steps, outs):
-            # S/S0 = exp(cumsum(drift + vol * z)) in one buffer, operation for operation
-            np.multiply(block[: hi - lo], vol, out=rel)
-            rel += drift
-            np.cumsum(rel, axis=1, out=rel)
+            # S/S0 = exp(cumsum(drift + vol * z)), the running sum in C and
+            # without the GIL; exp and the pairwise sum stay numpy's
+            walk(block[: hi - lo], rel, *rel.shape, vol, drift)
             np.exp(rel, out=rel)
             out[lo - start : hi - start] = (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m
     return [inst.spot * out for inst, out in zip(insts, outs)]

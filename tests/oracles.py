@@ -3,8 +3,10 @@
 The library runs the step and its halo fills as C loops on a padded layout
 (:class:`asianpde.advection.StepWorkspace`); these functions evaluate the same
 formulas face by face, path by path, pass by pass or slice by slice, so the
-tests can check the library against them.  :func:`observed_order` fits the convergence order
-that the tests assert on :func:`asianpde.benchmarks.convergence_study`.
+tests can check the library against them, and :func:`reference_walk` is the
+numpy running sum that the C Monte Carlo walk must match bit for bit.
+:func:`observed_order` fits the convergence order that the tests assert on
+:func:`asianpde.benchmarks.convergence_study`.
 """
 
 from __future__ import annotations
@@ -189,6 +191,14 @@ def observed_order(levels: list[ConvergenceLevel]) -> float:
     log_dx = np.log([lvl.dx for lvl in levels])
     log_err = np.log([lvl.error for lvl in levels])
     return float(np.polyfit(log_dx, log_err, 1)[0])
+
+
+def reference_walk(z: np.ndarray, vol: float, drift: float) -> np.ndarray:
+    """numpy evaluation of the C ``walk`` of ``_step``: the running sum of
+    ``z * vol + drift`` along each row, as ``np.cumsum`` adds it."""
+    rel = np.multiply(z, vol)
+    rel += drift
+    return np.cumsum(rel, axis=1, out=rel)
 
 
 def gbm_path(inst: InstrumentSpec, cfg: McConfig, path_index: int) -> np.ndarray:

@@ -191,7 +191,7 @@ class TestTableCommand:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_offending_row_identified_on_stability_violation(self, runner, workers):
-        # with 2 workers the error is pickled back from a pool process and names the same row
+        # with 2 workers the error comes from a pool thread and names the same row
         result = runner.invoke(main, ["table", "--nx", "200", "--dt", "0.002", "--workers", str(workers)])
         assert result.exit_code == 3
         assert "table row sigma=0.2 T=6mo K=100" in result.output

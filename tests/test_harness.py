@@ -175,29 +175,29 @@ class TestRunTable:
 
     @pytest.mark.parametrize("workers, cpus, size", [(10_000, 3, 3), (2, 64, 2), (10_000, None, None)])
     def test_pool_size_bounded_by_cpus(self, monkeypatch, workers, cpus, size):
-        # the recorder starts no process: it runs the jobs in the calling one
+        # the recorder starts no thread: it runs the jobs in the calling one
         import asianpde.harness as harness
 
-        sizes = []
+        sizes, shutdowns = [], []
 
         class Recorder:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
-                assert mp_context.get_start_method() == "spawn"
 
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-            def shutdown(self, cancel_futures=False):
-                assert cancel_futures
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(harness, "TABLE_MC_PATHS", (100, 200))
         monkeypatch.setattr(harness, "TABLE_MC_STEPS", 10)
         base = dict(nx=24, ny=20, dt=1.0 / 100.0)
         rows, _ = run_table(RunConfig(**base, workers=workers))
         assert sizes == ([] if size is None else [size])
+        assert shutdowns == ([] if size is None else [True])
         assert rows == run_table(RunConfig(**base, workers=1))[0]
 
     def test_rows_match_golden_digest(self, monkeypatch):

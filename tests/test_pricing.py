@@ -1,6 +1,5 @@
 import gc
 import math
-import pickle
 import weakref
 
 import numpy as np
@@ -460,19 +459,6 @@ class TestIntegrate:
             assert err.value.step_index is None and math.isnan(report.max_abs_courant_y)
             assert str(err.value) == "stability violation: " + "; ".join(report.violations)
             assert len(report.violations) == 2
-
-    @pytest.mark.parametrize("prefix", ["", "table row sigma=0.4 T=6mo K=100 call: "])
-    def test_stability_error_survives_pickling(self, prefix):
-        # a pool worker pickles the error, after run_table may have rewritten its args
-        spec = grid_from_price_domain(50.0, 200.0, 200.0, 200, 50)
-        with pytest.raises(StabilityError) as err:
-            integrate(sample_instrument(sigma=0.4), spec, dt=1.0 / 1760.0, opts=OPTS)
-        exc = err.value
-        exc.args = (prefix + exc.args[0],)
-        copy = pickle.loads(pickle.dumps(exc))
-        assert type(copy) is StabilityError
-        assert str(copy) == str(exc) and copy.args == exc.args
-        assert copy.report == exc.report and copy.step_index == exc.step_index == 0
 
     @pytest.mark.parametrize("nonosc", [False, True])
     def test_scaling_terminal_condition_scales_readout(self, nonosc):

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asianpde import _step
 from asianpde.errors import ConfigurationError
 from asianpde.pricing import InstrumentSpec
 from asianpde.reference import (
@@ -18,7 +20,7 @@ from asianpde.reference import (
     mc_result_from_averages,
     norm_cdf,
 )
-from oracles import gbm_path
+from oracles import gbm_path, reference_walk
 
 # golden constants computed with a 50-digit erfc-based normal CDF before the
 # implementation existed
@@ -143,6 +145,28 @@ class TestGbmPath:
         expected = (inst.rate - 0.5 * inst.sigma**2) * inst.maturity
         se = inst.sigma * math.sqrt(inst.maturity) / math.sqrt(log_returns.size)
         assert abs(log_returns.mean() - expected) < 4.0 * se
+
+
+class TestWalk:
+    @pytest.mark.parametrize(
+        "n, m, sigma",
+        [(_PATH_BLOCK, 40, 0.3), (37, 40, 0.3), (_PATH_BLOCK, 1, 0.3), (_PATH_BLOCK, 1000, 0.4), (_PATH_BLOCK, 40, 0.0)],
+        ids=["full block", "partial block", "m=1", "m=1000", "sigma=0"],
+    )
+    def test_matches_numpy_running_sum(self, n, m, sigma):
+        # the steps of mc_path_averages_many, one year at rate 0.1
+        z = np.random.default_rng(n * m).standard_normal((_PATH_BLOCK, m))
+        drift, vol = (0.1 - 0.5 * sigma**2) / m, sigma * math.sqrt(1.0 / m)
+        rel = np.full((n, m), np.nan)
+        _step.library().walk(z[:n], rel, *rel.shape, vol, drift)
+        assert rel.tobytes() == reference_walk(z[:n], vol, drift).tobytes()
+
+    def test_rows_must_be_contiguous_float64(self):
+        walk = _step.library().walk
+        rel = np.empty((4, 8))
+        for z in (np.ones((4, 16))[:, ::2], np.ones((4, 8), dtype=np.float32)):
+            with pytest.raises(ctypes.ArgumentError):
+                walk(z, rel, *rel.shape, 0.1, 0.0)
 
 
 class TestMcAsianPrice:
