@@ -1,7 +1,7 @@
 /* The flat kernels of one MPDATA step, on the padded layout of
  * asianpde.advection.StepWorkspace, and march, which runs them for every
  * step of a march in one call: the only driver of the step sequence.  Last,
- * walk: the running sum of the Monte Carlo log-price paths.
+ * the Monte Carlo paths: normals, their draws, and walk, their running sum.
  *
  * Every field is a row-major array of rows of length r.  Cell or face (a, b)
  * sits at flat offset a * r + b, with neighbours at +-r (x) and +-1 (y).
@@ -25,6 +25,8 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#include "numpy/random/bitgen.h"
 
 /* numpy's maximum and minimum: a NaN in either operand gives NaN */
 static inline double max_nan(double a, double b) { return (a >= b || a != a) ? a : b; }
@@ -310,5 +312,57 @@ void walk(const double *restrict z, double *restrict rel, long n, long m, double
             sum = sum + (zi[t] * vol + drift);
             ri[t] = sum;
         }
+    }
+}
+
+/* numpy's ziggurat, from the libnpyrandom.a that numpy ships for its C API */
+void random_standard_normal_fill(bitgen_t *bitgen, intptr_t n, double *out);
+
+/* One Philox4x64-10 stream (Salmon et al., SC 2011) as numpy's Philox steps
+ * it: a 256-bit counter bumped before each block of four outputs, which are
+ * handed out one at a time. */
+struct philox {
+    uint64_t ctr[4], key[2], buf[4];
+    int used;
+};
+
+static uint64_t philox_next(void *state)
+{
+    struct philox *s = state;
+    if (s->used < 4)
+        return s->buf[s->used++];
+    for (int i = 0; i < 4 && ++s->ctr[i] == 0; i++)
+        ; /* carry into the next word */
+    uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
+    uint64_t k0 = s->key[0], k1 = s->key[1];
+    for (int round = 0; round < 10; round++) {
+        if (round > 0) {
+            k0 += 0x9E3779B97F4A7C15u;
+            k1 += 0xBB67AE8584CAA73Bu;
+        }
+        unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93u * c0;
+        unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157u * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    s->buf[0] = c0, s->buf[1] = c1, s->buf[2] = c2, s->buf[3] = c3;
+    s->used = 1;
+    return c0;
+}
+
+/* numpy's next_double: the top 53 bits over 2^53 */
+static double philox_double(void *state) { return (philox_next(state) >> 11) * (1.0 / 9007199254740992.0); }
+
+/* m standard normals into each of the n rows of z: row i is what numpy's
+ * Generator(Philox(key=(seed, first + i))).standard_normal(m) draws.  Each
+ * row's stream lives on this call's stack. */
+void normals(double *restrict z, long n, long m, uint64_t seed, long first)
+{
+    for (long i = 0; i < n; i++) {
+        struct philox s = {.key = {seed, (uint64_t)(first + i)}, .used = 4};
+        bitgen_t gen = {.state = &s, .next_uint64 = philox_next, .next_double = philox_double};
+        random_standard_normal_fill(&gen, m, z + i * m);
     }
 }

@@ -1,9 +1,11 @@
 """Builds, caches and loads the C step kernels of ``_step.c``.
 
 The first kernel call of a process loads the shared object that gcc built
-from this source, with these flags, for this CPU; when the cache holds none,
-gcc builds it first.  The cache lives in ``$XDG_CACHE_HOME/asianpde`` (by
-default ``~/.cache/asianpde``).  A build is written to a temporary file and
+from this source, with these flags, for this CPU, linked with the
+``libnpyrandom.a`` that numpy ships for its C random API (its ziggurat draws
+the Monte Carlo normals); when the cache holds none, gcc builds it first.
+The cache lives in ``$XDG_CACHE_HOME/asianpde`` (by default
+``~/.cache/asianpde``).  A build is written to a temporary file and
 renamed into place, so builds that run at the same time (in separate
 processes, or the first kernel calls of two ``run_table`` threads) never
 load a partial file.
@@ -11,7 +13,8 @@ load a partial file.
 Every array of the step kernels reaches them through :func:`dims`, which
 checks the layout that the kernels' indices assume and C cannot check for
 itself, with the one halo width :data:`HALO`; each kernel call makes the
-records it passes.  The Monte Carlo ``walk``'s argument types check its arrays.
+records it passes.  The argument types of the Monte Carlo kernels, ``normals``
+and ``walk``, check their arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ import numpy as np
 from .errors import ConfigurationError
 
 SOURCE = Path(__file__).with_name("_step.c")
+# numpy's C random library, linked in so that the Monte Carlo normals come
+# from numpy's own ziggurat; found by path, since importing numpy.random
+# would cost every valuation about 2.5 MB and 14 ms
+ARCHIVE = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 # gcc picks 32-byte vectors on AVX-512 CPUs unless told otherwise; 64-byte
 # ones give the same bytes and cut a 2-iteration step at 102x121 from about
 # 0.28 to 0.21 ms.  Only x86 gcc takes the option.
@@ -41,7 +48,8 @@ def _flags() -> tuple[str, ...]:
     keep every operation as written, which bit-identity needs; -march=native
     is why the cache key names the CPU."""
     width = (VECTOR_WIDTH,) if platform.machine() in ("x86_64", "AMD64") else ()
-    return ("-O3", "-march=native", *width, "-ffp-contract=off", "-shared", "-fPIC")
+    numpy = f"-I{np.get_include()}"  # for numpy/random/bitgen.h
+    return ("-O3", "-march=native", *width, "-ffp-contract=off", "-shared", "-fPIC", numpy)
 
 
 FLAGS = _flags()
@@ -66,6 +74,7 @@ ARGTYPES = {
     "wrap": (_DIMS + (_INT,) * 2, None),
     "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 6 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
     "walk": ((_ROWS, _ROWS) + (_INT,) * 2 + (_REAL,) * 2, None),
+    "normals": ((_ROWS, _INT, _INT, ctypes.c_uint64, _INT), None),
 }
 
 
@@ -82,9 +91,15 @@ def _cpu() -> str:
 
 
 def build_path() -> Path:
-    """The cached build of this source, these flags and this CPU."""
+    """The cached build of this source, these flags, this CPU and numpy's
+    :data:`ARCHIVE`, so that a numpy upgrade rebuilds."""
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    try:
+        archive = ARCHIVE.read_bytes()
+    except OSError:
+        raise OSError(f"the step kernels link numpy's C random library {ARCHIVE}, which cannot be read") from None
     key = hashlib.sha256(SOURCE.read_bytes())
+    key.update(archive)
     key.update("\0".join(("", *FLAGS, _cpu())).encode())
     return Path(cache) / "asianpde" / f"step-{key.hexdigest()[:16]}.so"
 
@@ -99,7 +114,8 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     os.close(fd)
     try:
-        done = subprocess.run([gcc, *FLAGS, "-o", tmp, str(SOURCE)], capture_output=True, text=True)
+        command = [gcc, *FLAGS, "-o", tmp, str(SOURCE), str(ARCHIVE), "-lm"]
+        done = subprocess.run(command, capture_output=True, text=True)
         if done.returncode != 0:
             raise OSError(f"gcc could not build the step kernels into {path}:\n{done.stderr.strip()}")
         os.replace(tmp, path)

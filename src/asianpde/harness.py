@@ -163,7 +163,7 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     rounded to 3 significant digits.  The jobs (32 PDE prices, then path
     ranges of one MC call over the four (sigma, T) sets) run in the calling
     thread when ``workers == 1``, else on a pool of at most ``workers``
-    threads and CPUs (the C march and MC walk release the GIL), whose pending
+    threads and CPUs (the C march and MC kernels release the GIL), whose pending
     jobs are cancelled on the first error.  Assembly order is fixed by the row key.
     """
     spec = _grid(cfg)

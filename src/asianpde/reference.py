@@ -4,7 +4,10 @@ Closed forms: the geometric-average Asian option (exact under continuous
 geometric averaging) and the vanilla European option.  Monte Carlo: exact
 log-normal path stepping with counter-based per-path random streams, so the
 estimate is reproducible bit for bit regardless of evaluation order or
-worker count.
+worker count.  Path i draws what numpy's
+``Generator(Philox(key=(seed, i))).standard_normal(n_steps)`` draws; the C
+kernel ``normals`` of ``_step`` draws a block of paths in one call, without
+the GIL.
 """
 
 from __future__ import annotations
@@ -87,10 +90,6 @@ def _payoff(average: float, strike: float, kind: str) -> float:
     return max(strike - average, 0.0)
 
 
-def _path_key(seed: int, path_index: int) -> np.ndarray:
-    return np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
-
-
 def mc_path_averages_many(
     insts: Sequence[InstrumentSpec], cfg: McConfig, start: int = 0, stop: int | None = None
 ) -> list[np.ndarray]:
@@ -108,26 +107,18 @@ def mc_path_averages_many(
         ((i.rate - 0.5 * i.sigma**2) * (i.maturity / m), i.sigma * math.sqrt(i.maturity / m))
         for i in insts
     ]
-    bit_gen = np.random.Philox(key=_path_key(cfg.seed, 0))
-    gen = np.random.Generator(bit_gen)
-    # setting this fresh state with key[1] = i gives the stream of
-    # Philox(key=(seed, i)) without constructing one per path
-    fresh = bit_gen.state
     outs = [np.empty(stop - start) for _ in insts]
     block = np.empty((min(_PATH_BLOCK, stop - start), m))
     work = np.empty_like(block)
-    walk = _step.library().walk
+    lib = _step.library()
     for lo in range(start, stop, _PATH_BLOCK):
         hi = min(lo + _PATH_BLOCK, stop)
-        for k in range(hi - lo):
-            fresh["state"]["key"][1] = lo + k
-            bit_gen.state = fresh
-            block[k] = gen.standard_normal(m)
-        rel = work[: hi - lo]
+        z, rel = block[: hi - lo], work[: hi - lo]
+        lib.normals(z, *z.shape, cfg.seed & 0xFFFFFFFFFFFFFFFF, lo)
         for (drift, vol), out in zip(steps, outs):
             # S/S0 = exp(cumsum(drift + vol * z)), the running sum in C and
             # without the GIL; exp and the pairwise sum stay numpy's
-            walk(block[: hi - lo], rel, *rel.shape, vol, drift)
+            lib.walk(z, rel, *rel.shape, vol, drift)
             np.exp(rel, out=rel)
             out[lo - start : hi - start] = (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m
     return [inst.spot * out for inst, out in zip(insts, outs)]

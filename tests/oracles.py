@@ -3,8 +3,9 @@
 The library runs the step and its halo fills as C loops on a padded layout
 (:class:`asianpde.advection.StepWorkspace`); these functions evaluate the same
 formulas face by face, path by path, pass by pass or slice by slice, so the
-tests can check the library against them, and :func:`reference_walk` is the
-numpy running sum that the C Monte Carlo walk must match bit for bit.
+tests can check the library against them.  :func:`reference_normals` and
+:func:`reference_walk` are the numpy draws and running sum that the C Monte
+Carlo kernels must match bit for bit.
 :func:`observed_order` fits the convergence order that the tests assert on
 :func:`asianpde.benchmarks.convergence_study`.
 """
@@ -21,7 +22,7 @@ from asianpde.benchmarks import ConvergenceLevel
 from asianpde.errors import ConfigurationError
 from asianpde.grid import ScalarField, VectorField
 from asianpde.pricing import InstrumentSpec
-from asianpde.reference import McConfig, _path_key
+from asianpde.reference import McConfig
 
 
 def _guarded_ratio(num, den, epsilon: float, out=None, small=None):
@@ -201,14 +202,23 @@ def reference_walk(z: np.ndarray, vol: float, drift: float) -> np.ndarray:
     return np.cumsum(rel, axis=1, out=rel)
 
 
+def reference_normals(seed: int, first: int, n: int, m: int) -> np.ndarray:
+    """numpy evaluation of the C ``normals`` of ``_step``: row i holds the m
+    standard normals of numpy's Philox stream keyed by (seed, first + i)."""
+    z = np.empty((n, m))
+    for i in range(n):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, first + i], dtype=np.uint64)
+        z[i] = np.random.Generator(np.random.Philox(key=key)).standard_normal(m)
+    return z
+
+
 def gbm_path(inst: InstrumentSpec, cfg: McConfig, path_index: int) -> np.ndarray:
     """Exact log-normal path: the M samples after the spot, S_1 .. S_M.
 
     Normals come from a counter-based stream keyed by (seed, path_index), so
     the path is reproducible bit for bit and independent of any other path.
     """
-    gen = np.random.Generator(np.random.Philox(key=_path_key(cfg.seed, path_index)))
-    z = gen.standard_normal(cfg.n_steps)
+    z = reference_normals(cfg.seed, path_index, 1, cfg.n_steps)[0]
     d_tau = inst.maturity / cfg.n_steps
     log_steps = (inst.rate - 0.5 * inst.sigma**2) * d_tau + inst.sigma * math.sqrt(d_tau) * z
     return inst.spot * np.exp(np.cumsum(log_steps))

@@ -39,6 +39,15 @@ try:
 except OSError as exc:
     print(repr(exc))
 """
+# the CLI in a process whose step library links a missing numpy archive
+NO_ARCHIVE = """
+import sys
+from pathlib import Path
+from asianpde import _step
+_step.ARCHIVE = Path(sys.argv[1])
+from asianpde.cli import main
+main(sys.argv[2:])
+"""
 FAST = ["--nx", "32", "--ny", "32", "--dt", "0.005", "--paths", "300", "--steps", "40"]
 
 
@@ -82,15 +91,49 @@ def test_missing_gcc_raises_one_os_error(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
-@pytest.mark.parametrize("command", ["price", "mc"])
-def test_missing_gcc_exits_4_without_traceback(tmp_path, command):
-    # mc too: the Monte Carlo running sum is the C walk
-    env = environment(tmp_path / "cache", no_gcc_path(tmp_path))
-    done = run(["-m", "asianpde.cli", command, *FAST], env)
+def test_missing_archive_raises_one_os_error(tmp_path, monkeypatch):
+    missing = tmp_path / "libnpyrandom.a"
+    monkeypatch.setattr(_step, "ARCHIVE", missing)
+    with pytest.raises(OSError, match=re.escape(str(missing))) as raised:
+        _step.build_path()
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
+
+
+def test_library_leaves_numpy_random_unimported(tmp_path):
+    # the archive is found by path: numpy.random's modules would cost a valuation 2.5 MB
+    probe = LOAD + "; import sys; print('numpy.random' in sys.modules)"
+    done = run(["-c", probe], environment(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_archive_bytes_key_the_build(tmp_path, monkeypatch):
+    # a numpy upgrade that changes its random library builds anew
+    archive = tmp_path / "libnpyrandom.a"
+    archive.write_bytes(_step.ARCHIVE.read_bytes())
+    monkeypatch.setattr(_step, "ARCHIVE", archive)
+    same = _step.build_path()
+    assert same == _step.build_path()
+    with archive.open("ab") as out:
+        out.write(b"\0")
+    assert _step.build_path() != same
+
+
+@pytest.mark.parametrize("missing, command", [(m, c) for m in ("gcc", "archive") for c in ("price", "mc")])
+def test_missing_build_input_exits_4_without_traceback(tmp_path, missing, command):
+    # mc too: the Monte Carlo normals and running sum are C kernels
+    if missing == "gcc":
+        env = environment(tmp_path / "cache", no_gcc_path(tmp_path))
+        done = run(["-m", "asianpde.cli", command, *FAST], env)
+        named = "gcc"
+    else:
+        named = str(tmp_path / "libnpyrandom.a")
+        done = run(["-c", NO_ARCHIVE, named, command, *FAST], environment(tmp_path / "cache"))
     assert done.returncode == 4
     lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("i/o error:") and "gcc" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("i/o error:") and named in lines[0]
     assert "Traceback" not in done.stderr
+    assert not (tmp_path / "cache").exists()
 
 
 def test_help_never_builds(tmp_path):
@@ -116,14 +159,23 @@ def test_source_compiles_without_warnings():
     assert done.returncode == 0 and done.stderr == "", done.stderr
 
 
-def test_every_kernel_has_declared_types():
+def exported(source: str) -> set[str]:
+    """The functions that ``source`` defines and exports: a definition starts
+    a line with its return type and has a body; a static one is not exported."""
+    definitions = re.findall(r"^(static\s+)?[a-z_][\w ]*?\**\s*\b(\w+)\([^;{]*\)\s*\{", source, re.M)
+    return {name for static, name in definitions if not static}
+
+
+def test_kernel_parse_counts_definitions_only():
     source = _step.SOURCE.read_text()
-    # definitions start a line with their return type; static helpers are not exported
-    defined = {
-        name for static, name in re.findall(r"^(static\s+)?[a-z_][\w ]*?\**\s*\b(\w+)\(", source, re.M)
-        if not static
-    }
-    assert defined == set(_step.ARGTYPES)
+    assert "random_standard_normal_fill(" in source
+    assert "random_standard_normal_fill" not in exported(source)
+    undeclared = "\nvoid undeclared(double *z,\n                long n)\n{\n}\n"
+    assert exported(source + undeclared) == exported(source) | {"undeclared"}
+
+
+def test_every_kernel_has_declared_types():
+    assert exported(_step.SOURCE.read_text()) == set(_step.ARGTYPES)
     lib = _step.library()
     for name, (argtypes, restype) in _step.ARGTYPES.items():
         kernel = getattr(lib, name)

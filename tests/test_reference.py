@@ -1,5 +1,6 @@
 import ctypes
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from asianpde.reference import (
     mc_result_from_averages,
     norm_cdf,
 )
-from oracles import gbm_path, reference_walk
+from oracles import gbm_path, reference_normals, reference_walk
 
 # golden constants computed with a 50-digit erfc-based normal CDF before the
 # implementation existed
@@ -169,6 +170,32 @@ class TestWalk:
                 walk(z, rel, *rel.shape, 0.1, 0.0)
 
 
+class TestNormals:
+    @pytest.mark.parametrize(
+        "seed, first, n, m",
+        [
+            (1, 0, _PATH_BLOCK, 1000),
+            (1, 0, 37, 40),
+            (3, 0, _PATH_BLOCK, 1),
+            (3, 0, 37, 1001),
+            (7, 999, _PATH_BLOCK, 40),
+            (2**63 + 5, 12345, 64, 40),
+            (-5, 0, 37, 40),
+            (1, 2**32 + 7, 37, 40),
+        ],
+        ids=["full block", "partial block", "m=1", "m=1001", "first=999", "seed>=2^63", "negative seed", "path>=2^32"],
+    )
+    def test_matches_numpy_philox_streams(self, seed, first, n, m):
+        z = np.full((n, m), np.nan)
+        _step.library().normals(z, n, m, seed & 0xFFFFFFFFFFFFFFFF, first)
+        assert z.tobytes() == reference_normals(seed, first, n, m).tobytes()
+
+    def test_rows_must_be_contiguous_float64(self):
+        for z in (np.ones((4, 16))[:, ::2], np.ones((4, 8), dtype=np.float32)):
+            with pytest.raises(ctypes.ArgumentError):
+                _step.library().normals(z, 4, 8, 1, 0)
+
+
 class TestMcAsianPrice:
     def test_zero_vol_matches_closed_form(self):
         inst = instrument(sigma=0.0, maturity=1.0, rate=0.1)
@@ -236,6 +263,28 @@ class TestMcAsianPrice:
         parts = [mc_path_averages_many(specs, cfg, a, b) for a, b in ((0, 50), (50, 301), (301, None))]
         for i, averages in enumerate(whole):
             assert np.array_equal(np.concatenate([part[i] for part in parts]), averages)
+
+    def test_threads_on_interleaved_ranges_match_serial(self):
+        # each call's Philox streams live on its own stack: two threads that
+        # draw at the same time take alternate blocks and get the serial bytes
+        specs = [instrument(sigma=0.2, maturity=0.5), instrument(sigma=0.4, maturity=1.0)]
+        cfg = McConfig(16 * _PATH_BLOCK + 45, 1000, seed=17)
+        edges = [*range(0, cfg.n_paths, _PATH_BLOCK), cfg.n_paths]
+        ranges = list(zip(edges[:-1], edges[1:]))
+        parts, start = {}, threading.Barrier(2)
+
+        def run(mine):
+            start.wait()
+            for a, b in mine:
+                parts[a] = mc_path_averages_many(specs, cfg, a, b)
+
+        threads = [threading.Thread(target=run, args=(ranges[k::2],)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for i, averages in enumerate(mc_path_averages_many(specs, cfg)):
+            assert np.concatenate([parts[a][i] for a, _ in ranges]).tobytes() == averages.tobytes()
 
     @pytest.mark.parametrize("start, stop", [(-1, 10), (10, 5), (0, 301)])
     def test_path_range_outside_refused(self, start, stop):
