@@ -20,6 +20,33 @@
  * -ffast-math.  One signed-zero difference remains: in the flux and limiter
  * terms max_nan(-0.0, 0.0) is -0.0 and numpy's maximum +0.0; the final clip
  * of upwind removes it, so it reaches only limit's corrective Courant numbers.
+ *
+ * The band.  A put's payoff is +0.0 for every A >= K, so on a backward march
+ * about half of the columns of psi, those of largest A, hold only +0.0.  Let
+ * Z be the last column that holds anything else.  An antidiffusive face
+ * reads the cells of its own and the neighbouring columns, and between +0.0
+ * cells its guarded ratios are 0, so it is +-0 from column Z + 2 up; limit
+ * multiplies each face by a factor of at most 1; and upwind leaves +0.0 a
+ * cell whose neighbours are +0.0 (its fluxes are +-0, and the clip makes
+ * +0.0).  So a pass moves Z up by at most one column, and a step by n_iters.
+ * march runs upwind, antidiffusive and limit over the live columns
+ * [0, Z + 1 + margin) with margin = n_iters: every cell and face a step can
+ * change lies inside, and all that the kernels read outside it (the top y
+ * face, limit's ring column and the column above) is +0.0 or +-0 in a
+ * full-width march too, so psi comes out bit for bit.  The margin is the
+ * reach of the stencils and reads no sign of C_y: one column less fails at
+ * n_iters 1 and 2, where a constant C_y = 1 moves Z by n_iters in a step (no
+ * field tried moved it by more than two).  Before each step march checks the
+ * margin columns below the band and widens the band if one of them is live;
+ * it never narrows within a call.  "Live" is a bit test, so a NaN, an inf or
+ * a -0.0 (which upwind would turn into +0.0) counts.  A NaN made within a
+ * step can make limit's factor NaN one column further up, but then also
+ * inside the band, so the check fails with the same maxima.  A call starts
+ * from psi's last live column and clears the corrective faces above its band
+ * to +0.0, where a full-width march holds +-0: the checks scan every face and
+ * must not read those of an earlier call's wider band.  The fills, courant_x
+ * and the checks keep the full extent, and the periodic march, whose columns
+ * wrap, the full width.
  */
 
 #include <math.h>
@@ -250,6 +277,36 @@ static int courant_ok(struct faces c, long nx, long ny, long h, long r, double c
     return out[0] <= courant_max && out[1] <= courant_max;
 }
 
+/* The band of live columns of psi's nx x ny real cells: up to the last
+ * column in [from, to) that holds anything but +0.0, plus margin, at most
+ * ny; from + margin when every cell of [from, to) is +0.0. */
+static long live_columns(const double *psi, long nx, long ny, long h, long r, long from, long to,
+                         long margin)
+{
+    long last = from - 1;
+    for (long b = to - 1; b >= from && last < from; b--)
+        for (long a = h; a < h + nx; a++) {
+            uint64_t bits;
+            memcpy(&bits, psi + a * r + h + b, sizeof bits);
+            if (bits) {
+                last = b;
+                break;
+            }
+        }
+    return last + 1 + margin < ny ? last + 1 + margin : ny;
+}
+
+/* +0.0 into the real faces of c above a band of live columns: x faces in
+ * columns [live, ny), y faces in [live + 1, ny] */
+static void clear_above(struct faces c, long nx, long ny, long h, long r, long live)
+{
+    size_t width = (size_t)(ny - live) * sizeof(double);
+    for (long a = h; a <= h + nx; a++)
+        memset(c.x + a * r + h + live, 0, width);
+    for (long a = h; a < h + nx; a++)
+        memset(c.y + a * r + h + live + 1, 0, width);
+}
+
 /* n_steps transport steps of one length on the workspace: psi, the physical
  * field c (C_y written, and C_x too unless rebuild), the corrective slots a
  * and b and the scratch rows up and dn; every fill wraps on the torus if
@@ -259,14 +316,22 @@ static int courant_ok(struct faces c, long nx, long ny, long h, long r, double c
  * nonoscillatory) checked before use.  A failed check of c, or diffusion_ok 0,
  * stops the march before the step changes psi; of a corrective field, before
  * its pass.  Returns the stopping step's index, or n_steps; out gets the
- * failing field's max |C_x|, max |C_y| and 1.0 if corrective, 0.0 if not. */
+ * failing field's max |C_x|, max |C_y| and 1.0 if corrective, 0.0 if not.
+ * The passes run over the band of live columns (see the header). */
 long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
            double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, double u,
            double coef, double scale, double courant_max, double eps, double *out)
 {
     struct faces c = {cx, cy}, a = {ax, ay}, b = {bx, by};
+    long live = periodic ? ny : live_columns(psi, nx, ny, h, r, 0, ny, n_iters);
+    if (live < ny) {
+        clear_above(a, nx, ny, h, r, live);
+        clear_above(b, nx, ny, h, r, live);
+    }
     for (long n = 0; n < n_steps; n++) {
+        if (live < ny)
+            live = live_columns(psi, nx, ny, h, r, live - n_iters, live, n_iters);
         fill_psi(psi, nx, ny, h, r, periodic);
         if (rebuild)
             courant_x(psi, nx, ny, h, r, c.x, u, coef, scale, eps);
@@ -274,24 +339,24 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
         out[2] = 0.0;
         if (!courant_ok(c, nx, ny, h, r, courant_max, out) || !diffusion_ok)
             return n;
-        upwind(psi, nx, ny, h, r, c.x, c.y, up, dn);
+        upwind(psi, nx, live, h, r, c.x, c.y, up, dn);
         struct faces current = c;
         for (long pass = 1; pass < n_iters; pass++) {
             fill_psi(psi, nx, ny, h, r, periodic);
             /* a kernel never writes the slot it reads */
             struct faces next = current.x == a.x ? b : a;
-            antidiffusive(psi, nx, ny, h, r, current.x, current.y, next.x, next.y, eps);
+            antidiffusive(psi, nx, live, h, r, current.x, current.y, next.x, next.y, eps);
             fill_vector(next, nx, ny, h, r, periodic);
             if (nonoscillatory) {
                 struct faces limited = next.x == a.x ? b : a;
-                limit(psi, nx, ny, h, r, next.x, next.y, limited.x, limited.y, up, dn, eps);
+                limit(psi, nx, live, h, r, next.x, next.y, limited.x, limited.y, up, dn, eps);
                 fill_vector(limited, nx, ny, h, r, periodic);
                 next = limited;
             }
             out[2] = 1.0;
             if (!courant_ok(next, nx, ny, h, r, courant_max, out))
                 return n;
-            upwind(psi, nx, ny, h, r, next.x, next.y, up, dn);
+            upwind(psi, nx, live, h, r, next.x, next.y, up, dn);
             current = next;
         }
     }

@@ -20,11 +20,10 @@ order, as a direct evaluation of the formulas below, so results are
 bit-identical to one.
 
 The workspace's methods run the kernels in place; the whole step sequence
-runs only in :meth:`StepWorkspace.march` (``march`` in ``_step.c``, in calls
-of at most ``MARCH_CALL_CELL_STEPS`` cell-steps), for ``pricing.integrate``,
+runs only in :meth:`StepWorkspace.march`, for ``pricing.integrate``,
 ``benchmarks.run_translation`` and :func:`mpdata_step` alike.  The public
 passes take plain fields: each copies its inputs into a new workspace, runs
-there and returns a copy, so its inputs are never changed.
+over every column there and returns a copy, so its inputs are never changed.
 """
 
 from __future__ import annotations
@@ -179,7 +178,10 @@ class StepWorkspace:
         fills ``courant`` and checks it; then UPWIND and ``n_iters - 1``
         corrective passes, each on refilled halos and checked against
         |C| <= 1.  Every fill wraps on the ``nx x ny`` torus if ``periodic``
-        and is the :mod:`asianpde.grid` fill if not.
+        and is the :mod:`asianpde.grid` fill if not.  Unless ``periodic``,
+        the passes skip psi's columns of +0.0 that the step cannot reach (a
+        put's A >= K), a band each C call finds and grows (``_step.c``);
+        fills and checks cover every column, and psi gets the same bytes.
 
         Returns ``(steps run, corrective, max |C_x|, max |C_y|)``.  A failed
         check stops the march at the index ``steps run``: before any update

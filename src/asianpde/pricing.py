@@ -9,10 +9,7 @@ integrates the whole equation.
 
 The terminal payoff is prescribed at t = T and marched backward to t = 0;
 backward marching flips the sign of the Courant field, which is why
-:func:`integrate` writes it with a negative time step.  Each run of equal
-steps is one ``advection.StepWorkspace.march``, which runs in C calls that a
-Ctrl-C can stop between; :func:`build_courant` and ``advection.mpdata_step``
-give the same steps one at a time.
+:func:`integrate` writes it with a negative time step.
 """
 
 from __future__ import annotations
@@ -167,13 +164,14 @@ def integrate(
     Every field of the march lives in one :class:`StepWorkspace` made for
     this call, and each run of equal steps (the full steps, then a
     fractional tail) is one :meth:`StepWorkspace.march` with the
-    :mod:`asianpde.grid` fills.  C_y is written once per run; before each
-    step C_x is rewritten from the current field (the pseudo-velocity is
-    state-dependent) and both stability criteria are checked.  A violation
-    raises :class:`StabilityError` before any field update at that step,
-    carrying the step index; a corrective field over |C| = 1 raises it
-    without one.  More than ``MAX_CELL_STEPS`` cell-steps raise
-    :class:`ConfigurationError` before the march starts.
+    :mod:`asianpde.grid` fills, in C calls that a Ctrl-C can stop between;
+    a put's passes skip the +0.0 columns its steps cannot reach yet.  C_y
+    is written once per run; before each step C_x is rewritten from the
+    current field (the pseudo-velocity is state-dependent) and both
+    criteria are checked.  A violation raises :class:`StabilityError`
+    before any field update at that step, with the step index; a
+    corrective field over |C| = 1 raises it without one.  Over
+    ``MAX_CELL_STEPS`` cell-steps raise :class:`ConfigurationError` first.
 
     Since Psi = exp(-r t) f, the returned field at t = 0 is the price
     surface f itself; it owns its memory.

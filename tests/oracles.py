@@ -17,11 +17,21 @@ import math
 import numpy as np
 
 from asianpde._step import HALO
-from asianpde.advection import DEFAULT_EPSILON, SolverOptions, StepWorkspace, _guard, mpdata_step
+from asianpde.advection import (
+    DEFAULT_EPSILON,
+    SolverOptions,
+    StepWorkspace,
+    _guard,
+    antidiffusive_courant,
+    check_stability,
+    mpdata_step,
+    nonoscillatory_limit,
+    upwind_step,
+)
 from asianpde.benchmarks import ConvergenceLevel
-from asianpde.errors import ConfigurationError
-from asianpde.grid import ScalarField, VectorField
-from asianpde.pricing import InstrumentSpec
+from asianpde.errors import ConfigurationError, StabilityError
+from asianpde.grid import GridSpec, ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
+from asianpde.pricing import InstrumentSpec, _step_runs, build_courant, make_transform
 from asianpde.reference import McConfig
 
 
@@ -170,6 +180,46 @@ def periodic_mpdata_step(psi: ScalarField, courant: VectorField, opts: SolverOpt
     if not ran:
         _guard(max_cx, max_cy)
     return ws.psi.copy()
+
+
+def full_width_step(
+    psi: ScalarField, courant: VectorField, opts: SolverOptions
+) -> tuple[ScalarField, list[VectorField]]:
+    """One transport step composed of the public passes, each of which runs
+    its kernel over every column, where the march runs only its band of live
+    ones: UPWIND, then per corrective pass the refilled psi's antidiffusive
+    field and, if nonoscillatory, its limited copy, each with filled halos.
+    Each UPWIND raises :class:`StabilityError` on a field over |C| = 1.
+    Returns psi and the corrective fields in the order the step writes them."""
+    out, written, current = upwind_step(psi, courant), [], courant
+    for _ in range(opts.n_iters - 1):
+        fill_halos_scalar(out)
+        written.append(fill_halos_vector(antidiffusive_courant(out, current)))
+        if opts.nonoscillatory:
+            written.append(fill_halos_vector(nonoscillatory_limit(out, written[-1])))
+        current = written[-1]
+        out = upwind_step(out, current)
+    return out, written
+
+
+def full_width_integrate(
+    psi: ScalarField, inst: InstrumentSpec, spec: GridSpec, dt: float, opts: SolverOptions
+) -> ScalarField:
+    """``pricing.integrate`` from the terminal field ``psi`` as a loop of
+    :func:`full_width_step`: the same steps and checks, and the same
+    :class:`StabilityError`, with the step index when the physical field
+    fails and none when a corrective field does."""
+    tr, done = make_transform(inst), 0
+    for step, count in _step_runs(inst.maturity, dt):
+        for n in range(count):
+            fill_halos_scalar(psi)
+            courant = fill_halos_vector(build_courant(psi, tr, spec, -step))
+            report = check_stability(courant, tr.nu, step, spec.dx)
+            if not report.ok:
+                raise StabilityError(report, step_index=done + n)
+            psi = full_width_step(psi, courant, opts)[0]
+        done += count
+    return psi
 
 
 def split_mpdata_step(

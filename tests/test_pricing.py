@@ -21,6 +21,7 @@ from asianpde.pricing import (
     terminal_condition,
     _step_runs,
 )
+import oracles
 from oracles import periodic_mpdata_step, reference_periodic_fill_scalar, reference_periodic_fill_vector
 
 OPTS = SolverOptions(n_iters=2, nonoscillatory=True)
@@ -459,6 +460,43 @@ class TestIntegrate:
             assert err.value.step_index is None and math.isnan(report.max_abs_courant_y)
             assert str(err.value) == "stability violation: " + "; ".join(report.violations)
             assert len(report.violations) == 2
+
+    @pytest.mark.parametrize("n_iters", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [1.3e308, math.nan])
+    def test_put_overflow_above_the_payoff_fails_as_full_width(self, monkeypatch, n_iters, bad):
+        # the put's payoff is +0.0 from column 3 up, so a band taken from it
+        # would end below column 7; the march scans psi for its band, so the
+        # 1.3e308 block above overflows at its zero cell (as above), or the
+        # NaN fails the first check, in the same step as the full-width passes
+        spec = grid_from_price_domain(50.0, 200.0, 52.5, 8, 12)
+        inst = InstrumentSpec("put", 10.0, 0.5, 0.0, 15.0, 100.0)
+        psi = terminal_condition(inst, spec)
+        assert psi.interior[:, :3].all() and not psi.interior[:, 3:].any()
+        psi.interior[:, 8:] = bad
+        psi.interior[5, 9] = 0.0
+        monkeypatch.setattr(pricing, "terminal_condition", lambda inst, spec: psi.copy())
+        ran, stepped = [], []  # the steps each side completed
+        march, step = StepWorkspace.march, oracles.full_width_step
+
+        def recorded(ws, *args):
+            result = march(ws, *args)
+            ran.append(result[0])
+            return result
+
+        def counted(*args):
+            result = step(*args)
+            stepped.append(None)
+            return result
+
+        monkeypatch.setattr(StepWorkspace, "march", recorded)
+        monkeypatch.setattr(oracles, "full_width_step", counted)
+        opts = SolverOptions(n_iters=n_iters)
+        with pytest.raises(StabilityError) as err:
+            integrate(inst, spec, dt=0.01, opts=opts)
+        with pytest.raises(StabilityError) as want:
+            oracles.full_width_integrate(psi.copy(), inst, spec, 0.01, opts)
+        assert (str(err.value), err.value.step_index) == (str(want.value), want.value.step_index)
+        assert ran == [len(stepped)] == [0 if math.isnan(bad) or n_iters > 1 else 1]
 
     @pytest.mark.parametrize("nonosc", [False, True])
     def test_scaling_terminal_condition_scales_readout(self, nonosc):

@@ -20,8 +20,9 @@ from asianpde.advection import (
     upwind_step,
 )
 from asianpde import advection
+from asianpde.advection import StepWorkspace
 from asianpde.benchmarks import gaussian_field, unit_square
-from asianpde.grid import fill_halos_scalar, fill_halos_vector
+from asianpde.grid import ScalarField, fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
     InstrumentSpec,
     build_courant,
@@ -29,10 +30,15 @@ from asianpde.pricing import (
     integrate,
     make_transform,
     terminal_condition,
-    _step_runs,
 )
-from conftest import random_courant, wrap_courant
-from oracles import periodic_mpdata_step, reference_periodic_fill_scalar, reference_periodic_fill_vector
+from conftest import random_courant, random_positive_field, wrap_courant
+from oracles import (
+    full_width_integrate,
+    full_width_step,
+    periodic_mpdata_step,
+    reference_periodic_fill_scalar,
+    reference_periodic_fill_vector,
+)
 
 GRID_DT = {(24, 20): 1.0 / 100.0, (48, 40): 1.0 / 400.0}
 
@@ -95,24 +101,80 @@ def test_march_cut_into_calls_gives_the_same_bytes(monkeypatch, per_call):
 
 
 @pytest.mark.parametrize(
-    "n_iters, nonosc, maturity",
-    [(n, lim, 0.5) for n in (1, 2, 4) for lim in (True, False)] + [(2, True, 0.503)],
+    "n_iters, nonosc, maturity, kind",
+    [
+        pytest.param(*case, kind, id="-".join(map(str, case)) + ("-put" if kind == "put" else ""))
+        for kind in ("call", "put")
+        for case in [(n, lim, 0.5) for n in (1, 2, 4) for lim in (True, False)] + [(2, True, 0.503)]
+    ],
 )
-def test_integrate_matches_a_loop_of_public_passes(n_iters, nonosc, maturity):
+def test_integrate_matches_a_loop_of_public_passes(n_iters, nonosc, maturity, kind):
     """integrate's march in C gives, byte for byte, the field of a loop over
-    the public passes: fill psi, build the Courant field, fill its faces,
-    mpdata_step."""
+    the public passes, which run over every column: fill psi, build the
+    Courant field, fill its faces, then UPWIND and the corrective passes.
+    A put's march runs only its band of live columns."""
     spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
-    inst = InstrumentSpec("call", 100.0, maturity, 0.3, 0.1, 100.0)
+    inst = InstrumentSpec(kind, 100.0, maturity, 0.3, 0.1, 100.0)
     opts = SolverOptions(n_iters=n_iters, nonoscillatory=nonosc)
-    tr = make_transform(inst)
-    psi = terminal_condition(inst, spec)
-    for step, count in _step_runs(maturity, 0.01):
-        for _ in range(count):
-            fill_halos_scalar(psi)
-            courant = fill_halos_vector(build_courant(psi, tr, spec, -step))
-            psi = mpdata_step(psi, courant, opts)
-    assert integrate(inst, spec, 0.01, opts).values.tobytes() == psi.values.tobytes()
+    want = full_width_integrate(terminal_condition(inst, spec), inst, spec, 0.01, opts)
+    assert integrate(inst, spec, 0.01, opts).values.tobytes() == want.values.tobytes()
+
+
+def _last_live_column(psi: ScalarField) -> int:
+    return int(np.flatnonzero(psi.interior.any(axis=0))[-1])
+
+
+@pytest.mark.parametrize("n_iters", [1, 2, 4])
+@pytest.mark.parametrize("nonosc", [True, False])
+def test_band_grows_with_the_front(n_iters, nonosc):
+    """A field with zero top columns under a constant C_y = 1: UPWIND moves
+    the front up one column and the first corrective pass one more, the
+    farthest any field tried moved it in a step, so the march's band must
+    widen as it goes.  The march gives the full-width passes' psi byte for
+    byte, and in the corrective slots their last fields (which a full-width
+    march holds as +-0 above the band, the march as +0.0)."""
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
+    rng = np.random.default_rng(3)
+    start = ScalarField.zeros(spec)
+    start.interior[:, :3] = rng.uniform(0.5, 2.0, (24, 3))
+    courant = random_courant(spec, rng)
+    courant.interior_y[:] = 1.0
+    fill_halos_vector(courant)
+    opts = SolverOptions(n_iters=n_iters, nonoscillatory=nonosc)
+    for n_steps in (2, 20):  # the band still short of the top, then past it
+        ws = StepWorkspace.holding(start, courant)
+        assert ws.march(n_steps, opts)[0] == n_steps
+        psi, fronts = start, [_last_live_column(start)]
+        for _ in range(n_steps):
+            psi, written = full_width_step(fill_halos_scalar(psi), courant, opts)
+            fronts.append(_last_live_column(psi))
+        assert fronts[1] - fronts[0] == min(n_iters, 2)
+        assert ws.psi.values.tobytes() == psi.values.tobytes()
+        for slot, fields in zip(ws.corrective, (written[0::2], written[1::2])):
+            if fields:
+                assert np.array_equal(slot.comp_x, fields[-1].comp_x)
+                assert np.array_equal(slot.comp_y, fields[-1].comp_y)
+    assert fronts[-1] == spec.ny - 1
+
+
+@pytest.mark.parametrize("nonosc", [True, False])
+def test_a_call_clears_the_faces_above_its_band(rng, nonosc):
+    """Each march call takes its band from psi's last live column, which can
+    lie below the last call's band.  The faces above the new band, where the
+    last call left its corrective fields, then read +0.0, so the call's
+    checks scan what a full-width march holds there, +-0."""
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
+    courant = fill_halos_vector(random_courant(spec, rng))
+    opts = SolverOptions(n_iters=3, nonoscillatory=nonosc)
+    ws = StepWorkspace.holding(random_positive_field(spec, rng, lo=0.5), courant)
+    assert ws.march(1, opts)[0] == 1
+    ws.psi.interior[:, 4:] = 0.0
+    psi, written = full_width_step(fill_halos_scalar(ws.psi.copy()), courant, opts)
+    assert ws.march(1, opts)[0] == 1
+    assert ws.psi.values.tobytes() == psi.values.tobytes()
+    # the step writes its corrective fields into the two slots in turn, an even number here
+    for slot, field in zip(ws.corrective, written[-2:]):
+        assert np.array_equal(slot.comp_x, field.comp_x) and np.array_equal(slot.comp_y, field.comp_y)
 
 
 @pytest.mark.parametrize("nonosc", [True, False])
