@@ -19,11 +19,11 @@ only, and give every one the same floating-point operations, in the same
 order, as a direct evaluation of the formulas below, so results are
 bit-identical to one.
 
-The workspace's methods run the kernels in place; the whole step sequence
-runs only in :meth:`StepWorkspace.march`, for ``pricing.integrate``,
-``benchmarks.run_translation`` and :func:`mpdata_step` alike.  The public
-passes take plain fields: each copies its inputs into a new workspace, runs
-over every column there and returns a copy, so its inputs are never changed.
+The whole step sequence runs only in :meth:`StepWorkspace.march`, for
+``pricing.integrate``, ``benchmarks.run_translation`` and
+:func:`mpdata_step` alike.  The single passes take plain fields: each copies
+its inputs into a new workspace, calls its one kernel over every column there
+and returns a copy, so its inputs are never changed.
 """
 
 from __future__ import annotations
@@ -111,14 +111,14 @@ def _guard(max_cx: float, max_cy: float) -> None:
 
 class StepWorkspace:
     """Padded storage for every field of a transport step on one grid, and
-    the kernel calls that run on it.
+    the march over it.
 
     ``psi`` is the scalar, ``courant`` the physical Courant field and
     ``corrective`` two slots that the antidiffusive field and the limiter
     alternate between; each is a plain field viewing one stack of arrays.
-    The pass methods update these fields in place and trust their caller to
-    have filled the halos they read; :meth:`march` fills and checks every
-    field itself.  One workspace serves one caller at a time.
+    :meth:`march` fills and checks every field itself; a single kernel
+    called on these fields trusts its caller to have filled the halos it
+    reads.  One workspace serves one caller at a time.
     """
 
     def __init__(self, nx: int, ny: int):
@@ -142,46 +142,21 @@ class StepWorkspace:
             ws.courant.comp_y[...] = courant.comp_y
         return ws
 
-    def fill_courant_x(self, u: float, coef: float, scale: float) -> None:
-        """Write C_x = (u - coef A) scale on the real x faces of ``courant``,
-        with A the guarded ratio (psi[k] - psi[k - R]) / (psi[k] + psi[k - R])
-        of the two cells each face separates."""
-        library().courant_x(*self.psi.c_values, self.courant.c_comp_x[0], u, coef, scale, DEFAULT_EPSILON)
-
-    def upwind(self, courant: VectorField) -> None:
-        """Donor-cell update of the interior of ``psi`` in place."""
-        library().upwind(*self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], *self.c_scratch)
-
-    def antidiffusive(self, courant: VectorField, out: VectorField) -> VectorField:
-        """Antidiffusive Courant numbers of ``courant`` into ``out`` on the real faces."""
-        library().antidiffusive(
-            *self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-            DEFAULT_EPSILON,
-        )
-        return out
-
-    def limit(self, courant: VectorField, out: VectorField) -> VectorField:
-        """FCT-limited copy of corrective field ``courant`` into ``out`` on the real faces."""
-        library().limit(
-            *self.psi.c_values, courant.c_comp_x[0], courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-            *self.c_scratch, DEFAULT_EPSILON,
-        )
-        return out
-
     def march(
         self, n_steps: int, opts: SolverOptions, courant_x=None, diffusion: float = 0.0, periodic=False
     ) -> tuple[int, bool, float, float]:
         """``n_steps`` transport steps of one length, in C calls of at most
         ``MARCH_CALL_CELL_STEPS`` cell-steps so that Python sees a Ctrl-C
-        between them.  Each step fills psi, writes C_x from ``courant_x =
-        (u, coef, scale)`` as :meth:`fill_courant_x` does (None keeps it),
-        fills ``courant`` and checks it; then UPWIND and ``n_iters - 1``
-        corrective passes, each on refilled halos and checked against
-        |C| <= 1.  Every fill wraps on the ``nx x ny`` torus if ``periodic``
-        and is the :mod:`asianpde.grid` fill if not.  Unless ``periodic``,
-        the passes skip psi's columns of +0.0 that the step cannot reach (a
-        put's A >= K), a band each C call finds and grows (``_step.c``);
-        fills and checks cover every column, and psi gets the same bytes.
+        between them.  Each step fills psi, writes C_x = (u - coef A) scale
+        from ``courant_x = (u, coef, scale)`` (None keeps it), A the guarded
+        psi ratio across each x face, fills ``courant`` and checks it; then
+        UPWIND and ``n_iters - 1`` corrective passes, each on refilled halos
+        and checked against |C| <= 1.  Every fill wraps on the ``nx x ny``
+        torus if ``periodic`` and is the :mod:`asianpde.grid` fill if not.
+        Unless ``periodic``, the passes skip psi's columns of +0.0 that the
+        step cannot reach (a put's A >= K), a band each C call finds and
+        grows (``_step.c``); fills and checks cover every column, and psi
+        gets the same bytes.
 
         Returns ``(steps run, corrective, max |C_x|, max |C_y|)``.  A failed
         check stops the march at the index ``steps run``: before any update
@@ -218,7 +193,7 @@ def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
     """
     _guard(*_max_abs(courant))
     ws = StepWorkspace.holding(psi, courant)
-    ws.upwind(ws.courant)
+    library().upwind(*ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], *ws.c_scratch)
     return ws.psi.copy()
 
 
@@ -231,7 +206,12 @@ def antidiffusive_courant(psi: ScalarField, courant: VectorField) -> VectorField
     for the caller to fill.
     """
     ws = StepWorkspace.holding(psi, courant)
-    return ws.antidiffusive(ws.courant, ws.corrective[0]).copy()
+    out = ws.corrective[0]
+    library().antidiffusive(
+        *ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
+        DEFAULT_EPSILON,
+    )
+    return out.copy()
 
 
 def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorField) -> VectorField:
@@ -243,7 +223,12 @@ def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorFiel
     result are left for the caller.
     """
     ws = StepWorkspace.holding(psi_before, courant_corrective)
-    return ws.limit(ws.courant, ws.corrective[0]).copy()
+    out = ws.corrective[0]
+    library().limit(
+        *ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
+        *ws.c_scratch, DEFAULT_EPSILON,
+    )
+    return out.copy()
 
 
 def mpdata_step(psi: ScalarField, courant: VectorField, opts: SolverOptions) -> ScalarField:

@@ -13,6 +13,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +74,10 @@ def _grid(cfg: RunConfig) -> GridSpec:
     return grid_from_price_domain(cfg.smin, cfg.smax, cfg.amax, cfg.nx, cfg.ny)
 
 
-def _instrument(cfg: RunConfig, kind: str | None = None, strike: float | None = None) -> InstrumentSpec:
+def _instrument(cfg: RunConfig) -> InstrumentSpec:
     return InstrumentSpec(
-        kind=kind or cfg.kind,
-        strike=cfg.strike if strike is None else strike,
+        kind=cfg.kind,
+        strike=cfg.strike,
         maturity=cfg.maturity_years,
         sigma=cfg.sigma,
         rate=cfg.rate,
@@ -151,27 +152,24 @@ def _pde_job(key: tuple, spec: GridSpec, dt: float, options: SolverOptions) -> f
         raise
 
 
-def _run_job(job: tuple):
-    fn, args = job
-    return fn(*args)
-
-
 def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
-    """All table rows x {call, put} x {upwind, mpdata_2it, mc_10k, mc_100k, geometric}.
+    """All table rows x {call, put} x {upwind, mpdata_2it, mc_10k, mc_100k, geometric},
+    with ``mpdata_<iters>it`` for ``cfg.iters`` and no second upwind column at 1.
 
     Returns the full-precision CSV rows and a human-readable companion table
-    rounded to 3 significant digits.  The jobs (32 PDE prices, then path
+    rounded to 3 significant digits.  The jobs (the PDE prices, then path
     ranges of one MC call over the four (sigma, T) sets) run in the calling
     thread when ``workers == 1``, else on a pool of at most ``workers``
     threads and CPUs (the C march and MC kernels release the GIL), whose pending
     jobs are cancelled on the first error.  Assembly order is fixed by the row key.
     """
     spec = _grid(cfg)
+    iters = dict.fromkeys((1, cfg.iters))  # upwind, then the MPDATA column unless it is upwind too
     pde_keys = [
         (sigma, t_months, strike, kind, n_iters)
         for (sigma, t_months, strike) in TABLE_ROWS
         for kind in ("call", "put")
-        for n_iters in (1, cfg.iters)
+        for n_iters in iters
     ]
     mc_keys = sorted({(sigma, t_months) for (sigma, t_months, _) in TABLE_ROWS})
     protos = [InstrumentSpec("call", 100.0, t / 12.0, s, TABLE_RATE, TABLE_SPOT) for s, t in mc_keys]
@@ -179,15 +177,15 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     # 4 MC ranges per thread balance the load; len(jobs) > size, so it needs no bound
     size = min(cfg.workers, os.cpu_count() or 1)
     edges = [mc_cfg.n_paths * i // (4 * size) for i in range(4 * size + 1)]
-    jobs = [(_pde_job, (key, spec, cfg.dt, _options(cfg, key[4]))) for key in pde_keys]
-    jobs += [(mc_path_averages_many, (protos, mc_cfg, a, b)) for a, b in zip(edges, edges[1:])]
+    jobs = [partial(_pde_job, key, spec, cfg.dt, _options(cfg, key[4])) for key in pde_keys]
+    jobs += [partial(mc_path_averages_many, protos, mc_cfg, a, b) for a, b in zip(edges, edges[1:])]
     if size == 1:
-        results = list(map(_run_job, jobs))
+        results = [job() for job in jobs]
     else:
         from concurrent.futures import ThreadPoolExecutor  # imported here: only a pool pays its 8 ms
         pool = ThreadPoolExecutor(size)
         try:
-            results = list(pool.map(_run_job, jobs))
+            results = list(pool.map(lambda job: job(), jobs))
         finally:
             pool.shutdown(cancel_futures=True)
     pde_prices = dict(zip(pde_keys, results))
@@ -199,8 +197,7 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
         for kind in ("call", "put"):
             inst = InstrumentSpec(kind, strike, t_months / 12.0, sigma, TABLE_RATE, TABLE_SPOT)
             methods: list[tuple[str, float, float | None]] = [
-                ("upwind", pde_prices[(sigma, t_months, strike, kind, 1)], None),
-                (_method_name(cfg.iters), pde_prices[(sigma, t_months, strike, kind, cfg.iters)], None),
+                (_method_name(n), pde_prices[(sigma, t_months, strike, kind, n)], None) for n in iters
             ]
             averages = mc_averages[(sigma, t_months)]
             for n in TABLE_MC_PATHS:
@@ -217,7 +214,7 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
 
 
 def _render_table(cfg: RunConfig, cells: dict) -> str:
-    methods = ["upwind", _method_name(cfg.iters)]
+    methods = [_method_name(n) for n in dict.fromkeys((1, cfg.iters))]
     methods += [f"mc_{n // 1000}k" for n in TABLE_MC_PATHS]
     methods.append("geometric")
     head = f"{'sigma':>5} {'T_mo':>4} {'K':>5} "

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advection import SolverOptions, StepWorkspace, diffusion_number, stability_report
+from ._step import library
+from .advection import DEFAULT_EPSILON, SolverOptions, StepWorkspace, diffusion_number, stability_report
 from .advection import check_stability, mpdata_step  # noqa: F401 -- perfbench/tracing.py wraps both here
 from .errors import ConfigurationError, StabilityError
 from .grid import GridSpec, ScalarField, VectorField
@@ -71,7 +72,7 @@ class Transform:
 
 
 def make_transform(inst: InstrumentSpec) -> Transform:
-    half_var = 0.5 * inst.sigma**2
+    half_var = 0.5 * inst.sigma * inst.sigma
     return Transform(u=inst.rate - half_var, nu=-half_var, T=inst.maturity)
 
 
@@ -79,6 +80,8 @@ def grid_from_price_domain(s_min: float, s_max: float, a_max: float, nx: int, ny
     """GridSpec over x in [ln s_min, ln s_max], y in [0, a_max]."""
     if not s_min > 0:
         raise ConfigurationError(f"s_min must be positive for the log transform, got {s_min}")
+    if not s_min < s_max:
+        raise ConfigurationError(f"the price domain needs smin < smax, got smin = {s_min:g}, smax = {s_max:g}")
     return GridSpec(math.log(s_min), math.log(s_max), 0.0, a_max, nx, ny)
 
 
@@ -95,13 +98,13 @@ def build_courant(
     is and a new field is returned.
     """
     ws = StepWorkspace.holding(psi)
-    ws.fill_courant_x(*_courant_x_terms(tr, spec, dt))
+    library().courant_x(*ws.psi.c_values, ws.courant.c_comp_x[0], *_courant_x_terms(tr, spec, dt), DEFAULT_EPSILON)
     _write_courant_y(ws, tr, spec, dt)
     return ws.courant.copy()
 
 
 def _courant_x_terms(tr: Transform, spec: GridSpec, dt: float) -> tuple[float, float, float]:
-    """``(u, coef, scale)`` of C_x = (u - coef A) scale, see :meth:`StepWorkspace.fill_courant_x`."""
+    """``(u, coef, scale)`` of C_x = (u - coef A) scale, see :meth:`StepWorkspace.march`."""
     return tr.u, tr.nu * (2.0 / spec.dx), dt / spec.dx
 
 
@@ -115,7 +118,9 @@ def terminal_condition(inst: InstrumentSpec, spec: GridSpec) -> ScalarField:
 
     The payoff depends on y only, so the average over [y_lo, y_hi] of the
     piecewise-linear ramp has the closed form (ramp(y_hi)^2 - ramp(y_lo)^2)
-    / (2 dy) with ramp(z) = max(z, 0) (mirrored for puts).
+    / (2 dy) with ramp(z) = max(z, 0) (mirrored for puts).  Raises
+    :class:`ConfigurationError` when a squared ramp would overflow, on a very
+    wide A domain.
     """
     if not (spec.y_min <= inst.strike <= spec.y_max):
         warnings.warn(
@@ -125,6 +130,12 @@ def terminal_condition(inst: InstrumentSpec, spec: GridSpec) -> ScalarField:
         )
     y_lo = spec.y_min + spec.dy * np.arange(spec.ny)
     y_hi = y_lo + spec.dy
+    # the largest ramp that _ramp_sq squares below, as the same double, squared
+    # in Python, which warns of nothing (np.errstate and np.isfinite would add
+    # about 0.2 MB of peak RSS to every valuation)
+    widest = max(float(y_hi[-1] - inst.strike if inst.kind == "call" else inst.strike - y_lo[0]), 0.0)
+    if math.isinf(widest * widest):
+        raise ConfigurationError(f"amax = {spec.y_max:g} overflows the cell-averaged payoff; lower amax")
     if inst.kind == "call":
         cell_avg = (_ramp_sq(y_hi - inst.strike) - _ramp_sq(y_lo - inst.strike)) / (2 * spec.dy)
     else:

@@ -104,7 +104,7 @@ def mc_path_averages_many(
         raise ConfigurationError(f"path range [{start}, {stop}) outside [0, {cfg.n_paths})")
     m = cfg.n_steps
     steps = [
-        ((i.rate - 0.5 * i.sigma**2) * (i.maturity / m), i.sigma * math.sqrt(i.maturity / m))
+        ((i.rate - 0.5 * i.sigma * i.sigma) * (i.maturity / m), i.sigma * math.sqrt(i.maturity / m))
         for i in insts
     ]
     outs = [np.empty(stop - start) for _ in insts]

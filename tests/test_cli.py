@@ -78,12 +78,15 @@ class TestPriceCommand:
             (["--with-mc", "--paths", "1"], "n_paths must be >= 2"),
             (["--dt", "1e-300"], "time steps over T"),
             (["--dt", "1e-12"], "time steps over T"),
+            (["--smax", "40"], "smin < smax, got smin = 50, smax = 40"),
+            (["--amax", "1e308"], "amax = 1e+308 overflows"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):
         result = runner.invoke(main, ["price", *args])
         assert result.exit_code == 2
-        assert message in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and message in errors[0]
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("args, allocation", [(["mc", "--paths", "300", "--steps", "40"], "empty"),

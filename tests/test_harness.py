@@ -173,6 +173,24 @@ class TestRunTable:
         methods = {row[4] for row in rows1}
         assert methods == {"upwind", "mpdata_2it", "mc_0k", "mc_2k", "geometric"}
 
+    def test_single_iteration_prices_each_row_once(self, monkeypatch):
+        # at --iters 1 the MPDATA column is the upwind one: no second job, row or column
+        import asianpde.harness as harness
+
+        monkeypatch.setattr(harness, "TABLE_MC_PATHS", (1000, 2000))
+        monkeypatch.setattr(harness, "TABLE_MC_STEPS", 10)
+        priced = []
+        pde_job = harness._pde_job
+        monkeypatch.setattr(harness, "_pde_job", lambda key, *args: priced.append(key) or pde_job(key, *args))
+        base = dict(nx=24, ny=20, dt=1.0 / 100.0)
+        rows, rendered = run_table(RunConfig(**base, iters=1))
+        assert len(priced) == 16
+        keys = [row[:5] for row in rows]
+        assert len(keys) == len(set(keys)) == 8 * 2 * 4
+        assert rendered.splitlines()[0].count("C:upwind") == 1
+        two_iteration_rows = run_table(RunConfig(**base, iters=2))[0]
+        assert rows == [row for row in two_iteration_rows if row[4] != "mpdata_2it"]
+
     @pytest.mark.parametrize("workers, cpus, size", [(10_000, 3, 3), (2, 64, 2), (10_000, None, None)])
     def test_pool_size_bounded_by_cpus(self, monkeypatch, workers, cpus, size):
         # the recorder starts no thread: it runs the jobs in the calling one
