@@ -47,9 +47,20 @@
  * must not read those of an earlier call's wider band.  The fills, courant_x
  * and the checks keep the full extent, and the periodic march, whose columns
  * wrap, the full width.
+ *
+ * The normals.  Each path draws from its own Philox4x64-10 stream, stepped
+ * here as numpy steps it, through numpy's ziggurat.  About 98.5% of draws
+ * take its fast path, which reads one 64-bit output and two table entries;
+ * normals runs that path inline, and hands every other draw to numpy's own
+ * random_standard_normal, linked from libnpyrandom.a, from the same output
+ * on.  numpy keeps the tables private, so the first call of a process reads
+ * them off that function, once, and checks the inline path against it on a
+ * fixed stream.  The bits are numpy's either way; a failed check only sends
+ * every draw to numpy, at numpy's speed.
  */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -381,6 +392,7 @@ void walk(const double *restrict z, double *restrict rel, long n, long m, double
 }
 
 /* numpy's ziggurat, from the libnpyrandom.a that numpy ships for its C API */
+double random_standard_normal(bitgen_t *bitgen);
 void random_standard_normal_fill(bitgen_t *bitgen, intptr_t n, double *out);
 
 /* One Philox4x64-10 stream (Salmon et al., SC 2011) as numpy's Philox steps
@@ -391,11 +403,9 @@ struct philox {
     int used;
 };
 
-static uint64_t philox_next(void *state)
+/* the next block of four outputs into buf, none of them used yet */
+static void philox_refill(struct philox *s)
 {
-    struct philox *s = state;
-    if (s->used < 4)
-        return s->buf[s->used++];
     for (int i = 0; i < 4 && ++s->ctr[i] == 0; i++)
         ; /* carry into the next word */
     uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
@@ -413,21 +423,120 @@ static uint64_t philox_next(void *state)
         c3 = (uint64_t)p0;
     }
     s->buf[0] = c0, s->buf[1] = c1, s->buf[2] = c2, s->buf[3] = c3;
-    s->used = 1;
-    return c0;
+    s->used = 0;
+}
+
+static uint64_t philox_next(void *state)
+{
+    struct philox *s = state;
+    if (s->used == 4)
+        philox_refill(s);
+    return s->buf[s->used++];
 }
 
 /* numpy's next_double: the top 53 bits over 2^53 */
 static double philox_double(void *state) { return (philox_next(state) >> 11) * (1.0 / 9007199254740992.0); }
+
+/* The fast path of numpy's ziggurat.  An output r picks the layer idx =
+ * r & 0xff, the sign bit 8 and the magnitude rabs = bits 9 to 60; when
+ * rabs < ki[idx] the draw is rabs wi[idx] with that sign, from r alone.
+ * numpy keeps ki and wi private, so derive_tables reads them off its
+ * random_standard_normal; ki stays 0 until then, and wherever the inline
+ * path would not give numpy's bits. */
+static uint64_t ki[256];
+static double wi[256];
+static pthread_once_t tables_once = PTHREAD_ONCE_INIT;
+
+/* A bitgen_t that hands out r, then zeros and halves, so that every path
+ * through the ziggurat ends; it counts the draws taken. */
+struct probe {
+    uint64_t r;
+    int draws;
+};
+
+static uint64_t probe_next(void *state)
+{
+    struct probe *p = state;
+    return p->draws++ ? 0 : p->r;
+}
+
+static double probe_double(void *state)
+{
+    ((struct probe *)state)->draws++;
+    return 0.5;
+}
+
+/* numpy's normal from r into *x; true when it took the fast path (r alone) */
+static int fast_path(uint64_t r, double *x)
+{
+    struct probe p = {.r = r};
+    bitgen_t gen = {.state = &p, .next_uint64 = probe_next, .next_double = probe_double};
+    *x = random_standard_normal(&gen);
+    return p.draws == 1;
+}
+
+/* m draws of the stream s into z: the fast path inline, every other draw
+ * handed to numpy's random_standard_normal from the same output on, which
+ * then runs its wedge or tail test on it.  The same bits as numpy's loop. */
+static void draw(struct philox *s, double *restrict z, long m)
+{
+    bitgen_t gen = {.state = s, .next_uint64 = philox_next, .next_double = philox_double};
+    for (long t = 0; t < m; t++) {
+        if (s->used == 4)
+            philox_refill(s);
+        uint64_t r = s->buf[s->used], idx = r & 0xff, rabs = (r >> 9) & 0xFFFFFFFFFFFFFu;
+        if (rabs < ki[idx]) {
+            s->used++;
+            double x = (double)(int64_t)rabs * wi[idx];
+            uint64_t bits;
+            memcpy(&bits, &x, sizeof bits);
+            bits ^= (r & 0x100) << 55; /* the sign, without a branch */
+            memcpy(z + t, &bits, sizeof bits);
+        } else {
+            z[t] = random_standard_normal(&gen);
+        }
+    }
+}
+
+/* ki[idx] is the least rabs that misses the fast path (2^52 when none does),
+ * found by bisection; wi[idx] is the draw from rabs 1.  A layer whose rabs 1
+ * misses (ki[1] is 0) stays with numpy.  Last, the inline path must give
+ * numpy's bits on a fixed stream with tail draws in it, or ki goes to 0. */
+static void derive_tables(void)
+{
+    double x;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = (uint64_t)1 << 52;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            if (fast_path(mid << 9 | idx, &x))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        ki[idx] = lo > 1 && fast_path(1 << 9 | idx, &wi[idx]) ? lo : 0;
+    }
+    struct philox ours = {.used = 4}, theirs = {.used = 4};
+    bitgen_t gen = {.state = &theirs, .next_uint64 = philox_next, .next_double = philox_double};
+    double a[256], b[256];
+    for (int chunk = 0; chunk < 64; chunk++) {
+        draw(&ours, a, 256);
+        random_standard_normal_fill(&gen, 256, b);
+        if (memcmp(a, b, sizeof a)) {
+            memset(ki, 0, sizeof ki);
+            return;
+        }
+    }
+}
 
 /* m standard normals into each of the n rows of z: row i is what numpy's
  * Generator(Philox(key=(seed, first + i))).standard_normal(m) draws.  Each
  * row's stream lives on this call's stack. */
 void normals(double *restrict z, long n, long m, uint64_t seed, long first)
 {
+    pthread_once(&tables_once, derive_tables);
     for (long i = 0; i < n; i++) {
         struct philox s = {.key = {seed, (uint64_t)(first + i)}, .used = 4};
-        bitgen_t gen = {.state = &s, .next_uint64 = philox_next, .next_double = philox_double};
-        random_standard_normal_fill(&gen, m, z + i * m);
+        draw(&s, z + i * m, m);
     }
 }

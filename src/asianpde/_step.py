@@ -2,8 +2,11 @@
 
 The first kernel call of a process loads the shared object that gcc built
 from this source, with these flags, for this CPU, linked with the
-``libnpyrandom.a`` that numpy ships for its C random API (its ziggurat draws
-the Monte Carlo normals); when the cache holds none, gcc builds it first.
+``libnpyrandom.a`` that numpy ships for its C random API; when the cache
+holds none, gcc builds it first.  The Monte Carlo normals are numpy's
+ziggurat: ``normals`` runs its fast path inline, on tables that the first
+call of a process reads off numpy's ``random_standard_normal``, and hands
+every other draw to that function, so the stream is numpy's bit for bit.
 The cache lives in ``$XDG_CACHE_HOME/asianpde`` (by default
 ``~/.cache/asianpde``).  A build is written to a temporary file and
 renamed into place, so builds that run at the same time (in separate

@@ -56,6 +56,15 @@ class InstrumentSpec:
         for name in ("strike", "maturity", "sigma", "rate", "spot"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            discount = math.exp(-self.rate * self.maturity)
+        except OverflowError:
+            discount = math.inf
+        if not math.isfinite(discount):
+            raise ConfigurationError(
+                f"the discount factor exp(-rate * maturity) overflows at rate = {self.rate:g}, "
+                f"maturity = {self.maturity:g}"
+            )
 
 
 @dataclass(frozen=True)

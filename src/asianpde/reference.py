@@ -7,7 +7,8 @@ estimate is reproducible bit for bit regardless of evaluation order or
 worker count.  Path i draws what numpy's
 ``Generator(Philox(key=(seed, i))).standard_normal(n_steps)`` draws; the C
 kernel ``normals`` of ``_step`` draws a block of paths in one call, without
-the GIL.
+the GIL, with the fast path of numpy's ziggurat inline and every other draw
+left to numpy's own ``random_standard_normal``.
 """
 
 from __future__ import annotations

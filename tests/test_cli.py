@@ -70,20 +70,23 @@ class TestPriceCommand:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--dt", "0"], "dt must be positive"),
-            (["--dt", "-0.001"], "dt must be positive"),
-            (["--sigma", "nan"], "sigma must be finite"),
-            (["--rate", "nan"], "rate must be finite"),
-            (["--amax", "50"], "lies above amax"),
-            (["--with-mc", "--paths", "1"], "n_paths must be >= 2"),
-            (["--dt", "1e-300"], "time steps over T"),
-            (["--dt", "1e-12"], "time steps over T"),
-            (["--smax", "40"], "smin < smax, got smin = 50, smax = 40"),
-            (["--amax", "1e308"], "amax = 1e+308 overflows"),
+            (["price", "--dt", "0"], "dt must be positive"),
+            (["price", "--dt", "-0.001"], "dt must be positive"),
+            (["price", "--sigma", "nan"], "sigma must be finite"),
+            (["price", "--rate", "nan"], "rate must be finite"),
+            (["price", "--amax", "50"], "lies above amax"),
+            (["price", "--with-mc", "--paths", "1"], "n_paths must be >= 2"),
+            (["price", "--dt", "1e-300"], "time steps over T"),
+            (["price", "--dt", "1e-12"], "time steps over T"),
+            (["price", "--smax", "40"], "smin < smax, got smin = 50, smax = 40"),
+            (["price", "--amax", "1e308"], "amax = 1e+308 overflows"),
+            (["price", "--rate", "-3000", "--maturity-months", "12"], "overflows at rate = -3000, maturity = 1"),
+            (["mc", "--rate", "-3000", "--maturity-months", "12"], "overflows at rate = -3000, maturity = 1"),
+            (["transect", "--rate", "-3000", "--maturity-months", "12"], "overflows at rate = -3000, maturity = 1"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):
-        result = runner.invoke(main, ["price", *args])
+        result = runner.invoke(main, args)
         assert result.exit_code == 2
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0]

@@ -27,6 +27,7 @@ from asianpde.pricing import (
     make_transform,
     terminal_condition,
 )
+from oracles import reference_normals
 
 PACKAGE_ROOT = Path(_step.__file__).parents[1]
 LOAD = "from asianpde._step import library; print(library()._name)"
@@ -49,6 +50,24 @@ from asianpde.cli import main
 main(sys.argv[2:])
 """
 FAST = ["--nx", "32", "--ny", "32", "--dt", "0.005", "--paths", "300", "--steps", "40"]
+# two threads make the process's first normals calls at once, each into its
+# own file of argv[1]
+FIRST_NORMALS = """
+import sys, threading
+import numpy as np
+from asianpde._step import library
+lib, start = library(), threading.Barrier(2)
+def draw(k):
+    z = np.full((37, 1000), np.nan)
+    start.wait()
+    lib.normals(z, 37, 1000, 5, 0)
+    z.tofile(f"{sys.argv[1]}/{k}")
+threads = [threading.Thread(target=draw, args=(k,)) for k in (0, 1)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+"""
 
 
 def environment(cache: Path, path: str | None = None) -> dict:
@@ -79,6 +98,14 @@ def test_concurrent_builds_leave_one_build(tmp_path):
     build = tmp_path / "asianpde" / _step.build_path().name
     assert loaded == [str(build)] * 2
     assert list((tmp_path / "asianpde").iterdir()) == [build]
+
+
+def test_first_normals_calls_on_two_threads_draw_numpys_bits(tmp_path):
+    # the ziggurat tables are set up once per process, under both threads
+    done = run(["-c", FIRST_NORMALS, str(tmp_path)], environment(tmp_path / "cache"))
+    assert done.returncode == 0, done.stderr
+    want = reference_normals(5, 0, 37, 1000).tobytes()
+    assert [(tmp_path / str(k)).read_bytes() == want for k in (0, 1)] == [True, True]
 
 
 def test_missing_gcc_raises_one_os_error(tmp_path):
@@ -168,8 +195,9 @@ def exported(source: str) -> set[str]:
 
 def test_kernel_parse_counts_definitions_only():
     source = _step.SOURCE.read_text()
-    assert "random_standard_normal_fill(" in source
-    assert "random_standard_normal_fill" not in exported(source)
+    for numpys in ("random_standard_normal", "random_standard_normal_fill"):
+        assert f"{numpys}(" in source
+        assert numpys not in exported(source)
     undeclared = "\nvoid undeclared(double *z,\n                long n)\n{\n}\n"
     assert exported(source + undeclared) == exported(source) | {"undeclared"}
 

@@ -30,6 +30,8 @@ GEOMETRIC_PUT_GOLDEN = 2.1384121612040241
 EUROPEAN_CALL_GOLDEN = 19.386356841700628  # S=K=100, r=0.08, sigma=0.4, T=1
 EUROPEAN_PUT_GOLDEN = 11.697991480364206
 NORM_CDF_1_GOLDEN = 0.84134474606854293
+# r of numpy's 256-layer normal ziggurat: beyond it lies the tail
+ZIGGURAT_TAIL_EDGE = 3.6541528853610088
 
 params = st.tuples(
     st.sampled_from(["call", "put"]),
@@ -189,6 +191,15 @@ class TestNormals:
         z = np.full((n, m), np.nan)
         _step.library().normals(z, n, m, seed & 0xFFFFFFFFFFFFFFFF, first)
         assert z.tobytes() == reference_normals(seed, first, n, m).tobytes()
+
+    def test_tail_draws_match_numpy(self):
+        # 231 of these draws lie beyond numpy's tail edge, where the
+        # ziggurat's layer-0 loop draws them
+        want = reference_normals(11, 0, 1024, 1000)
+        assert np.count_nonzero(np.abs(want) > ZIGGURAT_TAIL_EDGE) > 0
+        z = np.full(want.shape, np.nan)
+        _step.library().normals(z, *z.shape, 11, 0)
+        assert z.tobytes() == want.tobytes()
 
     def test_rows_must_be_contiguous_float64(self):
         for z in (np.ones((4, 16))[:, ::2], np.ones((4, 8), dtype=np.float32)):
