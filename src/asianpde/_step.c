@@ -9,7 +9,10 @@
  * the real x faces run to a = h + nx and the real y faces to b = h + ny.
  * The stencil kernels write real elements only and read halos that the
  * caller has filled; the fill kernels after them write the halos, and the
- * scan reads real elements only.  Every kernel takes first the record that
+ * scan reads real elements only.  The kernels that write a Courant field
+ * scan it as they write it: courant_x returns max |C_x|, and antidiffusive
+ * and limit write max |v_x| and max |v_y| to a double[2], each the max_abs
+ * of the faces written.  Every kernel takes first the record that
  * asianpde._step.dims makes of the array it walks; march takes psi's, and
  * the face arrays of the same workspace share its row length.
  *
@@ -17,9 +20,23 @@
  * order, as a direct numpy evaluation of its formula, so the results are
  * bit-identical to one.  That holds only when the compiler neither
  * reassociates nor fuses them: build with -ffp-contract=off and without
- * -ffast-math.  One signed-zero difference remains: in the flux and limiter
- * terms max_nan(-0.0, 0.0) is -0.0 and numpy's maximum +0.0; the final clip
- * of upwind removes it, so it reaches only limit's corrective Courant numbers.
+ * -ffast-math.  One signed-zero difference remains: the clamps of the flux
+ * and limiter terms, max_zero and min_zero, keep a -0.0 Courant number as
+ * -0.0, where numpy's maximum(-0.0, 0.0) and minimum(-0.0, 0.0) give +0.0;
+ * the final clip of upwind removes it, so it reaches only limit's corrective
+ * Courant numbers.  The clamps are written in the operand order of x86's
+ * maxpd and minpd, so that each is one vector instruction; min_one too.  The
+ * 5-point max and min of limit, and the min of its two ratios, propagate a
+ * NaN from either operand, which maxpd and minpd do not: they keep max_nan
+ * and min_nan.
+ *
+ * The scans.  march checks each Courant field against |C| <= 1 before the
+ * pass that uses it, on the maxima that the kernel writing the field found.
+ * It writes no component of the physical field but C_x, and that only when
+ * it rebuilds it, so C_y, and C_x when not rebuilt, are filled and scanned
+ * once per call.  Where march wraps the fields on the torus, the wrap copies
+ * the first x and y faces over the last, which a kernel wrote with the same
+ * bits from the same, wrapped, inputs: the maxima stand.
  *
  * The band.  A put's payoff is +0.0 for every A >= K, so on a backward march
  * about half of the columns of psi, those of largest A, hold only +0.0.  Let
@@ -43,10 +60,10 @@
  * step can make limit's factor NaN one column further up, but then also
  * inside the band, so the check fails with the same maxima.  A call starts
  * from psi's last live column and clears the corrective faces above its band
- * to +0.0, where a full-width march holds +-0: the checks scan every face and
- * must not read those of an earlier call's wider band.  The fills, courant_x
- * and the checks keep the full extent, and the periodic march, whose columns
- * wrap, the full width.
+ * to +0.0, where a full-width march holds +-0, so that a slot holds +0.0 above
+ * the band, and the maxima its kernels find over the band are those of every
+ * face.  The fills and courant_x keep the full extent, and the periodic
+ * march, whose columns wrap, the full width.
  *
  * The normals.  Each path draws from its own Philox4x64-10 stream, stepped
  * here as numpy steps it, through numpy's ziggurat.  About 98.5% of draws
@@ -70,6 +87,35 @@
 static inline double max_nan(double a, double b) { return (a >= b || a != a) ? a : b; }
 static inline double min_nan(double a, double b) { return (a <= b || a != a) ? a : b; }
 
+/* max_nan(x, 0.0), min_nan(x, 0.0) and min_nan(1.0, y), each the same value
+ * for every input (a NaN x or y comes back as it is, -0.0 stays -0.0, and
+ * numpy gives +0.0 for it: see the header), in the form of x86's maxpd and
+ * minpd, which return their second operand unless the first compares greater
+ * (less) */
+static inline double max_zero(double x) { return 0.0 > x ? 0.0 : x; }
+static inline double min_zero(double x) { return 0.0 < x ? 0.0 : x; }
+static inline double min_one(double y) { return 1.0 < y ? 1.0 : y; }
+
+/* The running max top of |x| over the elements x seen, kept as integers:
+ * with the sign bit cleared a double orders as its bit pattern read as an
+ * integer, and every NaN above inf.  The integer max has no NaN test to
+ * serialise on, so it vectorises. */
+static inline int64_t max_bits(int64_t top, double x)
+{
+    int64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    bits &= INT64_MAX;
+    return bits > top ? bits : top;
+}
+
+/* the double whose bits max_bits kept */
+static inline double from_bits(int64_t bits)
+{
+    double x;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
 /* x with negatives clipped to 0, as numpy's maximum(x, 0.0) gives it: a NaN
  * stays the same NaN, and -0.0 becomes +0.0 */
 static inline double clip_negative(double x) { return (x > 0.0 || x != x) ? x : 0.0; }
@@ -88,10 +134,10 @@ void upwind(double *restrict psi, long nx, long ny, long h, long r, const double
 {
     for (long a = h; a <= h + nx; a++)
         for (long k = a * r + h; k < a * r + h + ny; k++)
-            fx[k] = max_nan(cx[k], 0.0) * psi[k - r] + min_nan(cx[k], 0.0) * psi[k];
+            fx[k] = max_zero(cx[k]) * psi[k - r] + min_zero(cx[k]) * psi[k];
     for (long a = h; a < h + nx; a++)
         for (long k = a * r + h; k <= a * r + h + ny; k++)
-            fy[k] = max_nan(cy[k], 0.0) * psi[k - 1] + min_nan(cy[k], 0.0) * psi[k];
+            fy[k] = max_zero(cy[k]) * psi[k - 1] + min_zero(cy[k]) * psi[k];
     /* the scheme is sign-preserving; the clip removes round-off undershoots */
     for (long a = h; a < h + nx; a++)
         for (long k = a * r + h; k < a * r + h + ny; k++)
@@ -111,29 +157,37 @@ static inline double antidiffusive_face(const double *restrict psi, double c, do
     return (1.0 - abs_c) * abs_c * ratio_a - cbar_sum * 0.25 * c * ratio_b;
 }
 
-/* Antidiffusive Courant numbers of (cx, cy) into (vx, vy). */
+/* Antidiffusive Courant numbers of (cx, cy) into (vx, vy); max |v_x| and
+ * max |v_y| of the faces written into top[0] and top[1], as max_abs finds them. */
 void antidiffusive(const double *restrict psi, long nx, long ny, long h, long r,
                    const double *restrict cx, const double *restrict cy, double *restrict vx,
-                   double *restrict vy, double eps)
+                   double *restrict vy, double eps, double *restrict top)
 {
+    int64_t top_x = 0, top_y = 0;
     /* x face: the y faces of cells k - r and k, bottom then top */
     for (long a = h; a <= h + nx; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++)
+        for (long k = a * r + h; k < a * r + h + ny; k++) {
             vx[k] = antidiffusive_face(
                 psi, cx[k], ((cy[k - r] + cy[k]) + cy[k - r + 1]) + cy[k + 1], k, r, 1, eps);
+            top_x = max_bits(top_x, vx[k]);
+        }
     /* y face: the x faces of cells k - 1 and k, left then right */
     for (long a = h; a < h + nx; a++)
-        for (long k = a * r + h; k <= a * r + h + ny; k++)
+        for (long k = a * r + h; k <= a * r + h + ny; k++) {
             vy[k] = antidiffusive_face(
                 psi, cy[k], ((cx[k - 1] + cx[k + r - 1]) + cx[k]) + cx[k + r], k, 1, r, eps);
+            top_y = max_bits(top_y, vy[k]);
+        }
+    top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
 
-/* FCT-limited copy of the corrective field (cx, cy) into (vx, vy).  The
- * ratios beta_up = (max - psi) / (f_in + eps) and beta_dn = (psi - min) /
- * (f_out + eps) are staged in up and dn over the interior plus one cell. */
+/* FCT-limited copy of the corrective field (cx, cy) into (vx, vy), its max
+ * |v_x| and max |v_y| into top[0] and top[1] as in antidiffusive.  The ratios
+ * beta_up = (max - psi) / (f_in + eps) and beta_dn = (psi - min) / (f_out +
+ * eps) are staged in up and dn over the interior plus one cell. */
 void limit(const double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
            const double *restrict cy, double *restrict vx, double *restrict vy, double *restrict up,
-           double *restrict dn, double eps)
+           double *restrict dn, double eps, double *restrict top)
 {
     for (long a = h - 1; a <= h + nx; a++)
         for (long k = a * r + h - 1; k <= a * r + h + ny; k++) {
@@ -141,32 +195,43 @@ void limit(const double *restrict psi, long nx, long ny, long h, long r, const d
             double hi = max_nan(max_nan(max_nan(max_nan(c0, xm), xp), ym), yp);
             double lo = min_nan(min_nan(min_nan(min_nan(c0, xm), xp), ym), yp);
             /* inflow from the left, right, bottom and top neighbours; outflow */
-            double f_in = max_nan(cx[k], 0.0) * xm - min_nan(cx[k + r], 0.0) * xp
-                          + max_nan(cy[k], 0.0) * ym - min_nan(cy[k + 1], 0.0) * yp;
-            double f_out = (max_nan(cx[k + r], 0.0) - min_nan(cx[k], 0.0)
-                            + max_nan(cy[k + 1], 0.0) - min_nan(cy[k], 0.0)) * c0;
+            double f_in = max_zero(cx[k]) * xm - min_zero(cx[k + r]) * xp
+                          + max_zero(cy[k]) * ym - min_zero(cy[k + 1]) * yp;
+            double f_out = (max_zero(cx[k + r]) - min_zero(cx[k])
+                            + max_zero(cy[k + 1]) - min_zero(cy[k])) * c0;
             up[k] = (hi - c0) / (f_in + eps);
             dn[k] = (c0 - lo) / (f_out + eps);
         }
     /* donor side k - r (x) or k - 1 (y), receiver side k */
+    int64_t top_x = 0, top_y = 0;
     for (long a = h; a <= h + nx; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++)
-            vx[k] = min_nan(1.0, min_nan(dn[k - r], up[k])) * max_nan(cx[k], 0.0)
-                    + min_nan(1.0, min_nan(dn[k], up[k - r])) * min_nan(cx[k], 0.0);
+        for (long k = a * r + h; k < a * r + h + ny; k++) {
+            vx[k] = min_one(min_nan(dn[k - r], up[k])) * max_zero(cx[k])
+                    + min_one(min_nan(dn[k], up[k - r])) * min_zero(cx[k]);
+            top_x = max_bits(top_x, vx[k]);
+        }
     for (long a = h; a < h + nx; a++)
-        for (long k = a * r + h; k <= a * r + h + ny; k++)
-            vy[k] = min_nan(1.0, min_nan(dn[k - 1], up[k])) * max_nan(cy[k], 0.0)
-                    + min_nan(1.0, min_nan(dn[k], up[k - 1])) * min_nan(cy[k], 0.0);
+        for (long k = a * r + h; k <= a * r + h + ny; k++) {
+            vy[k] = min_one(min_nan(dn[k - 1], up[k])) * max_zero(cy[k])
+                    + min_one(min_nan(dn[k], up[k - 1])) * min_zero(cy[k]);
+            top_y = max_bits(top_y, vy[k]);
+        }
+    top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
 
 /* x component of the physical Courant field: (u - coef A) scale, with A the
- * guarded ratio (psi[k] - psi[k - r]) / (psi[k] + psi[k - r]) across the face. */
-void courant_x(const double *restrict psi, long nx, long ny, long h, long r, double *restrict cx,
-               double u, double coef, double scale, double eps)
+ * guarded ratio (psi[k] - psi[k - r]) / (psi[k] + psi[k - r]) across the face.
+ * Returns max |C_x| of the faces written, as max_abs finds it. */
+double courant_x(const double *restrict psi, long nx, long ny, long h, long r, double *restrict cx,
+                 double u, double coef, double scale, double eps)
 {
+    int64_t top = 0;
     for (long a = h; a <= h + nx; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++)
+        for (long k = a * r + h; k < a * r + h + ny; k++) {
             cx[k] = (u - guarded_ratio(psi[k] - psi[k - r], psi[k] + psi[k - r], eps) * coef) * scale;
+            top = max_bits(top, cx[k]);
+        }
+    return from_bits(top);
 }
 
 /* Linear extrapolation outward from cells k and k - step (k the edge cell)
@@ -215,23 +280,14 @@ void fill_faces(double *v, long n0, long n1, long h, long r)
     }
 }
 
-/* max |v| over the n0 x n1 real elements, a NaN if any is NaN.  With the sign
- * bit cleared a double orders as its bit pattern read as an integer, and
- * every NaN above inf: the integer max has no NaN test to serialise on, so
- * it vectorises. */
+/* max |v| over the n0 x n1 real elements, a NaN if any is NaN (see max_bits) */
 double max_abs(const double *v, long n0, long n1, long h, long r)
 {
     int64_t top = 0;
     for (long a = h; a < h + n0; a++)
-        for (long k = a * r + h; k < a * r + h + n1; k++) {
-            int64_t bits;
-            memcpy(&bits, v + k, sizeof bits);
-            bits &= INT64_MAX;
-            top = bits > top ? bits : top;
-        }
-    double out;
-    memcpy(&out, &top, sizeof out);
-    return out;
+        for (long k = a * r + h; k < a * r + h + n1; k++)
+            top = max_bits(top, v[k]);
+    return from_bits(top);
 }
 
 /* Halos on the torus with periods 1 <= p <= n: walking outward, whole rows
@@ -267,24 +323,29 @@ static void fill_psi(double *psi, long nx, long ny, long h, long r, long periodi
         fill_scalar(psi, nx, ny, h, r);
 }
 
-/* c's halos: wrapped on the nx x ny torus, or extended from the nearest face */
-static void fill_vector(struct faces c, long nx, long ny, long h, long r, long periodic)
+/* The halos of a face component with n0 x n1 real faces: wrapped on the
+ * nx x ny torus, or extended from the nearest face */
+static void fill_component(double *v, long n0, long n1, long h, long r, long nx, long ny, long periodic)
 {
-    if (periodic) {
-        wrap(c.x, nx + 1, ny, h, r, nx, ny);
-        wrap(c.y, nx, ny + 1, h, r, nx, ny);
-    } else {
-        fill_faces(c.x, nx + 1, ny, h, r);
-        fill_faces(c.y, nx, ny + 1, h, r);
-    }
+    if (periodic)
+        wrap(v, n0, n1, h, r, nx, ny);
+    else
+        fill_faces(v, n0, n1, h, r);
 }
 
-/* Writes max |C_x| and max |C_y| of c to out[0] and out[1]; true when both
- * are at most courant_max.  A NaN maximum compares false and fails. */
-static int courant_ok(struct faces c, long nx, long ny, long h, long r, double courant_max, double *out)
+/* c's halos, both components */
+static void fill_vector(struct faces c, long nx, long ny, long h, long r, long periodic)
 {
-    out[0] = max_abs(c.x, nx + 1, ny, h, r);
-    out[1] = max_abs(c.y, nx, ny + 1, h, r);
+    fill_component(c.x, nx + 1, ny, h, r, nx, ny, periodic);
+    fill_component(c.y, nx, ny + 1, h, r, nx, ny, periodic);
+}
+
+/* Copies a field's max |C_x| and max |C_y| from top to out[0] and out[1];
+ * true when both are at most courant_max.  A NaN maximum compares false and
+ * fails. */
+static int courant_ok(const double *top, double courant_max, double *out)
+{
+    out[0] = top[0], out[1] = top[1];
     return out[0] <= courant_max && out[1] <= courant_max;
 }
 
@@ -321,14 +382,17 @@ static void clear_above(struct faces c, long nx, long ny, long h, long r, long l
 /* n_steps transport steps of one length on the workspace: psi, the physical
  * field c (C_y written, and C_x too unless rebuild), the corrective slots a
  * and b and the scratch rows up and dn; every fill wraps on the torus if
- * periodic.  Each step fills psi, writes C_x = (u - coef A) scale if rebuild,
- * fills c and checks it, then runs one upwind pass and n_iters - 1 corrective
- * passes on a refilled psi, each antidiffusive field (FCT-limited if
- * nonoscillatory) checked before use.  A failed check of c, or diffusion_ok 0,
- * stops the march before the step changes psi; of a corrective field, before
- * its pass.  Returns the stopping step's index, or n_steps; out gets the
- * failing field's max |C_x|, max |C_y| and 1.0 if corrective, 0.0 if not.
- * The passes run over the band of live columns (see the header). */
+ * periodic.  Each step fills psi, writes C_x = (u - coef A) scale if rebuild
+ * and fills it, and checks c; then runs one upwind pass and n_iters - 1
+ * corrective passes on a refilled psi, each antidiffusive field (FCT-limited
+ * if nonoscillatory) checked before use.  A failed check of c, or
+ * diffusion_ok 0, stops the march before the step changes psi; of a
+ * corrective field, before its pass.  Returns the stopping step's index, or
+ * n_steps; out gets the failing field's max |C_x|, max |C_y| and 1.0 if
+ * corrective, 0.0 if not.  The passes run over the band of live columns (see
+ * the header).  march writes no component of c but C_x, and that only if
+ * rebuild: the others are filled and scanned once per call, and each field
+ * that march writes is scanned by the kernel that writes it. */
 long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
            double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, double u,
@@ -340,15 +404,25 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
         clear_above(a, nx, ny, h, r, live);
         clear_above(b, nx, ny, h, r, live);
     }
+    if (n_steps == 0)
+        return 0;
+    double c_top[2]; /* max |C_x| and max |C_y| of c */
+    fill_component(c.y, nx, ny + 1, h, r, nx, ny, periodic);
+    c_top[1] = max_abs(c.y, nx, ny + 1, h, r);
+    if (!rebuild) {
+        fill_component(c.x, nx + 1, ny, h, r, nx, ny, periodic);
+        c_top[0] = max_abs(c.x, nx + 1, ny, h, r);
+    }
     for (long n = 0; n < n_steps; n++) {
         if (live < ny)
             live = live_columns(psi, nx, ny, h, r, live - n_iters, live, n_iters);
         fill_psi(psi, nx, ny, h, r, periodic);
-        if (rebuild)
-            courant_x(psi, nx, ny, h, r, c.x, u, coef, scale, eps);
-        fill_vector(c, nx, ny, h, r, periodic);
+        if (rebuild) {
+            c_top[0] = courant_x(psi, nx, ny, h, r, c.x, u, coef, scale, eps);
+            fill_component(c.x, nx + 1, ny, h, r, nx, ny, periodic);
+        }
         out[2] = 0.0;
-        if (!courant_ok(c, nx, ny, h, r, courant_max, out) || !diffusion_ok)
+        if (!courant_ok(c_top, courant_max, out) || !diffusion_ok)
             return n;
         upwind(psi, nx, live, h, r, c.x, c.y, up, dn);
         struct faces current = c;
@@ -356,16 +430,17 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
             fill_psi(psi, nx, ny, h, r, periodic);
             /* a kernel never writes the slot it reads */
             struct faces next = current.x == a.x ? b : a;
-            antidiffusive(psi, nx, live, h, r, current.x, current.y, next.x, next.y, eps);
+            double v_top[2]; /* max |v_x| and max |v_y| of next */
+            antidiffusive(psi, nx, live, h, r, current.x, current.y, next.x, next.y, eps, v_top);
             fill_vector(next, nx, ny, h, r, periodic);
             if (nonoscillatory) {
                 struct faces limited = next.x == a.x ? b : a;
-                limit(psi, nx, live, h, r, next.x, next.y, limited.x, limited.y, up, dn, eps);
+                limit(psi, nx, live, h, r, next.x, next.y, limited.x, limited.y, up, dn, eps, v_top);
                 fill_vector(limited, nx, ny, h, r, periodic);
                 next = limited;
             }
             out[2] = 1.0;
-            if (!courant_ok(next, nx, ny, h, r, courant_max, out))
+            if (!courant_ok(v_top, courant_max, out))
                 return n;
             upwind(psi, nx, live, h, r, next.x, next.y, up, dn);
             current = next;

@@ -64,13 +64,15 @@ _ROWS = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
 # what march writes: the failing field's max |C_x| and max |C_y|, and 1.0 if
 # it was a corrective field
 MARCH_RESULT = ctypes.c_double * 3
+# what antidiffusive and limit write: max |C_x| and max |C_y| of their field
+MAXIMA = ctypes.c_double * 2
 # kernel -> (argument types, return type); without a return type ctypes reads
 # every result as a C int, silently
 ARGTYPES = {
     "upwind": (_DIMS + (_PTR,) * 4, None),
-    "antidiffusive": (_DIMS + (_PTR,) * 4 + (_REAL,), None),
-    "limit": (_DIMS + (_PTR,) * 6 + (_REAL,), None),
-    "courant_x": (_DIMS + (_PTR,) + (_REAL,) * 4, None),
+    "antidiffusive": (_DIMS + (_PTR,) * 4 + (_REAL, MAXIMA), None),
+    "limit": (_DIMS + (_PTR,) * 6 + (_REAL, MAXIMA), None),
+    "courant_x": (_DIMS + (_PTR,) + (_REAL,) * 4, _REAL),
     "fill_scalar": (_DIMS, None),
     "fill_faces": (_DIMS, None),
     "max_abs": (_DIMS, _REAL),

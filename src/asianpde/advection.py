@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import HALO, MARCH_RESULT, dims, library
+from ._step import HALO, MARCH_RESULT, MAXIMA, dims, library
 from .errors import ConfigurationError, StabilityError
 from .grid import ScalarField, VectorField
 from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
@@ -149,14 +149,17 @@ class StepWorkspace:
         ``MARCH_CALL_CELL_STEPS`` cell-steps so that Python sees a Ctrl-C
         between them.  Each step fills psi, writes C_x = (u - coef A) scale
         from ``courant_x = (u, coef, scale)`` (None keeps it), A the guarded
-        psi ratio across each x face, fills ``courant`` and checks it; then
+        psi ratio across each x face, fills it and checks ``courant``; then
         UPWIND and ``n_iters - 1`` corrective passes, each on refilled halos
         and checked against |C| <= 1.  Every fill wraps on the ``nx x ny``
         torus if ``periodic`` and is the :mod:`asianpde.grid` fill if not.
-        Unless ``periodic``, the passes skip psi's columns of +0.0 that the
-        step cannot reach (a put's A >= K), a band each C call finds and
-        grows (``_step.c``); fills and checks cover every column, and psi
-        gets the same bytes.
+        The march writes no component of ``courant`` but C_x, so C_y, and
+        C_x when kept, are filled and scanned once per C call; every field
+        it writes is checked on the max |C| that the kernel writing it finds
+        as it writes it.  Unless ``periodic``, the passes skip psi's columns
+        of +0.0 that the step cannot reach (a put's A >= K), a band each C
+        call finds and grows (``_step.c``); the fills cover every column,
+        the maxima are those of every face, and psi gets the same bytes.
 
         Returns ``(steps run, corrective, max |C_x|, max |C_y|)``.  A failed
         check stops the march at the index ``steps run``: before any update
@@ -209,7 +212,7 @@ def antidiffusive_courant(psi: ScalarField, courant: VectorField) -> VectorField
     out = ws.corrective[0]
     library().antidiffusive(
         *ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-        DEFAULT_EPSILON,
+        DEFAULT_EPSILON, MAXIMA(),
     )
     return out.copy()
 
@@ -226,7 +229,7 @@ def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorFiel
     out = ws.corrective[0]
     library().limit(
         *ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-        *ws.c_scratch, DEFAULT_EPSILON,
+        *ws.c_scratch, DEFAULT_EPSILON, MAXIMA(),
     )
     return out.copy()
 

@@ -56,14 +56,15 @@ class InstrumentSpec:
         for name in ("strike", "maturity", "sigma", "rate", "spot"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        # the discount factor for a negative rate, the growth of the paths for a positive one
+        factor = "discount factor exp(-rate * maturity)" if self.rate < 0 else "growth factor exp(rate * maturity)"
         try:
-            discount = math.exp(-self.rate * self.maturity)
+            largest = math.exp(abs(self.rate) * self.maturity)
         except OverflowError:
-            discount = math.inf
-        if not math.isfinite(discount):
+            largest = math.inf
+        if not math.isfinite(largest):
             raise ConfigurationError(
-                f"the discount factor exp(-rate * maturity) overflows at rate = {self.rate:g}, "
-                f"maturity = {self.maturity:g}"
+                f"the {factor} overflows at rate = {self.rate:g}, maturity = {self.maturity:g}"
             )
 
 

@@ -136,7 +136,12 @@ def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:
 
 
 def mc_result_from_averages(averages: np.ndarray, inst: InstrumentSpec) -> McResult:
-    """Discounted payoff statistics for pre-computed path averages (at least 2)."""
+    """Discounted payoff statistics for pre-computed path averages (at least 2).
+
+    Raises :class:`ConfigurationError` when the price or its standard error
+    is not finite, as when the paths overflow: a printed nan or inf would
+    pass for a result.
+    """
     n = averages.size
     if n < 2:
         raise ConfigurationError(f"a standard error needs at least 2 paths, got {n}")
@@ -147,6 +152,11 @@ def mc_result_from_averages(averages: np.ndarray, inst: InstrumentSpec) -> McRes
     discount = math.exp(-inst.rate * inst.maturity)
     price = discount * float(np.mean(payoffs))
     std_error = discount * float(np.std(payoffs, ddof=1)) / math.sqrt(n)
+    if not (math.isfinite(price) and math.isfinite(std_error)):
+        raise ConfigurationError(
+            f"the Monte Carlo estimate {price:g} +- {std_error:g} at rate = {inst.rate:g}, "
+            f"sigma = {inst.sigma:g}, maturity = {inst.maturity:g} is not finite: the paths overflow"
+        )
     return McResult(price=price, std_error=std_error, n_paths=n)
 
 

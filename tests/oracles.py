@@ -102,6 +102,92 @@ def transverse_mean_courant(courant: VectorField, i: int, j: int, d: int, q: int
     return 0.25 * (cx[a, b] + cx[a + 1, b] + cx[a, b + 1] + cx[a + 1, b + 1])
 
 
+def reference_upwind(psi: ScalarField, courant: VectorField) -> ScalarField:
+    """numpy evaluation of the C ``upwind`` on filled halos: the donor-cell
+    fluxes of every real face, the interior updated by their differences and
+    clipped at 0.  A new field; the inputs are read only."""
+    h, v, nx, ny = HALO, psi.values, psi.nx, psi.ny
+    out = psi.copy()
+    with np.errstate(all="ignore"):
+        fx = flux(v[h - 1:h + nx, h:h + ny], v[h:h + nx + 1, h:h + ny], courant.interior_x)
+        fy = flux(v[h:h + nx, h - 1:h + ny], v[h:h + nx, h:h + ny + 1], courant.interior_y)
+        out.interior[:] = np.maximum(psi.interior - ((fx[1:] - fx[:-1]) + (fy[:, 1:] - fy[:, :-1])), 0.0)
+    return out
+
+
+def _antidiffusive_faces(v, c, cbar_sum, near, far, epsilon):
+    """|C| (1 - |C|) A - C Cbar B on one face component, with ``v`` the cell
+    views and ``near`` / ``far`` the offsets of the C kernel's face function."""
+    (here, behind), (up_here, up_behind), (dn_here, dn_behind) = (
+        (v(0, 0), v(*near)), (v(*far), v(near[0] + far[0], near[1] + far[1])),
+        (v(-far[0], -far[1]), v(near[0] - far[0], near[1] - far[1])),
+    )
+    ratio_a = _guarded_ratio(here - behind, here + behind, epsilon)
+    up, dn = up_here + up_behind, dn_here + dn_behind
+    ratio_b = _guarded_ratio(up - dn, up + dn, epsilon) * 0.5
+    abs_c = np.abs(c)
+    return (1.0 - abs_c) * abs_c * ratio_a - cbar_sum * 0.25 * c * ratio_b
+
+
+def reference_antidiffusive(psi: ScalarField, courant: VectorField, epsilon: float = DEFAULT_EPSILON) -> VectorField:
+    """numpy evaluation of the C ``antidiffusive`` on filled halos, every
+    real face in the C kernel's order of operations.  Halos of the result are 0."""
+    h, v, nx, ny = HALO, psi.values, psi.nx, psi.ny
+    cx, cy = courant.comp_x, courant.comp_y
+    out = VectorField(np.zeros_like(cx), np.zeros_like(cy))
+    with np.errstate(all="ignore"):
+        # x face (a, b) between cells (a - 1, b) and (a, b); the y faces of both cells
+        cells = lambda da, db: v[h + da:h + nx + 1 + da, h + db:h + ny + db]  # noqa: E731
+        cbar = ((cy[h - 1:h + nx, h:h + ny] + cy[h:h + nx + 1, h:h + ny]) + cy[h - 1:h + nx, h + 1:h + ny + 1]) \
+            + cy[h:h + nx + 1, h + 1:h + ny + 1]
+        out.interior_x[:] = _antidiffusive_faces(cells, courant.interior_x, cbar, (-1, 0), (0, 1), epsilon)
+        # y face (a, b) between cells (a, b - 1) and (a, b); the x faces of both cells
+        cells = lambda da, db: v[h + da:h + nx + da, h + db:h + ny + 1 + db]  # noqa: E731
+        cbar = ((cx[h:h + nx, h - 1:h + ny] + cx[h + 1:h + nx + 1, h - 1:h + ny]) + cx[h:h + nx, h:h + ny + 1]) \
+            + cx[h + 1:h + nx + 1, h:h + ny + 1]
+        out.interior_y[:] = _antidiffusive_faces(cells, courant.interior_y, cbar, (0, -1), (1, 0), epsilon)
+    return out
+
+
+def limiter_ratios(psi: ScalarField, corrective: VectorField, epsilon: float = DEFAULT_EPSILON):
+    """numpy evaluation of the FCT ratios that the C ``limit`` stages, on the
+    real cells and the ring of one around them: ``(beta_up, beta_dn)``, each
+    ``(nx + 2, ny + 2)``, beta_up = (max - psi) / (f_in + eps) and beta_dn =
+    (psi - min) / (f_out + eps) over each cell's 5-point stencil."""
+    h, v, nx, ny = HALO, psi.values, psi.nx, psi.ny
+    cx, cy = corrective.comp_x, corrective.comp_y
+    rows, cols = slice(h - 1, h + nx + 1), slice(h - 1, h + ny + 1)
+    shifted = lambda a, da, db: a[h - 1 + da:h + nx + 1 + da, h - 1 + db:h + ny + 1 + db]  # noqa: E731
+    c0, xm, xp, ym, yp = (shifted(v, *d) for d in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)))
+    hi = np.maximum(np.maximum(np.maximum(np.maximum(c0, xm), xp), ym), yp)
+    lo = np.minimum(np.minimum(np.minimum(np.minimum(c0, xm), xp), ym), yp)
+    pos, neg = (lambda a: np.maximum(a, 0.0)), (lambda a: np.minimum(a, 0.0))
+    left, right, bottom, top = cx[rows, cols], shifted(cx, 1, 0), cy[rows, cols], shifted(cy, 0, 1)
+    with np.errstate(all="ignore"):
+        f_in = pos(left) * xm - neg(right) * xp + pos(bottom) * ym - neg(top) * yp
+        f_out = (pos(right) - neg(left) + pos(top) - neg(bottom)) * c0
+        return (hi - c0) / (f_in + epsilon), (c0 - lo) / (f_out + epsilon)
+
+
+def reference_limit(psi: ScalarField, corrective: VectorField, epsilon: float = DEFAULT_EPSILON) -> VectorField:
+    """numpy evaluation of the C ``limit`` on filled halos: each real face of
+    ``corrective`` scaled by min(1, beta) of its donor and receiver cells
+    (:func:`limiter_ratios`).  Halos of the result are 0."""
+    nx, ny = psi.nx, psi.ny
+    up, dn = limiter_ratios(psi, corrective, epsilon)
+    out = VectorField(np.zeros_like(corrective.comp_x), np.zeros_like(corrective.comp_y))
+    # the ratios' index i is cell i - 1: the donor of x face a is cell a - 1
+    # (index a), the receiver cell a (index a + 1)
+    for faces, c, donor, receiver in (
+        (out.interior_x, corrective.interior_x, (slice(0, nx + 1), slice(1, ny + 1)), (slice(1, nx + 2), slice(1, ny + 1))),
+        (out.interior_y, corrective.interior_y, (slice(1, nx + 1), slice(0, ny + 1)), (slice(1, nx + 1), slice(1, ny + 2))),
+    ):
+        with np.errstate(all="ignore"):
+            faces[:] = np.minimum(1.0, np.minimum(dn[donor], up[receiver])) * np.maximum(c, 0.0) \
+                + np.minimum(1.0, np.minimum(dn[receiver], up[donor])) * np.minimum(c, 0.0)
+    return out
+
+
 def reference_fill_scalar(fld: ScalarField) -> ScalarField:
     """numpy evaluation of :func:`asianpde.grid.fill_halos_scalar`: linear
     extrapolation from the two nearest interior cells, x then y, clipped at 0."""

@@ -83,6 +83,9 @@ class TestPriceCommand:
             (["price", "--rate", "-3000", "--maturity-months", "12"], "overflows at rate = -3000, maturity = 1"),
             (["mc", "--rate", "-3000", "--maturity-months", "12"], "overflows at rate = -3000, maturity = 1"),
             (["transect", "--rate", "-3000", "--maturity-months", "12"], "overflows at rate = -3000, maturity = 1"),
+            (["price", "--rate", "3000", "--maturity-months", "12"], "overflows at rate = 3000, maturity = 1"),
+            (["mc", "--rate", "3000", "--maturity-months", "12"], "overflows at rate = 3000, maturity = 1"),
+            (["transect", "--rate", "3000", "--maturity-months", "12"], "overflows at rate = 3000, maturity = 1"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):

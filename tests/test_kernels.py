@@ -208,7 +208,7 @@ def test_every_kernel_has_declared_types():
     for name, (argtypes, restype) in _step.ARGTYPES.items():
         kernel = getattr(lib, name)
         assert tuple(kernel.argtypes) == argtypes and kernel.restype is restype
-    assert _step.ARGTYPES["max_abs"][1] is ctypes.c_double
+    assert _step.ARGTYPES["max_abs"][1] is _step.ARGTYPES["courant_x"][1] is ctypes.c_double
 
 
 def test_one_route_to_c():

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -51,6 +52,19 @@ class TestInstrumentSpec:
     def test_invalid_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             sample_instrument(**overrides)
+
+    @pytest.mark.parametrize(
+        "rate, maturity, message",
+        [
+            (3000.0, 1.0, "the growth factor exp(rate * maturity) overflows at rate = 3000, maturity = 1"),
+            (-3000.0, 1.0, "the discount factor exp(-rate * maturity) overflows at rate = -3000, maturity = 1"),
+            (1e200, 1e200, "the growth factor exp(rate * maturity) overflows at rate = 1e+200, maturity = 1e+200"),
+        ],
+    )
+    def test_overflowing_growth_or_discount_refused(self, rate, maturity, message):
+        # the paths grow like exp(rate t); a price is discounted by exp(-rate T)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            sample_instrument(rate=rate, maturity=maturity)
 
 
 class TestMakeTransform:

@@ -307,6 +307,12 @@ class TestMcAsianPrice:
         with pytest.raises(ConfigurationError, match="at least 2 paths"):
             mc_result_from_averages(np.full(n, 100.0), instrument())
 
+    @pytest.mark.parametrize("averages", [[np.inf, 100.0], [np.nan, 100.0], [1e200, 100.0]])
+    def test_non_finite_estimate_refused(self, averages):
+        # an overflowed path average, or a spread whose square overflows
+        with np.errstate(all="ignore"), pytest.raises(ConfigurationError, match="is not finite"):
+            mc_result_from_averages(np.array(averages), instrument())
+
     def test_std_error_shrinks_like_sqrt_n(self):
         inst = instrument()
         small = mc_asian_price(inst, McConfig(20_000, 100, seed=4))
