@@ -65,6 +65,34 @@
  * face.  The fills and courant_x keep the full extent, and the periodic
  * march, whose columns wrap, the full width.
  *
+ * The split.  The step is unsplit: each pass reads only what the pass
+ * before it wrote, so a block of x rows can run a pass without the others.
+ * march runs on the calling thread and up to threads - 1 pthreads that it
+ * starts for the call and joins before it returns.  Each thread owns one
+ * contiguous block of x rows for every step of the call: its cells, the x
+ * and y faces of its rows (the last block also x face row h + nx) and its
+ * rows of limit's ring (the first also row h - 1, the last h + nx).  It fills
+ * the halos beside its rows, right after it writes them, psi's after each
+ * update but the call's last; the first and last blocks fill the halo rows
+ * above and below, psi's at the start of the next pass, since they read two
+ * real rows that another block may hold.  Between dependent phases the
+ * threads meet at a barrier: after the maxima of each field (each thread
+ * leaves those of its rows, and every thread combines all of them as integer
+ * maxima, so every thread takes the same stop decision), between upwind's
+ * fluxes and its update, after the update, and between antidiffusive and
+ * the two phases of limit: 8 barriers in a 2-iteration step with the
+ * limiter, 3 in an upwind step.  Each thread finds the same band from the
+ * whole of psi between the update and the next pass.  Every element gets the
+ * same operations from exactly one thread, and the maxima are the integer
+ * max of the same elements, so every byte is that of one thread, which runs
+ * the same code as one block with no pthread.  A barrier spins a bounded
+ * number of pauses and then yields its core at each spin: on a machine with
+ * more runnable threads than cores, a pure spin keeps the core from the
+ * thread it waits for (two concurrent upwind valuations at 204x242 took
+ * 5.1 s that way, against 0.5 s with the yield).  The periodic march runs on one thread, since wrap copies
+ * across the whole torus.  Signals are blocked in the helper threads, so
+ * that a Ctrl-C lands on the caller and Python sees it between calls.
+ *
  * The normals.  Each path draws from its own Philox4x64-10 stream, stepped
  * here as numpy steps it, through numpy's ziggurat.  About 98.5% of draws
  * take its fast path, which reads one 64-bit output and two table entries;
@@ -78,6 +106,9 @@
 
 #include <math.h>
 #include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -126,22 +157,46 @@ static inline double guarded_ratio(double num, double den, double eps)
     return fabs(den) < eps ? 0.0 : num / den;
 }
 
-/* Donor-cell pass: psi -= (fx[k + r] - fx[k]) + (fy[k + 1] - fy[k]), clipped
- * at 0, with the face fluxes max(C, 0) psi_donor + min(C, 0) psi_receiver
+/* A block of rows: the cell rows [lo, hi), the x and y faces of those rows
+ * and the same rows of limit's ring; the first block also takes the halo
+ * rows and the ring row above (h - 1), the last the x face row h + nx, the
+ * ring row h + nx and the halo rows below.  A kernel over a block writes
+ * nothing outside it.  The exported kernels run over one block of every row. */
+struct block {
+    long lo, hi, first, last;
+};
+
+static struct block every_row(long nx, long h) { return (struct block){h, h + nx, 1, 1}; }
+
+/* The face fluxes max(C, 0) psi_donor + min(C, 0) psi_receiver of upwind,
  * staged in fx and fy. */
+static void upwind_fluxes(const double *restrict psi, long ny, long h, long r, const double *restrict cx,
+                          const double *restrict cy, double *restrict fx, double *restrict fy, struct block s)
+{
+    for (long a = s.lo; a < s.hi + s.last; a++)
+        for (long k = a * r + h; k < a * r + h + ny; k++)
+            fx[k] = max_zero(cx[k]) * psi[k - r] + min_zero(cx[k]) * psi[k];
+    for (long a = s.lo; a < s.hi; a++)
+        for (long k = a * r + h; k <= a * r + h + ny; k++)
+            fy[k] = max_zero(cy[k]) * psi[k - 1] + min_zero(cy[k]) * psi[k];
+}
+
+/* psi -= (fx[k + r] - fx[k]) + (fy[k + 1] - fy[k]), clipped at 0: the
+ * scheme is sign-preserving, and the clip removes round-off undershoots */
+static void upwind_update(double *restrict psi, long ny, long h, long r, const double *restrict fx,
+                          const double *restrict fy, struct block s)
+{
+    for (long a = s.lo; a < s.hi; a++)
+        for (long k = a * r + h; k < a * r + h + ny; k++)
+            psi[k] = clip_negative(psi[k] - ((fx[k + r] - fx[k]) + (fy[k + 1] - fy[k])));
+}
+
+/* Donor-cell pass with the face fluxes staged in fx and fy. */
 void upwind(double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
             const double *restrict cy, double *restrict fx, double *restrict fy)
 {
-    for (long a = h; a <= h + nx; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++)
-            fx[k] = max_zero(cx[k]) * psi[k - r] + min_zero(cx[k]) * psi[k];
-    for (long a = h; a < h + nx; a++)
-        for (long k = a * r + h; k <= a * r + h + ny; k++)
-            fy[k] = max_zero(cy[k]) * psi[k - 1] + min_zero(cy[k]) * psi[k];
-    /* the scheme is sign-preserving; the clip removes round-off undershoots */
-    for (long a = h; a < h + nx; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++)
-            psi[k] = clip_negative(psi[k] - ((fx[k + r] - fx[k]) + (fy[k + 1] - fy[k])));
+    upwind_fluxes(psi, ny, h, r, cx, cy, fx, fy, every_row(nx, h));
+    upwind_update(psi, ny, h, r, fx, fy, every_row(nx, h));
 }
 
 /* |C| (1 - |C|) A - C Cbar B at face k between cells k - near and k, with
@@ -157,22 +212,20 @@ static inline double antidiffusive_face(const double *restrict psi, double c, do
     return (1.0 - abs_c) * abs_c * ratio_a - cbar_sum * 0.25 * c * ratio_b;
 }
 
-/* Antidiffusive Courant numbers of (cx, cy) into (vx, vy); max |v_x| and
- * max |v_y| of the faces written into top[0] and top[1], as max_abs finds them. */
-void antidiffusive(const double *restrict psi, long nx, long ny, long h, long r,
-                   const double *restrict cx, const double *restrict cy, double *restrict vx,
-                   double *restrict vy, double eps, double *restrict top)
+static void antidiffusive_rows(const double *restrict psi, long ny, long h, long r, const double *restrict cx,
+                               const double *restrict cy, double *restrict vx, double *restrict vy, double eps,
+                               double *restrict top, struct block s)
 {
     int64_t top_x = 0, top_y = 0;
     /* x face: the y faces of cells k - r and k, bottom then top */
-    for (long a = h; a <= h + nx; a++)
+    for (long a = s.lo; a < s.hi + s.last; a++)
         for (long k = a * r + h; k < a * r + h + ny; k++) {
             vx[k] = antidiffusive_face(
                 psi, cx[k], ((cy[k - r] + cy[k]) + cy[k - r + 1]) + cy[k + 1], k, r, 1, eps);
             top_x = max_bits(top_x, vx[k]);
         }
     /* y face: the x faces of cells k - 1 and k, left then right */
-    for (long a = h; a < h + nx; a++)
+    for (long a = s.lo; a < s.hi; a++)
         for (long k = a * r + h; k <= a * r + h + ny; k++) {
             vy[k] = antidiffusive_face(
                 psi, cy[k], ((cx[k - 1] + cx[k + r - 1]) + cx[k]) + cx[k + r], k, 1, r, eps);
@@ -181,15 +234,22 @@ void antidiffusive(const double *restrict psi, long nx, long ny, long h, long r,
     top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
 
-/* FCT-limited copy of the corrective field (cx, cy) into (vx, vy), its max
- * |v_x| and max |v_y| into top[0] and top[1] as in antidiffusive.  The ratios
- * beta_up = (max - psi) / (f_in + eps) and beta_dn = (psi - min) / (f_out +
- * eps) are staged in up and dn over the interior plus one cell. */
-void limit(const double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
-           const double *restrict cy, double *restrict vx, double *restrict vy, double *restrict up,
-           double *restrict dn, double eps, double *restrict top)
+/* Antidiffusive Courant numbers of (cx, cy) into (vx, vy); max |v_x| and
+ * max |v_y| of the faces written into top[0] and top[1], as max_abs finds them. */
+void antidiffusive(const double *restrict psi, long nx, long ny, long h, long r,
+                   const double *restrict cx, const double *restrict cy, double *restrict vx,
+                   double *restrict vy, double eps, double *restrict top)
 {
-    for (long a = h - 1; a <= h + nx; a++)
+    antidiffusive_rows(psi, ny, h, r, cx, cy, vx, vy, eps, top, every_row(nx, h));
+}
+
+/* limit's ratios beta_up = (max - psi) / (f_in + eps) and beta_dn = (psi -
+ * min) / (f_out + eps) over the block's ring rows, into up and dn */
+static void limit_ratios(const double *restrict psi, long ny, long h, long r, const double *restrict cx,
+                         const double *restrict cy, double *restrict up, double *restrict dn, double eps,
+                         struct block s)
+{
+    for (long a = s.lo - s.first; a < s.hi + s.last; a++)
         for (long k = a * r + h - 1; k <= a * r + h + ny; k++) {
             double c0 = psi[k], xm = psi[k - r], xp = psi[k + r], ym = psi[k - 1], yp = psi[k + 1];
             double hi = max_nan(max_nan(max_nan(max_nan(c0, xm), xp), ym), yp);
@@ -202,15 +262,22 @@ void limit(const double *restrict psi, long nx, long ny, long h, long r, const d
             up[k] = (hi - c0) / (f_in + eps);
             dn[k] = (c0 - lo) / (f_out + eps);
         }
-    /* donor side k - r (x) or k - 1 (y), receiver side k */
+}
+
+/* (cx, cy) scaled by limit's ratios into (vx, vy), max |v_x| and max |v_y|
+ * into top; donor side k - r (x) or k - 1 (y), receiver side k */
+static void limit_faces(long ny, long h, long r, const double *restrict cx, const double *restrict cy,
+                        double *restrict vx, double *restrict vy, const double *restrict up,
+                        const double *restrict dn, double *restrict top, struct block s)
+{
     int64_t top_x = 0, top_y = 0;
-    for (long a = h; a <= h + nx; a++)
+    for (long a = s.lo; a < s.hi + s.last; a++)
         for (long k = a * r + h; k < a * r + h + ny; k++) {
             vx[k] = min_one(min_nan(dn[k - r], up[k])) * max_zero(cx[k])
                     + min_one(min_nan(dn[k], up[k - r])) * min_zero(cx[k]);
             top_x = max_bits(top_x, vx[k]);
         }
-    for (long a = h; a < h + nx; a++)
+    for (long a = s.lo; a < s.hi; a++)
         for (long k = a * r + h; k <= a * r + h + ny; k++) {
             vy[k] = min_one(min_nan(dn[k - 1], up[k])) * max_zero(cy[k])
                     + min_one(min_nan(dn[k], up[k - 1])) * min_zero(cy[k]);
@@ -219,19 +286,36 @@ void limit(const double *restrict psi, long nx, long ny, long h, long r, const d
     top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
 
+/* FCT-limited copy of the corrective field (cx, cy) into (vx, vy), its max
+ * |v_x| and max |v_y| into top[0] and top[1] as in antidiffusive.  The ratios
+ * are staged in up and dn over the interior plus one cell. */
+void limit(const double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
+           const double *restrict cy, double *restrict vx, double *restrict vy, double *restrict up,
+           double *restrict dn, double eps, double *restrict top)
+{
+    limit_ratios(psi, ny, h, r, cx, cy, up, dn, eps, every_row(nx, h));
+    limit_faces(ny, h, r, cx, cy, vx, vy, up, dn, top, every_row(nx, h));
+}
+
+static double courant_x_rows(const double *restrict psi, long ny, long h, long r, double *restrict cx,
+                             double u, double coef, double scale, double eps, struct block s)
+{
+    int64_t top = 0;
+    for (long a = s.lo; a < s.hi + s.last; a++)
+        for (long k = a * r + h; k < a * r + h + ny; k++) {
+            cx[k] = (u - guarded_ratio(psi[k] - psi[k - r], psi[k] + psi[k - r], eps) * coef) * scale;
+            top = max_bits(top, cx[k]);
+        }
+    return from_bits(top);
+}
+
 /* x component of the physical Courant field: (u - coef A) scale, with A the
  * guarded ratio (psi[k] - psi[k - r]) / (psi[k] + psi[k - r]) across the face.
  * Returns max |C_x| of the faces written, as max_abs finds it. */
 double courant_x(const double *restrict psi, long nx, long ny, long h, long r, double *restrict cx,
                  double u, double coef, double scale, double eps)
 {
-    int64_t top = 0;
-    for (long a = h; a <= h + nx; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++) {
-            cx[k] = (u - guarded_ratio(psi[k] - psi[k - r], psi[k] + psi[k - r], eps) * coef) * scale;
-            top = max_bits(top, cx[k]);
-        }
-    return from_bits(top);
+    return courant_x_rows(psi, ny, h, r, cx, u, coef, scale, eps, every_row(nx, h));
 }
 
 /* Linear extrapolation outward from cells k and k - step (k the edge cell)
@@ -246,27 +330,49 @@ static inline void extrapolate(double *v, long k, long step, long h)
     }
 }
 
-/* Halos of a scalar with nx x ny real cells: linear extrapolation from the
- * two nearest real cells, x first and then y over every row, so the corners
- * continue the rows the x pass filled. */
-void fill_scalar(double *v, long nx, long ny, long h, long r)
+/* The y halos of a scalar's rows [lo, hi), each from its own two edge cells */
+static void fill_scalar_rows(double *v, long ny, long h, long r, long lo, long hi)
 {
-    /* halo columns of the halo rows are left to the y pass, which rewrites them */
-    for (long b = h; b < h + ny; b++) {
-        extrapolate(v, h * r + b, -r, h);
-        extrapolate(v, (h + nx - 1) * r + b, r, h);
-    }
-    for (long a = 0; a < nx + 2 * h; a++) {
+    for (long a = lo; a < hi; a++) {
         extrapolate(v, a * r + h, -1, h);
         extrapolate(v, a * r + h + ny - 1, 1, h);
     }
 }
 
-/* Halos of a face component with n0 x n1 real faces: each halo element takes
- * the value of the nearest real face, rows along y first, then whole rows. */
-void fill_faces(double *v, long n0, long n1, long h, long r)
+/* The halo rows of a scalar above the block if it is the first and below it
+ * if it is the last: x from the two nearest real rows, then their y halos,
+ * so the corners continue the rows the x pass filled.  Reads two real rows,
+ * which may lie in the next block. */
+static void fill_scalar_edges(double *v, long nx, long ny, long h, long r, struct block s)
 {
-    for (long a = h; a < h + n0; a++) {
+    if (s.first) {
+        for (long b = h; b < h + ny; b++)
+            extrapolate(v, h * r + b, -r, h);
+        fill_scalar_rows(v, ny, h, r, 0, h);
+    }
+    if (s.last) {
+        for (long b = h; b < h + ny; b++)
+            extrapolate(v, (h + nx - 1) * r + b, r, h);
+        fill_scalar_rows(v, ny, h, r, h + nx, nx + 2 * h);
+    }
+}
+
+/* Halos of a scalar with nx x ny real cells: linear extrapolation from the
+ * two nearest real cells, x first and then y, so the corners continue the
+ * rows the x pass filled. */
+void fill_scalar(double *v, long nx, long ny, long h, long r)
+{
+    fill_scalar_rows(v, ny, h, r, h, h + nx);
+    fill_scalar_edges(v, nx, ny, h, r, every_row(nx, h));
+}
+
+/* The halos of a face component's real rows [lo, hi) along y, each element
+ * the value of the nearest real face; then the whole halo rows above, if lo
+ * is the first real row, and below, if hi - 1 is the last of n0, copies of
+ * that row. */
+static void fill_faces_rows(double *v, long n0, long n1, long h, long r, long lo, long hi)
+{
+    for (long a = lo; a < hi; a++) {
         double *row = v + a * r;
         for (long b = 0; b < h; b++) {
             row[b] = row[h];
@@ -275,20 +381,30 @@ void fill_faces(double *v, long n0, long n1, long h, long r)
     }
     size_t width = (size_t)(n1 + 2 * h) * sizeof(double);
     for (long layer = 1; layer <= h; layer++) {
-        memcpy(v + (h - layer) * r, v + h * r, width);
-        memcpy(v + (h + n0 - 1 + layer) * r, v + (h + n0 - 1) * r, width);
+        if (lo == h)
+            memcpy(v + (h - layer) * r, v + h * r, width);
+        if (hi == h + n0)
+            memcpy(v + (h + n0 - 1 + layer) * r, v + (h + n0 - 1) * r, width);
     }
 }
 
-/* max |v| over the n0 x n1 real elements, a NaN if any is NaN (see max_bits) */
-double max_abs(const double *v, long n0, long n1, long h, long r)
+/* Halos of a face component with n0 x n1 real faces: each halo element takes
+ * the value of the nearest real face, rows along y first, then whole rows. */
+void fill_faces(double *v, long n0, long n1, long h, long r) { fill_faces_rows(v, n0, n1, h, r, h, h + n0); }
+
+/* max |v| over the real rows [lo, hi) of a component with n1 real elements
+ * a row, a NaN if any is NaN (see max_bits) */
+static double max_rows(const double *v, long n1, long h, long r, long lo, long hi)
 {
     int64_t top = 0;
-    for (long a = h; a < h + n0; a++)
+    for (long a = lo; a < hi; a++)
         for (long k = a * r + h; k < a * r + h + n1; k++)
             top = max_bits(top, v[k]);
     return from_bits(top);
 }
+
+/* max |v| over the n0 x n1 real elements, a NaN if any is NaN (see max_bits) */
+double max_abs(const double *v, long n0, long n1, long h, long r) { return max_rows(v, n1, h, r, h, h + n0); }
 
 /* Halos on the torus with periods 1 <= p <= n: walking outward, whole rows
  * and then each row take the value one period in, so a face one period past
@@ -307,37 +423,6 @@ void wrap(double *v, long n0, long n1, long h, long r, long p0, long p1)
         for (long b = h + p1; b < n1 + 2 * h; b++)
             row[b] = row[b - p1];
     }
-}
-
-/* The two components of one Courant field in the workspace. */
-struct faces {
-    double *x, *y;
-};
-
-/* psi's halos: wrapped on the nx x ny torus, or extrapolated */
-static void fill_psi(double *psi, long nx, long ny, long h, long r, long periodic)
-{
-    if (periodic)
-        wrap(psi, nx, ny, h, r, nx, ny);
-    else
-        fill_scalar(psi, nx, ny, h, r);
-}
-
-/* The halos of a face component with n0 x n1 real faces: wrapped on the
- * nx x ny torus, or extended from the nearest face */
-static void fill_component(double *v, long n0, long n1, long h, long r, long nx, long ny, long periodic)
-{
-    if (periodic)
-        wrap(v, n0, n1, h, r, nx, ny);
-    else
-        fill_faces(v, n0, n1, h, r);
-}
-
-/* c's halos, both components */
-static void fill_vector(struct faces c, long nx, long ny, long h, long r, long periodic)
-{
-    fill_component(c.x, nx + 1, ny, h, r, nx, ny, periodic);
-    fill_component(c.y, nx, ny + 1, h, r, nx, ny, periodic);
 }
 
 /* Copies a field's max |C_x| and max |C_y| from top to out[0] and out[1];
@@ -368,15 +453,224 @@ static long live_columns(const double *psi, long nx, long ny, long h, long r, lo
     return last + 1 + margin < ny ? last + 1 + margin : ny;
 }
 
-/* +0.0 into the real faces of c above a band of live columns: x faces in
- * columns [live, ny), y faces in [live + 1, ny] */
-static void clear_above(struct faces c, long nx, long ny, long h, long r, long live)
+/* The two components of one Courant field in the workspace. */
+struct faces {
+    double *x, *y;
+};
+
+/* the most threads that one march runs on */
+#define TEAM_MAX 64
+/* the pauses that a thread spins at a barrier before each sched_yield: 3 us
+ * at 15 ns a pause */
+#define SPINS 200
+
+/* One march call: its arguments, the threads that run it and their barrier.
+ * Each thread leaves the maxima of the fields it scanned in its own slot,
+ * a cache line apart from the next. */
+struct team {
+    double *psi;
+    long nx, ny, h, r;
+    struct faces c, a, b;
+    double *up, *dn;
+    long n_steps, n_iters, nonoscillatory, diffusion_ok, periodic, rebuild;
+    double u, coef, scale, courant_max, eps;
+    long size;           /* the threads, final once open is set */
+    atomic_int open;     /* the gate that the helper threads wait at */
+    atomic_long arrived; /* the threads at the barrier */
+    atomic_int sense;    /* flipped as each barrier releases */
+    struct {
+        _Alignas(64) double top[2];
+    } slot[TEAM_MAX];
+};
+
+/* One spin of a wait: a pause, or after SPINS of them a sched_yield, so that
+ * a waiting thread gives its core to one that the scheduler left without. */
+static void relax(long *spins)
 {
-    size_t width = (size_t)(ny - live) * sizeof(double);
-    for (long a = h; a <= h + nx; a++)
-        memset(c.x + a * r + h + live, 0, width);
-    for (long a = h; a < h + nx; a++)
-        memset(c.y + a * r + h + live + 1, 0, width);
+    if (++*spins < SPINS) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+    } else {
+        sched_yield();
+    }
+}
+
+/* The team's barrier: every write a thread made before it is seen by every
+ * thread after it.  sense is the caller's own, flipped at each barrier. */
+static void barrier(struct team *t, int *sense)
+{
+    if (t->size == 1)
+        return;
+    *sense = !*sense;
+    if (atomic_fetch_add_explicit(&t->arrived, 1, memory_order_acq_rel) == t->size - 1) {
+        atomic_store_explicit(&t->arrived, 0, memory_order_relaxed);
+        atomic_store_explicit(&t->sense, *sense, memory_order_release);
+    } else {
+        for (long spins = 0; atomic_load_explicit(&t->sense, memory_order_acquire) != *sense;)
+            relax(&spins);
+    }
+}
+
+/* Leaves this thread's maxima top in its slot, waits for the team and writes
+ * the maxima of every slot to all: the integer max of max_bits, so the bits
+ * of one scan over every row. */
+static void gather(struct team *t, long id, int *sense, const double *top, double *all)
+{
+    t->slot[id].top[0] = top[0], t->slot[id].top[1] = top[1];
+    barrier(t, sense);
+    int64_t top_x = 0, top_y = 0;
+    for (long i = 0; i < t->size; i++)
+        top_x = max_bits(top_x, t->slot[i].top[0]), top_y = max_bits(top_y, t->slot[i].top[1]);
+    all[0] = from_bits(top_x), all[1] = from_bits(top_y);
+}
+
+/* psi's halos beside the block's real rows: the whole torus in a periodic
+ * march, which has one block, or the y halos of those rows */
+static void fill_psi_rows(const struct team *t, struct block s)
+{
+    if (t->periodic)
+        wrap(t->psi, t->nx, t->ny, t->h, t->r, t->nx, t->ny);
+    else
+        fill_scalar_rows(t->psi, t->ny, t->h, t->r, s.lo, s.hi);
+}
+
+/* the halo rows of psi that the block takes (none on the torus) */
+static void fill_psi_edges(const struct team *t, struct block s)
+{
+    if (!t->periodic)
+        fill_scalar_edges(t->psi, t->nx, t->ny, t->h, t->r, s);
+}
+
+/* The halos of a component's faces in the block, x (nx + 1 x ny real faces)
+ * or y (nx x ny + 1): wrapped on the torus, or extended from the nearest face */
+static void fill_x(const struct team *t, double *v, struct block s)
+{
+    if (t->periodic)
+        wrap(v, t->nx + 1, t->ny, t->h, t->r, t->nx, t->ny);
+    else
+        fill_faces_rows(v, t->nx + 1, t->ny, t->h, t->r, s.lo, s.hi + s.last);
+}
+
+static void fill_y(const struct team *t, double *v, struct block s)
+{
+    if (t->periodic)
+        wrap(v, t->nx, t->ny + 1, t->h, t->r, t->nx, t->ny);
+    else
+        fill_faces_rows(v, t->nx, t->ny + 1, t->h, t->r, s.lo, s.hi);
+}
+
+static void fill_vector(const struct team *t, struct faces f, struct block s)
+{
+    fill_x(t, f.x, s);
+    fill_y(t, f.y, s);
+}
+
+/* +0.0 into the block's real faces of f above a band of live columns: x
+ * faces in columns [live, ny), y faces in [live + 1, ny] */
+static void clear_above(const struct team *t, struct faces f, long live, struct block s)
+{
+    size_t width = (size_t)(t->ny - live) * sizeof(double);
+    for (long a = s.lo; a < s.hi + s.last; a++)
+        memset(f.x + a * t->r + t->h + live, 0, width);
+    for (long a = s.lo; a < s.hi; a++)
+        memset(f.y + a * t->r + t->h + live + 1, 0, width);
+}
+
+/* One upwind pass with the field f over the band: the block's fluxes, a
+ * barrier, the update of its rows; then, unless the pass is the call's
+ * last, the halos beside its rows for the next pass and a barrier. */
+static void upwind_pass(struct team *t, struct faces f, long live, int *sense, int last, struct block s)
+{
+    upwind_fluxes(t->psi, live, t->h, t->r, f.x, f.y, t->up, t->dn, s);
+    barrier(t, sense);
+    upwind_update(t->psi, live, t->h, t->r, t->up, t->dn, s);
+    if (!last) {
+        fill_psi_rows(t, s);
+        barrier(t, sense);
+    }
+}
+
+/* The march on thread id of the team, over its block of rows; what march
+ * returns, with its out.  Every thread finds the same band and the same
+ * maxima, so every thread stops at the same check. */
+static long run(struct team *t, long id, double *out)
+{
+    long nx = t->nx, ny = t->ny, h = t->h, r = t->r, n_iters = t->n_iters;
+    struct block s = {h + nx * id / t->size, h + nx * (id + 1) / t->size, id == 0, id == t->size - 1};
+    struct faces c = t->c;
+    int sense = 0;
+    long live = t->periodic ? ny : live_columns(t->psi, nx, ny, h, r, 0, ny, n_iters);
+    if (live < ny) {
+        clear_above(t, t->a, live, s);
+        clear_above(t, t->b, live, s);
+    }
+    if (t->n_steps == 0)
+        return 0;
+    double c_top[2], top[2]; /* this block's max |C_x| and max |C_y| of c; every block's */
+    fill_y(t, c.y, s);
+    c_top[1] = max_rows(c.y, ny + 1, h, r, s.lo, s.hi);
+    if (!t->rebuild) {
+        fill_x(t, c.x, s);
+        c_top[0] = max_rows(c.x, ny, h, r, s.lo, s.hi + s.last);
+    }
+    fill_psi_rows(t, s);
+    for (long n = 0; n < t->n_steps; n++) {
+        if (live < ny)
+            live = live_columns(t->psi, nx, ny, h, r, live - n_iters, live, n_iters);
+        fill_psi_edges(t, s);
+        if (t->rebuild) {
+            c_top[0] = courant_x_rows(t->psi, ny, h, r, c.x, t->u, t->coef, t->scale, t->eps, s);
+            fill_x(t, c.x, s);
+        }
+        gather(t, id, &sense, c_top, top);
+        out[2] = 0.0;
+        if (!courant_ok(top, t->courant_max, out) || !t->diffusion_ok)
+            return n;
+        int last_step = n == t->n_steps - 1;
+        upwind_pass(t, c, live, &sense, last_step && n_iters == 1, s);
+        struct faces current = c;
+        for (long pass = 1; pass < n_iters; pass++) {
+            fill_psi_edges(t, s);
+            /* a kernel never writes the slot it reads */
+            struct faces next = current.x == t->a.x ? t->b : t->a;
+            double v_top[2]; /* this block's max |v_x| and max |v_y| of next */
+            antidiffusive_rows(t->psi, live, h, r, current.x, current.y, next.x, next.y, t->eps, v_top, s);
+            fill_vector(t, next, s);
+            if (t->nonoscillatory) {
+                struct faces limited = next.x == t->a.x ? t->b : t->a;
+                barrier(t, &sense);
+                limit_ratios(t->psi, live, h, r, next.x, next.y, t->up, t->dn, t->eps, s);
+                barrier(t, &sense);
+                limit_faces(live, h, r, next.x, next.y, limited.x, limited.y, t->up, t->dn, v_top, s);
+                fill_vector(t, limited, s);
+                next = limited;
+            }
+            gather(t, id, &sense, v_top, top);
+            out[2] = 1.0;
+            if (!courant_ok(top, t->courant_max, out))
+                return n;
+            upwind_pass(t, next, live, &sense, last_step && pass == n_iters - 1, s);
+            current = next;
+        }
+    }
+    return t->n_steps;
+}
+
+/* A helper thread's place in the team */
+struct seat {
+    struct team *team;
+    long id;
+};
+
+static void *take_seat(void *arg)
+{
+    struct seat *seat = arg;
+    for (long spins = 0; !atomic_load_explicit(&seat->team->open, memory_order_acquire);)
+        relax(&spins);
+    double out[3];
+    run(seat->team, seat->id, out);
+    return NULL;
 }
 
 /* n_steps transport steps of one length on the workspace: psi, the physical
@@ -392,61 +686,38 @@ static void clear_above(struct faces c, long nx, long ny, long h, long r, long l
  * corrective, 0.0 if not.  The passes run over the band of live columns (see
  * the header).  march writes no component of c but C_x, and that only if
  * rebuild: the others are filled and scanned once per call, and each field
- * that march writes is scanned by the kernel that writes it. */
+ * that march writes is scanned by the kernel that writes it.  The march runs
+ * on up to threads threads (at most nx and TEAM_MAX), each over its own
+ * block of rows (see the header); a periodic march, or one of no steps, on
+ * one, and on as many as start when pthread_create fails. */
 long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
            double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
-           long nonoscillatory, long diffusion_ok, long periodic, long rebuild, double u,
+           long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
            double coef, double scale, double courant_max, double eps, double *out)
 {
-    struct faces c = {cx, cy}, a = {ax, ay}, b = {bx, by};
-    long live = periodic ? ny : live_columns(psi, nx, ny, h, r, 0, ny, n_iters);
-    if (live < ny) {
-        clear_above(a, nx, ny, h, r, live);
-        clear_above(b, nx, ny, h, r, live);
+    struct team t = {
+        psi, nx, ny, h, r, {cx, cy}, {ax, ay}, {bx, by}, up, dn, n_steps, n_iters, nonoscillatory,
+        diffusion_ok, periodic, rebuild, u, coef, scale, courant_max, eps, .size = 1,
+    };
+    long size = periodic || n_steps == 0 || threads < 1 ? 1 : threads < nx ? threads : nx;
+    size = size < TEAM_MAX ? size : TEAM_MAX;
+    pthread_t helpers[TEAM_MAX];
+    struct seat seats[TEAM_MAX];
+    /* signals go to the calling thread, which Python runs its handlers on */
+    sigset_t every, old;
+    sigfillset(&every);
+    pthread_sigmask(SIG_BLOCK, &every, &old);
+    for (; t.size < size; t.size++) {
+        seats[t.size] = (struct seat){&t, t.size};
+        if (pthread_create(&helpers[t.size], NULL, take_seat, &seats[t.size]))
+            break; /* the threads started so far run the march */
     }
-    if (n_steps == 0)
-        return 0;
-    double c_top[2]; /* max |C_x| and max |C_y| of c */
-    fill_component(c.y, nx, ny + 1, h, r, nx, ny, periodic);
-    c_top[1] = max_abs(c.y, nx, ny + 1, h, r);
-    if (!rebuild) {
-        fill_component(c.x, nx + 1, ny, h, r, nx, ny, periodic);
-        c_top[0] = max_abs(c.x, nx + 1, ny, h, r);
-    }
-    for (long n = 0; n < n_steps; n++) {
-        if (live < ny)
-            live = live_columns(psi, nx, ny, h, r, live - n_iters, live, n_iters);
-        fill_psi(psi, nx, ny, h, r, periodic);
-        if (rebuild) {
-            c_top[0] = courant_x(psi, nx, ny, h, r, c.x, u, coef, scale, eps);
-            fill_component(c.x, nx + 1, ny, h, r, nx, ny, periodic);
-        }
-        out[2] = 0.0;
-        if (!courant_ok(c_top, courant_max, out) || !diffusion_ok)
-            return n;
-        upwind(psi, nx, live, h, r, c.x, c.y, up, dn);
-        struct faces current = c;
-        for (long pass = 1; pass < n_iters; pass++) {
-            fill_psi(psi, nx, ny, h, r, periodic);
-            /* a kernel never writes the slot it reads */
-            struct faces next = current.x == a.x ? b : a;
-            double v_top[2]; /* max |v_x| and max |v_y| of next */
-            antidiffusive(psi, nx, live, h, r, current.x, current.y, next.x, next.y, eps, v_top);
-            fill_vector(next, nx, ny, h, r, periodic);
-            if (nonoscillatory) {
-                struct faces limited = next.x == a.x ? b : a;
-                limit(psi, nx, live, h, r, next.x, next.y, limited.x, limited.y, up, dn, eps, v_top);
-                fill_vector(limited, nx, ny, h, r, periodic);
-                next = limited;
-            }
-            out[2] = 1.0;
-            if (!courant_ok(v_top, courant_max, out))
-                return n;
-            upwind(psi, nx, live, h, r, next.x, next.y, up, dn);
-            current = next;
-        }
-    }
-    return n_steps;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    atomic_store_explicit(&t.open, 1, memory_order_release);
+    long ran = run(&t, 0, out);
+    for (long i = 1; i < t.size; i++)
+        pthread_join(helpers[i], NULL);
+    return ran;
 }
 
 /* The log-price walk of n Monte Carlo paths of m >= 1 steps, rows of z and

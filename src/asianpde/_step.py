@@ -77,7 +77,7 @@ ARGTYPES = {
     "fill_faces": (_DIMS, None),
     "max_abs": (_DIMS, _REAL),
     "wrap": (_DIMS + (_INT,) * 2, None),
-    "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 6 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
+    "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 7 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
     "walk": ((_ROWS, _ROWS) + (_INT,) * 2 + (_REAL,) * 2, None),
     "normals": ((_ROWS, _INT, _INT, ctypes.c_uint64, _INT), None),
 }

@@ -143,7 +143,8 @@ class StepWorkspace:
         return ws
 
     def march(
-        self, n_steps: int, opts: SolverOptions, courant_x=None, diffusion: float = 0.0, periodic=False
+        self, n_steps: int, opts: SolverOptions, courant_x=None, diffusion: float = 0.0, periodic=False,
+        threads: int = 1,
     ) -> tuple[int, bool, float, float]:
         """``n_steps`` transport steps of one length, in C calls of at most
         ``MARCH_CALL_CELL_STEPS`` cell-steps so that Python sees a Ctrl-C
@@ -160,6 +161,10 @@ class StepWorkspace:
         of +0.0 that the step cannot reach (a put's A >= K), a band each C
         call finds and grows (``_step.c``); the fills cover every column,
         the maxima are those of every face, and psi gets the same bytes.
+        Each C call runs on up to ``threads`` threads, each over its own
+        block of x rows with a barrier between dependent passes (at most one
+        thread a row, and one when ``periodic``); every byte and every
+        result is that of one thread.
 
         Returns ``(steps run, corrective, max |C_x|, max |C_y|)``.  A failed
         check stops the march at the index ``steps run``: before any update
@@ -170,7 +175,7 @@ class StepWorkspace:
         faces = (c[0] for fld in (self.courant, *self.corrective) for c in (fld.c_comp_x, fld.c_comp_y))
         arrays = (*self.psi.c_values, *faces, *self.c_scratch)
         settings = (
-            opts.n_iters, opts.nonoscillatory, diffusion <= _DIFFUSION_LIMIT, periodic, courant_x is not None,
+            opts.n_iters, opts.nonoscillatory, diffusion <= _DIFFUSION_LIMIT, periodic, courant_x is not None, threads,
             *(courant_x or (0.0, 0.0, 0.0)), _COURANT_LIMIT, DEFAULT_EPSILON,
         )
         per_call = max(1, MARCH_CALL_CELL_STEPS // (self.psi.nx * self.psi.ny))

@@ -23,8 +23,15 @@ from .benchmarks import convergence_study
 from .config import RunConfig
 from .errors import ConfigurationError, StabilityError
 from .grid import GridSpec
-from .pricing import InstrumentSpec, grid_from_price_domain, integrate, price_instrument, row_values
-from .pricing import readout  # noqa: F401 -- perfbench/tracing.py wraps harness.readout
+from .pricing import (
+    InstrumentSpec,
+    check_edge_cells,
+    grid_from_price_domain,
+    integrate,
+    price_instrument,
+    readout,
+    row_values,
+)
 from .reference import (
     McConfig,
     McResult,
@@ -142,11 +149,12 @@ def run_price(cfg: RunConfig, with_mc: bool = False) -> PriceReport:
 # ---------------------------------------------------------------------------
 
 def _pde_job(key: tuple, spec: GridSpec, dt: float, options: SolverOptions) -> float:
-    """One table PDE price; a stability error names its table row."""
+    """One table PDE price, its march on one thread: the table's pool keeps
+    every CPU busy.  A stability error names its table row."""
     sigma, t_months, strike, kind, _ = key
     inst = InstrumentSpec(kind, strike, t_months / 12.0, sigma, TABLE_RATE, TABLE_SPOT)
     try:
-        return price_instrument(inst, spec, dt, options)
+        return readout(integrate(inst, spec, dt, options, threads=1), inst, spec)
     except StabilityError as exc:
         exc.args = (f"table row sigma={sigma:g} T={t_months:g}mo K={strike:g} {kind}: {exc.args[0]}",)
         raise
@@ -240,6 +248,7 @@ def run_transect(cfg: RunConfig) -> list[tuple]:
     """Per-column values along the row nearest A = 0: the figure's seven curves."""
     spec = _grid(cfg)
     inst = _instrument(cfg)
+    check_edge_cells(inst, spec)
     curves = {
         n_iters: row_values(integrate(inst, spec, cfg.dt, _options(cfg, n_iters)))
         for n_iters in (1, 2, 4)

@@ -15,6 +15,7 @@ backward marching flips the sign of the Courant field, which is why
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbenc
 
 KINDS = ("call", "put")
 MAX_CELL_STEPS = 1e11  # time steps x cells of one march: ~29 min of 2-iteration steps at 5.8e7/s
+# the cells that pay for one more thread of a march: below about this many a
+# thread's share of a step costs less than the barriers between its passes
+CELLS_PER_THREAD = 2048
 
 
 @dataclass(frozen=True)
@@ -174,11 +178,20 @@ def _step_runs(maturity: float, dt: float) -> list[tuple[float, int]]:
     return runs
 
 
+def march_threads(nx: int, ny: int) -> int:
+    """The threads of a march on ``nx x ny`` cells: one per
+    ``CELLS_PER_THREAD`` cells, at most the CPUs this process may run on,
+    at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, nx * ny // CELLS_PER_THREAD))
+
+
 def integrate(
     inst: InstrumentSpec,
     spec: GridSpec,
     dt: float,
     opts: SolverOptions,
+    threads: int | None = None,
 ) -> ScalarField:
     """March the discounted payoff from t = T back to t = 0.
 
@@ -193,6 +206,9 @@ def integrate(
     before any field update at that step, with the step index; a
     corrective field over |C| = 1 raises it without one.  Over
     ``MAX_CELL_STEPS`` cell-steps raise :class:`ConfigurationError` first.
+    The march runs on ``threads`` threads, by default
+    :func:`march_threads`: one per ``CELLS_PER_THREAD`` cells, at most the
+    usable CPUs.  The result has the same bytes on any number.
 
     Since Psi = exp(-r t) f, the returned field at t = 0 is the price
     surface f itself; it owns its memory.
@@ -205,13 +221,17 @@ def integrate(
             f"dt = {dt:g} gives {n_steps:.3g} time steps over T = {inst.maturity:g} on "
             f"{spec.nx}x{spec.ny} cells, more than {MAX_CELL_STEPS:.0e} cell-steps"
         )
+    if threads is None:
+        threads = march_threads(spec.nx, spec.ny)
     tr = make_transform(inst)
     ws = StepWorkspace.holding(terminal_condition(inst, spec))
     done = 0  # steps of the runs before this one
     for step, count in _step_runs(inst.maturity, dt):
         _write_courant_y(ws, tr, spec, -step)
         diffusion = diffusion_number(tr.nu, step, spec.dx)
-        ran, corrective, max_cx, max_cy = ws.march(count, opts, _courant_x_terms(tr, spec, -step), diffusion)
+        ran, corrective, max_cx, max_cy = ws.march(
+            count, opts, _courant_x_terms(tr, spec, -step), diffusion, threads=threads
+        )
         if ran < count:
             report = stability_report(max_cx, max_cy, 0.0 if corrective else diffusion)
             raise StabilityError(report, step_index=None if corrective else done + ran)
@@ -219,19 +239,40 @@ def integrate(
     return ws.psi.copy()
 
 
+def check_edge_cells(inst: InstrumentSpec, spec: GridSpec) -> None:
+    """Raise :class:`ConfigurationError` when the strike and the spot both
+    lie inside the two A cells that :func:`row_values` extrapolates the
+    A = 0 edge from.  The path averages then stay inside those cells too,
+    which the march cannot resolve: at amax 1e20 a call reads 0.  A strike
+    alone inside them is read well, since a call's field is linear in A
+    above its strike."""
+    edge = spec.y_min + 2.0 * spec.dy
+    if max(inst.strike, inst.spot) < edge:
+        raise ConfigurationError(
+            f"strike {inst.strike:g} and spot {inst.spot:g} lie inside the first two A cells, below "
+            f"{edge:.6g}, from which the price at A = 0 is extrapolated (amax = {spec.y_max:g}, "
+            f"ny = {spec.ny}); lower amax or raise ny"
+        )
+
+
 def row_values(psi_t0: ScalarField) -> np.ndarray:
     """Price per column at the A = 0 edge.
 
     The j = 0 and j = 1 cell-centre rows are linearly extrapolated to the
     y = 0 edge, which removes the O(dy) bias of reading the j = 0 row (at
-    y = dy/2) as is.  Clipped at 0.
+    y = dy/2) as is.  Clipped at 0; see :func:`check_edge_cells`.
     """
     interior = psi_t0.interior
     return np.maximum(1.5 * interior[:, 0] - 0.5 * interior[:, 1], 0.0)
 
 
 def readout(psi_t0: ScalarField, inst: InstrumentSpec, spec: GridSpec) -> float:
-    """Interpolate the t = 0 field at x = ln(spot) along the A = 0 edge (see :func:`row_values`)."""
+    """Interpolate the t = 0 field at x = ln(spot) along the A = 0 edge (see :func:`row_values`).
+
+    Raises :class:`ConfigurationError` when the spot lies outside the cell
+    centres or the strike inside the edge cells (:func:`check_edge_cells`).
+    """
+    check_edge_cells(inst, spec)
     x0 = math.log(inst.spot)
     tol = 1e-9 * spec.dx
     if not (spec.x_min + spec.dx / 2 - tol <= x0 <= spec.x_max - spec.dx / 2 + tol):

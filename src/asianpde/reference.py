@@ -112,17 +112,19 @@ def mc_path_averages_many(
     block = np.empty((min(_PATH_BLOCK, stop - start), m))
     work = np.empty_like(block)
     lib = _step.library()
-    for lo in range(start, stop, _PATH_BLOCK):
-        hi = min(lo + _PATH_BLOCK, stop)
-        z, rel = block[: hi - lo], work[: hi - lo]
-        lib.normals(z, *z.shape, cfg.seed & 0xFFFFFFFFFFFFFFFF, lo)
-        for (drift, vol), out in zip(steps, outs):
-            # S/S0 = exp(cumsum(drift + vol * z)), the running sum in C and
-            # without the GIL; exp and the pairwise sum stay numpy's
-            lib.walk(z, rel, *rel.shape, vol, drift)
-            np.exp(rel, out=rel)
-            out[lo - start : hi - start] = (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m
-    return [inst.spot * out for inst, out in zip(insts, outs)]
+    # paths that overflow give inf averages, which mc_result_from_averages refuses
+    with np.errstate(over="ignore"):
+        for lo in range(start, stop, _PATH_BLOCK):
+            hi = min(lo + _PATH_BLOCK, stop)
+            z, rel = block[: hi - lo], work[: hi - lo]
+            lib.normals(z, *z.shape, cfg.seed & 0xFFFFFFFFFFFFFFFF, lo)
+            for (drift, vol), out in zip(steps, outs):
+                # S/S0 = exp(cumsum(drift + vol * z)), the running sum in C and
+                # without the GIL; exp and the pairwise sum stay numpy's
+                lib.walk(z, rel, *rel.shape, vol, drift)
+                np.exp(rel, out=rel)
+                out[lo - start : hi - start] = (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m
+        return [inst.spot * out for inst, out in zip(insts, outs)]
 
 
 def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:
@@ -150,8 +152,10 @@ def mc_result_from_averages(averages: np.ndarray, inst: InstrumentSpec) -> McRes
     else:
         payoffs = np.maximum(inst.strike - averages, 0.0)
     discount = math.exp(-inst.rate * inst.maturity)
-    price = discount * float(np.mean(payoffs))
-    std_error = discount * float(np.std(payoffs, ddof=1)) / math.sqrt(n)
+    # an overflow, or inf - inf in the spread, leaves a non-finite estimate, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        price = discount * float(np.mean(payoffs))
+        std_error = discount * float(np.std(payoffs, ddof=1)) / math.sqrt(n)
     if not (math.isfinite(price) and math.isfinite(std_error)):
         raise ConfigurationError(
             f"the Monte Carlo estimate {price:g} +- {std_error:g} at rate = {inst.rate:g}, "

@@ -3,6 +3,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -86,10 +87,21 @@ class TestPriceCommand:
             (["price", "--rate", "3000", "--maturity-months", "12"], "overflows at rate = 3000, maturity = 1"),
             (["mc", "--rate", "3000", "--maturity-months", "12"], "overflows at rate = 3000, maturity = 1"),
             (["transect", "--rate", "3000", "--maturity-months", "12"], "overflows at rate = 3000, maturity = 1"),
+            # paths that overflow while exp(rate T) does not
+            (["mc", "--rate", "700", "--sigma", "3", "--maturity-months", "12", "--paths", "100", "--steps", "10"],
+             "is not finite: the paths overflow"),
+            # the strike and the spot inside the two A cells that the A = 0 edge is extrapolated from
+            (["price", "--amax", "1e20"], "strike 100 and spot 100 lie inside the first two A cells"),
+            (["price", "--amax", "1e150"], "(amax = 1e+150, ny = 121)"),
+            (["price", "--kind", "put", "--amax", "1e308"], "(amax = 1e+308, ny = 121)"),
+            (["transect", "--amax", "1e20"], "(amax = 1e+20, ny = 31)"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):
-        result = runner.invoke(main, args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, args)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert result.exit_code == 2
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0]

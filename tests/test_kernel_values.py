@@ -152,6 +152,12 @@ def test_march_failing_a_corrective_check_reports_the_maxima_of_its_slot(nonosc,
     ws = StepWorkspace.holding(start, courant)
     ran, corrective, max_cx, max_cy = ws.march(50, opts, periodic=periodic)
     assert corrective and ran >= 5 and np.isnan(max_cy) and np.isnan(max_cx) == nonosc
+    # a march split over threads (the torus keeps one) stops at the same check with the same maxima
+    for threads in (2, 3, 24):
+        split = StepWorkspace.holding(start, courant)
+        stopped = split.march(50, opts, periodic=periodic, threads=threads)
+        assert bits(stopped[2:]).tobytes() == bits([max_cx, max_cy]).tobytes()
+        assert stopped[:2] == (ran, corrective) and split.fields.tobytes() == ws.fields.tobytes()
     slot = ws.corrective[1 if nonosc else 0]  # the step's first corrective field: antidiffusive, then limited
     if not periodic:
         live = _last_live_column(ws.psi) + 1 + opts.n_iters  # the band the failing step ran on

@@ -232,9 +232,10 @@ def test_vector_width_flag_only_on_x86(monkeypatch, machine, width):
     assert (_step.VECTOR_WIDTH in _step._flags()) == width
 
 
-def _march_bytes(nx: int, ny: int, dt: float) -> list:
-    """What StepWorkspace.march returns and leaves in the whole stack, for
-    both kinds, 1, 2 and 4 iterations, with and without the limiter."""
+def _march_bytes(nx: int, ny: int, dt: float, threads: int = 1) -> list:
+    """What StepWorkspace.march on ``threads`` threads returns and leaves in
+    the whole stack, for both kinds, 1, 2 and 4 iterations, with and without
+    the limiter."""
     spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
     marched = []
     for kind in KINDS:
@@ -246,7 +247,7 @@ def _march_bytes(nx: int, ny: int, dt: float) -> list:
                 _write_courant_y(ws, tr, spec, -dt)
                 ran = ws.march(
                     round(inst.maturity / dt), SolverOptions(n_iters, nonoscillatory),
-                    _courant_x_terms(tr, spec, -dt),
+                    _courant_x_terms(tr, spec, -dt), threads=threads,
                 )
                 marched.append((ran, ws.fields.tobytes()))
     return marched
@@ -272,3 +273,118 @@ def test_vector_width_moves_no_bit(tmp_path, monkeypatch, fresh_library):
         marched.append([_march_bytes(*grid) for grid in grids])
     assert builds[0] != builds[1]
     assert marched[0] == marched[1]
+
+
+@pytest.mark.parametrize(
+    "nx, ny, dt, threads",
+    [
+        (24, 21, 1.0 / 100.0, (2, 3)),
+        (25, 20, 1.0 / 100.0, (2, 3, 4)),  # blocks of uneven rows
+        (5, 16, 1.0 / 100.0, (5, 9)),  # a row a thread, and more threads than rows
+    ],
+)
+def test_split_march_moves_no_bit(nx, ny, dt, threads):
+    # each element gets its operations from one thread, in the same order
+    want = _march_bytes(nx, ny, dt)
+    for count in threads:
+        assert _march_bytes(nx, ny, dt, count) == want, count
+
+
+# A program that runs march on 13 x 12 cells for each (kind, n_iters,
+# nonoscillatory) of argv's cases on 1, 2 and 3 threads and exits 1 unless
+# every split leaves the one-thread march's workspace, result and out.  It
+# prints each case's steps run and out[2].  Kind 0 is a call's payoff, 1 a
+# put's (+0.0 from column 5 up, so the march runs a band), and 2 a field of
+# 1.3e308 with one 0 cell, which overflows in the first upwind pass under
+# an outflow sum of 1.71, so the march stops: at step 1 on the physical
+# field with one iteration, at step 0 on the first corrective field with more.
+MARCH_DRIVER = r"""
+#include <errno.h>
+#include <math.h>
+#include <pthread.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
+           double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
+           long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
+           double coef, double scale, double courant_max, double eps, double *out);
+
+#ifdef REFUSE_THREADS
+int __wrap_pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(void *), void *arg)
+{
+    (void)t, (void)attr, (void)f, (void)arg;
+    return EAGAIN;
+}
+#endif
+
+enum { NX = 13, NY = 12, H = 2, R = NY + 1 + 2 * H, SLOT = (NX + 1 + 2 * H) * R, STEPS = 30 };
+
+static long run(double *w, int kind, long n_iters, long nonosc, long threads, double *out)
+{
+    memset(w, 0, 9 * SLOT * sizeof *w);
+    for (long a = H; a < H + NX; a++) {
+        for (long b = H; b < H + NY; b++) {
+            double y = b - H + 0.5;
+            w[a * R + b] = kind == 0 ? fmax(y - 6.0, 0.0) : kind == 1 ? fmax(5.0 - y, 0.0) : 1.3e308;
+        }
+        for (long b = H; b <= H + NY; b++)
+            w[2 * SLOT + a * R + b] = kind == 2 ? -0.84 : -0.02 * (a - H + 1);
+    }
+    if (kind == 2)
+        w[(H + 5) * R + H + 4] = 0.0;
+    double u = kind == 2 ? 8.7 : 0.055;
+    return march(w, NX, NY, H, R, w + SLOT, w + 2 * SLOT, w + 3 * SLOT, w + 4 * SLOT, w + 5 * SLOT,
+                 w + 6 * SLOT, w + 7 * SLOT, w + 8 * SLOT, STEPS, n_iters, nonosc, 1, 0, 1, threads, u,
+                 -0.9, -0.1, 1.0 + 1e-12, 1e-15, out);
+}
+
+int main(int argc, char **argv)
+{
+    double *one = malloc(9 * SLOT * sizeof *one), *split = malloc(9 * SLOT * sizeof *split);
+    for (int i = 1; i < argc; i++) {
+        int kind;
+        long n_iters, nonosc;
+        sscanf(argv[i], "%d,%ld,%ld", &kind, &n_iters, &nonosc);
+        double want[3], got[3];
+        long ran = run(one, kind, n_iters, nonosc, 1, want);
+        for (long threads = 2; threads <= 3; threads++)
+            if (run(split, kind, n_iters, nonosc, threads, got) != ran || memcmp(got, want, sizeof got)
+                || memcmp(one, split, 9 * SLOT * sizeof *one))
+                return 1;
+        printf("%ld %g\n", ran, want[2]);
+    }
+    return 0;
+}
+"""
+DRIVER_CASES = ["0,1,1", "0,2,1", "1,2,1", "1,3,0", "2,1,1", "2,2,1"]
+DRIVER_STOPS = ["30 0", "30 1", "30 1", "30 1", "1 0", "0 1"]
+
+
+def _driver(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
+    """MARCH_DRIVER built with ``_step.c`` and ``flags``, run on every case."""
+    (tmp_path / "driver.c").write_text(MARCH_DRIVER)
+    program = tmp_path / "driver"
+    include = next(f for f in _step.FLAGS if f.startswith("-I"))
+    build = [
+        "gcc", "-O1", "-g", "-ffp-contract=off", include, *flags, "-o", str(program),
+        str(tmp_path / "driver.c"), str(_step.SOURCE), str(_step.ARCHIVE), "-lm", "-pthread",
+    ]
+    built = subprocess.run(build, capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    return subprocess.run([str(program), *DRIVER_CASES], capture_output=True, text=True, timeout=120)
+
+
+def test_split_march_is_free_of_data_races(tmp_path):
+    # ThreadSanitizer watches every access of the split marches, the
+    # stopped ones included, and exits 66 on a report
+    done = _driver(tmp_path, "-fsanitize=thread")
+    assert "ThreadSanitizer" not in done.stderr, done.stderr
+    assert done.returncode == 0 and done.stdout.splitlines() == DRIVER_STOPS
+
+
+def test_march_runs_on_one_thread_when_none_can_start(tmp_path):
+    # every pthread_create fails: the calling thread runs the whole march
+    done = _driver(tmp_path, "-Wl,--wrap=pthread_create", "-DREFUSE_THREADS")
+    assert done.returncode == 0 and done.stdout.splitlines() == DRIVER_STOPS, done.stderr

@@ -463,17 +463,19 @@ class TestIntegrate:
         monkeypatch.setattr(pricing, "terminal_condition", huge)
         spec = grid_from_price_domain(50.0, 200.0, 35.0, 8, 8)
         inst = InstrumentSpec("call", 10.0, 0.5, 0.0, 15.0, 100.0)
-        with pytest.raises(StabilityError) as err:
-            integrate(inst, spec, dt=0.01, opts=SolverOptions(n_iters=n_iters))
-        report = err.value.report
-        assert math.isnan(report.max_abs_courant_x) and report.diffusion_number == 0.0
-        if n_iters == 1:
-            assert err.value.step_index == 1 and report.max_abs_courant_y == 0.8384036966442704
-            assert str(err.value) == "stability violation at step 1: " + report.violations[0]
-        else:
-            assert err.value.step_index is None and math.isnan(report.max_abs_courant_y)
-            assert str(err.value) == "stability violation: " + "; ".join(report.violations)
-            assert len(report.violations) == 2
+        # the same failure on any split of the rows, one a thread included
+        for threads in (1, 2, 3, 8):
+            with pytest.raises(StabilityError) as err:
+                integrate(inst, spec, dt=0.01, opts=SolverOptions(n_iters=n_iters), threads=threads)
+            report = err.value.report
+            assert math.isnan(report.max_abs_courant_x) and report.diffusion_number == 0.0
+            if n_iters == 1:
+                assert err.value.step_index == 1 and report.max_abs_courant_y == 0.8384036966442704
+                assert str(err.value) == "stability violation at step 1: " + report.violations[0]
+            else:
+                assert err.value.step_index is None and math.isnan(report.max_abs_courant_y)
+                assert str(err.value) == "stability violation: " + "; ".join(report.violations)
+                assert len(report.violations) == 2
 
     @pytest.mark.parametrize("n_iters", [1, 2, 3])
     @pytest.mark.parametrize("bad", [1.3e308, math.nan])
@@ -492,8 +494,8 @@ class TestIntegrate:
         ran, stepped = [], []  # the steps each side completed
         march, step = StepWorkspace.march, oracles.full_width_step
 
-        def recorded(ws, *args):
-            result = march(ws, *args)
+        def recorded(ws, *args, **kwargs):
+            result = march(ws, *args, **kwargs)
             ran.append(result[0])
             return result
 

@@ -132,7 +132,8 @@ def test_band_grows_with_the_front(n_iters, nonosc):
     farthest any field tried moved it in a step, so the march's band must
     widen as it goes.  The march gives the full-width passes' psi byte for
     byte, and in the corrective slots their last fields (which a full-width
-    march holds as +-0 above the band, the march as +0.0)."""
+    march holds as +-0 above the band, the march as +0.0); and, split over
+    threads, the one-thread march's whole stack."""
     spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
     rng = np.random.default_rng(3)
     start = ScalarField.zeros(spec)
@@ -144,6 +145,10 @@ def test_band_grows_with_the_front(n_iters, nonosc):
     for n_steps in (2, 20):  # the band still short of the top, then past it
         ws = StepWorkspace.holding(start, courant)
         assert ws.march(n_steps, opts)[0] == n_steps
+        for threads in (2, 3):
+            split = StepWorkspace.holding(start, courant)
+            assert split.march(n_steps, opts, threads=threads)[0] == n_steps
+            assert split.fields.tobytes() == ws.fields.tobytes()
         psi, fronts = start, [_last_live_column(start)]
         for _ in range(n_steps):
             psi, written = full_width_step(fill_halos_scalar(psi), courant, opts)
