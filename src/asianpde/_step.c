@@ -475,6 +475,7 @@ struct team {
     long n_steps, n_iters, nonoscillatory, diffusion_ok, periodic, rebuild;
     double u, coef, scale, courant_max, eps;
     long size;           /* the threads, final once open is set */
+    atomic_long joined;  /* the helper threads that took an id */
     atomic_int open;     /* the gate that the helper threads wait at */
     atomic_long arrived; /* the threads at the barrier */
     atomic_int sense;    /* flipped as each barrier releases */
@@ -657,19 +658,15 @@ static long run(struct team *t, long id, double *out)
     return t->n_steps;
 }
 
-/* A helper thread's place in the team */
-struct seat {
-    struct team *team;
-    long id;
-};
-
-static void *take_seat(void *arg)
+/* A helper thread: the next id of the team (1 up; the caller is 0), then its rows */
+static void *join_team(void *arg)
 {
-    struct seat *seat = arg;
-    for (long spins = 0; !atomic_load_explicit(&seat->team->open, memory_order_acquire);)
+    struct team *t = arg;
+    long id = atomic_fetch_add_explicit(&t->joined, 1, memory_order_relaxed) + 1;
+    for (long spins = 0; !atomic_load_explicit(&t->open, memory_order_acquire);)
         relax(&spins);
     double out[3];
-    run(seat->team, seat->id, out);
+    run(t, id, out);
     return NULL;
 }
 
@@ -702,16 +699,13 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
     long size = periodic || n_steps == 0 || threads < 1 ? 1 : threads < nx ? threads : nx;
     size = size < TEAM_MAX ? size : TEAM_MAX;
     pthread_t helpers[TEAM_MAX];
-    struct seat seats[TEAM_MAX];
     /* signals go to the calling thread, which Python runs its handlers on */
     sigset_t every, old;
     sigfillset(&every);
     pthread_sigmask(SIG_BLOCK, &every, &old);
-    for (; t.size < size; t.size++) {
-        seats[t.size] = (struct seat){&t, t.size};
-        if (pthread_create(&helpers[t.size], NULL, take_seat, &seats[t.size]))
+    for (; t.size < size; t.size++)
+        if (pthread_create(&helpers[t.size], NULL, join_team, &t))
             break; /* the threads started so far run the march */
-    }
     pthread_sigmask(SIG_SETMASK, &old, NULL);
     atomic_store_explicit(&t.open, 1, memory_order_release);
     long ran = run(&t, 0, out);

@@ -121,9 +121,7 @@ def transect(config_path, **cli_values):
     _require_strike_on_grid(cfg, cfg.strike)
     rows = harness.run_transect(cfg)
     if not cfg.out:
-        click.echo(",".join(harness.TRANSECT_HEADER))
-        for row in rows:
-            click.echo(",".join(harness._fmt(v) for v in row))
+        harness.emit_csv(sys.stdout, harness.TRANSECT_HEADER, rows)
     else:
         click.echo(f"wrote {cfg.out} ({len(rows)} rows)")
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .pricing import (
     price_instrument,
     readout,
     row_values,
+    usable_cpus,
 )
 from .reference import (
     McConfig,
@@ -59,22 +60,21 @@ TABLE_RATE = 0.1
 TABLE_MC_PATHS = (10_000, 100_000)
 TABLE_MC_STEPS = 1000
 
+# the CSV columns of every valuation: price, table and mc
+VALUATION_HEADER = ["sigma", "T_months", "K", "kind", "method", "price", "std_error"]
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+
+def emit_csv(handle: TextIO, header: list[str], rows: list[tuple]) -> None:
+    """Comma-separated, LF endings, '%.17g' float precision, None as an empty field."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:
-    """UTF-8, comma-separated, LF endings, '%.17g' float precision."""
+    """``emit_csv`` into a UTF-8 file."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        emit_csv(handle, header, rows)
 
 
 def _grid(cfg: RunConfig) -> GridSpec:
@@ -136,11 +136,8 @@ def run_price(cfg: RunConfig, with_mc: bool = False) -> PriceReport:
         entries.append((f"mc_{cfg.paths}", res.price, res.std_error))
     report = PriceReport(inst, tuple(entries))
     if cfg.out:
-        rows = [
-            (cfg.sigma, cfg.maturity_months, cfg.strike, inst.kind, method, price, err)
-            for method, price, err in entries
-        ]
-        write_csv(cfg.out, ["sigma", "T_months", "K", "kind", "method", "price", "std_error"], rows)
+        key = (cfg.sigma, cfg.maturity_months, cfg.strike, inst.kind)
+        write_csv(cfg.out, VALUATION_HEADER, [(*key, *entry) for entry in entries])
     return report
 
 
@@ -164,12 +161,13 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     """All table rows x {call, put} x {upwind, mpdata_2it, mc_10k, mc_100k, geometric},
     with ``mpdata_<iters>it`` for ``cfg.iters`` and no second upwind column at 1.
 
-    Returns the full-precision CSV rows and a human-readable companion table
-    rounded to 3 significant digits.  The jobs (the PDE prices, then path
-    ranges of one MC call over the four (sigma, T) sets) run in the calling
-    thread when ``workers == 1``, else on a pool of at most ``workers``
-    threads and CPUs (the C march and MC kernels release the GIL), whose pending
-    jobs are cancelled on the first error.  Assembly order is fixed by the row key.
+    Returns the full-precision CSV rows and the same rows as a human-readable
+    table rounded to 3 significant digits.  The jobs (the PDE prices, then
+    path ranges of one MC call over the four (sigma, T) sets, each filling its
+    slice of the four sets' average arrays) run in the calling thread when
+    ``workers == 1``, else on a pool of at most ``workers`` threads and CPUs
+    (the C march and MC kernels release the GIL), whose pending jobs are
+    cancelled on the first error.  Assembly order is fixed by the row key.
     """
     spec = _grid(cfg)
     iters = dict.fromkeys((1, cfg.iters))  # upwind, then the MPDATA column unless it is upwind too
@@ -182,11 +180,13 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     mc_keys = sorted({(sigma, t_months) for (sigma, t_months, _) in TABLE_ROWS})
     protos = [InstrumentSpec("call", 100.0, t / 12.0, s, TABLE_RATE, TABLE_SPOT) for s, t in mc_keys]
     mc_cfg = McConfig(max(TABLE_MC_PATHS), TABLE_MC_STEPS, cfg.seed)
+    mc_averages = {key: np.empty(mc_cfg.n_paths) for key in mc_keys}
     # 4 MC ranges per thread balance the load; len(jobs) > size, so it needs no bound
-    size = min(cfg.workers, os.cpu_count() or 1)
+    size = min(cfg.workers, usable_cpus())
     edges = [mc_cfg.n_paths * i // (4 * size) for i in range(4 * size + 1)]
     jobs = [partial(_pde_job, key, spec, cfg.dt, _options(cfg, key[4])) for key in pde_keys]
-    jobs += [partial(mc_path_averages_many, protos, mc_cfg, a, b) for a, b in zip(edges, edges[1:])]
+    outs = list(mc_averages.values())
+    jobs += [partial(mc_path_averages_many, protos, mc_cfg, outs, a, b) for a, b in zip(edges, edges[1:])]
     if size == 1:
         results = [job() for job in jobs]
     else:
@@ -196,44 +196,34 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
             results = list(pool.map(lambda job: job(), jobs))
         finally:
             pool.shutdown(cancel_futures=True)
-    pde_prices = dict(zip(pde_keys, results))
-    mc_averages = {k: np.concatenate([r[i] for r in results[len(pde_keys) :]]) for i, k in enumerate(mc_keys)}
+    pde_prices = dict(zip(pde_keys, results))  # the MC jobs' results, None, fall off the end
 
     rows: list[tuple] = []
-    cells: dict[tuple, dict[str, float]] = {}
     for sigma, t_months, strike in TABLE_ROWS:
         for kind in ("call", "put"):
             inst = InstrumentSpec(kind, strike, t_months / 12.0, sigma, TABLE_RATE, TABLE_SPOT)
-            methods: list[tuple[str, float, float | None]] = [
-                (_method_name(n), pde_prices[(sigma, t_months, strike, kind, n)], None) for n in iters
-            ]
-            averages = mc_averages[(sigma, t_months)]
+            key = (sigma, t_months, strike, kind)
+            rows += [(*key, _method_name(n), pde_prices[(*key, n)], None) for n in iters]
             for n in TABLE_MC_PATHS:
-                res = mc_result_from_averages(averages[:n], inst)
-                methods.append((f"mc_{n // 1000}k", res.price, res.std_error))
-            methods.append(("geometric", geometric_asian_price(inst), None))
-            cells[(sigma, t_months, strike, kind)] = {m: p for m, p, _ in methods}
-            for method, price, err in methods:
-                rows.append((sigma, t_months, strike, kind, method, price, err))
+                res = mc_result_from_averages(mc_averages[(sigma, t_months)][:n], inst)
+                rows.append((*key, f"mc_{n // 1000}k", res.price, res.std_error))
+            rows.append((*key, "geometric", geometric_asian_price(inst), None))
 
     if cfg.out:
-        write_csv(cfg.out, ["sigma", "T_months", "K", "kind", "method", "price", "std_error"], rows)
-    return rows, _render_table(cfg, cells)
+        write_csv(cfg.out, VALUATION_HEADER, rows)
+    return rows, _render_table(rows)
 
 
-def _render_table(cfg: RunConfig, cells: dict) -> str:
-    methods = [_method_name(n) for n in dict.fromkeys((1, cfg.iters))]
-    methods += [f"mc_{n // 1000}k" for n in TABLE_MC_PATHS]
-    methods.append("geometric")
+def _render_table(rows: list[tuple]) -> str:
+    """One line per table row: the prices of its call methods, then of its put methods."""
+    width = 2 * len(dict.fromkeys(row[4] for row in rows))
     head = f"{'sigma':>5} {'T_mo':>4} {'K':>5} "
-    head += " ".join(f"{kind[0].upper()}:{m:<10}"[:12].ljust(12) for kind in ("call", "put") for m in methods)
+    head += " ".join(f"{row[3][0].upper()}:{row[4]:<10}"[:12].ljust(12) for row in rows[:width])
     lines = [head]
-    for sigma, t_months, strike in TABLE_ROWS:
-        cols = []
-        for kind in ("call", "put"):
-            row = cells[(sigma, t_months, strike, kind)]
-            cols.extend(f"{row[m]:<12.3g}" for m in methods)
-        lines.append(f"{sigma:>5g} {t_months:>4g} {strike:>5g} " + " ".join(cols))
+    for i in range(0, len(rows), width):
+        sigma, t_months, strike = rows[i][:3]
+        cols = " ".join(f"{row[5]:<12.3g}" for row in rows[i : i + width])
+        lines.append(f"{sigma:>5g} {t_months:>4g} {strike:>5g} " + cols)
     return "\n".join(lines)
 
 
@@ -299,9 +289,6 @@ def run_mc(cfg: RunConfig) -> McResult:
     inst = _instrument(cfg)
     res = mc_asian_price(inst, McConfig(cfg.paths, cfg.steps, cfg.seed))
     if cfg.out:
-        write_csv(
-            cfg.out,
-            ["sigma", "T_months", "K", "kind", "method", "price", "std_error"],
-            [(cfg.sigma, cfg.maturity_months, cfg.strike, cfg.kind, f"mc_{cfg.paths}", res.price, res.std_error)],
-        )
+        row = (cfg.sigma, cfg.maturity_months, cfg.strike, cfg.kind, f"mc_{cfg.paths}", res.price, res.std_error)
+        write_csv(cfg.out, VALUATION_HEADER, [row])
     return res

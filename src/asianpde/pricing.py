@@ -178,12 +178,15 @@ def _step_runs(maturity: float, dt: float) -> list[tuple[float, int]]:
     return runs
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def march_threads(nx: int, ny: int) -> int:
     """The threads of a march on ``nx x ny`` cells: one per
-    ``CELLS_PER_THREAD`` cells, at most the CPUs this process may run on,
-    at least 1."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, nx * ny // CELLS_PER_THREAD))
+    ``CELLS_PER_THREAD`` cells, at most ``usable_cpus()``, at least 1."""
+    return max(1, min(usable_cpus(), nx * ny // CELLS_PER_THREAD))
 
 
 def integrate(

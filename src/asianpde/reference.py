@@ -92,23 +92,23 @@ def _payoff(average: float, strike: float, kind: str) -> float:
 
 
 def mc_path_averages_many(
-    insts: Sequence[InstrumentSpec], cfg: McConfig, start: int = 0, stop: int | None = None
-) -> list[np.ndarray]:
-    """``mc_path_averages`` of every instrument, each bit-identical to a separate call.
+    insts: Sequence[InstrumentSpec], cfg: McConfig, outs: Sequence[np.ndarray], start: int, stop: int
+) -> None:
+    """``mc_path_averages`` of every instrument into ``outs`` (one array of
+    ``cfg.n_paths`` per instrument), each bit-identical to a separate call.
 
     The normals depend only on (seed, path index, M), so each block of paths
     is drawn once and every instrument steps its paths on it.  Only paths
-    [start, stop) are stepped, so contiguous ranges concatenate to the whole.
+    [start, stop) are stepped and written, so calls on disjoint ranges fill
+    disjoint slices of the same arrays.
     """
-    stop = cfg.n_paths if stop is None else stop
     if not 0 <= start <= stop <= cfg.n_paths:
         raise ConfigurationError(f"path range [{start}, {stop}) outside [0, {cfg.n_paths})")
     m = cfg.n_steps
     steps = [
-        ((i.rate - 0.5 * i.sigma * i.sigma) * (i.maturity / m), i.sigma * math.sqrt(i.maturity / m))
+        (i.spot, (i.rate - 0.5 * i.sigma * i.sigma) * (i.maturity / m), i.sigma * math.sqrt(i.maturity / m))
         for i in insts
     ]
-    outs = [np.empty(stop - start) for _ in insts]
     block = np.empty((min(_PATH_BLOCK, stop - start), m))
     work = np.empty_like(block)
     lib = _step.library()
@@ -118,13 +118,12 @@ def mc_path_averages_many(
             hi = min(lo + _PATH_BLOCK, stop)
             z, rel = block[: hi - lo], work[: hi - lo]
             lib.normals(z, *z.shape, cfg.seed & 0xFFFFFFFFFFFFFFFF, lo)
-            for (drift, vol), out in zip(steps, outs):
+            for (spot, drift, vol), out in zip(steps, outs, strict=True):
                 # S/S0 = exp(cumsum(drift + vol * z)), the running sum in C and
                 # without the GIL; exp and the pairwise sum stay numpy's
                 lib.walk(z, rel, *rel.shape, vol, drift)
                 np.exp(rel, out=rel)
-                out[lo - start : hi - start] = (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m
-        return [inst.spot * out for inst, out in zip(insts, outs)]
+                np.multiply(spot, (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m, out=out[lo:hi])
 
 
 def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:
@@ -134,7 +133,9 @@ def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:
     payoff on the same (spot, rate, sigma, maturity, seed) configuration
     with bit-identical results.
     """
-    return mc_path_averages_many([inst], cfg)[0]
+    out = np.empty(cfg.n_paths)
+    mc_path_averages_many([inst], cfg, [out], 0, cfg.n_paths)
+    return out
 
 
 def mc_result_from_averages(averages: np.ndarray, inst: InstrumentSpec) -> McResult:

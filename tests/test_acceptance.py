@@ -12,6 +12,7 @@ options at spot 100 and rate 0.1 (maturities in months, values rounded to
 Carlo value.
 """
 
+import hashlib
 import math
 import time
 
@@ -41,7 +42,7 @@ from asianpde.cli import main as cli_main
 from asianpde.config import RunConfig
 from asianpde.errors import StabilityError
 from asianpde.grid import ScalarField, VectorField
-from asianpde.harness import run_table, run_transect
+from asianpde.harness import VALUATION_HEADER, run_table, run_transect, write_csv
 from asianpde.pricing import InstrumentSpec, grid_from_price_domain, integrate
 from asianpde.reference import McConfig, mc_asian_price
 from conftest import random_courant, random_positive_field, wrap_courant
@@ -75,6 +76,12 @@ PUBLISHED = {
 
 RUNTIME_BUDGET_SECONDS = 600.0
 
+# sha256 of the default `asianpde table --seed 1` CSV and stdout.  The MC
+# columns come from numpy's exp, pairwise sum and ziggurat, so, as with
+# test_harness.TABLE_GOLDEN, another numpy build may move them
+TABLE_CSV_SHA256 = "68fbb524c401875cdb2ec3344a009028a8604f690b40fc047c203d27cb0eaae2"
+TABLE_STDOUT_SHA256 = "59f77728398f22e4c46e83d5ea332319777f4dfb6abb226867c216e988951e4c"
+
 
 def _pass(number: int, label: str) -> None:
     print(f"ACCEPTANCE CRITERION {number} ({label}): PASS")
@@ -89,6 +96,7 @@ class TableResults:
         start = time.perf_counter()
         rows, rendered = run_table(RunConfig())
         self.elapsed = time.perf_counter() - start
+        self.rows = rows
         self.rendered = rendered
         self.cells = {}
         for sigma, t_months, strike, kind, method, price, err in rows:
@@ -380,6 +388,13 @@ class TestCriterion7Determinism:
             assert result.exit_code == 0, result.output
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_default_table_bytes_pinned(self, table, tmp_path):
+        # the rows through the CSV writer, and the text as the command echoes it
+        out = tmp_path / "table.csv"
+        write_csv(out, VALUATION_HEADER, table.rows)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_CSV_SHA256
+        assert hashlib.sha256((table.rendered + "\n").encode()).hexdigest() == TABLE_STDOUT_SHA256
 
     def test_mc_bytes_reproducible(self, tmp_path):
         runner = CliRunner()

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import signal
 import subprocess
@@ -18,6 +19,17 @@ from asianpde.config import RunConfig
 from asianpde.reference import McResult
 
 FAST = ["--nx", "32", "--ny", "32", "--dt", "0.005", "--paths", "300", "--steps", "40"]
+
+# sha256 of default outputs at seed 1.  The MC values come from numpy's exp,
+# pairwise sum and ziggurat, so, as with test_harness.TABLE_GOLDEN, another
+# numpy build may move the transect and mc pins
+TRANSECT_SHA256 = "67ccd57c75c4ba16e7cd2d7ea9c3631db17ceceb47cc717b8002d8df39df2a75"
+CONVERGE_SHA256 = "9ab78dc6f454cf930e84b6138b34eea6233ca9edb8f56dcd501f07d3a4f33817"
+MC_CSV_SHA256 = "8dc5bd5338af3127309bb3953b6a4411a60b1129722cd2e304bd3e7aacb20d3a"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture
@@ -161,6 +173,11 @@ class TestMcCommand:
         assert first.output == second.output
         assert "mc price" in first.output
 
+    def test_default_csv_pinned(self, runner, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert runner.invoke(main, ["mc", "--seed", "1", "--out", str(out)]).exit_code == 0
+        assert _sha256(out.read_bytes()) == MC_CSV_SHA256
+
     def test_one_path_refused(self, runner):
         result = runner.invoke(main, ["mc", "--paths", "1", "--steps", "30"])
         assert result.exit_code == 2
@@ -175,6 +192,10 @@ class TestConvergeCommand:
         assert "order" in result.output
         result = runner.invoke(main, ["converge", "--levels", "2"])
         assert result.exit_code == 2
+
+    def test_default_output_pinned(self, runner):
+        result = runner.invoke(main, ["converge"])
+        assert result.exit_code == 0 and _sha256(result.stdout_bytes) == CONVERGE_SHA256
 
     @pytest.mark.parametrize("args, message", [
         (["--levels", "9"], "more than 1e+11 cell-steps"),
@@ -202,6 +223,14 @@ class TestTransectCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "s,upwind,mpdata_2it,mpdata_4it,mc,european,geometric_asian"
         assert len(lines) == 22  # header + one row per grid column
+
+    def test_default_stdout_and_file_pinned(self, runner, tmp_path):
+        # one CSV writer: stdout gets the bytes of the --out file
+        out = tmp_path / "t.csv"
+        printed = runner.invoke(main, ["transect", "--seed", "1"])
+        written = runner.invoke(main, ["transect", "--seed", "1", "--out", str(out)])
+        assert printed.exit_code == written.exit_code == 0
+        assert _sha256(printed.stdout_bytes) == _sha256(out.read_bytes()) == TRANSECT_SHA256
 
 
 class TestTableCommand:

@@ -305,17 +305,35 @@ MARCH_DRIVER = r"""
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
            double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
            double coef, double scale, double courant_max, double eps, double *out);
 
+/* the thread starts of the current march call */
+static int creates;
+
 #ifdef REFUSE_THREADS
 int __wrap_pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(void *), void *arg)
 {
     (void)t, (void)attr, (void)f, (void)arg;
     return EAGAIN;
+}
+#endif
+
+#ifdef ONE_HELPER
+/* the first start of each march call succeeds, the rest fail; the started
+ * helper gets 20 ms to reach the gate while the team's size is not final */
+int __real_pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(void *), void *arg);
+int __wrap_pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(void *), void *arg)
+{
+    if (creates++)
+        return EAGAIN;
+    int err = __real_pthread_create(t, attr, f, arg);
+    usleep(20000);
+    return err;
 }
 #endif
 
@@ -335,6 +353,7 @@ static long run(double *w, int kind, long n_iters, long nonosc, long threads, do
     if (kind == 2)
         w[(H + 5) * R + H + 4] = 0.0;
     double u = kind == 2 ? 8.7 : 0.055;
+    creates = 0;
     return march(w, NX, NY, H, R, w + SLOT, w + 2 * SLOT, w + 3 * SLOT, w + 4 * SLOT, w + 5 * SLOT,
                  w + 6 * SLOT, w + 7 * SLOT, w + 8 * SLOT, STEPS, n_iters, nonosc, 1, 0, 1, threads, u,
                  -0.9, -0.1, 1.0 + 1e-12, 1e-15, out);
@@ -349,10 +368,15 @@ int main(int argc, char **argv)
         sscanf(argv[i], "%d,%ld,%ld", &kind, &n_iters, &nonosc);
         double want[3], got[3];
         long ran = run(one, kind, n_iters, nonosc, 1, want);
-        for (long threads = 2; threads <= 3; threads++)
+        for (long threads = 2; threads <= 3; threads++) {
             if (run(split, kind, n_iters, nonosc, threads, got) != ran || memcmp(got, want, sizeof got)
                 || memcmp(one, split, 9 * SLOT * sizeof *one))
                 return 1;
+#ifdef ONE_HELPER
+            if (creates != threads - 1) /* at 3, the refused start was asked for */
+                return 1;
+#endif
+        }
         printf("%ld %g\n", ran, want[2]);
     }
     return 0;
@@ -387,4 +411,11 @@ def test_split_march_is_free_of_data_races(tmp_path):
 def test_march_runs_on_one_thread_when_none_can_start(tmp_path):
     # every pthread_create fails: the calling thread runs the whole march
     done = _driver(tmp_path, "-Wl,--wrap=pthread_create", "-DREFUSE_THREADS")
+    assert done.returncode == 0 and done.stdout.splitlines() == DRIVER_STOPS, done.stderr
+
+
+def test_march_runs_on_the_threads_that_start(tmp_path):
+    # only the first pthread_create of each march succeeds: threads 3 gives a
+    # team of 2, whose helper waits at the gate until the team's size is final
+    done = _driver(tmp_path, "-Wl,--wrap=pthread_create", "-DONE_HELPER")
     assert done.returncode == 0 and done.stdout.splitlines() == DRIVER_STOPS, done.stderr

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from asianpde.advection import SolverOptions
 from asianpde.pricing import InstrumentSpec, grid_from_price_domain, integrate, readout
-from asianpde.reference import McConfig, mc_path_averages_many
+from asianpde.reference import McConfig, mc_path_averages
 
 SMIN, SMAX, AMAX, SPOT = 50.0, 200.0, 200.0, 100.0
 # |price(lambda) / lambda - price| / price: 1.4e-14 at most on the default
@@ -98,5 +98,5 @@ def test_power_of_two_time_rescaling_keeps_every_bit_of_the_mc_averages(sigma, r
     # vol = sigma sqrt(T / m) and drift = (r - sigma^2 / 2) T / m are the same doubles
     inst = InstrumentSpec("call", 100.0, maturity, sigma, rate, SPOT)
     cfg = McConfig(paths, steps, seed)
-    (averages,), (moved,) = mc_path_averages_many([inst], cfg), mc_path_averages_many([rescaled(inst, c)], cfg)
+    averages, moved = mc_path_averages(inst, cfg), mc_path_averages(rescaled(inst, c), cfg)
     assert moved.tobytes() == averages.tobytes()

@@ -260,20 +260,23 @@ class TestMcAsianPrice:
             instrument(sigma=0.6, maturity=2.0, spot=120.0),
         ]
         cfg = McConfig(_PATH_BLOCK + 37, 40, seed=21)
-        shared = mc_path_averages_many(specs, cfg)
-        assert len(shared) == len(specs)
+        shared = [np.empty(cfg.n_paths) for _ in specs]
+        mc_path_averages_many(specs, cfg, shared, 0, cfg.n_paths)
         for spec, averages in zip(specs, shared):
             assert np.array_equal(averages, mc_path_averages(spec, cfg))
 
     def test_path_ranges_concatenate_to_whole(self):
         # range edges off the block grid (301 = 2 * 128 + 45); each path keeps its
-        # own (seed, index) stream
+        # own (seed, index) stream, and each range writes only its own slice
         specs = [instrument(sigma=0.2, maturity=0.5), instrument(sigma=0.4, maturity=1.0)]
         cfg = McConfig(3 * _PATH_BLOCK + 45, 30, seed=8)
-        whole = mc_path_averages_many(specs, cfg)
-        parts = [mc_path_averages_many(specs, cfg, a, b) for a, b in ((0, 50), (50, 301), (301, None))]
-        for i, averages in enumerate(whole):
-            assert np.array_equal(np.concatenate([part[i] for part in parts]), averages)
+        whole = [np.empty(cfg.n_paths) for _ in specs]
+        mc_path_averages_many(specs, cfg, whole, 0, cfg.n_paths)
+        parts = [np.full(cfg.n_paths, np.nan) for _ in specs]
+        for a, b in ((0, 50), (50, 301), (301, cfg.n_paths)):
+            mc_path_averages_many(specs, cfg, parts, a, b)
+        for part, averages in zip(parts, whole):
+            assert np.array_equal(part, averages)
 
     def test_threads_on_interleaved_ranges_match_serial(self):
         # each call's Philox streams live on its own stack: two threads that
@@ -282,25 +285,27 @@ class TestMcAsianPrice:
         cfg = McConfig(16 * _PATH_BLOCK + 45, 1000, seed=17)
         edges = [*range(0, cfg.n_paths, _PATH_BLOCK), cfg.n_paths]
         ranges = list(zip(edges[:-1], edges[1:]))
-        parts, start = {}, threading.Barrier(2)
+        parts, start = [np.full(cfg.n_paths, np.nan) for _ in specs], threading.Barrier(2)
 
         def run(mine):
             start.wait()
             for a, b in mine:
-                parts[a] = mc_path_averages_many(specs, cfg, a, b)
+                mc_path_averages_many(specs, cfg, parts, a, b)
 
         threads = [threading.Thread(target=run, args=(ranges[k::2],)) for k in (0, 1)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        for i, averages in enumerate(mc_path_averages_many(specs, cfg)):
-            assert np.concatenate([parts[a][i] for a, _ in ranges]).tobytes() == averages.tobytes()
+        whole = [np.empty(cfg.n_paths) for _ in specs]
+        mc_path_averages_many(specs, cfg, whole, 0, cfg.n_paths)
+        for part, averages in zip(parts, whole):
+            assert part.tobytes() == averages.tobytes()
 
     @pytest.mark.parametrize("start, stop", [(-1, 10), (10, 5), (0, 301)])
     def test_path_range_outside_refused(self, start, stop):
         with pytest.raises(ConfigurationError, match="path range"):
-            mc_path_averages_many([instrument()], McConfig(300, 30), start, stop)
+            mc_path_averages_many([instrument()], McConfig(300, 30), [np.empty(300)], start, stop)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_averages_refused(self, n):
