@@ -21,7 +21,8 @@ bit-identical to one.
 
 The whole step sequence runs only in :meth:`StepWorkspace.march`, for
 ``pricing.integrate``, ``benchmarks.run_translation`` and
-:func:`mpdata_step` alike.  The single passes take plain fields: each copies
+:func:`mpdata_step` alike, and the march raises the :class:`StabilityError`
+of every check it fails.  The single passes take plain fields: each copies
 its inputs into a new workspace, calls its one kernel over every column there
 and returns a copy, so its inputs are never changed.
 """
@@ -98,13 +99,6 @@ def check_stability(courant: VectorField, nu: float, dt: float, dx: float) -> St
     return stability_report(*_max_abs(courant), diffusion_number(nu, dt, dx))
 
 
-def _guard(max_cx: float, max_cy: float) -> None:
-    """Raise :class:`StabilityError` when either max |C| exceeds 1."""
-    report = stability_report(max_cx, max_cy, 0.0)
-    if not report.ok:
-        raise StabilityError(report)
-
-
 # ---------------------------------------------------------------------------
 # padded layout
 # ---------------------------------------------------------------------------
@@ -124,6 +118,7 @@ class StepWorkspace:
     def __init__(self, nx: int, ny: int):
         h = HALO
         self.fields = fields = np.zeros((9, nx + 1 + 2 * h, ny + 1 + 2 * h))
+        self.steps = 0  # the steps marched so far
         self.psi = ScalarField(fields[0, :nx + 2 * h, :ny + 2 * h])
         self.courant, *self.corrective = (
             VectorField(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :]) for s in (1, 3, 5)
@@ -145,7 +140,7 @@ class StepWorkspace:
     def march(
         self, n_steps: int, opts: SolverOptions, courant_x=None, diffusion: float = 0.0, periodic=False,
         threads: int = 1,
-    ) -> tuple[int, bool, float, float]:
+    ) -> None:
         """``n_steps`` transport steps of one length, in C calls of at most
         ``MARCH_CALL_CELL_STEPS`` cell-steps so that Python sees a Ctrl-C
         between them.  Each step fills psi, writes C_x = (u - coef A) scale
@@ -166,11 +161,12 @@ class StepWorkspace:
         thread a row, and one when ``periodic``); every byte and every
         result is that of one thread.
 
-        Returns ``(steps run, corrective, max |C_x|, max |C_y|)``.  A failed
-        check stops the march at the index ``steps run``: before any update
-        when the physical field fails |C| <= 1 or ``diffusion`` its bound
-        (``corrective`` False), before its own pass when a corrective field
-        fails |C| <= 1 (True).  The maxima are the failing field's.
+        Adds the steps it completes to :attr:`steps`.  A failed check stops
+        the march and raises :class:`StabilityError` with the failing field's
+        maxima: before any update when the physical field fails |C| <= 1 or
+        ``diffusion`` its bound, with the step index :attr:`steps`; before
+        its own pass, with no step index and no diffusion number, when a
+        corrective field fails |C| <= 1.
         """
         faces = (c[0] for fld in (self.courant, *self.corrective) for c in (fld.c_comp_x, fld.c_comp_y))
         arrays = (*self.psi.c_values, *faces, *self.c_scratch)
@@ -179,13 +175,15 @@ class StepWorkspace:
             *(courant_x or (0.0, 0.0, 0.0)), _COURANT_LIMIT, DEFAULT_EPSILON,
         )
         per_call = max(1, MARCH_CALL_CELL_STEPS // (self.psi.nx * self.psi.ny))
-        out, done = MARCH_RESULT(), 0
-        while True:
+        out = MARCH_RESULT()
+        for done in range(0, n_steps, per_call):
             size = min(per_call, n_steps - done)
             ran = library().march(*arrays, size, *settings, out)
-            done += ran
-            if ran < size or done == n_steps:
-                return done, out[2] != 0.0, out[0], out[1]
+            self.steps += ran
+            if ran < size:
+                corrective = out[2] != 0.0
+                report = stability_report(out[0], out[1], 0.0 if corrective else diffusion)
+                raise StabilityError(report, step_index=None if corrective else self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,9 @@ def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
     faces are read.  Raises :class:`StabilityError` when any interior |C|
     exceeds 1.
     """
-    _guard(*_max_abs(courant))
+    report = stability_report(*_max_abs(courant), 0.0)
+    if not report.ok:
+        raise StabilityError(report)
     ws = StepWorkspace.holding(psi, courant)
     library().upwind(*ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], *ws.c_scratch)
     return ws.psi.copy()
@@ -245,11 +245,10 @@ def mpdata_step(psi: ScalarField, courant: VectorField, opts: SolverOptions) -> 
     The inputs are copied into a new workspace, whose halos are filled with
     the production extrapolation / constant-extension fills and refilled
     before every corrective pass, and every Courant field is checked against
-    |C| <= 1, as in :func:`upwind_step`.  With ``n_iters=1`` the result is
-    bit-identical to :func:`upwind_step` on a filled field.
+    |C| <= 1 by :meth:`StepWorkspace.march`, so a failing physical field
+    raises at step 0.  With ``n_iters=1`` the result is bit-identical to
+    :func:`upwind_step` on a filled field.
     """
     ws = StepWorkspace.holding(psi, courant)
-    ran, _, max_cx, max_cy = ws.march(1, opts)
-    if not ran:
-        _guard(max_cx, max_cy)
+    ws.march(1, opts)
     return ws.psi.copy()

@@ -50,14 +50,6 @@ def _build_config(command: str, config_path, cli_values: dict):
     return resolve_config(command, file_values, cli_values)
 
 
-def _require_strike_on_grid(cfg, strike: float) -> None:
-    """Refuse a strike above amax: the payoff kink would lie off the grid and the price read 0."""
-    if strike > cfg.amax:
-        raise ConfigurationError(
-            f"strike {strike:g} lies above amax = {cfg.amax:g}; raise --amax above the strike"
-        )
-
-
 def _handle_errors(func):
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -91,7 +83,6 @@ def main():
 def price(config_path, with_mc, **cli_values):
     """Value one instrument and print the method breakdown."""
     cfg = _build_config("price", config_path, cli_values)
-    _require_strike_on_grid(cfg, cfg.strike)
     report = harness.run_price(cfg, with_mc=with_mc)
     for line in report.lines():
         click.echo(line)
@@ -105,7 +96,6 @@ def price(config_path, with_mc, **cli_values):
 def table(config_path, **cli_values):
     """Reproduce the full valuation table (8 parameter rows x call/put)."""
     cfg = _build_config("table", config_path, cli_values)
-    _require_strike_on_grid(cfg, max(strike for _, _, strike in harness.TABLE_ROWS))
     _, rendered = harness.run_table(cfg)
     click.echo(rendered)
     if cfg.out:
@@ -118,7 +108,6 @@ def table(config_path, **cli_values):
 def transect(config_path, **cli_values):
     """Emit the y = 0 transect curves (UPWIND, MPDATA, MC, analytic) as CSV."""
     cfg = _build_config("transect", config_path, cli_values)
-    _require_strike_on_grid(cfg, cfg.strike)
     rows = harness.run_transect(cfg)
     if not cfg.out:
         harness.emit_csv(sys.stdout, harness.TRANSECT_HEADER, rows)

@@ -25,10 +25,8 @@ from .errors import ConfigurationError, StabilityError
 from .grid import GridSpec
 from .pricing import (
     InstrumentSpec,
-    check_edge_cells,
     grid_from_price_domain,
     integrate,
-    price_instrument,
     readout,
     row_values,
     usable_cpus,
@@ -127,7 +125,7 @@ def run_price(cfg: RunConfig, with_mc: bool = False) -> PriceReport:
     spec = _grid(cfg)
     mc_cfg = McConfig(cfg.paths, cfg.steps, cfg.seed) if with_mc else None
     entries = [
-        (_method_name(cfg.iters), price_instrument(inst, spec, cfg.dt, _options(cfg, cfg.iters)), None),
+        (_method_name(cfg.iters), readout(integrate(inst, spec, cfg.dt, _options(cfg, cfg.iters)), inst, spec), None),
         ("geometric", geometric_asian_price(inst), None),
         ("european", european_bs_price(inst), None),
     ]
@@ -238,7 +236,6 @@ def run_transect(cfg: RunConfig) -> list[tuple]:
     """Per-column values along the row nearest A = 0: the figure's seven curves."""
     spec = _grid(cfg)
     inst = _instrument(cfg)
-    check_edge_cells(inst, spec)
     curves = {
         n_iters: row_values(integrate(inst, spec, cfg.dt, _options(cfg, n_iters)))
         for n_iters in (1, 2, 4)

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._step import library
-from .advection import DEFAULT_EPSILON, SolverOptions, StepWorkspace, diffusion_number, stability_report
+from .advection import DEFAULT_EPSILON, SolverOptions, StepWorkspace, diffusion_number
 from .advection import check_stability, mpdata_step  # noqa: F401 -- perfbench/tracing.py wraps both here
-from .errors import ConfigurationError, StabilityError
+from .errors import ConfigurationError
 from .grid import GridSpec, ScalarField, VectorField
 from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
 
@@ -133,15 +132,16 @@ def terminal_condition(inst: InstrumentSpec, spec: GridSpec) -> ScalarField:
     The payoff depends on y only, so the average over [y_lo, y_hi] of the
     piecewise-linear ramp has the closed form (ramp(y_hi)^2 - ramp(y_lo)^2)
     / (2 dy) with ramp(z) = max(z, 0) (mirrored for puts).  Raises
-    :class:`ConfigurationError` when a squared ramp would overflow, on a very
-    wide A domain.
+    :class:`ConfigurationError` for an instrument the grid cannot resolve: a
+    strike outside the A domain, whose payoff kink would lie off the grid; a
+    domain so wide that a squared ramp would overflow; and, after that, a
+    strike and spot inside the edge cells (:func:`check_edge_cells`).
     """
-    if not (spec.y_min <= inst.strike <= spec.y_max):
-        warnings.warn(
-            f"strike {inst.strike} lies outside the averaging domain "
-            f"[{spec.y_min}, {spec.y_max}]; the payoff kink is not resolved",
-            stacklevel=2,
-        )
+    if not spec.y_min <= inst.strike <= spec.y_max:
+        where = f"below the A domain, which starts at {spec.y_min:g}"
+        if inst.strike > spec.y_max:
+            where = f"above amax = {spec.y_max:g}; raise --amax above the strike"
+        raise ConfigurationError(f"strike {inst.strike:g} lies {where}")
     y_lo = spec.y_min + spec.dy * np.arange(spec.ny)
     y_hi = y_lo + spec.dy
     # the largest ramp that _ramp_sq squares below, as the same double, squared
@@ -150,6 +150,7 @@ def terminal_condition(inst: InstrumentSpec, spec: GridSpec) -> ScalarField:
     widest = max(float(y_hi[-1] - inst.strike if inst.kind == "call" else inst.strike - y_lo[0]), 0.0)
     if math.isinf(widest * widest):
         raise ConfigurationError(f"amax = {spec.y_max:g} overflows the cell-averaged payoff; lower amax")
+    check_edge_cells(inst, spec)
     if inst.kind == "call":
         cell_avg = (_ramp_sq(y_hi - inst.strike) - _ramp_sq(y_lo - inst.strike)) / (2 * spec.dy)
     else:
@@ -205,10 +206,12 @@ def integrate(
     a put's passes skip the +0.0 columns its steps cannot reach yet.  C_y
     is written once per run; before each step C_x is rewritten from the
     current field (the pseudo-velocity is state-dependent) and both
-    criteria are checked.  A violation raises :class:`StabilityError`
-    before any field update at that step, with the step index; a
+    criteria are checked.  The march raises :class:`StabilityError` on a
+    violation, before any field update at that step, with the step index; a
     corrective field over |C| = 1 raises it without one.  Over
-    ``MAX_CELL_STEPS`` cell-steps raise :class:`ConfigurationError` first.
+    ``MAX_CELL_STEPS`` cell-steps, and an instrument that
+    :func:`terminal_condition` refuses, raise :class:`ConfigurationError`
+    before the march.
     The march runs on ``threads`` threads, by default
     :func:`march_threads`: one per ``CELLS_PER_THREAD`` cells, at most the
     usable CPUs.  The result has the same bytes on any number.
@@ -228,17 +231,10 @@ def integrate(
         threads = march_threads(spec.nx, spec.ny)
     tr = make_transform(inst)
     ws = StepWorkspace.holding(terminal_condition(inst, spec))
-    done = 0  # steps of the runs before this one
     for step, count in _step_runs(inst.maturity, dt):
         _write_courant_y(ws, tr, spec, -step)
         diffusion = diffusion_number(tr.nu, step, spec.dx)
-        ran, corrective, max_cx, max_cy = ws.march(
-            count, opts, _courant_x_terms(tr, spec, -step), diffusion, threads=threads
-        )
-        if ran < count:
-            report = stability_report(max_cx, max_cy, 0.0 if corrective else diffusion)
-            raise StabilityError(report, step_index=None if corrective else done + ran)
-        done += count
+        ws.march(count, opts, _courant_x_terms(tr, spec, -step), diffusion, threads=threads)
     return ws.psi.copy()
 
 
@@ -248,7 +244,8 @@ def check_edge_cells(inst: InstrumentSpec, spec: GridSpec) -> None:
     A = 0 edge from.  The path averages then stay inside those cells too,
     which the march cannot resolve: at amax 1e20 a call reads 0.  A strike
     alone inside them is read well, since a call's field is linear in A
-    above its strike."""
+    above its strike.  :func:`terminal_condition` checks this before any
+    march and :func:`readout` again on the field it is given."""
     edge = spec.y_min + 2.0 * spec.dy
     if max(inst.strike, inst.spot) < edge:
         raise ConfigurationError(
@@ -273,7 +270,9 @@ def readout(psi_t0: ScalarField, inst: InstrumentSpec, spec: GridSpec) -> float:
     """Interpolate the t = 0 field at x = ln(spot) along the A = 0 edge (see :func:`row_values`).
 
     Raises :class:`ConfigurationError` when the spot lies outside the cell
-    centres or the strike inside the edge cells (:func:`check_edge_cells`).
+    centres or the strike and spot inside the edge cells
+    (:func:`check_edge_cells`, which this checks again since it may be given
+    any field).
     """
     check_edge_cells(inst, spec)
     x0 = math.log(inst.spot)
@@ -285,8 +284,3 @@ def readout(psi_t0: ScalarField, inst: InstrumentSpec, spec: GridSpec) -> float:
         )
     vals = row_values(psi_t0)
     return float(max(np.interp(x0, spec.x_centres, vals), 0.0))
-
-
-def price_instrument(inst: InstrumentSpec, spec: GridSpec, dt: float, opts: SolverOptions) -> float:
-    """Full valuation: terminal condition, backward integration, spot readout."""
-    return readout(integrate(inst, spec, dt, opts), inst, spec)

@@ -431,15 +431,15 @@ class TestCheckStability:
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_mpdata_step_reports_like_the_guard(self, periodic):
-        # the physical field's report and a corrective field's carry no step
-        # index and no diffusion number
+        # the physical field's report carries step index 0, a corrective
+        # field's none; neither carries a diffusion number
         step = periodic_mpdata_step if periodic else mpdata_step
         psi, vec = filled_pair(np.random.default_rng(7))
         vec.comp_x[...] = -1.25
         with pytest.raises(StabilityError) as err:
             step(psi, vec, SolverOptions(n_iters=2))
         violation = "advective criterion violated in x: max |C_x| = 1.25 > 1"
-        assert err.value.step_index is None and str(err.value) == f"stability violation: {violation}"
+        assert err.value.step_index == 0 and str(err.value) == f"stability violation at step 0: {violation}"
         max_cy = np.abs(vec.interior_y).max()
         assert err.value.report == StabilityReport(False, 1.25, max_cy, 0.0, (violation,))
         vec.comp_x[...] = 0.2

@@ -60,11 +60,11 @@ class TestTranslation:
         np.testing.assert_allclose(vals[0, :], vals[-1, :], rtol=1e-12)
 
     def test_courant_over_one_refused(self):
-        # the march stops before the first update and raises the guard's error
+        # the march stops before the first update and raises its error at step 0
         with pytest.raises(StabilityError) as err:
             run_translation(16, SolverOptions(2), courant=(1.5, 0.2))
         violation = "advective criterion violated in x: max |C_x| = 1.5 > 1"
-        assert err.value.step_index is None and str(err.value) == f"stability violation: {violation}"
+        assert err.value.step_index == 0 and str(err.value) == f"stability violation at step 0: {violation}"
         assert err.value.report == StabilityReport(False, 1.5, 0.2, 0.0, (violation,))
 
     def test_errors_decrease_with_iterations(self):

@@ -232,6 +232,14 @@ class TestTransectCommand:
         assert printed.exit_code == written.exit_code == 0
         assert _sha256(printed.stdout_bytes) == _sha256(out.read_bytes()) == TRANSECT_SHA256
 
+    def test_edge_cells_refused_before_the_monte_carlo(self, runner, monkeypatch):
+        # the first march's terminal condition refuses the grid; no path is drawn
+        drawn = []
+        monkeypatch.setattr(harness, "mc_path_averages", lambda *args: drawn.append(None))
+        result = runner.invoke(main, ["transect", "--amax", "1e20"])
+        assert result.exit_code == 2
+        assert "(amax = 1e+20, ny = 31)" in result.output and drawn == []
+
 
 class TestTableCommand:
     def test_strike_above_amax_refused(self, runner):

@@ -19,6 +19,7 @@ from asianpde.advection import (
     antidiffusive_courant,
     nonoscillatory_limit,
 )
+from asianpde.errors import StabilityError
 from asianpde.grid import GridSpec, ScalarField, VectorField, fill_halos_vector
 from asianpde.pricing import grid_from_price_domain
 from oracles import limiter_ratios, reference_antidiffusive, reference_limit, reference_upwind
@@ -129,6 +130,11 @@ def _last_live_column(psi: ScalarField) -> int:
     return int(np.flatnonzero(psi.interior.any(axis=0))[-1])
 
 
+def _maxima(err: StabilityError) -> list[float]:
+    """The failing field's max |C_x| and max |C_y| that ``err`` reports."""
+    return [err.report.max_abs_courant_x, err.report.max_abs_courant_y]
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 @pytest.mark.parametrize("nonosc", [True, False])
 def test_march_failing_a_corrective_check_reports_the_maxima_of_its_slot(nonosc, periodic):
@@ -150,14 +156,18 @@ def test_march_failing_a_corrective_check_reports_the_maxima_of_its_slot(nonosc,
     fill_halos_vector(courant)
     opts = SolverOptions(n_iters=2, nonoscillatory=nonosc)
     ws = StepWorkspace.holding(start, courant)
-    ran, corrective, max_cx, max_cy = ws.march(50, opts, periodic=periodic)
+    with pytest.raises(StabilityError) as err:
+        ws.march(50, opts, periodic=periodic)
+    ran, corrective, (max_cx, max_cy) = ws.steps, err.value.step_index is None, _maxima(err.value)
     assert corrective and ran >= 5 and np.isnan(max_cy) and np.isnan(max_cx) == nonosc
     # a march split over threads (the torus keeps one) stops at the same check with the same maxima
     for threads in (2, 3, 24):
         split = StepWorkspace.holding(start, courant)
-        stopped = split.march(50, opts, periodic=periodic, threads=threads)
-        assert bits(stopped[2:]).tobytes() == bits([max_cx, max_cy]).tobytes()
-        assert stopped[:2] == (ran, corrective) and split.fields.tobytes() == ws.fields.tobytes()
+        with pytest.raises(StabilityError) as stopped:
+            split.march(50, opts, periodic=periodic, threads=threads)
+        assert bits(_maxima(stopped.value)).tobytes() == bits([max_cx, max_cy]).tobytes()
+        assert (split.steps, stopped.value.step_index is None) == (ran, corrective)
+        assert split.fields.tobytes() == ws.fields.tobytes()
     slot = ws.corrective[1 if nonosc else 0]  # the step's first corrective field: antidiffusive, then limited
     if not periodic:
         live = _last_live_column(ws.psi) + 1 + opts.n_iters  # the band the failing step ran on

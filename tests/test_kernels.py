@@ -1,5 +1,6 @@
-"""The build cache and flags of the C step kernels (``asianpde._step``) and
-the declarations that ctypes calls them with.
+"""The build cache and flags of the C step kernels (``asianpde._step``), the
+declarations that ctypes calls them with, and the one route from Python to
+them and from their checks to an error.
 
 Each build-cache test runs the program in fresh processes with ``XDG_CACHE_HOME`` in a
 temporary directory, so it starts from an empty cache and this process's
@@ -226,6 +227,32 @@ def test_one_route_to_c():
     assert sorted(found) == [("_step.py", "dims", False)]
 
 
+def _calls(node: ast.AST, scope: tuple = ()):
+    """``(enclosing class and function names, called expression)`` of every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield ".".join(scope), ast.unparse(child.func)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        yield from _calls(child, scope + (child.name,) if named else scope)
+
+
+def test_one_raise_site_per_refusal():
+    # a stability error is built where its check runs: in the march, or in
+    # upwind_step's own check of a field the march never sees; the CLI only
+    # translates the library's refusals, and no input passes with a warning
+    built, from_cli, warned = [], [], []
+    for path in sorted(Path(_step.__file__).parent.glob("*.py")):
+        for scope, called in _calls(ast.parse(path.read_text())):
+            if called == "StabilityError":
+                built.append((path.name, scope))
+            if called == "ConfigurationError" and path.name == "cli.py":
+                from_cli.append(scope)
+            if called.split(".")[-1] == "warn":
+                warned.append((path.name, scope))
+    assert sorted(built) == [("advection.py", "StepWorkspace.march"), ("advection.py", "upwind_step")]
+    assert from_cli == [] and warned == []
+
+
 @pytest.mark.parametrize("machine, width", [("x86_64", True), ("AMD64", True), ("aarch64", False)])
 def test_vector_width_flag_only_on_x86(monkeypatch, machine, width):
     monkeypatch.setattr(_step.platform, "machine", lambda: machine)
@@ -233,9 +260,9 @@ def test_vector_width_flag_only_on_x86(monkeypatch, machine, width):
 
 
 def _march_bytes(nx: int, ny: int, dt: float, threads: int = 1) -> list:
-    """What StepWorkspace.march on ``threads`` threads returns and leaves in
-    the whole stack, for both kinds, 1, 2 and 4 iterations, with and without
-    the limiter."""
+    """The steps that StepWorkspace.march on ``threads`` threads counts and
+    what it leaves in the whole stack, for both kinds, 1, 2 and 4
+    iterations, with and without the limiter."""
     spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
     marched = []
     for kind in KINDS:
@@ -245,11 +272,11 @@ def _march_bytes(nx: int, ny: int, dt: float, threads: int = 1) -> list:
             for nonoscillatory in (True, False):
                 ws = StepWorkspace.holding(terminal_condition(inst, spec))
                 _write_courant_y(ws, tr, spec, -dt)
-                ran = ws.march(
+                ws.march(
                     round(inst.maturity / dt), SolverOptions(n_iters, nonoscillatory),
                     _courant_x_terms(tr, spec, -dt), threads=threads,
                 )
-                marched.append((ran, ws.fields.tobytes()))
+                marched.append((ws.steps, ws.fields.tobytes()))
     return marched
 
 

@@ -178,10 +178,15 @@ class TestTerminalCondition:
         centre = spec.y_centres[20]  # fully in the money
         assert fld.interior[0, 20] == pytest.approx(disc * (centre - 100.0), rel=1e-13)
 
-    def test_strike_outside_domain_warns(self):
-        spec = GridSpec(0.0, 1.0, 0.0, 50.0, 4, 10)
-        with pytest.warns(UserWarning, match="outside the averaging domain"):
-            terminal_condition(sample_instrument(strike=100.0), spec)
+    def test_strike_outside_domain_refused(self):
+        # the payoff kink would lie off the grid; a strike on an edge is resolved
+        above, below = GridSpec(0.0, 1.0, 0.0, 50.0, 4, 10), GridSpec(0.0, 1.0, 10.0, 50.0, 4, 10)
+        with pytest.raises(ConfigurationError, match="^strike 100 lies above amax = 50; raise --amax above the strike"):
+            terminal_condition(sample_instrument(strike=100.0), above)
+        with pytest.raises(ConfigurationError, match="^strike 5 lies below the A domain, which starts at 10$"):
+            terminal_condition(sample_instrument(strike=5.0), below)
+        for spec, strike in ((above, 50.0), (below, 10.0)):
+            terminal_condition(sample_instrument(strike=strike), spec)
 
 
 def _step_sizes(maturity, dt):
@@ -304,6 +309,19 @@ class TestIntegrate:
         spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
         integrate(sample_instrument(maturity=maturity), spec, dt=dt, opts=OPTS)
         assert asked == sizes
+
+    @pytest.mark.parametrize(
+        "a_max, message",
+        [(50.0, "strike 100 lies above amax = 50"), (1e20, "strike 100 and spot 100 lie inside the first two A cells")],
+    )
+    def test_unresolvable_instrument_refused_before_the_march(self, monkeypatch, a_max, message):
+        # terminal_condition refuses what the grid cannot resolve: no C march call runs
+        marched = []
+        monkeypatch.setattr(_step.library(), "march", lambda *args: marched.append(None))
+        spec = grid_from_price_domain(50.0, 200.0, a_max, 8, 8)
+        with pytest.raises(ConfigurationError, match=message):
+            integrate(sample_instrument(), spec, dt=0.05, opts=OPTS)
+        assert marched == []
 
     @pytest.mark.parametrize("per_call", [1, 4, 18])
     def test_march_calls_carry_the_step_index(self, monkeypatch, per_call):
@@ -495,9 +513,10 @@ class TestIntegrate:
         march, step = StepWorkspace.march, oracles.full_width_step
 
         def recorded(ws, *args, **kwargs):
-            result = march(ws, *args, **kwargs)
-            ran.append(result[0])
-            return result
+            try:
+                march(ws, *args, **kwargs)
+            finally:
+                ran.append(ws.steps)
 
         def counted(*args):
             result = step(*args)

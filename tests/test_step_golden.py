@@ -144,10 +144,12 @@ def test_band_grows_with_the_front(n_iters, nonosc):
     opts = SolverOptions(n_iters=n_iters, nonoscillatory=nonosc)
     for n_steps in (2, 20):  # the band still short of the top, then past it
         ws = StepWorkspace.holding(start, courant)
-        assert ws.march(n_steps, opts)[0] == n_steps
+        ws.march(n_steps, opts)
+        assert ws.steps == n_steps
         for threads in (2, 3):
             split = StepWorkspace.holding(start, courant)
-            assert split.march(n_steps, opts, threads=threads)[0] == n_steps
+            split.march(n_steps, opts, threads=threads)
+            assert split.steps == n_steps
             assert split.fields.tobytes() == ws.fields.tobytes()
         psi, fronts = start, [_last_live_column(start)]
         for _ in range(n_steps):
@@ -172,10 +174,12 @@ def test_a_call_clears_the_faces_above_its_band(rng, nonosc):
     courant = fill_halos_vector(random_courant(spec, rng))
     opts = SolverOptions(n_iters=3, nonoscillatory=nonosc)
     ws = StepWorkspace.holding(random_positive_field(spec, rng, lo=0.5), courant)
-    assert ws.march(1, opts)[0] == 1
+    ws.march(1, opts)
+    assert ws.steps == 1
     ws.psi.interior[:, 4:] = 0.0
     psi, written = full_width_step(fill_halos_scalar(ws.psi.copy()), courant, opts)
-    assert ws.march(1, opts)[0] == 1
+    ws.march(1, opts)
+    assert ws.steps == 2
     assert ws.psi.values.tobytes() == psi.values.tobytes()
     # the step writes its corrective fields into the two slots in turn, an even number here
     for slot, field in zip(ws.corrective, written[-2:]):
