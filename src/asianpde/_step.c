@@ -1,7 +1,8 @@
 /* The flat kernels of one MPDATA step, on the padded layout of
  * asianpde.advection.StepWorkspace, and march, which runs them for every
  * step of a march in one call: the only driver of the step sequence.  Last,
- * the Monte Carlo paths: normals, their draws, and walk, their running sum.
+ * the Monte Carlo paths: normals, their draws, and averages, which draws,
+ * walks, exponentiates and sums them.
  *
  * Every field is a row-major array of rows of length r.  Cell or face (a, b)
  * sits at flat offset a * r + b, with neighbours at +-r (x) and +-1 (y).
@@ -101,8 +102,23 @@
  * on.  numpy keeps the tables private, so the first call of a process reads
  * them off that function, once, and checks the inline path against it on a
  * fixed stream.  The bits are numpy's either way; a failed check only sends
- * every draw to numpy, at numpy's speed.
+ * every draw to numpy, at numpy's speed.  normals is exported for the pins
+ * of this stream; averages calls it.
+ *
+ * The averages.  averages runs numpy's pipeline for a path's trapezoid
+ * average, exp of the running sum of z vol + drift, then the add reduction,
+ * on a block of 8 paths at a time, whose normals and walk (64 KB each at
+ * 1000 steps) stay in cache from the draw to the sum.  The walk keeps
+ * numpy's adds in numpy's order with one path a vector lane, through 8 x 8
+ * tile transposes written as GCC vector shuffles.  exp is numpy's own
+ * float64 loop, called through the pointer that float64_loop reads off
+ * np.exp, since glibc's exp differs from it on some inputs; an overflow
+ * gives inf and, outside numpy's ufunc machinery, no warning.  The sum is
+ * numpy's pairwise sum.
  */
+
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <Python.h> /* for numpy's PyUFuncObject, whose fields float64_loop reads */
 
 #include <math.h>
 #include <pthread.h>
@@ -112,7 +128,9 @@
 #include <stdint.h>
 #include <string.h>
 
+#include "numpy/ndarraytypes.h"
 #include "numpy/random/bitgen.h"
+#include "numpy/ufuncobject.h"
 
 /* numpy's maximum and minimum: a NaN in either operand gives NaN */
 static inline double max_nan(double a, double b) { return (a >= b || a != a) ? a : b; }
@@ -714,23 +732,6 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
     return ran;
 }
 
-/* The log-price walk of n Monte Carlo paths of m >= 1 steps, rows of z and
- * rel: rel[0] = z[0] vol + drift, rel[t] = rel[t - 1] + (z[t] vol + drift).
- * numpy's cumsum of z vol + drift adds in the same order, so the bits are its. */
-void walk(const double *restrict z, double *restrict rel, long n, long m, double vol, double drift)
-{
-    for (long i = 0; i < n; i++) {
-        const double *zi = z + i * m;
-        double *ri = rel + i * m;
-        double sum = zi[0] * vol + drift;
-        ri[0] = sum;
-        for (long t = 1; t < m; t++) {
-            sum = sum + (zi[t] * vol + drift);
-            ri[t] = sum;
-        }
-    }
-}
-
 /* numpy's ziggurat, from the libnpyrandom.a that numpy ships for its C API */
 double random_standard_normal(bitgen_t *bitgen);
 void random_standard_normal_fill(bitgen_t *bitgen, intptr_t n, double *out);
@@ -878,5 +879,135 @@ void normals(double *restrict z, long n, long m, uint64_t seed, long first)
     for (long i = 0; i < n; i++) {
         struct philox s = {.key = {seed, (uint64_t)(first + i)}, .used = 4};
         draw(&s, z + i * m, m);
+    }
+}
+
+/* paths walked at once, one a vector lane; transpose is written for 8 */
+#define LANES 8
+typedef double lanes __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t lane_index __attribute__((vector_size(LANES * sizeof(int64_t))));
+
+/* A ufunc's inner loop and the data that numpy passes it */
+struct loop {
+    PyUFuncGenericFunction run;
+    void *data;
+};
+
+/* The float64 loop of numpy's one-in, one-out ufunc u into *found: the
+ * first d->d of its types, the loop that numpy resolves a float64 call to.
+ * Returns 0, or -1 when u has none. */
+long float64_loop(const PyUFuncObject *u, struct loop *found)
+{
+    for (int i = 0; u->nin == 1 && u->nout == 1 && i < u->ntypes; i++) {
+        const char *types = u->types + i * u->nargs;
+        if (types[0] == NPY_DOUBLE && types[1] == NPY_DOUBLE) {
+            *found = (struct loop){u->functions[i], u->data[i]};
+            return 0;
+        }
+    }
+    return -1;
+}
+
+/* The 8 x 8 transpose of the tile v, row i lane j to row j lane i, in
+ * three rounds that swap the off-diagonal halves of ever larger blocks. */
+static void transpose(lanes *v)
+{
+    static const lane_index lo[3] = {
+        {0, 8, 2, 10, 4, 12, 6, 14}, {0, 1, 8, 9, 4, 5, 12, 13}, {0, 1, 2, 3, 8, 9, 10, 11}};
+    static const lane_index hi[3] = {
+        {1, 9, 3, 11, 5, 13, 7, 15}, {2, 3, 10, 11, 6, 7, 14, 15}, {4, 5, 6, 7, 12, 13, 14, 15}};
+    for (int round = 0, d = 1; round < 3; round++, d *= 2)
+        for (int i = 0; i < LANES; i++)
+            if (!(i & d)) {
+                lanes a = v[i], b = v[i + d];
+                v[i] = __builtin_shuffle(a, b, lo[round]);
+                v[i + d] = __builtin_shuffle(a, b, hi[round]);
+            }
+}
+
+/* The log-price walk of LANES paths of m >= 1 steps, rows of z and rel:
+ * rel[0] = z[0] vol + drift, rel[t] = rel[t - 1] + (z[t] vol + drift), the
+ * adds of numpy's cumsum of z vol + drift in its order.  One path a lane:
+ * each tile of LANES steps is transposed in, walked and transposed out; the
+ * last m % LANES steps run lane by lane. */
+static void walk(const double *restrict z, double *restrict rel, long m, double vol, double drift)
+{
+    lanes sum = -(lanes){0}; /* -0.0 + x is x, so the first sum is the first term */
+    long t = 0;
+    for (; t + LANES <= m; t += LANES) {
+        lanes v[LANES];
+        for (int p = 0; p < LANES; p++)
+            memcpy(&v[p], z + p * m + t, sizeof v[p]);
+        transpose(v);
+        for (int k = 0; k < LANES; k++)
+            v[k] = sum = sum + (v[k] * vol + drift);
+        transpose(v);
+        for (int p = 0; p < LANES; p++)
+            memcpy(rel + p * m + t, &v[p], sizeof v[p]);
+    }
+    for (int p = 0; p < LANES; p++) {
+        double s = sum[p];
+        for (long u = t; u < m; u++)
+            rel[p * m + u] = s = s + (z[p * m + u] * vol + drift);
+    }
+}
+
+/* numpy's pairwise sum of the n elements of a, as its add reduction runs it
+ * on a contiguous row: 8 running sums up to 128 elements, else the halves
+ * split at n / 2 rounded down to a multiple of 8. */
+static double pairwise(const double *a, long n)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (long i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    if (n <= 128) {
+        double r[8];
+        memcpy(r, a, sizeof r);
+        long i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    long half = n / 2 - n / 2 % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* The trapezoid average of paths [start, stop) for each of n_insts
+ * instruments into its row of out (n_insts rows of n_paths): instrument k is
+ * the row (spot, drift, vol) of inst.  A path's normals are what normals
+ * draws for it; with rel its walk and S = exp(rel) through exp_loop, numpy's
+ * float64 exp loop, its average is spot ((0.5 + s + 0.5 S[m - 1]) / m), s = 0.0 +
+ * the pairwise sum of S[0 .. m - 2]: numpy's order for
+ * spot * ((0.5 + S[:-1].sum() + 0.5 * S[-1]) / m), bit for bit.  A block of
+ * LANES paths is drawn into work's first LANES rows of m and walked, for
+ * each instrument, into its last LANES, which stay in cache for the exp and
+ * the sum; the lanes past stop walk zeros. */
+void averages(double *restrict out, long n_insts, long n_paths, const double *restrict inst, long m,
+              uint64_t seed, long start, long stop, double *restrict work, const struct loop *exp_loop)
+{
+    double *z = work, *rel = work + LANES * m;
+    for (long first = start; first < stop; first += LANES) {
+        long n = stop - first < LANES ? stop - first : LANES;
+        normals(z, n, m, seed, first);
+        memset(z + n * m, 0, (LANES - n) * m * sizeof *z);
+        for (long k = 0; k < n_insts; k++) {
+            const double *c = inst + 3 * k; /* spot, drift, vol */
+            walk(z, rel, m, c[2], c[1]);
+            char *args[2] = {(char *)rel, (char *)rel};
+            npy_intp count = n * m, steps[2] = {sizeof *rel, sizeof *rel};
+            exp_loop->run(args, &count, steps, exp_loop->data);
+            for (long p = 0; p < n; p++) {
+                const double *s = rel + p * m;
+                double sum = 0.0 + pairwise(s, m - 1);
+                out[k * n_paths + first + p] = c[0] * ((0.5 + sum + 0.5 * s[m - 1]) / (double)m);
+            }
+        }
     }
 }

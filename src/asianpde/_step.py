@@ -16,8 +16,12 @@ load a partial file.
 Every array of the step kernels reaches them through :func:`dims`, which
 checks the layout that the kernels' indices assume and C cannot check for
 itself, with the one halo width :data:`HALO`; each kernel call makes the
-records it passes.  The argument types of the Monte Carlo kernels, ``normals``
-and ``walk``, check their arrays.
+records it passes.  The argument types of the Monte Carlo kernels check
+their arrays: ``averages``, which the library calls, and ``normals``, the
+draws alone, which only the pins of their stream call.  ``averages``
+exponentiates through numpy's own float64 ``exp`` loop, which
+:func:`library` finds in ``np.exp`` when it loads the kernels and keeps as
+``numpy_exp``; a numpy without one is refused there with an ``OSError``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import hashlib
 import os
 import platform
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -51,7 +56,7 @@ def _flags() -> tuple[str, ...]:
     keep every operation as written, which bit-identity needs; -march=native
     is why the cache key names the CPU."""
     width = (VECTOR_WIDTH,) if platform.machine() in ("x86_64", "AMD64") else ()
-    numpy = f"-I{np.get_include()}"  # for numpy/random/bitgen.h
+    numpy = f"-I{np.get_include()}"  # for numpy/random/bitgen.h and numpy/ufuncobject.h
     return ("-O3", "-march=native", *width, "-ffp-contract=off", "-shared", "-fPIC", numpy)
 
 
@@ -60,12 +65,16 @@ FLAGS = _flags()
 HALO = 2  # the corrective stencils and the FCT limiter read two cells deep
 _PTR, _INT, _REAL = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 _DIMS = (_PTR,) + (_INT,) * 4  # what dims() returns: address, extents, halo, row length
-_ROWS = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+_ROWS = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
 # what march writes: the failing field's max |C_x| and max |C_y|, and 1.0 if
 # it was a corrective field
 MARCH_RESULT = ctypes.c_double * 3
 # what antidiffusive and limit write: max |C_x| and max |C_y| of their field
 MAXIMA = ctypes.c_double * 2
+# numpy's float64 exp loop and its data, which float64_loop finds and averages calls
+LOOP = _PTR * 2
+# the paths that averages walks at once; its work array holds 2 LANES rows
+LANES = 8
 # kernel -> (argument types, return type); without a return type ctypes reads
 # every result as a C int, silently
 ARGTYPES = {
@@ -78,8 +87,9 @@ ARGTYPES = {
     "max_abs": (_DIMS, _REAL),
     "wrap": (_DIMS + (_INT,) * 2, None),
     "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 7 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
-    "walk": ((_ROWS, _ROWS) + (_INT,) * 2 + (_REAL,) * 2, None),
     "normals": ((_ROWS, _INT, _INT, ctypes.c_uint64, _INT), None),
+    "averages": ((_ROWS, _INT, _INT, _ROWS, _INT, ctypes.c_uint64, _INT, _INT, _ROWS, LOOP), None),
+    "float64_loop": ((ctypes.py_object, LOOP), _INT),
 }
 
 
@@ -95,9 +105,19 @@ def _cpu() -> str:
     return f"{platform.machine()} {platform.processor()}"
 
 
+def python_include() -> str:
+    """gcc's flag for the directory of ``Python.h``, which numpy's
+    ``ufuncobject.h`` includes.  Only a build needs it: ``sysconfig`` would
+    cost every start about 2 ms and 0.2 MB, so the cache key names the
+    Python build (``sys.version``) in its place."""
+    import sysconfig
+
+    return f"-I{sysconfig.get_path('include')}"
+
+
 def build_path() -> Path:
-    """The cached build of this source, these flags, this CPU and numpy's
-    :data:`ARCHIVE`, so that a numpy upgrade rebuilds."""
+    """The cached build of this source, these flags, this CPU, this Python
+    and numpy's :data:`ARCHIVE`, so that a Python or numpy upgrade rebuilds."""
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     try:
         archive = ARCHIVE.read_bytes()
@@ -105,7 +125,7 @@ def build_path() -> Path:
         raise OSError(f"the step kernels link numpy's C random library {ARCHIVE}, which cannot be read") from None
     key = hashlib.sha256(SOURCE.read_bytes())
     key.update(archive)
-    key.update("\0".join(("", *FLAGS, _cpu())).encode())
+    key.update("\0".join(("", *FLAGS, _cpu(), sys.version)).encode())
     return Path(cache) / "asianpde" / f"step-{key.hexdigest()[:16]}.so"
 
 
@@ -119,7 +139,7 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     os.close(fd)
     try:
-        command = [gcc, *FLAGS, "-o", tmp, str(SOURCE), str(ARCHIVE), "-lm"]
+        command = [gcc, *FLAGS, python_include(), "-o", tmp, str(SOURCE), str(ARCHIVE), "-lm"]
         done = subprocess.run(command, capture_output=True, text=True)
         if done.returncode != 0:
             raise OSError(f"gcc could not build the step kernels into {path}:\n{done.stderr.strip()}")
@@ -139,6 +159,9 @@ def library() -> ctypes.CDLL:
     for name, (argtypes, restype) in ARGTYPES.items():
         kernel = getattr(lib, name)
         kernel.argtypes, kernel.restype = argtypes, restype
+    lib.numpy_exp = LOOP()
+    if lib.float64_loop(np.exp, lib.numpy_exp):
+        raise OSError(f"numpy {np.__version__} has no float64 loop of exp for the Monte Carlo averages to call")
     return lib
 
 

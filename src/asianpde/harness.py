@@ -178,13 +178,14 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     mc_keys = sorted({(sigma, t_months) for (sigma, t_months, _) in TABLE_ROWS})
     protos = [InstrumentSpec("call", 100.0, t / 12.0, s, TABLE_RATE, TABLE_SPOT) for s, t in mc_keys]
     mc_cfg = McConfig(max(TABLE_MC_PATHS), TABLE_MC_STEPS, cfg.seed)
-    mc_averages = {key: np.empty(mc_cfg.n_paths) for key in mc_keys}
-    # 4 MC ranges per thread balance the load; len(jobs) > size, so it needs no bound
+    mc_averages = np.empty((len(mc_keys), mc_cfg.n_paths))
+    # 4 MC ranges per thread: 1, 2 or 4, with the ranges before or after the
+    # PDE jobs, timed table_coarse the same within its noise; len(jobs) >
+    # size, so the pool needs no bound
     size = min(cfg.workers, usable_cpus())
     edges = [mc_cfg.n_paths * i // (4 * size) for i in range(4 * size + 1)]
     jobs = [partial(_pde_job, key, spec, cfg.dt, _options(cfg, key[4])) for key in pde_keys]
-    outs = list(mc_averages.values())
-    jobs += [partial(mc_path_averages_many, protos, mc_cfg, outs, a, b) for a, b in zip(edges, edges[1:])]
+    jobs += [partial(mc_path_averages_many, protos, mc_cfg, mc_averages, a, b) for a, b in zip(edges, edges[1:])]
     if size == 1:
         results = [job() for job in jobs]
     else:
@@ -203,7 +204,7 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
             key = (sigma, t_months, strike, kind)
             rows += [(*key, _method_name(n), pde_prices[(*key, n)], None) for n in iters]
             for n in TABLE_MC_PATHS:
-                res = mc_result_from_averages(mc_averages[(sigma, t_months)][:n], inst)
+                res = mc_result_from_averages(mc_averages[mc_keys.index((sigma, t_months))][:n], inst)
                 rows.append((*key, f"mc_{n // 1000}k", res.price, res.std_error))
             rows.append((*key, "geometric", geometric_asian_price(inst), None))
 

@@ -5,10 +5,13 @@ geometric averaging) and the vanilla European option.  Monte Carlo: exact
 log-normal path stepping with counter-based per-path random streams, so the
 estimate is reproducible bit for bit regardless of evaluation order or
 worker count.  Path i draws what numpy's
-``Generator(Philox(key=(seed, i))).standard_normal(n_steps)`` draws; the C
-kernel ``normals`` of ``_step`` draws a block of paths in one call, without
-the GIL, with the fast path of numpy's ziggurat inline and every other draw
-left to numpy's own ``random_standard_normal``.
+``Generator(Philox(key=(seed, i))).standard_normal(n_steps)`` draws, with
+the fast path of numpy's ziggurat inline and every other draw left to
+numpy's own ``random_standard_normal``.  The C kernel ``averages`` of
+``_step`` draws, walks, exponentiates and sums a range of paths in one call,
+without the GIL, with numpy's operations in numpy's order (its own float64
+``exp`` loop and its pairwise sum), so each average is the bits of the numpy
+evaluation in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from . import _step
 from .errors import ConfigurationError
 from .pricing import InstrumentSpec
 
-# paths vectorised per block: 128 x 1000 steps is 1 MB per buffer, so the
-# normal block and the work buffer fit together in a 2 MB L2 cache
-_PATH_BLOCK = 128
+# path-steps of one C averages call, over all its instruments: Python sees a
+# Ctrl-C between calls
+MC_CALL_PATH_STEPS = 2**25
 
 
 @dataclass(frozen=True)
@@ -92,38 +95,35 @@ def _payoff(average: float, strike: float, kind: str) -> float:
 
 
 def mc_path_averages_many(
-    insts: Sequence[InstrumentSpec], cfg: McConfig, outs: Sequence[np.ndarray], start: int, stop: int
+    insts: Sequence[InstrumentSpec], cfg: McConfig, out: np.ndarray, start: int, stop: int
 ) -> None:
-    """``mc_path_averages`` of every instrument into ``outs`` (one array of
-    ``cfg.n_paths`` per instrument), each bit-identical to a separate call.
+    """``mc_path_averages`` of every instrument into its row of ``out``, a
+    ``(len(insts), cfg.n_paths)`` array, each bit-identical to a separate call.
 
     The normals depend only on (seed, path index, M), so each block of paths
     is drawn once and every instrument steps its paths on it.  Only paths
     [start, stop) are stepped and written, so calls on disjoint ranges fill
-    disjoint slices of the same arrays.
+    disjoint slices of the same array.  The C calls take at most
+    ``MC_CALL_PATH_STEPS`` path-steps over all instruments, so that Python
+    sees a Ctrl-C between them.
     """
     if not 0 <= start <= stop <= cfg.n_paths:
         raise ConfigurationError(f"path range [{start}, {stop}) outside [0, {cfg.n_paths})")
+    if out.shape != (len(insts), cfg.n_paths):
+        raise ConfigurationError(f"need averages of shape {(len(insts), cfg.n_paths)}, got {out.shape}")
     m = cfg.n_steps
-    steps = [
-        (i.spot, (i.rate - 0.5 * i.sigma * i.sigma) * (i.maturity / m), i.sigma * math.sqrt(i.maturity / m))
-        for i in insts
-    ]
-    block = np.empty((min(_PATH_BLOCK, stop - start), m))
-    work = np.empty_like(block)
+    steps = np.array(
+        [(i.spot, (i.rate - 0.5 * i.sigma * i.sigma) * (i.maturity / m), i.sigma * math.sqrt(i.maturity / m))
+         for i in insts]
+    ).reshape(-1, 3)
+    work = np.empty((2 * _step.LANES, m))
     lib = _step.library()
-    # paths that overflow give inf averages, which mc_result_from_averages refuses
-    with np.errstate(over="ignore"):
-        for lo in range(start, stop, _PATH_BLOCK):
-            hi = min(lo + _PATH_BLOCK, stop)
-            z, rel = block[: hi - lo], work[: hi - lo]
-            lib.normals(z, *z.shape, cfg.seed & 0xFFFFFFFFFFFFFFFF, lo)
-            for (spot, drift, vol), out in zip(steps, outs, strict=True):
-                # S/S0 = exp(cumsum(drift + vol * z)), the running sum in C and
-                # without the GIL; exp and the pairwise sum stay numpy's
-                lib.walk(z, rel, *rel.shape, vol, drift)
-                np.exp(rel, out=rel)
-                np.multiply(spot, (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m, out=out[lo:hi])
+    per_call = max(1, MC_CALL_PATH_STEPS // (m * max(1, len(insts))))
+    # a path that overflows gets an inf average and no warning, and
+    # mc_result_from_averages refuses the estimate
+    for lo in range(start, stop, per_call):
+        hi = min(lo + per_call, stop)
+        lib.averages(out, *out.shape, steps, m, cfg.seed & 0xFFFFFFFFFFFFFFFF, lo, hi, work, lib.numpy_exp)
 
 
 def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:
@@ -133,9 +133,9 @@ def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:
     payoff on the same (spot, rate, sigma, maturity, seed) configuration
     with bit-identical results.
     """
-    out = np.empty(cfg.n_paths)
-    mc_path_averages_many([inst], cfg, [out], 0, cfg.n_paths)
-    return out
+    out = np.empty((1, cfg.n_paths))
+    mc_path_averages_many([inst], cfg, out, 0, cfg.n_paths)
+    return out[0]
 
 
 def mc_result_from_averages(averages: np.ndarray, inst: InstrumentSpec) -> McResult:

@@ -3,9 +3,10 @@
 The library runs the step and its halo fills as C loops on a padded layout
 (:class:`asianpde.advection.StepWorkspace`); these functions evaluate the same
 formulas face by face, path by path, pass by pass or slice by slice, so the
-tests can check the library against them.  :func:`reference_normals` and
-:func:`reference_walk` are the numpy draws and running sum that the C Monte
-Carlo kernels must match bit for bit.
+tests can check the library against them.  :func:`reference_normals` is the
+numpy draw that the C kernel ``normals`` must match bit for bit, and
+:func:`reference_averages` the numpy pipeline of draws, running sum, ``exp``
+and trapezoid sum that the C kernel ``averages`` must match bit for bit.
 :func:`observed_order` fits the convergence order that the tests assert on
 :func:`asianpde.benchmarks.convergence_study`.
 """
@@ -327,14 +328,6 @@ def observed_order(levels: list[ConvergenceLevel]) -> float:
     return float(np.polyfit(log_dx, log_err, 1)[0])
 
 
-def reference_walk(z: np.ndarray, vol: float, drift: float) -> np.ndarray:
-    """numpy evaluation of the C ``walk`` of ``_step``: the running sum of
-    ``z * vol + drift`` along each row, as ``np.cumsum`` adds it."""
-    rel = np.multiply(z, vol)
-    rel += drift
-    return np.cumsum(rel, axis=1, out=rel)
-
-
 def reference_normals(seed: int, first: int, n: int, m: int) -> np.ndarray:
     """numpy evaluation of the C ``normals`` of ``_step``: row i holds the m
     standard normals of numpy's Philox stream keyed by (seed, first + i)."""
@@ -343,6 +336,25 @@ def reference_normals(seed: int, first: int, n: int, m: int) -> np.ndarray:
         key = np.array([seed & 0xFFFFFFFFFFFFFFFF, first + i], dtype=np.uint64)
         z[i] = np.random.Generator(np.random.Philox(key=key)).standard_normal(m)
     return z
+
+
+def reference_averages(insts: list[InstrumentSpec], cfg: McConfig, start: int, stop: int) -> np.ndarray:
+    """numpy evaluation of the C ``averages`` of ``_step``: row k holds the
+    trapezoid averages of paths [start, stop) of instrument k.  Each path's
+    log-price is the running sum of ``z * vol + drift``, as ``np.cumsum`` adds
+    it, and its average ``spot * ((0.5 + S[:-1].sum() + 0.5 * S[-1]) / m)``
+    of ``S = exp(log-price)``, summed by numpy's add reduction."""
+    m = cfg.n_steps
+    z = reference_normals(cfg.seed, start, stop - start, m)
+    out = np.empty((len(insts), stop - start))
+    for inst, row in zip(insts, out):
+        drift = (inst.rate - 0.5 * inst.sigma * inst.sigma) * (inst.maturity / m)
+        rel = np.multiply(z, inst.sigma * math.sqrt(inst.maturity / m))
+        rel += drift
+        with np.errstate(over="ignore"):  # an overflowing path's average is inf
+            rel = np.exp(np.cumsum(rel, axis=1, out=rel), out=rel)
+            np.multiply(inst.spot, (0.5 + rel[:, :-1].sum(axis=1) + 0.5 * rel[:, -1]) / m, out=row)
+    return out
 
 
 def gbm_path(inst: InstrumentSpec, cfg: McConfig, path_index: int) -> np.ndarray:

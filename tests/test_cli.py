@@ -143,12 +143,13 @@ class TestPriceCommand:
         assert result.exit_code == 4
 
     def test_ctrl_c_stops_a_long_march(self):
-        # 50000 steps of 102x121 cells run for about 15 s, and the first
-        # converge level, 731 steps of 1024x1024 cells, for about 13 s; Python
-        # handles the SIGINT at the end of the running march call, at most
-        # 2**25 cell-steps
+        # 50000 steps of 102x121 cells run for about 15 s, the first converge
+        # level, 731 steps of 1024x1024 cells, for about 13 s, and 2e7 paths
+        # of 1000 steps for about 5 min; Python handles the SIGINT at the end
+        # of the running C call, at most 2**25 cell-steps or path-steps
         env = dict(os.environ, PYTHONPATH=str(Path(asianpde.__file__).parents[1]))
-        for args in (["price", "--dt", "0.00001"], ["converge", "--nx", "1024", "--levels", "3"]):
+        runs = (["price", "--dt", "0.00001"], ["converge", "--nx", "1024", "--levels", "3"], ["mc", "--paths", "20000000"])
+        for args in runs:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "asianpde.cli", *args],
                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

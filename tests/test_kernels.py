@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asianpde import _step
@@ -49,6 +50,14 @@ from asianpde import _step
 _step.ARCHIVE = Path(sys.argv[1])
 from asianpde.cli import main
 main(sys.argv[2:])
+"""
+# the CLI in a process whose numpy's exp has no float64 loop
+NO_FLOAT64_EXP = """
+import sys
+import numpy
+numpy.exp = numpy.invert
+from asianpde.cli import main
+main(sys.argv[1:])
 """
 FAST = ["--nx", "32", "--ny", "32", "--dt", "0.005", "--paths", "300", "--steps", "40"]
 # two threads make the process's first normals calls at once, each into its
@@ -127,12 +136,38 @@ def test_missing_archive_raises_one_os_error(tmp_path, monkeypatch):
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
+def test_numpy_without_a_float64_exp_loop_raises_one_os_error(monkeypatch, fresh_library):
+    # the averages kernel calls numpy's float64 exp loop, and has no other
+    monkeypatch.setattr(np, "exp", np.invert)
+    _step.library.cache_clear()
+    with pytest.raises(OSError, match=f"numpy {np.__version__} has no float64 loop of exp") as raised:
+        _step.library()
+    assert raised.value.__cause__ is None and raised.value.__context__ is None
+
+
+def test_numpy_without_a_float64_exp_loop_exits_4_without_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))  # this process's cache: no build
+    done = run(["-c", NO_FLOAT64_EXP, "mc", *FAST], env)
+    assert done.returncode == 4
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error:") and "no float64 loop of exp" in lines[0]
+
+
 def test_library_leaves_numpy_random_unimported(tmp_path):
     # the archive is found by path: numpy.random's modules would cost a valuation 2.5 MB
     probe = LOAD + "; import sys; print('numpy.random' in sys.modules)"
     done = run(["-c", probe], environment(tmp_path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_loading_a_cached_build_leaves_sysconfig_unimported():
+    # only a build reads Python's include path: sysconfig would cost every start 2 ms and 0.2 MB
+    _step.library()  # this process's cache holds the build
+    probe = LOAD + "; import sys; print('sysconfig' in sys.modules)"
+    done = run(["-c", probe], dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [_step.library()._name, "False"]
 
 
 def test_archive_bytes_key_the_build(tmp_path, monkeypatch):
@@ -149,7 +184,7 @@ def test_archive_bytes_key_the_build(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("missing, command", [(m, c) for m in ("gcc", "archive") for c in ("price", "mc")])
 def test_missing_build_input_exits_4_without_traceback(tmp_path, missing, command):
-    # mc too: the Monte Carlo normals and running sum are C kernels
+    # mc too: the Monte Carlo averages are a C kernel
     if missing == "gcc":
         env = environment(tmp_path / "cache", no_gcc_path(tmp_path))
         done = run(["-m", "asianpde.cli", command, *FAST], env)
@@ -181,7 +216,7 @@ def test_python_m_asianpde_runs_the_cli_without_a_build(tmp_path):
 def test_source_compiles_without_warnings():
     # with the build's own flags, so that one the local gcc rejects fails here
     done = subprocess.run(
-        ["gcc", "-Wall", "-Wextra", "-Werror", *_step.FLAGS, "-fsyntax-only", str(_step.SOURCE)],
+        ["gcc", "-Wall", "-Wextra", "-Werror", *_step.FLAGS, _step.python_include(), "-fsyntax-only", str(_step.SOURCE)],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0 and done.stderr == "", done.stderr
@@ -210,6 +245,11 @@ def test_every_kernel_has_declared_types():
         kernel = getattr(lib, name)
         assert tuple(kernel.argtypes) == argtypes and kernel.restype is restype
     assert _step.ARGTYPES["max_abs"][1] is _step.ARGTYPES["courant_x"][1] is ctypes.c_double
+
+
+def test_averages_work_rows_match_the_c_lanes():
+    # the work array that reference allocates holds the 2 LANES rows that averages uses
+    assert re.search(r"^#define LANES (\d+)$", _step.SOURCE.read_text(), re.M)[1] == str(_step.LANES)
 
 
 def test_one_route_to_c():
@@ -413,18 +453,24 @@ DRIVER_CASES = ["0,1,1", "0,2,1", "1,2,1", "1,3,0", "2,1,1", "2,2,1"]
 DRIVER_STOPS = ["30 0", "30 1", "30 1", "30 1", "1 0", "0 1"]
 
 
-def _driver(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
-    """MARCH_DRIVER built with ``_step.c`` and ``flags``, run on every case."""
-    (tmp_path / "driver.c").write_text(MARCH_DRIVER)
+def _program(tmp_path: Path, source: str, *flags: str) -> str:
+    """``source`` built with ``_step.c`` and ``flags`` into a program in ``tmp_path``."""
+    (tmp_path / "driver.c").write_text(source)
     program = tmp_path / "driver"
     include = next(f for f in _step.FLAGS if f.startswith("-I"))
     build = [
-        "gcc", "-O1", "-g", "-ffp-contract=off", include, *flags, "-o", str(program),
+        "gcc", "-O1", "-g", "-ffp-contract=off", include, _step.python_include(), *flags, "-o", str(program),
         str(tmp_path / "driver.c"), str(_step.SOURCE), str(_step.ARCHIVE), "-lm", "-pthread",
     ]
     built = subprocess.run(build, capture_output=True, text=True, timeout=120)
     assert built.returncode == 0, built.stderr
-    return subprocess.run([str(program), *DRIVER_CASES], capture_output=True, text=True, timeout=120)
+    return str(program)
+
+
+def _driver(tmp_path: Path, *flags: str) -> subprocess.CompletedProcess:
+    """MARCH_DRIVER built with ``_step.c`` and ``flags``, run on every case."""
+    program = _program(tmp_path, MARCH_DRIVER, *flags)
+    return subprocess.run([program, *DRIVER_CASES], capture_output=True, text=True, timeout=120)
 
 
 def test_split_march_is_free_of_data_races(tmp_path):
@@ -433,6 +479,74 @@ def test_split_march_is_free_of_data_races(tmp_path):
     done = _driver(tmp_path, "-fsanitize=thread")
     assert "ThreadSanitizer" not in done.stderr, done.stderr
     assert done.returncode == 0 and done.stdout.splitlines() == DRIVER_STOPS
+
+
+# Two threads make the process's first averages calls at once, on the
+# disjoint path ranges [0, SPLIT) and [SPLIT, PATHS) of one output array,
+# each with its own work rows; the program exits 1 unless they write what one
+# call over [0, PATHS) writes.  A stub stands in for numpy's exp loop, which
+# lives in numpy's extension module.
+AVERAGES_DRIVER = r"""
+#include <pthread.h>
+#include <stdint.h>
+#include <string.h>
+
+struct loop {
+    void (*run)(char **args, const long *n, const long *steps, void *data);
+    void *data;
+};
+
+void averages(double *out, long n_insts, long n_paths, const double *inst, long m, uint64_t seed,
+              long start, long stop, double *work, const struct loop *exp_loop);
+
+enum { INSTS = 2, PATHS = 83, SPLIT = 45, STEPS = 37, LANES = 8 };
+
+/* 1 + x for exp(x) */
+static void stub_exp(char **args, const long *n, const long *steps, void *data)
+{
+    (void)steps, (void)data;
+    for (long i = 0; i < *n; i++)
+        ((double *)args[1])[i] = 1.0 + ((double *)args[0])[i];
+}
+
+static const struct loop stub = {stub_exp, NULL};
+static const double inst[INSTS * 3] = {100.0, 1e-3, 0.02, 90.0, -2e-3, 0.05}; /* spot, drift, vol */
+static double split[INSTS * PATHS], whole[INSTS * PATHS];
+
+struct range {
+    long start, stop;
+    double work[2 * LANES * STEPS];
+};
+
+static void *run(void *arg)
+{
+    struct range *r = arg;
+    averages(split, INSTS, PATHS, inst, STEPS, 3, r->start, r->stop, r->work, &stub);
+    return NULL;
+}
+
+int main(void)
+{
+    static struct range ranges[2] = {{0, SPLIT, {0}}, {SPLIT, PATHS, {0}}};
+    pthread_t threads[2];
+    for (int i = 0; i < 2; i++)
+        if (pthread_create(&threads[i], NULL, run, &ranges[i]))
+            return 2;
+    for (int i = 0; i < 2; i++)
+        pthread_join(threads[i], NULL);
+    averages(whole, INSTS, PATHS, inst, STEPS, 3, 0, PATHS, ranges[0].work, &stub);
+    return memcmp(split, whole, sizeof whole) != 0;
+}
+"""
+
+
+def test_split_averages_are_free_of_data_races(tmp_path):
+    # ThreadSanitizer watches both threads' first calls, the ziggurat tables'
+    # set-up included, and exits 66 on a report
+    program = _program(tmp_path, AVERAGES_DRIVER, "-fsanitize=thread")
+    done = subprocess.run([program], capture_output=True, text=True, timeout=120)
+    assert "ThreadSanitizer" not in done.stderr, done.stderr
+    assert done.returncode == 0
 
 
 def test_march_runs_on_one_thread_when_none_can_start(tmp_path):

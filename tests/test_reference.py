@@ -1,17 +1,17 @@
 import ctypes
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asianpde import _step
+from asianpde import _step, reference
 from asianpde.errors import ConfigurationError
 from asianpde.pricing import InstrumentSpec
 from asianpde.reference import (
-    _PATH_BLOCK,
     McConfig,
     european_bs_price,
     geometric_asian_price,
@@ -21,7 +21,7 @@ from asianpde.reference import (
     mc_result_from_averages,
     norm_cdf,
 )
-from oracles import gbm_path, reference_normals, reference_walk
+from oracles import gbm_path, reference_averages, reference_normals
 
 # golden constants computed with a 50-digit erfc-based normal CDF before the
 # implementation existed
@@ -32,6 +32,12 @@ EUROPEAN_PUT_GOLDEN = 11.697991480364206
 NORM_CDF_1_GOLDEN = 0.84134474606854293
 # r of numpy's 256-layer normal ziggurat: beyond it lies the tail
 ZIGGURAT_TAIL_EDGE = 3.6541528853610088
+# paths per averages call: below, at and above its 8 lanes, and whole blocks with tails
+PATHS_PER_CALL = (1, 7, 8, 9, 31, 33, 37)
+# steps per path: below, at and above the walk's 8-step tiles and numpy's
+# 8-way and 128-element pairwise blocks
+STEPS = (1, 2, 7, 8, 9, 16, 17, 128, 129, 136, 257, 1000)
+BLOCK = 128  # a path count that is a whole number of blocks
 
 params = st.tuples(
     st.sampled_from(["call", "put"]),
@@ -150,37 +156,128 @@ class TestGbmPath:
         assert abs(log_returns.mean() - expected) < 4.0 * se
 
 
-class TestWalk:
-    @pytest.mark.parametrize(
-        "n, m, sigma",
-        [(_PATH_BLOCK, 40, 0.3), (37, 40, 0.3), (_PATH_BLOCK, 1, 0.3), (_PATH_BLOCK, 1000, 0.4), (_PATH_BLOCK, 40, 0.0)],
-        ids=["full block", "partial block", "m=1", "m=1000", "sigma=0"],
-    )
-    def test_matches_numpy_running_sum(self, n, m, sigma):
-        # the steps of mc_path_averages_many, one year at rate 0.1
-        z = np.random.default_rng(n * m).standard_normal((_PATH_BLOCK, m))
-        drift, vol = (0.1 - 0.5 * sigma**2) / m, sigma * math.sqrt(1.0 / m)
-        rel = np.full((n, m), np.nan)
-        _step.library().walk(z[:n], rel, *rel.shape, vol, drift)
-        assert rel.tobytes() == reference_walk(z[:n], vol, drift).tobytes()
+def pinned_instruments() -> list[InstrumentSpec]:
+    """Instruments whose walks have no noise, and a little and a lot of it."""
+    return [
+        instrument(sigma=0.0, maturity=1.0),
+        instrument(sigma=0.3, maturity=0.5, spot=90.0),
+        instrument(sigma=0.6, maturity=2.0, spot=120.0, rate=0.05),
+    ]
 
-    def test_rows_must_be_contiguous_float64(self):
-        walk = _step.library().walk
-        rel = np.empty((4, 8))
-        for z in (np.ones((4, 16))[:, ::2], np.ones((4, 8), dtype=np.float32)):
+
+def exp_in_place(x: np.ndarray) -> None:
+    """``x``, contiguous, exponentiated in place by the float64 loop that the
+    library found in numpy's exp and hands to ``averages``."""
+    loop, data = _step.library().numpy_exp
+    pointer = ctypes.POINTER(ctypes.c_ssize_t)
+    run = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p), pointer, pointer, ctypes.c_void_p)(loop)
+    address = x.ctypes.data
+    run((ctypes.c_void_p * 2)(address, address), (ctypes.c_ssize_t * 1)(x.size), (ctypes.c_ssize_t * 2)(8, 8), data)
+
+
+class TestAverages:
+    @pytest.mark.parametrize("m", STEPS, ids=[f"m={m}" for m in STEPS])
+    def test_matches_numpy_pipeline(self, m):
+        # consecutive calls of every size in PATHS_PER_CALL from path 3 on, so
+        # that ranges start off the block grid and end in each tail of lanes
+        specs = pinned_instruments()
+        edges = np.cumsum((3, *PATHS_PER_CALL))
+        cfg = McConfig(int(edges[-1]) + 2, m, seed=5)
+        out = np.full((len(specs), cfg.n_paths), np.nan)
+        for a, b in zip(edges, edges[1:]):
+            mc_path_averages_many(specs, cfg, out, int(a), int(b))
+        want = reference_averages(specs, cfg, 3, int(edges[-1]))
+        assert out[:, 3 : edges[-1]].tobytes() == want.tobytes()
+        assert np.isnan(out[:, :3]).all() and np.isnan(out[:, edges[-1] :]).all()
+
+    def test_tail_draws_match_numpy(self):
+        # the ziggurat's tail draws go through numpy's own function
+        specs, cfg = pinned_instruments(), McConfig(BLOCK, 1000, seed=11)
+        assert np.count_nonzero(np.abs(reference_normals(11, 0, BLOCK, 1000)) > ZIGGURAT_TAIL_EDGE) > 0
+        out = np.empty((len(specs), cfg.n_paths))
+        mc_path_averages_many(specs, cfg, out, 0, cfg.n_paths)
+        assert out.tobytes() == reference_averages(specs, cfg, 0, cfg.n_paths).tobytes()
+
+    def test_rows_must_be_contiguous_writable_float64(self):
+        averages = _step.library().averages
+        steps, work = np.ones((1, 3)), np.empty((2 * _step.LANES, 8))
+        read_only = np.ones((1, 8))
+        read_only.flags.writeable = False
+        for out in (np.ones((1, 16))[:, ::2], np.ones((1, 8), dtype=np.float32), read_only):
             with pytest.raises(ctypes.ArgumentError):
-                walk(z, rel, *rel.shape, 0.1, 0.0)
+                averages(out, 1, 8, steps, 8, 1, 0, 8, work, _step.library().numpy_exp)
+
+    @pytest.mark.parametrize("shape", [(1, 300), (2, 299), (300,)])
+    def test_averages_of_another_shape_refused(self, shape):
+        specs = [instrument(), instrument(sigma=0.4)]
+        with pytest.raises(ConfigurationError, match="need averages of shape"):
+            mc_path_averages_many(specs, McConfig(300, 30), np.empty(shape), 0, 300)
+
+    @pytest.mark.parametrize(
+        "n_paths, n_steps, n_insts, bound, sizes",
+        [
+            (12_500, 1000, 4, None, [8388, 4112]),  # the table's four sets, 12500 paths
+            (10_000, 1000, 1, None, [10_000]),  # mc's defaults, 1e7 path-steps
+            (40_000, 1000, 1, None, [33_554, 6_446]),
+            (12, 40, 2, 80 * 6, [6, 6]),  # at the bound
+            (3, 40, 2, 79, [1, 1, 1]),  # one path's steps above it
+        ],
+        ids=["table", "mc", "above-bound", "at-bound", "one-path"],
+    )
+    def test_mc_calls_bounded_in_path_steps(self, monkeypatch, n_paths, n_steps, n_insts, bound, sizes):
+        # Python sees a Ctrl-C only between C calls, so none runs more than
+        # MC_CALL_PATH_STEPS path-steps over its instruments, or one path
+        if bound is not None:
+            monkeypatch.setattr(reference, "MC_CALL_PATH_STEPS", bound)
+        asked = []
+        monkeypatch.setattr(_step.library(), "averages", lambda *args: asked.append(args[7] - args[6]))
+        out = np.empty((n_insts, n_paths))
+        mc_path_averages_many([instrument()] * n_insts, McConfig(n_paths, n_steps), out, 0, n_paths)
+        assert asked == sizes
+
+
+class TestNumpyExp:
+    def test_loop_matches_np_exp(self):
+        # every length up to 64 at every offset from a 64-byte line: the
+        # vector loop's head, body and masked tail, as np.exp runs them
+        rng = np.random.default_rng(7)
+        for n in range(1, 65):
+            for offset in range(8):
+                x = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 30.0, 800.0], n)
+                x[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 5e-324, 709.78, -745.2])
+                line = np.full(n + 16, np.nan)
+                got = line[8 - line.ctypes.data % 64 // 8 + offset :][:n]
+                got[...] = x
+                exp_in_place(got)
+                with np.errstate(over="ignore", under="ignore"):
+                    assert got.tobytes() == np.exp(x).tobytes(), (n, offset)
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        x = np.array([710.0, 1e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exp_in_place(x)
+            np.add(x, 1.0)  # numpy clears the flags that the loop left set
+        assert x[0] == x[1] == np.inf and x[2] == math.e
+
+    def test_overflowing_paths_give_inf_averages_without_a_warning(self):
+        inst = instrument(sigma=1.0, rate=709.0, maturity=1.0)  # exp(rate T) is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            averages = mc_path_averages(inst, McConfig(100, 10, seed=1))
+        assert np.isinf(averages).any()
+        assert averages.tobytes() == reference_averages([inst], McConfig(100, 10, seed=1), 0, 100)[0].tobytes()
 
 
 class TestNormals:
     @pytest.mark.parametrize(
         "seed, first, n, m",
         [
-            (1, 0, _PATH_BLOCK, 1000),
+            (1, 0, BLOCK, 1000),
             (1, 0, 37, 40),
-            (3, 0, _PATH_BLOCK, 1),
+            (3, 0, BLOCK, 1),
             (3, 0, 37, 1001),
-            (7, 999, _PATH_BLOCK, 40),
+            (7, 999, BLOCK, 40),
             (2**63 + 5, 12345, 64, 40),
             (-5, 0, 37, 40),
             (1, 2**32 + 7, 37, 40),
@@ -259,20 +356,20 @@ class TestMcAsianPrice:
             instrument(sigma=0.45, maturity=1.0, spot=110.0, rate=0.05),
             instrument(sigma=0.6, maturity=2.0, spot=120.0),
         ]
-        cfg = McConfig(_PATH_BLOCK + 37, 40, seed=21)
-        shared = [np.empty(cfg.n_paths) for _ in specs]
+        cfg = McConfig(BLOCK + 37, 40, seed=21)
+        shared = np.empty((len(specs), cfg.n_paths))
         mc_path_averages_many(specs, cfg, shared, 0, cfg.n_paths)
         for spec, averages in zip(specs, shared):
             assert np.array_equal(averages, mc_path_averages(spec, cfg))
 
     def test_path_ranges_concatenate_to_whole(self):
-        # range edges off the block grid (301 = 2 * 128 + 45); each path keeps its
+        # range edges off the block grid (301 = 37 * 8 + 5); each path keeps its
         # own (seed, index) stream, and each range writes only its own slice
         specs = [instrument(sigma=0.2, maturity=0.5), instrument(sigma=0.4, maturity=1.0)]
-        cfg = McConfig(3 * _PATH_BLOCK + 45, 30, seed=8)
-        whole = [np.empty(cfg.n_paths) for _ in specs]
+        cfg = McConfig(3 * BLOCK + 45, 30, seed=8)
+        whole = np.empty((len(specs), cfg.n_paths))
         mc_path_averages_many(specs, cfg, whole, 0, cfg.n_paths)
-        parts = [np.full(cfg.n_paths, np.nan) for _ in specs]
+        parts = np.full((len(specs), cfg.n_paths), np.nan)
         for a, b in ((0, 50), (50, 301), (301, cfg.n_paths)):
             mc_path_averages_many(specs, cfg, parts, a, b)
         for part, averages in zip(parts, whole):
@@ -282,10 +379,10 @@ class TestMcAsianPrice:
         # each call's Philox streams live on its own stack: two threads that
         # draw at the same time take alternate blocks and get the serial bytes
         specs = [instrument(sigma=0.2, maturity=0.5), instrument(sigma=0.4, maturity=1.0)]
-        cfg = McConfig(16 * _PATH_BLOCK + 45, 1000, seed=17)
-        edges = [*range(0, cfg.n_paths, _PATH_BLOCK), cfg.n_paths]
+        cfg = McConfig(16 * BLOCK + 45, 1000, seed=17)
+        edges = [*range(0, cfg.n_paths, BLOCK), cfg.n_paths]
         ranges = list(zip(edges[:-1], edges[1:]))
-        parts, start = [np.full(cfg.n_paths, np.nan) for _ in specs], threading.Barrier(2)
+        parts, start = np.full((len(specs), cfg.n_paths), np.nan), threading.Barrier(2)
 
         def run(mine):
             start.wait()
@@ -297,15 +394,14 @@ class TestMcAsianPrice:
             thread.start()
         for thread in threads:
             thread.join()
-        whole = [np.empty(cfg.n_paths) for _ in specs]
+        whole = np.empty((len(specs), cfg.n_paths))
         mc_path_averages_many(specs, cfg, whole, 0, cfg.n_paths)
-        for part, averages in zip(parts, whole):
-            assert part.tobytes() == averages.tobytes()
+        assert parts.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("start, stop", [(-1, 10), (10, 5), (0, 301)])
     def test_path_range_outside_refused(self, start, stop):
         with pytest.raises(ConfigurationError, match="path range"):
-            mc_path_averages_many([instrument()], McConfig(300, 30), [np.empty(300)], start, stop)
+            mc_path_averages_many([instrument()], McConfig(300, 30), np.empty((1, 300)), start, stop)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_averages_refused(self, n):
