@@ -63,8 +63,14 @@
  * from psi's last live column and clears the corrective faces above its band
  * to +0.0, where a full-width march holds +-0, so that a slot holds +0.0 above
  * the band, and the maxima its kernels find over the band are those of every
- * face.  The fills and courant_x keep the full extent, and the periodic
- * march, whose columns wrap, the full width.
+ * face.  C_x, when rebuilt, is built on every column at a call's step 0,
+ * after the step's fills, and from then on on the band and the one column
+ * after it, which antidiffusive's y faces read: psi's columns past that hold
+ * +0.0 for the whole call (the band never narrows), so their faces keep the
+ * bits that step 0 wrote, and every later step combines their max |C_x|,
+ * kept from step 0, with the band's, until the build reaches the last
+ * column; the checks see the maxima of every face.  The fills keep the full
+ * extent, and the periodic march, whose columns wrap, the full width.
  *
  * The split.  The step is unsplit: each pass reads only what the pass
  * before it wrote, so a block of x rows can run a pass without the others.
@@ -79,10 +85,16 @@
  * real rows that another block may hold.  Between dependent phases the
  * threads meet at a barrier: after the maxima of each field (each thread
  * leaves those of its rows, and every thread combines all of them as integer
- * maxima, so every thread takes the same stop decision), between upwind's
- * fluxes and its update, after the update, and between antidiffusive and
- * the two phases of limit: 8 barriers in a 2-iteration step with the
- * limiter, 3 in an upwind step.  Each thread finds the same band from the
+ * maxima, so every thread takes the same stop decision), after each upwind
+ * pass, and between antidiffusive and the two phases of limit: 6 barriers in
+ * a 2-iteration step with the limiter, 2 in an upwind step.  An upwind pass
+ * is one sweep of the block's rows, each row's fluxes computed into the
+ * thread's own row buffers right before the row is updated, from rows not
+ * yet updated; only the x fluxes of the face row between two blocks read a
+ * row of each, so each block writes those of its first face row into a
+ * boundary row before the barrier of the check that precedes the pass, and
+ * the block above reads them for its last row.  The limiter's scratch rows
+ * up and dn stage no fluxes.  Each thread finds the same band from the
  * whole of psi between the update and the next pass.  Every element gets the
  * same operations from exactly one thread, and the maxima are the integer
  * max of the same elements, so every byte is that of one thread, which runs
@@ -126,6 +138,7 @@
 #include <signal.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #include "numpy/ndarraytypes.h"
@@ -186,35 +199,94 @@ struct block {
 
 static struct block every_row(long nx, long h) { return (struct block){h, h + nx, 1, 1}; }
 
-/* The face fluxes max(C, 0) psi_donor + min(C, 0) psi_receiver of upwind,
- * staged in fx and fy. */
-static void upwind_fluxes(const double *restrict psi, long ny, long h, long r, const double *restrict cx,
-                          const double *restrict cy, double *restrict fx, double *restrict fy, struct block s)
+static void fill_scalar_rows(double *v, long ny, long h, long r, long lo, long hi);
+
+/* The row buffers of one block's upwind sweep, each a row of the padded
+ * layout: first holds the x fluxes of the block's first face row, which the
+ * block above also reads, and below the block below's first, or is NULL in
+ * the last block; the sweep writes x[0] and x[1] in turn and y. */
+struct rows {
+    double *first, *x[2], *y;
+    const double *below;
+};
+
+/* Row buffers for n blocks, 4 rows each: block i's are rows 4i to 4i + 3,
+ * first at 4i; NULL when they cannot be allocated.  Free with free. */
+static double *alloc_rows(long n, long r) { return malloc((size_t)(4 * n * r) * sizeof(double)); }
+
+/* The row buffers of block i of n */
+static struct rows rows_of(double *rows, long i, long n, long r)
 {
-    for (long a = s.lo; a < s.hi + s.last; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++)
-            fx[k] = max_zero(cx[k]) * psi[k - r] + min_zero(cx[k]) * psi[k];
-    for (long a = s.lo; a < s.hi; a++)
-        for (long k = a * r + h; k <= a * r + h + ny; k++)
-            fy[k] = max_zero(cy[k]) * psi[k - 1] + min_zero(cy[k]) * psi[k];
+    double *row = rows + 4 * i * r;
+    return (struct rows){row, {row + r, row + 2 * r}, row + 3 * r, i < n - 1 ? row + 4 * r : NULL};
 }
 
-/* psi -= (fx[k + r] - fx[k]) + (fy[k + 1] - fy[k]), clipped at 0: the
- * scheme is sign-preserving, and the clip removes round-off undershoots */
-static void upwind_update(double *restrict psi, long ny, long h, long r, const double *restrict fx,
-                          const double *restrict fy, struct block s)
+/* The x fluxes max(C, 0) psi_donor + min(C, 0) psi_receiver of upwind on
+ * face row a, columns [0, n), into f at the row's own offsets */
+static void x_fluxes(const double *restrict psi, long n, long h, long r, const double *restrict cx, long a,
+                     double *restrict f)
 {
-    for (long a = s.lo; a < s.hi; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++)
-            psi[k] = clip_negative(psi[k] - ((fx[k + r] - fx[k]) + (fy[k + 1] - fy[k])));
+    const double *p = psi + a * r, *c = cx + a * r;
+    for (long b = h; b < h + n; b++)
+        f[b] = max_zero(c[b]) * p[b - r] + min_zero(c[b]) * p[b];
 }
 
-/* Donor-cell pass with the face fluxes staged in fx and fy. */
-void upwind(double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
-            const double *restrict cy, double *restrict fx, double *restrict fy)
+/* The y fluxes of the cell row p, faces [0, n], into f */
+static void y_fluxes(const double *restrict p, long n, long h, const double *restrict c, double *restrict f)
 {
-    upwind_fluxes(psi, ny, h, r, cx, cy, fx, fy, every_row(nx, h));
-    upwind_update(psi, ny, h, r, fx, fy, every_row(nx, h));
+    for (long b = h; b <= h + n; b++)
+        f[b] = max_zero(c[b]) * p[b - 1] + min_zero(c[b]) * p[b];
+}
+
+/* p -= (below - above) + (fy[b + 1] - fy[b]), clipped at 0: the scheme is
+ * sign-preserving, and the clip removes round-off undershoots */
+static void update_row(double *restrict p, long n, long h, const double *restrict above,
+                       const double *restrict below, const double *restrict fy)
+{
+    for (long b = h; b < h + n; b++)
+        p[b] = clip_negative(p[b] - ((below[b] - above[b]) + (fy[b + 1] - fy[b])));
+}
+
+/* One donor-cell pass over the block's rows and the columns [0, n), as one
+ * sweep: for each row, the x fluxes of the face row below it and its y
+ * fluxes, from psi as it was before the pass, then its update and, if fill,
+ * its y halos (of every column).  w.first must hold the x fluxes of the
+ * block's first face row, and w.below, unless NULL, those of the face row
+ * after its last: the fluxes of a face row between two blocks read a row of
+ * each, so each block writes its first before any block updates a row. */
+static void sweep(double *restrict psi, long ny, long n, long h, long r, const double *restrict cx,
+                  const double *restrict cy, struct rows w, int fill, struct block s)
+{
+    const double *above = w.first;
+    for (long a = s.lo; a < s.hi; a++) {
+        double *p = psi + a * r;
+        const double *under = w.below;
+        if (a < s.hi - 1 || !under) {
+            x_fluxes(psi, n, h, r, cx, a + 1, w.x[a & 1]);
+            under = w.x[a & 1];
+        }
+        y_fluxes(p, n, h, cy + a * r, w.y);
+        update_row(p, n, h, above, under, w.y);
+        if (fill)
+            fill_scalar_rows(psi, ny, h, r, a, a + 1);
+        above = under;
+    }
+}
+
+/* One donor-cell pass over every row and column, as march runs it, without
+ * the halo fills.  Returns 0, or -1, with psi as it was, when its row
+ * buffers cannot be allocated. */
+long upwind(double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
+            const double *restrict cy)
+{
+    double *rows = alloc_rows(1, r);
+    if (!rows)
+        return -1;
+    struct rows w = rows_of(rows, 0, 1, r);
+    x_fluxes(psi, ny, h, r, cx, h, w.first);
+    sweep(psi, ny, ny, h, r, cx, cy, w, 0, every_row(nx, h));
+    free(rows);
+    return 0;
 }
 
 /* |C| (1 - |C|) A - C Cbar B at face k between cells k - near and k, with
@@ -315,12 +387,13 @@ void limit(const double *restrict psi, long nx, long ny, long h, long r, const d
     limit_faces(ny, h, r, cx, cy, vx, vy, up, dn, top, every_row(nx, h));
 }
 
-static double courant_x_rows(const double *restrict psi, long ny, long h, long r, double *restrict cx,
+/* C_x over the block's faces in the columns [from, to), returning their max |C_x| */
+static double courant_x_rows(const double *restrict psi, long from, long to, long h, long r, double *restrict cx,
                              double u, double coef, double scale, double eps, struct block s)
 {
     int64_t top = 0;
     for (long a = s.lo; a < s.hi + s.last; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++) {
+        for (long k = a * r + h + from; k < a * r + h + to; k++) {
             cx[k] = (u - guarded_ratio(psi[k] - psi[k - r], psi[k] + psi[k - r], eps) * coef) * scale;
             top = max_bits(top, cx[k]);
         }
@@ -333,7 +406,7 @@ static double courant_x_rows(const double *restrict psi, long ny, long h, long r
 double courant_x(const double *restrict psi, long nx, long ny, long h, long r, double *restrict cx,
                  double u, double coef, double scale, double eps)
 {
-    return courant_x_rows(psi, ny, h, r, cx, u, coef, scale, eps, every_row(nx, h));
+    return courant_x_rows(psi, 0, ny, h, r, cx, u, coef, scale, eps, every_row(nx, h));
 }
 
 /* Linear extrapolation outward from cells k and k - step (k the edge cell)
@@ -490,6 +563,7 @@ struct team {
     long nx, ny, h, r;
     struct faces c, a, b;
     double *up, *dn;
+    double *rows; /* the row buffers of each block's upwind sweep (alloc_rows) */
     long n_steps, n_iters, nonoscillatory, diffusion_ok, periodic, rebuild;
     double u, coef, scale, courant_max, eps;
     long size;           /* the threads, final once open is set */
@@ -596,16 +670,17 @@ static void clear_above(const struct team *t, struct faces f, long live, struct 
         memset(f.y + a * t->r + t->h + live + 1, 0, width);
 }
 
-/* One upwind pass with the field f over the band: the block's fluxes, a
- * barrier, the update of its rows; then, unless the pass is the call's
- * last, the halos beside its rows for the next pass and a barrier. */
-static void upwind_pass(struct team *t, struct faces f, long live, int *sense, int last, struct block s)
+/* One upwind pass with the field f over the band, after the x fluxes of the
+ * block's first face row and a barrier: the block's sweep; then, unless the pass is the call's last, psi's
+ * halos beside its rows for the next pass (in the sweep, or a wrap of the
+ * torus after it) and a barrier. */
+static void upwind_pass(struct team *t, struct faces f, long live, int *sense, int last, struct rows w,
+                        struct block s)
 {
-    upwind_fluxes(t->psi, live, t->h, t->r, f.x, f.y, t->up, t->dn, s);
-    barrier(t, sense);
-    upwind_update(t->psi, live, t->h, t->r, t->up, t->dn, s);
+    sweep(t->psi, t->ny, live, t->h, t->r, f.x, f.y, w, !last && !t->periodic, s);
     if (!last) {
-        fill_psi_rows(t, s);
+        if (t->periodic)
+            fill_psi_rows(t, s);
         barrier(t, sense);
     }
 }
@@ -618,6 +693,7 @@ static long run(struct team *t, long id, double *out)
     long nx = t->nx, ny = t->ny, h = t->h, r = t->r, n_iters = t->n_iters;
     struct block s = {h + nx * id / t->size, h + nx * (id + 1) / t->size, id == 0, id == t->size - 1};
     struct faces c = t->c;
+    struct rows w = rows_of(t->rows, id, t->size, r);
     int sense = 0;
     long live = t->periodic ? ny : live_columns(t->psi, nx, ny, h, r, 0, ny, n_iters);
     if (live < ny) {
@@ -627,6 +703,7 @@ static long run(struct team *t, long id, double *out)
     if (t->n_steps == 0)
         return 0;
     double c_top[2], top[2]; /* this block's max |C_x| and max |C_y| of c; every block's */
+    double past = 0.0;       /* the block's max |C_x| past step 0's build (rebuild) */
     fill_y(t, c.y, s);
     c_top[1] = max_rows(c.y, ny + 1, h, r, s.lo, s.hi);
     if (!t->rebuild) {
@@ -639,15 +716,23 @@ static long run(struct team *t, long id, double *out)
             live = live_columns(t->psi, nx, ny, h, r, live - n_iters, live, n_iters);
         fill_psi_edges(t, s);
         if (t->rebuild) {
-            c_top[0] = courant_x_rows(t->psi, ny, h, r, c.x, t->u, t->coef, t->scale, t->eps, s);
+            /* the band and the column that antidiffusive's y faces read after it */
+            long built = live < ny ? live + 1 : ny;
+            c_top[0] = courant_x_rows(t->psi, 0, built, h, r, c.x, t->u, t->coef, t->scale, t->eps, s);
+            if (n == 0)
+                past = courant_x_rows(t->psi, built, ny, h, r, c.x, t->u, t->coef, t->scale, t->eps, s);
+            if (built < ny)
+                c_top[0] = from_bits(max_bits(max_bits(0, c_top[0]), past));
             fill_x(t, c.x, s);
         }
+        /* the x fluxes that the block above also reads, before it updates a row */
+        x_fluxes(t->psi, live, h, r, c.x, s.lo, w.first);
         gather(t, id, &sense, c_top, top);
         out[2] = 0.0;
         if (!courant_ok(top, t->courant_max, out) || !t->diffusion_ok)
             return n;
         int last_step = n == t->n_steps - 1;
-        upwind_pass(t, c, live, &sense, last_step && n_iters == 1, s);
+        upwind_pass(t, c, live, &sense, last_step && n_iters == 1, w, s);
         struct faces current = c;
         for (long pass = 1; pass < n_iters; pass++) {
             fill_psi_edges(t, s);
@@ -665,11 +750,12 @@ static long run(struct team *t, long id, double *out)
                 fill_vector(t, limited, s);
                 next = limited;
             }
+            x_fluxes(t->psi, live, h, r, next.x, s.lo, w.first);
             gather(t, id, &sense, v_top, top);
             out[2] = 1.0;
             if (!courant_ok(top, t->courant_max, out))
                 return n;
-            upwind_pass(t, next, live, &sense, last_step && pass == n_iters - 1, s);
+            upwind_pass(t, next, live, &sense, last_step && pass == n_iters - 1, w, s);
             current = next;
         }
     }
@@ -690,18 +776,20 @@ static void *join_team(void *arg)
 
 /* n_steps transport steps of one length on the workspace: psi, the physical
  * field c (C_y written, and C_x too unless rebuild), the corrective slots a
- * and b and the scratch rows up and dn; every fill wraps on the torus if
+ * and b and limit's scratch rows up and dn; every fill wraps on the torus if
  * periodic.  Each step fills psi, writes C_x = (u - coef A) scale if rebuild
  * and fills it, and checks c; then runs one upwind pass and n_iters - 1
  * corrective passes on a refilled psi, each antidiffusive field (FCT-limited
  * if nonoscillatory) checked before use.  A failed check of c, or
  * diffusion_ok 0, stops the march before the step changes psi; of a
  * corrective field, before its pass.  Returns the stopping step's index, or
- * n_steps; out gets the failing field's max |C_x|, max |C_y| and 1.0 if
- * corrective, 0.0 if not.  The passes run over the band of live columns (see
- * the header).  march writes no component of c but C_x, and that only if
- * rebuild: the others are filled and scanned once per call, and each field
- * that march writes is scanned by the kernel that writes it.  The march runs
+ * n_steps, or -1, before any step, when the row buffers of the upwind sweeps
+ * cannot be allocated; out gets the failing field's max |C_x|, max |C_y| and
+ * 1.0 if corrective, 0.0 if not.  The passes, and the rebuilds of C_x after
+ * step 0, run over the band of live columns (see the header).  march writes
+ * no component of c but C_x, and that only if rebuild: the others are filled
+ * and scanned once per call, and each field that march writes is scanned by
+ * the kernel that writes it.  The march runs
  * on up to threads threads (at most nx and TEAM_MAX), each over its own
  * block of rows (see the header); a periodic march, or one of no steps, on
  * one, and on as many as start when pthread_create fails. */
@@ -710,12 +798,14 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
            double coef, double scale, double courant_max, double eps, double *out)
 {
-    struct team t = {
-        psi, nx, ny, h, r, {cx, cy}, {ax, ay}, {bx, by}, up, dn, n_steps, n_iters, nonoscillatory,
-        diffusion_ok, periodic, rebuild, u, coef, scale, courant_max, eps, .size = 1,
-    };
     long size = periodic || n_steps == 0 || threads < 1 ? 1 : threads < nx ? threads : nx;
     size = size < TEAM_MAX ? size : TEAM_MAX;
+    struct team t = {
+        psi, nx, ny, h, r, {cx, cy}, {ax, ay}, {bx, by}, up, dn, alloc_rows(size, r), n_steps, n_iters,
+        nonoscillatory, diffusion_ok, periodic, rebuild, u, coef, scale, courant_max, eps, .size = 1,
+    };
+    if (!t.rows)
+        return -1;
     pthread_t helpers[TEAM_MAX];
     /* signals go to the calling thread, which Python runs its handlers on */
     sigset_t every, old;
@@ -729,6 +819,7 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
     long ran = run(&t, 0, out);
     for (long i = 1; i < t.size; i++)
         pthread_join(helpers[i], NULL);
+    free(t.rows);
     return ran;
 }
 

@@ -78,7 +78,7 @@ LANES = 8
 # kernel -> (argument types, return type); without a return type ctypes reads
 # every result as a C int, silently
 ARGTYPES = {
-    "upwind": (_DIMS + (_PTR,) * 4, None),
+    "upwind": (_DIMS + (_PTR,) * 2, _INT),
     "antidiffusive": (_DIMS + (_PTR,) * 4 + (_REAL, MAXIMA), None),
     "limit": (_DIMS + (_PTR,) * 6 + (_REAL, MAXIMA), None),
     "courant_x": (_DIMS + (_PTR,) + (_REAL,) * 4, _REAL),

@@ -46,6 +46,8 @@ DEFAULT_EPSILON = 1e-15
 # cell-steps of one C march call: Python sees Ctrl-C between calls, ~0.6 s
 # apart at 2 iterations, ~1.5 s at 4
 MARCH_CALL_CELL_STEPS = 2**25
+# the MemoryError of a march or upwind_step whose C call cannot allocate its row buffers
+ROW_BUFFERS = "the donor-cell pass could not allocate its row buffers"
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ class StepWorkspace:
             VectorField(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :]) for s in (1, 3, 5)
         )
 
-    # the addresses of the scratch rows of the donor-cell pass and the limiter: the last two slots
+    # the addresses of the limiter's scratch rows: the last two slots
     c_scratch = property(lambda self: (dims(self.fields[7], 1)[0], dims(self.fields[8], 1)[0]))
 
     @classmethod
@@ -154,19 +156,23 @@ class StepWorkspace:
         it writes is checked on the max |C| that the kernel writing it finds
         as it writes it.  Unless ``periodic``, the passes skip psi's columns
         of +0.0 that the step cannot reach (a put's A >= K), a band each C
-        call finds and grows (``_step.c``); the fills cover every column,
-        the maxima are those of every face, and psi gets the same bytes.
+        call finds and grows (``_step.c``), and so does the C_x build after
+        each call's first step, past the band's next column; the fills cover
+        every column, the maxima are those of every face, and psi and C get
+        the same bytes.
         Each C call runs on up to ``threads`` threads, each over its own
         block of x rows with a barrier between dependent passes (at most one
         thread a row, and one when ``periodic``); every byte and every
         result is that of one thread.
 
-        Adds the steps it completes to :attr:`steps`.  A failed check stops
-        the march and raises :class:`StabilityError` with the failing field's
-        maxima: before any update when the physical field fails |C| <= 1 or
-        ``diffusion`` its bound, with the step index :attr:`steps`; before
-        its own pass, with no step index and no diffusion number, when a
-        corrective field fails |C| <= 1.
+        Adds the steps it completes to :attr:`steps`.  Raises
+        :class:`MemoryError` when a C call cannot allocate the row buffers
+        of its donor-cell sweeps, before that call's first step.  A failed
+        check stops the march and raises :class:`StabilityError` with the
+        failing field's maxima: before any update when the physical field
+        fails |C| <= 1 or ``diffusion`` its bound, with the step index
+        :attr:`steps`; before its own pass, with no step index and no
+        diffusion number, when a corrective field fails |C| <= 1.
         """
         faces = (c[0] for fld in (self.courant, *self.corrective) for c in (fld.c_comp_x, fld.c_comp_y))
         arrays = (*self.psi.c_values, *faces, *self.c_scratch)
@@ -179,6 +185,8 @@ class StepWorkspace:
         for done in range(0, n_steps, per_call):
             size = min(per_call, n_steps - done)
             ran = library().march(*arrays, size, *settings, out)
+            if ran < 0:
+                raise MemoryError(ROW_BUFFERS)
             self.steps += ran
             if ran < size:
                 corrective = out[2] != 0.0
@@ -195,13 +203,15 @@ def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
 
     The halo of ``psi`` must be filled; of ``courant`` only the interior
     faces are read.  Raises :class:`StabilityError` when any interior |C|
-    exceeds 1.
+    exceeds 1, and :class:`MemoryError` when the pass cannot allocate its
+    row buffers.
     """
     report = stability_report(*_max_abs(courant), 0.0)
     if not report.ok:
         raise StabilityError(report)
     ws = StepWorkspace.holding(psi, courant)
-    library().upwind(*ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], *ws.c_scratch)
+    if library().upwind(*ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0]):
+        raise MemoryError(ROW_BUFFERS)
     return ws.psi.copy()
 
 

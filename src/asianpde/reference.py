@@ -42,6 +42,9 @@ class McConfig:
             raise ConfigurationError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
+        # the first word of a Philox key, which ctypes would reduce mod 2^64 without a word
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ def mc_path_averages_many(
     # mc_result_from_averages refuses the estimate
     for lo in range(start, stop, per_call):
         hi = min(lo + per_call, stop)
-        lib.averages(out, *out.shape, steps, m, cfg.seed & 0xFFFFFFFFFFFFFFFF, lo, hi, work, lib.numpy_exp)
+        lib.averages(out, *out.shape, steps, m, cfg.seed, lo, hi, work, lib.numpy_exp)
 
 
 def mc_path_averages(inst: InstrumentSpec, cfg: McConfig) -> np.ndarray:

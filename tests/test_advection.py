@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asianpde._step import HALO
+from asianpde import advection
+from asianpde._step import HALO, library
 from asianpde.advection import (
     SolverOptions,
     StabilityReport,
@@ -205,6 +206,29 @@ class TestUpwindStep:
         with pytest.raises(StabilityError):
             run(ws.psi, ws.courant)
         np.testing.assert_array_equal(ws.fields, before)
+
+    def test_refused_row_buffers_raise_memory_error(self, monkeypatch):
+        # march and upwind return -1, having written nothing, when they cannot
+        # allocate the row buffers of their sweep
+        kernels = library()
+
+        class Refusing:
+            def __getattr__(self, name):
+                return getattr(kernels, name)
+
+            def march(self, *args):
+                return -1
+
+            upwind = march
+
+        monkeypatch.setattr(advection, "library", Refusing)
+        psi, vec = ScalarField.zeros(SPEC), VectorField.zeros(SPEC)
+        with pytest.raises(MemoryError, match="row buffers"):
+            upwind_step(psi, vec)
+        ws = StepWorkspace.holding(psi, vec)
+        with pytest.raises(MemoryError, match="row buffers"):
+            ws.march(3, SolverOptions())
+        assert ws.steps == 0
 
 
 class TestAntidiffusiveCourant:

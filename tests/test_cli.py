@@ -107,6 +107,10 @@ class TestPriceCommand:
             (["price", "--amax", "1e150"], "(amax = 1e+150, ny = 121)"),
             (["price", "--kind", "put", "--amax", "1e308"], "(amax = 1e+308, ny = 121)"),
             (["transect", "--amax", "1e20"], "(amax = 1e+20, ny = 31)"),
+            # seeds that ctypes would reduce mod 2^64, to seed 0 and to seed 2^64 - 1
+            (["mc", "--seed", "18446744073709551616", "--paths", "10", "--steps", "5"], "seed must be in [0, 2**64)"),
+            (["mc", "--seed", "-1", "--paths", "10", "--steps", "5"], "seed must be in [0, 2**64), got -1"),
+            (["table", "--seed", "-1"], "seed must be in [0, 2**64), got -1"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):

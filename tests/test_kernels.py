@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asianpde import _step
+from asianpde import _step, advection
 from asianpde.advection import SolverOptions, StepWorkspace
 from asianpde.pricing import (
     KINDS,
@@ -357,6 +357,47 @@ def test_split_march_moves_no_bit(nx, ny, dt, threads):
         assert _march_bytes(nx, ny, dt, count) == want, count
 
 
+def _last_live_column(ws: StepWorkspace) -> int:
+    return int(np.flatnonzero(ws.psi.interior.any(axis=0))[-1])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_band_limited_courant_x_keeps_every_byte(monkeypatch, threads):
+    # After step 0 of a call the march rebuilds a put's C_x only on the band
+    # and the column after it, and keeps step 0's max |C_x| of the faces past
+    # it.  A march in one C call must leave psi, C and both corrective slots
+    # as one-step calls do, each of which builds every column at its step 0.
+    nx, ny, dt = 24, 20, 0.01
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
+    inst = InstrumentSpec("put", 100.0, 0.5, 0.3, 0.1, 100.0)
+    tr = make_transform(inst)
+
+    def marched(ws: StepWorkspace, n_steps: int, per_call: int | None = None) -> bytes:
+        if per_call is not None:
+            monkeypatch.setattr(advection, "MARCH_CALL_CELL_STEPS", nx * ny * per_call)
+        # forward in time: C_y > 0 carries the put's front up, a column a pass
+        _write_courant_y(ws, tr, spec, dt)
+        ws.march(n_steps, SolverOptions(2, True), _courant_x_terms(tr, spec, dt), threads=threads)
+        monkeypatch.undo()
+        return ws.fields[:7].tobytes()
+
+    # the front climbs from column 9 to the top: the band reaches full width
+    # during the call, and the kept max stops applying
+    start = terminal_condition(inst, spec)
+    ws = StepWorkspace.holding(start)
+    assert _last_live_column(ws) == 9
+    assert marched(ws, 20) == marched(StepWorkspace.holding(start), 20, per_call=1)
+    assert _last_live_column(ws) == ny - 1
+    # a reused workspace: psi's halo rows and C_x past the new band are stale,
+    # which a C_x written before step 0's fills would read
+    ws.psi.interior[:, 4:] = 0.0
+    fresh = [StepWorkspace(nx, ny) for _ in range(2)]
+    for other in fresh:
+        other.psi.interior[...] = ws.psi.interior
+    assert marched(ws, 4) == marched(fresh[0], 4) == marched(fresh[1], 4, per_call=1)
+    assert _last_live_column(ws) == 7  # short of the top: every step took the kept max
+
+
 # A program that runs march on 13 x 12 cells for each (kind, n_iters,
 # nonoscillatory) of argv's cases on 1, 2 and 3 threads and exits 1 unless
 # every split leaves the one-thread march's workspace, result and out.  It
@@ -365,6 +406,9 @@ def test_split_march_moves_no_bit(nx, ny, dt, threads):
 # 1.3e308 with one 0 cell, which overflows in the first upwind pass under
 # an outflow sum of 1.71, so the march stops: at step 1 on the physical
 # field with one iteration, at step 0 on the first corrective field with more.
+# Kind 3 is the put under C_y > 0, which carries its front to the top column
+# within a few steps, so the band, and the C_x build with it, widens to full
+# width during the call.
 MARCH_DRIVER = r"""
 #include <errno.h>
 #include <math.h>
@@ -412,10 +456,10 @@ static long run(double *w, int kind, long n_iters, long nonosc, long threads, do
     for (long a = H; a < H + NX; a++) {
         for (long b = H; b < H + NY; b++) {
             double y = b - H + 0.5;
-            w[a * R + b] = kind == 0 ? fmax(y - 6.0, 0.0) : kind == 1 ? fmax(5.0 - y, 0.0) : 1.3e308;
+            w[a * R + b] = kind == 0 ? fmax(y - 6.0, 0.0) : kind == 2 ? 1.3e308 : fmax(5.0 - y, 0.0);
         }
         for (long b = H; b <= H + NY; b++)
-            w[2 * SLOT + a * R + b] = kind == 2 ? -0.84 : -0.02 * (a - H + 1);
+            w[2 * SLOT + a * R + b] = kind == 2 ? -0.84 : 0.02 * (a - H + 1) * (kind == 3 ? 1 : -1);
     }
     if (kind == 2)
         w[(H + 5) * R + H + 4] = 0.0;
@@ -449,8 +493,8 @@ int main(int argc, char **argv)
     return 0;
 }
 """
-DRIVER_CASES = ["0,1,1", "0,2,1", "1,2,1", "1,3,0", "2,1,1", "2,2,1"]
-DRIVER_STOPS = ["30 0", "30 1", "30 1", "30 1", "1 0", "0 1"]
+DRIVER_CASES = ["0,1,1", "0,2,1", "1,2,1", "1,3,0", "2,1,1", "2,2,1", "3,2,1"]
+DRIVER_STOPS = ["30 0", "30 1", "30 1", "30 1", "1 0", "0 1", "30 1"]
 
 
 def _program(tmp_path: Path, source: str, *flags: str) -> str:

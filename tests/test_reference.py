@@ -117,7 +117,14 @@ class TestEuropean:
 class TestMcConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(n_paths=0, n_steps=10), dict(n_paths=10, n_steps=0), dict(n_paths=1, n_steps=10)],
+        [
+            dict(n_paths=0, n_steps=10),
+            dict(n_paths=10, n_steps=0),
+            dict(n_paths=1, n_steps=10),
+            # a Philox key word is 64 bits: numpy refuses these keys too
+            dict(n_paths=10, n_steps=10, seed=-1),
+            dict(n_paths=10, n_steps=10, seed=2**64),
+        ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -189,6 +196,14 @@ class TestAverages:
         want = reference_averages(specs, cfg, 3, int(edges[-1]))
         assert out[:, 3 : edges[-1]].tobytes() == want.tobytes()
         assert np.isnan(out[:, :3]).all() and np.isnan(out[:, edges[-1] :]).all()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_every_seed_word_keys_numpys_stream(self, seed):
+        # the ends of the seeds that McConfig takes, as numpy's Philox keys them
+        specs, cfg = pinned_instruments(), McConfig(11, 7, seed=seed)
+        out = np.empty((len(specs), cfg.n_paths))
+        mc_path_averages_many(specs, cfg, out, 0, cfg.n_paths)
+        assert out.tobytes() == reference_averages(specs, cfg, 0, cfg.n_paths).tobytes()
 
     def test_tail_draws_match_numpy(self):
         # the ziggurat's tail draws go through numpy's own function
