@@ -34,6 +34,7 @@ import platform
 import shutil
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,17 @@ MAXIMA = ctypes.c_double * 2
 LOOP = _PTR * 2
 # the paths that averages walks at once; its work array holds 2 LANES rows
 LANES = 8
+# in each thread of run_table's pool, the event that the table sets as it unwinds
+POOL = threading.local()
+
+
+def stop_if_unwound() -> None:
+    """Raise in a pool thread of an unwound table; march and the MC loop call it before each C call."""
+    stop = getattr(POOL, "stop", None)
+    if stop is not None and stop.is_set():
+        raise RuntimeError("stopped: the table running this job unwound")
+
+
 # kernel -> (argument types, return type); without a return type ctypes reads
 # every result as a C int, silently
 ARGTYPES = {

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import HALO, MARCH_RESULT, MAXIMA, dims, library
+from ._step import HALO, MARCH_RESULT, MAXIMA, dims, library, stop_if_unwound
 from .errors import ConfigurationError, StabilityError
 from .grid import ScalarField, VectorField
 from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
@@ -43,8 +43,8 @@ from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbenc
 _COURANT_LIMIT, _DIFFUSION_LIMIT = 1.0 + 1e-12, 0.5 + 1e-12
 
 DEFAULT_EPSILON = 1e-15
-# cell-steps of one C march call: Python sees Ctrl-C between calls, ~0.6 s
-# apart at 2 iterations, ~1.5 s at 4
+# cell-steps of one C march call: Python sees Ctrl-C, and a table job its
+# stop, between calls, ~0.6 s apart at 2 iterations, ~1.5 s at 4
 MARCH_CALL_CELL_STEPS = 2**25
 # the MemoryError of a march or upwind_step whose C call cannot allocate its row buffers
 ROW_BUFFERS = "the donor-cell pass could not allocate its row buffers"
@@ -183,6 +183,7 @@ class StepWorkspace:
         per_call = max(1, MARCH_CALL_CELL_STEPS // (self.psi.nx * self.psi.ny))
         out = MARCH_RESULT()
         for done in range(0, n_steps, per_call):
+            stop_if_unwound()
             size = min(per_call, n_steps - done)
             ran = library().march(*arrays, size, *settings, out)
             if ran < 0:

@@ -94,7 +94,7 @@ def price(config_path, with_mc, **cli_values):
 @_common_options
 @_handle_errors
 def table(config_path, **cli_values):
-    """Reproduce the full valuation table (8 parameter rows x call/put)."""
+    """Reproduce the full valuation table (8 parameter rows x call/put) on a pool of every usable CPU."""
     cfg = _build_config("table", config_path, cli_values)
     _, rendered = harness.run_table(cfg)
     click.echo(rendered)

@@ -41,7 +41,7 @@ class RunConfig:
     seed: int = 1
     paths: int = 10000
     steps: int = 1000
-    workers: int = 1
+    workers: int | None = None  # the table's pool: None sizes it to every usable CPU
     out: str | None = None
 
     @property
@@ -49,7 +49,7 @@ class RunConfig:
         return self.maturity_months / 12.0
 
     def __post_init__(self):
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         for name in _FLOAT_KEYS:
             if not math.isfinite(getattr(self, name)):

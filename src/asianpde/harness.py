@@ -2,15 +2,16 @@
 reproduction, convergence studies, and deterministic CSV emission.
 
 Outputs are assembled in a fixed row order, so a fixed seed yields
-byte-identical files across runs.  ``RunConfig.workers`` (``--workers``) is
-the number of threads ``run_table`` spreads its jobs over (1 runs them in
-the calling thread); the other commands ignore it.
+byte-identical files across runs.  ``run_table`` runs its jobs on a pool
+of every usable CPU, or of at most ``RunConfig.workers`` (``--workers``)
+threads when that is set; the other commands ignore it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -18,6 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
+from . import _step
 from .advection import SolverOptions
 from .benchmarks import convergence_study
 from .config import RunConfig
@@ -162,10 +164,10 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     Returns the full-precision CSV rows and the same rows as a human-readable
     table rounded to 3 significant digits.  The jobs (the PDE prices, then
     path ranges of one MC call over the four (sigma, T) sets, each filling its
-    slice of the four sets' average arrays) run in the calling thread when
-    ``workers == 1``, else on a pool of at most ``workers`` threads and CPUs
-    (the C march and MC kernels release the GIL), whose pending jobs are
-    cancelled on the first error.  Assembly order is fixed by the row key.
+    slice of the four sets' average arrays) run on a pool of ``workers`` or,
+    if None, every usable CPU, and of no more (the kernels release the GIL).
+    On the first error or Ctrl-C it cancels its pending jobs, and its running
+    ones stop at their next C call.  Assembly order is fixed by the row key.
     """
     spec = _grid(cfg)
     iters = dict.fromkeys((1, cfg.iters))  # upwind, then the MPDATA column unless it is upwind too
@@ -182,19 +184,18 @@ def run_table(cfg: RunConfig) -> tuple[list[tuple], str]:
     # 4 MC ranges per thread: 1, 2 or 4, with the ranges before or after the
     # PDE jobs, timed table_coarse the same within its noise; len(jobs) >
     # size, so the pool needs no bound
-    size = min(cfg.workers, usable_cpus())
+    size = min(cfg.workers or usable_cpus(), usable_cpus())
     edges = [mc_cfg.n_paths * i // (4 * size) for i in range(4 * size + 1)]
     jobs = [partial(_pde_job, key, spec, cfg.dt, _options(cfg, key[4])) for key in pde_keys]
     jobs += [partial(mc_path_averages_many, protos, mc_cfg, mc_averages, a, b) for a, b in zip(edges, edges[1:])]
-    if size == 1:
-        results = [job() for job in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # imported here: only a pool pays its 8 ms
-        pool = ThreadPoolExecutor(size)
-        try:
-            results = list(pool.map(lambda job: job(), jobs))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    from concurrent.futures import ThreadPoolExecutor  # imported here: only the table pays its 8 ms
+    stop = threading.Event()
+    pool = ThreadPoolExecutor(size, initializer=setattr, initargs=(_step.POOL, "stop", stop))
+    try:
+        results = list(pool.map(lambda job: job(), jobs))
+    finally:
+        stop.set()  # so that the shutdown waits for no running job's whole march
+        pool.shutdown(cancel_futures=True)
     pde_prices = dict(zip(pde_keys, results))  # the MC jobs' results, None, fall off the end
 
     rows: list[tuple] = []

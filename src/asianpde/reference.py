@@ -108,7 +108,7 @@ def mc_path_averages_many(
     [start, stop) are stepped and written, so calls on disjoint ranges fill
     disjoint slices of the same array.  The C calls take at most
     ``MC_CALL_PATH_STEPS`` path-steps over all instruments, so that Python
-    sees a Ctrl-C between them.
+    sees a Ctrl-C, and an unwound table's job stops, between them.
     """
     if not 0 <= start <= stop <= cfg.n_paths:
         raise ConfigurationError(f"path range [{start}, {stop}) outside [0, {cfg.n_paths})")
@@ -125,6 +125,7 @@ def mc_path_averages_many(
     # a path that overflows gets an inf average and no warning, and
     # mc_result_from_averages refuses the estimate
     for lo in range(start, stop, per_call):
+        _step.stop_if_unwound()
         hi = min(lo + per_call, stop)
         lib.averages(out, *out.shape, steps, m, cfg.seed, lo, hi, work, lib.numpy_exp)
 

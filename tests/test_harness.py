@@ -192,15 +192,16 @@ class TestRunTable:
         two_iteration_rows = run_table(RunConfig(**base, iters=2))[0]
         assert rows == [row for row in two_iteration_rows if row[4] != "mpdata_2it"]
 
-    @pytest.mark.parametrize("workers, cpus, size", [(10_000, 3, 3), (2, 64, 2), (10_000, 1, None)])
+    @pytest.mark.parametrize("workers, cpus, size", [(10_000, 3, 3), (2, 64, 2), (10_000, 1, 1), (None, 3, 3)])
     def test_pool_size_bounded_by_cpus(self, monkeypatch, workers, cpus, size):
-        # the recorder starts no thread: it runs the jobs in the calling one
+        # the recorder starts no thread: it runs the jobs in the calling one,
+        # which no table's stop event reaches
         import asianpde.harness as harness
 
         sizes, shutdowns = [], []
 
         class Recorder:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
 
             def map(self, fn, jobs):
@@ -215,12 +216,12 @@ class TestRunTable:
         monkeypatch.setattr(harness, "TABLE_MC_STEPS", 10)
         base = dict(nx=24, ny=20, dt=1.0 / 100.0)
         rows, _ = run_table(RunConfig(**base, workers=workers))
-        assert sizes == ([] if size is None else [size])
-        assert shutdowns == ([] if size is None else [True])
+        assert sizes == [size]
+        assert shutdowns == [True]
         assert rows == run_table(RunConfig(**base, workers=1))[0]
 
     def test_unknown_cpu_count_counts_as_one(self, monkeypatch):
-        # no affinity mask and no CPU count: the table runs without a pool
+        # no affinity mask and no CPU count: the table's pool has one thread
         import asianpde.pricing as pricing
 
         monkeypatch.delattr(pricing.os, "sched_getaffinity", raising=False)
