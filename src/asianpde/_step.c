@@ -15,7 +15,8 @@
  * and limit write max |v_x| and max |v_y| to a double[2], each the max_abs
  * of the faces written.  Every kernel takes first the record that
  * asianpde._step.dims makes of the array it walks; march takes psi's, and
- * the face arrays of the same workspace share its row length.
+ * the face arrays and psi's second buffer in the same workspace share its
+ * row length.
  *
  * Each real element gets the same floating-point operations, in the same
  * order, as a direct numpy evaluation of its formula, so the results are
@@ -31,11 +32,11 @@
  * NaN from either operand, which maxpd and minpd do not: they keep max_nan
  * and min_nan.
  *
- * The scans.  march checks each Courant field against |C| <= 1 before the
- * pass that uses it, on the maxima that the kernel writing the field found.
- * It writes no component of the physical field but C_x, and that only when
- * it rebuilds it, so C_y, and C_x when not rebuilt, are filled and scanned
- * once per call.  Where march wraps the fields on the torus, the wrap copies
+ * The scans.  march checks each Courant field against |C| <= 1 before psi
+ * takes the pass that uses it, on the maxima that the kernel writing the
+ * field found.  It writes no component of the physical field but C_x, and
+ * that only when it rebuilds it, so C_y, and C_x when not rebuilt, are
+ * filled and scanned once per call.  Where march wraps the fields on the torus, the wrap copies
  * the first x and y faces over the last, which a kernel wrote with the same
  * bits from the same, wrapped, inputs: the maxima stand.
  *
@@ -50,22 +51,25 @@
  * march runs upwind, antidiffusive and limit over the live columns
  * [0, Z + 1 + margin) with margin = n_iters: every cell and face a step can
  * change lies inside, and all that the kernels read outside it (the top y
- * face, limit's ring column and the column above) is +0.0 or +-0 in a
- * full-width march too, so psi comes out bit for bit.  The margin is the
- * reach of the stencils and reads no sign of C_y: one column less fails at
- * n_iters 1 and 2, where a constant C_y = 1 moves Z by n_iters in a step (no
- * field tried moved it by more than two).  Before each step march checks the
- * margin columns below the band and widens the band if one of them is live;
- * it never narrows within a call.  "Live" is a bit test, so a NaN, an inf or
- * a -0.0 (which upwind would turn into +0.0) counts.  A NaN made within a
- * step can make limit's factor NaN one column further up, but then also
- * inside the band, so the check fails with the same maxima.  A call starts
- * from psi's last live column and clears the corrective faces above its band
- * to +0.0, where a full-width march holds +-0, so that a slot holds +0.0 above
- * the band, and the maxima its kernels find over the band are those of every
- * face.  C_x, when rebuilt, is built on every column at a call's step 0,
- * after the step's fills, and from then on on the band and the one column
- * after it, which antidiffusive's y faces read: psi's columns past that hold
+ * face, the last column of limit's ratios and the column above) is +0.0 or
+ * +-0 in a full-width march too, so psi comes out bit for bit.  The margin is
+ * the reach of the stencils and reads no sign of C_y: one column less fails
+ * at n_iters 1 and 2, where a constant C_y = 1 moves Z by n_iters in a step
+ * (no field tried moved it by more than two).  After each step's last pass
+ * every thread checks the margin columns below the band in its own rows of
+ * the pass's output, and the gather that checks the pass's field widens the
+ * band if one of them is live in any block; it never narrows within a call.
+ * "Live" is a bit test, so a NaN, an inf or a -0.0 (which upwind would turn
+ * into +0.0) counts.  A NaN made within a step can make limit's factor NaN
+ * one column further up, but then also inside the band, so the check fails
+ * with the same maxima.  A call starts from psi's last live column and
+ * clears the corrective faces above its band to +0.0, where a full-width
+ * march holds +-0, so that a slot holds +0.0 above the band, and the maxima
+ * its kernels find over the band are those of every face; it copies psi into
+ * the second buffer, so that both hold +0.0 above the band.  C_x, when
+ * rebuilt, is built on every column at a call's step 0, after the step's
+ * fills, and from then on on the band and the one column after it, which
+ * antidiffusive's y faces read: psi's columns past that hold
  * +0.0 for the whole call (the band never narrows), so their faces keep the
  * bits that step 0 wrote, and every later step combines their max |C_x|,
  * kept from step 0, with the band's, until the build reaches the last
@@ -76,35 +80,45 @@
  * before it wrote, so a block of x rows can run a pass without the others.
  * march runs on the calling thread and up to threads - 1 pthreads that it
  * starts for the call and joins before it returns.  Each thread owns one
- * contiguous block of x rows for every step of the call: its cells, the x
- * and y faces of its rows (the last block also x face row h + nx) and its
- * rows of limit's ring (the first also row h - 1, the last h + nx).  It fills
- * the halos beside its rows, right after it writes them, psi's after each
- * update but the call's last; the first and last blocks fill the halo rows
- * above and below, psi's at the start of the next pass, since they read two
- * real rows that another block may hold.  Between dependent phases the
- * threads meet at a barrier: after the maxima of each field (each thread
- * leaves those of its rows, and every thread combines all of them as integer
- * maxima, so every thread takes the same stop decision), after each upwind
- * pass, and between antidiffusive and the two phases of limit: 6 barriers in
- * a 2-iteration step with the limiter, 2 in an upwind step.  An upwind pass
- * is one sweep of the block's rows, each row's fluxes computed into the
- * thread's own row buffers right before the row is updated, from rows not
- * yet updated; only the x fluxes of the face row between two blocks read a
- * row of each, so each block writes those of its first face row into a
- * boundary row before the barrier of the check that precedes the pass, and
- * the block above reads them for its last row.  The limiter's scratch rows
- * up and dn stage no fluxes.  Each thread finds the same band from the
- * whole of psi between the update and the next pass.  Every element gets the
- * same operations from exactly one thread, and the maxima are the integer
- * max of the same elements, so every byte is that of one thread, which runs
- * the same code as one block with no pthread.  A barrier spins a bounded
- * number of pauses and then yields its core at each spin: on a machine with
- * more runnable threads than cores, a pure spin keeps the core from the
- * thread it waits for (two concurrent upwind valuations at 204x242 took
- * 5.1 s that way, against 0.5 s with the yield).  The periodic march runs on one thread, since wrap copies
- * across the whole torus.  Signals are blocked in the helper threads, so
- * that a Ctrl-C lands on the caller and Python sees it between calls.
+ * contiguous block of x rows for every step of the call: its cells and the x
+ * and y faces of its rows (the last block also x face row h + nx).  psi has
+ * a second buffer: every pass reads one and writes the other, so no thread
+ * writes a row that another reads within a phase.  The gather that ends a
+ * pass checks the field that the pass used, and swaps the buffers only if
+ * the check passes, so a failed check leaves psi as the pass found it.  A
+ * step runs in phases, each ended by one barrier: the upwind pass, whose
+ * sweep builds C_x face row by face row when it is rebuilt, ended by the
+ * gather of C; then, per corrective pass, the antidiffusive field of the
+ * block's rows, ended by a barrier, and the pass, ended by the gather of its
+ * field.  With the limiter the pass is one sweep of the block's rows: the
+ * ratios of each cell row go into a ring of two rows, the limited faces into
+ * their slot, and each row's update follows as soon as the faces below it
+ * are known.  What needs rows of another block, the block computes again as
+ * a private ghost from what the phases before wrote: the x fluxes of its
+ * first face row, the ring rows above and below it, and the limited x faces
+ * and the rebuilt C_x below its last row; only the block that owns an
+ * element stores it.  So a 2-iteration step with the limiter has 3 barriers
+ * and an upwind step 1.  Each thread fills the halos beside its rows right
+ * after it writes them, psi's in the sweep; the call's last pass fills none
+ * but keeps the halos of the buffer it read, as a pass in place would.  The
+ * first and last blocks fill the halo rows above and below, psi's at the
+ * start of the next phase, since they read two real rows that another block
+ * may hold.  At each gather every thread leaves the maxima and the band of
+ * its rows and combines those of all, the maxima as integers, so every
+ * thread takes the same stop decision.  Two sets of slots alternate with
+ * the barrier's sense, since a thread can leave one gather for the next
+ * while another still reads the first.  A march that ends with the field in
+ * the second buffer copies it back, each thread its own rows.  Every element
+ * gets the same operations from exactly one thread, and the maxima are the
+ * integer max of the same elements, so every byte is that of one thread,
+ * which runs the same code as one block with no pthread.  A barrier spins a
+ * bounded number of pauses and then yields its core at each spin: on a
+ * machine with more runnable threads than cores, a pure spin keeps the core
+ * from the thread it waits for (two concurrent upwind valuations at 204x242
+ * took 5.1 s that way, against 0.5 s with the yield).  The periodic march
+ * runs on one thread, since wrap copies across the whole torus.  Signals are
+ * blocked in the helper threads, so that a Ctrl-C lands on the caller and
+ * Python sees it between calls.
  *
  * The normals.  Each path draws from its own Philox4x64-10 stream, stepped
  * here as numpy steps it, through numpy's ziggurat.  About 98.5% of draws
@@ -188,11 +202,10 @@ static inline double guarded_ratio(double num, double den, double eps)
     return fabs(den) < eps ? 0.0 : num / den;
 }
 
-/* A block of rows: the cell rows [lo, hi), the x and y faces of those rows
- * and the same rows of limit's ring; the first block also takes the halo
- * rows and the ring row above (h - 1), the last the x face row h + nx, the
- * ring row h + nx and the halo rows below.  A kernel over a block writes
- * nothing outside it.  The exported kernels run over one block of every row. */
+/* A block of rows: the cell rows [lo, hi) and the x and y faces of those
+ * rows; the first block also takes the halo rows above, the last the x face
+ * row h + nx and the halo rows below.  A kernel over a block writes nothing
+ * outside it.  The exported kernels run over one block of every row. */
 struct block {
     long lo, hi, first, last;
 };
@@ -201,32 +214,42 @@ static struct block every_row(long nx, long h) { return (struct block){h, h + nx
 
 static void fill_scalar_rows(double *v, long ny, long h, long r, long lo, long hi);
 
-/* The row buffers of one block's upwind sweep, each a row of the padded
- * layout: first holds the x fluxes of the block's first face row, which the
- * block above also reads, and below the block below's first, or is NULL in
- * the last block; the sweep writes x[0] and x[1] in turn and y. */
+/* The row buffers of one block's sweeps, each a row of the padded layout
+ * read at the row's own offsets: the x fluxes of two face rows in turn and
+ * the y fluxes of a cell row; limit's ratios of two cell rows in turn, its
+ * ring; and ghost, a face row of the block below that the block computes
+ * again for its own last row. */
 struct rows {
-    double *first, *x[2], *y;
-    const double *below;
+    double *x[2], *y, *up[2], *dn[2], *ghost;
 };
 
-/* Row buffers for n blocks, 4 rows each: block i's are rows 4i to 4i + 3,
- * first at 4i; NULL when they cannot be allocated.  Free with free. */
-static double *alloc_rows(long n, long r) { return malloc((size_t)(4 * n * r) * sizeof(double)); }
+#define ROWS 8 /* the row buffers of one block */
 
-/* The row buffers of block i of n */
-static struct rows rows_of(double *rows, long i, long n, long r)
+/* Row buffers for n blocks, ROWS each; NULL when they cannot be allocated.
+ * Free with free. */
+static double *alloc_rows(long n, long r) { return malloc((size_t)(ROWS * n * r) * sizeof(double)); }
+
+/* The row buffers of block i */
+static struct rows rows_of(double *rows, long i, long r)
 {
-    double *row = rows + 4 * i * r;
-    return (struct rows){row, {row + r, row + 2 * r}, row + 3 * r, i < n - 1 ? row + 4 * r : NULL};
+    double *row = rows + ROWS * i * r;
+    return (struct rows){{row, row + r}, row + 2 * r, {row + 3 * r, row + 4 * r}, {row + 5 * r, row + 6 * r},
+                         row + 7 * r};
 }
 
-/* The x fluxes max(C, 0) psi_donor + min(C, 0) psi_receiver of upwind on
- * face row a, columns [0, n), into f at the row's own offsets */
-static void x_fluxes(const double *restrict psi, long n, long h, long r, const double *restrict cx, long a,
+/* Columns [from, to) of the rows [lo, hi) of src into dst */
+static void copy_rows(const double *restrict src, double *restrict dst, long r, long lo, long hi, long from,
+                      long to)
+{
+    for (long a = lo; a < hi; a++)
+        memcpy(dst + a * r + from, src + a * r + from, (size_t)(to - from) * sizeof *dst);
+}
+
+/* The x fluxes max(C, 0) psi_donor + min(C, 0) psi_receiver of upwind on the
+ * face row c between the cell rows p - r and p, columns [0, n), into f */
+static void x_fluxes(const double *restrict p, long n, long h, long r, const double *restrict c,
                      double *restrict f)
 {
-    const double *p = psi + a * r, *c = cx + a * r;
     for (long b = h; b < h + n; b++)
         f[b] = max_zero(c[b]) * p[b - r] + min_zero(c[b]) * p[b];
 }
@@ -238,55 +261,95 @@ static void y_fluxes(const double *restrict p, long n, long h, const double *res
         f[b] = max_zero(c[b]) * p[b - 1] + min_zero(c[b]) * p[b];
 }
 
-/* p -= (below - above) + (fy[b + 1] - fy[b]), clipped at 0: the scheme is
- * sign-preserving, and the clip removes round-off undershoots */
-static void update_row(double *restrict p, long n, long h, const double *restrict above,
-                       const double *restrict below, const double *restrict fy)
+/* q = p - ((below - above) + (fy[b + 1] - fy[b])), clipped at 0: the scheme
+ * is sign-preserving, and the clip removes round-off undershoots */
+static void update_row(const double *restrict p, double *restrict q, long n, long h,
+                       const double *restrict above, const double *restrict below, const double *restrict fy)
 {
     for (long b = h; b < h + n; b++)
-        p[b] = clip_negative(p[b] - ((below[b] - above[b]) + (fy[b + 1] - fy[b])));
+        q[b] = clip_negative(p[b] - ((below[b] - above[b]) + (fy[b + 1] - fy[b])));
 }
 
-/* One donor-cell pass over the block's rows and the columns [0, n), as one
- * sweep: for each row, the x fluxes of the face row below it and its y
- * fluxes, from psi as it was before the pass, then its update and, if fill,
- * its y halos (of every column).  w.first must hold the x fluxes of the
- * block's first face row, and w.below, unless NULL, those of the face row
- * after its last: the fluxes of a face row between two blocks read a row of
- * each, so each block writes its first before any block updates a row. */
-static void sweep(double *restrict psi, long ny, long n, long h, long r, const double *restrict cx,
-                  const double *restrict cy, struct rows w, int fill, struct block s)
+/* Row a of a donor-cell pass from psi into out, columns [0, n), given the x
+ * fluxes of the face rows above and below it: its y fluxes with cy, its
+ * update and, if fill, its y halos (of every column) */
+static void pass_row(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
+                     const double *restrict cy, const double *above, const double *below, double *fy, int fill,
+                     long a)
 {
-    const double *above = w.first;
-    for (long a = s.lo; a < s.hi; a++) {
-        double *p = psi + a * r;
-        const double *under = w.below;
-        if (a < s.hi - 1 || !under) {
-            x_fluxes(psi, n, h, r, cx, a + 1, w.x[a & 1]);
-            under = w.x[a & 1];
-        }
-        y_fluxes(p, n, h, cy + a * r, w.y);
-        update_row(p, n, h, above, under, w.y);
-        if (fill)
-            fill_scalar_rows(psi, ny, h, r, a, a + 1);
-        above = under;
+    y_fluxes(psi + a * r, n, h, cy + a * r, fy);
+    update_row(psi + a * r, out + a * r, n, h, above, below, fy);
+    if (fill)
+        fill_scalar_rows(out, ny, h, r, a, a + 1);
+}
+
+/* C_x = (u - coef A) scale, which march rebuilds over the columns [0,
+ * built) of each face row in the sweep of the upwind pass; built 0 for none */
+struct build {
+    double u, coef, scale, eps;
+    long built;
+};
+
+/* C_x = (u - coef A) scale on the face row c between the cell rows p - r and
+ * p, columns [from, to), with A the guarded ratio (p[b] - p[b - r]) / (p[b] +
+ * p[b - r]) across the face.  Returns top with their max |C_x|. */
+static int64_t courant_x_row(const double *restrict p, long from, long to, long h, long r, double *restrict c,
+                             double u, double coef, double scale, double eps, int64_t top)
+{
+    for (long b = h + from; b < h + to; b++) {
+        c[b] = (u - guarded_ratio(p[b] - p[b - r], p[b] + p[b - r], eps) * coef) * scale;
+        top = max_bits(top, c[b]);
     }
+    return top;
+}
+
+/* One donor-cell pass from psi into out over the block's rows and the
+ * columns [0, n), as one sweep: for each face row, from the block's first
+ * on, its C_x built into cx if c.built is set, its x fluxes, then the cell
+ * row above it (pass_row).  No row of psi changes, so the block computes the
+ * fluxes of its first face row itself, and it builds C_x below its last row
+ * into ghost, which only the block below stores.  Returns the max |C_x| of
+ * the faces stored. */
+static double sweep(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
+                    double *restrict cx, const double *restrict cy, struct build c, struct rows w, int fill,
+                    struct block s)
+{
+    int64_t top = 0;
+    for (long a = s.lo - 1; a < s.hi; a++) {
+        long b = a + 1; /* the face row below row a */
+        double *face = cx + b * r;
+        if (c.built) {
+            int own = b < s.hi || s.last;
+            face = own ? face : w.ghost;
+            int64_t face_top =
+                courant_x_row(psi + b * r, 0, c.built, h, r, face, c.u, c.coef, c.scale, c.eps, top);
+            top = own ? face_top : top;
+        }
+        x_fluxes(psi + b * r, n, h, r, face, w.x[b & 1]);
+        if (a >= s.lo)
+            pass_row(psi, out, ny, n, h, r, cy, w.x[a & 1], w.x[b & 1], w.y, fill, a);
+    }
+    return from_bits(top);
 }
 
 /* One donor-cell pass over every row and column, as march runs it, without
- * the halo fills.  Returns 0, or -1, with psi as it was, when its row
- * buffers cannot be allocated. */
+ * the halo fills: a sweep into a private buffer, whose real cells then
+ * replace psi's.  Returns 0, or -1, with psi as it was, when its buffers
+ * cannot be allocated. */
 long upwind(double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
             const double *restrict cy)
 {
-    double *rows = alloc_rows(1, r);
-    if (!rows)
-        return -1;
-    struct rows w = rows_of(rows, 0, 1, r);
-    x_fluxes(psi, ny, h, r, cx, h, w.first);
-    sweep(psi, ny, ny, h, r, cx, cy, w, 0, every_row(nx, h));
+    double *rows = alloc_rows(1, r), *out = malloc((size_t)((nx + 2 * h) * r) * sizeof *out);
+    long done = rows && out ? 0 : -1;
+    if (done == 0) {
+        /* cx is not written: no C_x is built */
+        struct build none = {0};
+        sweep(psi, out, ny, ny, h, r, (double *)cx, cy, none, rows_of(rows, 0, r), 0, every_row(nx, h));
+        copy_rows(out, psi, r, h, h + nx, h, h + ny);
+    }
     free(rows);
-    return 0;
+    free(out);
+    return done;
 }
 
 /* |C| (1 - |C|) A - C Cbar B at face k between cells k - near and k, with
@@ -334,57 +397,90 @@ void antidiffusive(const double *restrict psi, long nx, long ny, long h, long r,
 }
 
 /* limit's ratios beta_up = (max - psi) / (f_in + eps) and beta_dn = (psi -
- * min) / (f_out + eps) over the block's ring rows, into up and dn */
-static void limit_ratios(const double *restrict psi, long ny, long h, long r, const double *restrict cx,
-                         const double *restrict cy, double *restrict up, double *restrict dn, double eps,
-                         struct block s)
+ * min) / (f_out + eps) of the cell row a, columns [-1, n], into up and dn */
+static void ratio_row(const double *restrict psi, long n, long h, long r, const double *restrict cx,
+                      const double *restrict cy, double *restrict up, double *restrict dn, double eps, long a)
 {
-    for (long a = s.lo - s.first; a < s.hi + s.last; a++)
-        for (long k = a * r + h - 1; k <= a * r + h + ny; k++) {
-            double c0 = psi[k], xm = psi[k - r], xp = psi[k + r], ym = psi[k - 1], yp = psi[k + 1];
-            double hi = max_nan(max_nan(max_nan(max_nan(c0, xm), xp), ym), yp);
-            double lo = min_nan(min_nan(min_nan(min_nan(c0, xm), xp), ym), yp);
-            /* inflow from the left, right, bottom and top neighbours; outflow */
-            double f_in = max_zero(cx[k]) * xm - min_zero(cx[k + r]) * xp
-                          + max_zero(cy[k]) * ym - min_zero(cy[k + 1]) * yp;
-            double f_out = (max_zero(cx[k + r]) - min_zero(cx[k])
-                            + max_zero(cy[k + 1]) - min_zero(cy[k])) * c0;
-            up[k] = (hi - c0) / (f_in + eps);
-            dn[k] = (c0 - lo) / (f_out + eps);
-        }
+    const double *p = psi + a * r, *fx = cx + a * r, *fy = cy + a * r;
+    for (long b = h - 1; b <= h + n; b++) {
+        double c0 = p[b], xm = p[b - r], xp = p[b + r], ym = p[b - 1], yp = p[b + 1];
+        double hi = max_nan(max_nan(max_nan(max_nan(c0, xm), xp), ym), yp);
+        double lo = min_nan(min_nan(min_nan(min_nan(c0, xm), xp), ym), yp);
+        /* inflow from the left, right, bottom and top neighbours; outflow */
+        double f_in = max_zero(fx[b]) * xm - min_zero(fx[b + r]) * xp
+                      + max_zero(fy[b]) * ym - min_zero(fy[b + 1]) * yp;
+        double f_out = (max_zero(fx[b + r]) - min_zero(fx[b])
+                        + max_zero(fy[b + 1]) - min_zero(fy[b])) * c0;
+        up[b] = (hi - c0) / (f_in + eps);
+        dn[b] = (c0 - lo) / (f_out + eps);
+    }
 }
 
-/* (cx, cy) scaled by limit's ratios into (vx, vy), max |v_x| and max |v_y|
- * into top; donor side k - r (x) or k - 1 (y), receiver side k */
-static void limit_faces(long ny, long h, long r, const double *restrict cx, const double *restrict cy,
-                        double *restrict vx, double *restrict vy, const double *restrict up,
-                        const double *restrict dn, double *restrict top, struct block s)
+/* The faces c in [from, to) of one row scaled by limit's ratios into v:
+ * face b has its donor's ratios at up0[b] and dn0[b], its receiver's at
+ * up1[b] and dn1[b].  Returns top with their max |v|. */
+static int64_t limited(const double *restrict c, double *restrict v, const double *restrict up0,
+                       const double *restrict dn0, const double *restrict up1, const double *restrict dn1,
+                       long from, long to, int64_t top)
+{
+    for (long b = from; b < to; b++) {
+        v[b] = min_one(min_nan(dn0[b], up1[b])) * max_zero(c[b])
+               + min_one(min_nan(dn1[b], up0[b])) * min_zero(c[b]);
+        top = max_bits(top, v[b]);
+    }
+    return top;
+}
+
+/* The FCT limiter over the block's rows and the columns [0, n) as one
+ * sweep, as sweep runs the donor-cell pass: for each face row, from the
+ * block's first on, the ratios of the cell row below it into the ring and
+ * its limited faces of cx into vx; then the limited y faces of cy of the
+ * cell row above it into vy and, unless out is NULL, that row's donor-cell
+ * pass with them from psi into out (pass_row).  The ring rows beside the
+ * block and the x faces below its last row read rows of other blocks; the
+ * block computes them again, the faces into ghost, and stores neither.  top
+ * gets the max |v_x| and max |v_y| of the faces stored. */
+static void limit_sweep(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
+                        const double *restrict cx, const double *restrict cy, double *restrict vx,
+                        double *restrict vy, double eps, double *restrict top, struct rows w, int fill,
+                        struct block s)
 {
     int64_t top_x = 0, top_y = 0;
-    for (long a = s.lo; a < s.hi + s.last; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++) {
-            vx[k] = min_one(min_nan(dn[k - r], up[k])) * max_zero(cx[k])
-                    + min_one(min_nan(dn[k], up[k - r])) * min_zero(cx[k]);
-            top_x = max_bits(top_x, vx[k]);
-        }
-    for (long a = s.lo; a < s.hi; a++)
-        for (long k = a * r + h; k <= a * r + h + ny; k++) {
-            vy[k] = min_one(min_nan(dn[k - 1], up[k])) * max_zero(cy[k])
-                    + min_one(min_nan(dn[k], up[k - 1])) * min_zero(cy[k]);
-            top_y = max_bits(top_y, vy[k]);
-        }
+    ratio_row(psi, n, h, r, cx, cy, w.up[(s.lo - 1) & 1], w.dn[(s.lo - 1) & 1], eps, s.lo - 1);
+    for (long a = s.lo - 1; a < s.hi; a++) {
+        long b = a + 1; /* the cell row below row a, and the face row between */
+        ratio_row(psi, n, h, r, cx, cy, w.up[b & 1], w.dn[b & 1], eps, b);
+        int own = b < s.hi || s.last;
+        double *face = own ? vx + b * r : w.ghost;
+        int64_t face_top =
+            limited(cx + b * r, face, w.up[a & 1], w.dn[a & 1], w.up[b & 1], w.dn[b & 1], h, h + n, top_x);
+        top_x = own ? face_top : top_x;
+        if (out)
+            x_fluxes(psi + b * r, n, h, r, face, w.x[b & 1]);
+        if (a < s.lo)
+            continue;
+        /* a y face's donor is the cell before it in the row */
+        const double *up = w.up[a & 1], *dn = w.dn[a & 1];
+        top_y = limited(cy + a * r, vy + a * r, up - 1, dn - 1, up, dn, h, h + n + 1, top_y);
+        if (out)
+            pass_row(psi, out, ny, n, h, r, vy, w.x[a & 1], w.x[b & 1], w.y, fill, a);
+    }
     top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
 
 /* FCT-limited copy of the corrective field (cx, cy) into (vx, vy), its max
- * |v_x| and max |v_y| into top[0] and top[1] as in antidiffusive.  The ratios
- * are staged in up and dn over the interior plus one cell. */
-void limit(const double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
-           const double *restrict cy, double *restrict vx, double *restrict vy, double *restrict up,
-           double *restrict dn, double eps, double *restrict top)
+ * |v_x| and max |v_y| into top[0] and top[1] as in antidiffusive: march's
+ * limiter without the pass.  Returns 0, or -1, having written nothing, when
+ * its ring cannot be allocated. */
+long limit(const double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
+           const double *restrict cy, double *restrict vx, double *restrict vy, double eps, double *restrict top)
 {
-    limit_ratios(psi, ny, h, r, cx, cy, up, dn, eps, every_row(nx, h));
-    limit_faces(ny, h, r, cx, cy, vx, vy, up, dn, top, every_row(nx, h));
+    double *rows = alloc_rows(1, r);
+    if (!rows)
+        return -1;
+    limit_sweep(psi, NULL, ny, ny, h, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), 0, every_row(nx, h));
+    free(rows);
+    return 0;
 }
 
 /* C_x over the block's faces in the columns [from, to), returning their max |C_x| */
@@ -393,16 +489,12 @@ static double courant_x_rows(const double *restrict psi, long from, long to, lon
 {
     int64_t top = 0;
     for (long a = s.lo; a < s.hi + s.last; a++)
-        for (long k = a * r + h + from; k < a * r + h + to; k++) {
-            cx[k] = (u - guarded_ratio(psi[k] - psi[k - r], psi[k] + psi[k - r], eps) * coef) * scale;
-            top = max_bits(top, cx[k]);
-        }
+        top = courant_x_row(psi + a * r, from, to, h, r, cx + a * r, u, coef, scale, eps, top);
     return from_bits(top);
 }
 
-/* x component of the physical Courant field: (u - coef A) scale, with A the
- * guarded ratio (psi[k] - psi[k - r]) / (psi[k] + psi[k - r]) across the face.
- * Returns max |C_x| of the faces written, as max_abs finds it. */
+/* x component of the physical Courant field (courant_x_row).  Returns max
+ * |C_x| of the faces written, as max_abs finds it. */
 double courant_x(const double *restrict psi, long nx, long ny, long h, long r, double *restrict cx,
                  double u, double coef, double scale, double eps)
 {
@@ -525,15 +617,16 @@ static int courant_ok(const double *top, double courant_max, double *out)
     return out[0] <= courant_max && out[1] <= courant_max;
 }
 
-/* The band of live columns of psi's nx x ny real cells: up to the last
- * column in [from, to) that holds anything but +0.0, plus margin, at most
- * ny; from + margin when every cell of [from, to) is +0.0. */
-static long live_columns(const double *psi, long nx, long ny, long h, long r, long from, long to,
+/* The band of live columns of psi's cell rows [lo, hi), of ny real cells
+ * each: up to the last column in [from, to) that holds anything but +0.0
+ * there, plus margin, at most ny; from + margin when every cell of [from,
+ * to) is +0.0. */
+static long live_columns(const double *psi, long ny, long h, long r, long lo, long hi, long from, long to,
                          long margin)
 {
     long last = from - 1;
     for (long b = to - 1; b >= from && last < from; b--)
-        for (long a = h; a < h + nx; a++) {
+        for (long a = lo; a < hi; a++) {
             uint64_t bits;
             memcpy(&bits, psi + a * r + h + b, sizeof bits);
             if (bits) {
@@ -556,14 +649,14 @@ struct faces {
 #define SPINS 200
 
 /* One march call: its arguments, the threads that run it and their barrier.
- * Each thread leaves the maxima of the fields it scanned in its own slot,
- * a cache line apart from the next. */
+ * Each thread leaves the maxima of the fields it scanned, and the band of
+ * its rows, in its own slot, a cache line apart from the next, of one of two
+ * sets (see gather). */
 struct team {
-    double *psi;
+    double *psi, *spare; /* the field, and its second buffer */
     long nx, ny, h, r;
     struct faces c, a, b;
-    double *up, *dn;
-    double *rows; /* the row buffers of each block's upwind sweep (alloc_rows) */
+    double *rows; /* the row buffers of each block's sweeps (alloc_rows) */
     long n_steps, n_iters, nonoscillatory, diffusion_ok, periodic, rebuild;
     double u, coef, scale, courant_max, eps;
     long size;           /* the threads, final once open is set */
@@ -573,7 +666,8 @@ struct team {
     atomic_int sense;    /* flipped as each barrier releases */
     struct {
         _Alignas(64) double top[2];
-    } slot[TEAM_MAX];
+        long band;
+    } slot[2][TEAM_MAX];
 };
 
 /* One spin of a wait: a pause, or after SPINS of them a sched_yield, so that
@@ -605,34 +699,51 @@ static void barrier(struct team *t, int *sense)
     }
 }
 
-/* Leaves this thread's maxima top in its slot, waits for the team and writes
- * the maxima of every slot to all: the integer max of max_bits, so the bits
- * of one scan over every row. */
-static void gather(struct team *t, long id, int *sense, const double *top, double *all)
+/* Leaves this thread's maxima top and band in its slot, waits for the team,
+ * writes the maxima of every slot to all and returns the widest band: the
+ * integer max of max_bits, so the bits of one scan over every row, and the
+ * band of one scan.  The set of slots is the one that the sense names
+ * before the barrier flips it.  A thread can leave one gather for the next
+ * with no barrier between, while another still reads the first's slots:
+ * the two gathers then use different sets.  With a barrier between, every
+ * thread has read the first's slots before the second's are written. */
+static long gather(struct team *t, long id, int *sense, const double *top, long band, double *all)
 {
-    t->slot[id].top[0] = top[0], t->slot[id].top[1] = top[1];
+    int set = *sense;
+    t->slot[set][id].top[0] = top[0], t->slot[set][id].top[1] = top[1], t->slot[set][id].band = band;
     barrier(t, sense);
     int64_t top_x = 0, top_y = 0;
-    for (long i = 0; i < t->size; i++)
-        top_x = max_bits(top_x, t->slot[i].top[0]), top_y = max_bits(top_y, t->slot[i].top[1]);
+    for (long i = 0; i < t->size; i++) {
+        top_x = max_bits(top_x, t->slot[set][i].top[0]), top_y = max_bits(top_y, t->slot[set][i].top[1]);
+        band = band > t->slot[set][i].band ? band : t->slot[set][i].band;
+    }
     all[0] = from_bits(top_x), all[1] = from_bits(top_y);
+    return band;
 }
 
-/* psi's halos beside the block's real rows: the whole torus in a periodic
- * march, which has one block, or the y halos of those rows */
-static void fill_psi_rows(const struct team *t, struct block s)
+/* The halos of the psi buffer v beside the block's real rows: the whole
+ * torus in a periodic march, which has one block, or the y halos of those
+ * rows */
+static void fill_psi_rows(const struct team *t, double *v, struct block s)
 {
     if (t->periodic)
-        wrap(t->psi, t->nx, t->ny, t->h, t->r, t->nx, t->ny);
+        wrap(v, t->nx, t->ny, t->h, t->r, t->nx, t->ny);
     else
-        fill_scalar_rows(t->psi, t->ny, t->h, t->r, s.lo, s.hi);
+        fill_scalar_rows(v, t->ny, t->h, t->r, s.lo, s.hi);
 }
 
-/* the halo rows of psi that the block takes (none on the torus) */
-static void fill_psi_edges(const struct team *t, struct block s)
+/* the halo rows of the psi buffer v that the block takes (none on the torus) */
+static void fill_psi_edges(const struct team *t, double *v, struct block s)
 {
     if (!t->periodic)
-        fill_scalar_edges(t->psi, t->nx, t->ny, t->h, t->r, s);
+        fill_scalar_edges(v, t->nx, t->ny, t->h, t->r, s);
+}
+
+/* The block's rows of the psi buffer src, with their halos and the halo rows
+ * that the block takes, into dst */
+static void copy_block(const struct team *t, const double *src, double *dst, struct block s)
+{
+    copy_rows(src, dst, t->r, s.lo - s.first * t->h, s.hi + s.last * t->h, 0, t->ny + 2 * t->h);
 }
 
 /* The halos of a component's faces in the block, x (nx + 1 x ny real faces)
@@ -670,35 +781,58 @@ static void clear_above(const struct team *t, struct faces f, long live, struct 
         memset(f.y + a * t->r + t->h + live + 1, 0, width);
 }
 
-/* One upwind pass with the field f over the band, after the x fluxes of the
- * block's first face row and a barrier: the block's sweep; then, unless the pass is the call's last, psi's
- * halos beside its rows for the next pass (in the sweep, or a wrap of the
- * torus after it) and a barrier. */
-static void upwind_pass(struct team *t, struct faces f, long live, int *sense, int last, struct rows w,
-                        struct block s)
+/* One pass of the block over the band from psi into out, with the field f:
+ * the sweep, building C_x into f.x over [0, built) if built is set, or
+ * limit's with f as the corrective field if limited.x is set, which writes
+ * the limited field into limited.  The maxima of the field built go to top:
+ * max |C_x| to top[0], or the limited field's two.  Then out's halos beside
+ * the block's rows for the next pass (in the sweep, or a wrap of the torus
+ * after it).  The call's last pass fills none: out starts as a copy of psi,
+ * so it keeps psi's halos, as a pass in place would. */
+static void pass(const struct team *t, const double *psi, double *out, struct faces f, struct faces limited,
+                 long built, long live, int last, struct rows w, double *top, struct block s)
 {
-    sweep(t->psi, t->ny, live, t->h, t->r, f.x, f.y, w, !last && !t->periodic, s);
-    if (!last) {
-        if (t->periodic)
-            fill_psi_rows(t, s);
-        barrier(t, sense);
+    if (last)
+        copy_block(t, psi, out, s);
+    int fill = !last && !t->periodic;
+    if (limited.x) {
+        limit_sweep(psi, out, t->ny, live, t->h, t->r, f.x, f.y, limited.x, limited.y, t->eps, top, w, fill, s);
+    } else {
+        struct build c = {t->u, t->coef, t->scale, t->eps, built};
+        double c_top = sweep(psi, out, t->ny, live, t->h, t->r, f.x, f.y, c, w, fill, s);
+        if (built)
+            top[0] = c_top;
     }
+    if (!last && t->periodic)
+        fill_psi_rows(t, out, s);
+}
+
+/* The band of the next step from the block's rows of out, the output of a
+ * step's last pass: live, widened if a margin column is live there */
+static long band_of(const struct team *t, const double *out, long live, struct block s)
+{
+    long ny = t->ny, margin = t->n_iters;
+    return live < ny ? live_columns(out, ny, t->h, t->r, s.lo, s.hi, live - margin, live, margin) : live;
 }
 
 /* The march on thread id of the team, over its block of rows; what march
- * returns, with its out.  Every thread finds the same band and the same
+ * returns, with its out.  Every pass writes the psi buffer that does not
+ * hold the field, and the gather that checks the pass's field swaps the two
+ * if the check passes.  Every thread finds the same band and the same
  * maxima, so every thread stops at the same check. */
 static long run(struct team *t, long id, double *out)
 {
     long nx = t->nx, ny = t->ny, h = t->h, r = t->r, n_iters = t->n_iters;
     struct block s = {h + nx * id / t->size, h + nx * (id + 1) / t->size, id == 0, id == t->size - 1};
-    struct faces c = t->c;
-    struct rows w = rows_of(t->rows, id, t->size, r);
+    struct faces c = t->c, none = {NULL, NULL};
+    struct rows w = rows_of(t->rows, id, r);
     int sense = 0;
-    long live = t->periodic ? ny : live_columns(t->psi, nx, ny, h, r, 0, ny, n_iters);
+    double *psi = t->psi, *spare = t->spare, *swap;
+    long live = t->periodic ? ny : live_columns(psi, ny, h, r, h, h + nx, 0, ny, n_iters);
     if (live < ny) {
         clear_above(t, t->a, live, s);
         clear_above(t, t->b, live, s);
+        copy_block(t, psi, spare, s); /* +0.0 above the band in both buffers */
     }
     if (t->n_steps == 0)
         return 0;
@@ -710,56 +844,56 @@ static long run(struct team *t, long id, double *out)
         fill_x(t, c.x, s);
         c_top[0] = max_rows(c.x, ny, h, r, s.lo, s.hi + s.last);
     }
-    fill_psi_rows(t, s);
-    for (long n = 0; n < t->n_steps; n++) {
-        if (live < ny)
-            live = live_columns(t->psi, nx, ny, h, r, live - n_iters, live, n_iters);
-        fill_psi_edges(t, s);
-        if (t->rebuild) {
-            /* the band and the column that antidiffusive's y faces read after it */
-            long built = live < ny ? live + 1 : ny;
-            c_top[0] = courant_x_rows(t->psi, 0, built, h, r, c.x, t->u, t->coef, t->scale, t->eps, s);
-            if (n == 0)
-                past = courant_x_rows(t->psi, built, ny, h, r, c.x, t->u, t->coef, t->scale, t->eps, s);
+    fill_psi_rows(t, psi, s);
+    long n = 0;
+    for (; n < t->n_steps; n++) {
+        int last_step = n == t->n_steps - 1;
+        fill_psi_edges(t, psi, s);
+        /* C_x, if rebuilt, over the band and the column that antidiffusive's
+         * y faces read after it, built in the upwind pass's sweep */
+        long built = !t->rebuild ? 0 : live < ny ? live + 1 : ny;
+        if (built && n == 0)
+            past = courant_x_rows(psi, built, ny, h, r, c.x, t->u, t->coef, t->scale, t->eps, s);
+        pass(t, psi, spare, c, none, built, live, last_step && n_iters == 1, w, c_top, s);
+        if (built) {
             if (built < ny)
                 c_top[0] = from_bits(max_bits(max_bits(0, c_top[0]), past));
             fill_x(t, c.x, s);
         }
-        /* the x fluxes that the block above also reads, before it updates a row */
-        x_fluxes(t->psi, live, h, r, c.x, s.lo, w.first);
-        gather(t, id, &sense, c_top, top);
+        long band = gather(t, id, &sense, c_top, n_iters == 1 ? band_of(t, spare, live, s) : live, top);
         out[2] = 0.0;
         if (!courant_ok(top, t->courant_max, out) || !t->diffusion_ok)
-            return n;
-        int last_step = n == t->n_steps - 1;
-        upwind_pass(t, c, live, &sense, last_step && n_iters == 1, w, s);
+            goto stop;
+        swap = psi, psi = spare, spare = swap;
         struct faces current = c;
-        for (long pass = 1; pass < n_iters; pass++) {
-            fill_psi_edges(t, s);
+        for (long k = 1; k < n_iters; k++) {
+            int last_pass = k == n_iters - 1;
+            fill_psi_edges(t, psi, s);
             /* a kernel never writes the slot it reads */
             struct faces next = current.x == t->a.x ? t->b : t->a;
-            double v_top[2]; /* this block's max |v_x| and max |v_y| of next */
-            antidiffusive_rows(t->psi, live, h, r, current.x, current.y, next.x, next.y, t->eps, v_top, s);
+            double v_top[2]; /* this block's max |v_x| and max |v_y| of the checked field */
+            antidiffusive_rows(psi, live, h, r, current.x, current.y, next.x, next.y, t->eps, v_top, s);
             fill_vector(t, next, s);
+            barrier(t, &sense);
+            struct faces limited = !t->nonoscillatory ? none : next.x == t->a.x ? t->b : t->a;
+            pass(t, psi, spare, next, limited, 0, live, last_step && last_pass, w, v_top, s);
             if (t->nonoscillatory) {
-                struct faces limited = next.x == t->a.x ? t->b : t->a;
-                barrier(t, &sense);
-                limit_ratios(t->psi, live, h, r, next.x, next.y, t->up, t->dn, t->eps, s);
-                barrier(t, &sense);
-                limit_faces(live, h, r, next.x, next.y, limited.x, limited.y, t->up, t->dn, v_top, s);
                 fill_vector(t, limited, s);
                 next = limited;
             }
-            x_fluxes(t->psi, live, h, r, next.x, s.lo, w.first);
-            gather(t, id, &sense, v_top, top);
+            band = gather(t, id, &sense, v_top, last_pass ? band_of(t, spare, live, s) : live, top);
             out[2] = 1.0;
             if (!courant_ok(top, t->courant_max, out))
-                return n;
-            upwind_pass(t, next, live, &sense, last_step && pass == n_iters - 1, w, s);
+                goto stop;
+            swap = psi, psi = spare, spare = swap;
             current = next;
         }
+        live = band;
     }
-    return t->n_steps;
+stop:
+    if (psi != t->psi)
+        copy_block(t, psi, t->psi, s);
+    return n;
 }
 
 /* A helper thread: the next id of the team (1 up; the caller is 0), then its rows */
@@ -776,32 +910,32 @@ static void *join_team(void *arg)
 
 /* n_steps transport steps of one length on the workspace: psi, the physical
  * field c (C_y written, and C_x too unless rebuild), the corrective slots a
- * and b and limit's scratch rows up and dn; every fill wraps on the torus if
+ * and b and psi's second buffer spare; every fill wraps on the torus if
  * periodic.  Each step fills psi, writes C_x = (u - coef A) scale if rebuild
  * and fills it, and checks c; then runs one upwind pass and n_iters - 1
  * corrective passes on a refilled psi, each antidiffusive field (FCT-limited
- * if nonoscillatory) checked before use.  A failed check of c, or
- * diffusion_ok 0, stops the march before the step changes psi; of a
- * corrective field, before its pass.  Returns the stopping step's index, or
- * n_steps, or -1, before any step, when the row buffers of the upwind sweeps
- * cannot be allocated; out gets the failing field's max |C_x|, max |C_y| and
- * 1.0 if corrective, 0.0 if not.  The passes, and the rebuilds of C_x after
- * step 0, run over the band of live columns (see the header).  march writes
- * no component of c but C_x, and that only if rebuild: the others are filled
- * and scanned once per call, and each field that march writes is scanned by
- * the kernel that writes it.  The march runs
- * on up to threads threads (at most nx and TEAM_MAX), each over its own
- * block of rows (see the header); a periodic march, or one of no steps, on
- * one, and on as many as start when pthread_create fails. */
+ * if nonoscillatory) checked before psi takes its pass.  A failed check of
+ * c, or diffusion_ok 0, stops the march with psi as the step found it; of a
+ * corrective field, as the pass before left it.  Returns the stopping step's
+ * index, or n_steps, or -1, before any step, when the row buffers of the
+ * sweeps cannot be allocated; out gets the failing field's max |C_x|, max
+ * |C_y| and 1.0 if corrective, 0.0 if not.  The passes, and the rebuilds of
+ * C_x after step 0, run over the band of live columns (see the header).
+ * march writes no component of c but C_x, and that only if rebuild: the
+ * others are filled and scanned once per call, and each field that march
+ * writes is scanned by the kernel that writes it.  The march runs on up to
+ * threads threads (at most nx and TEAM_MAX), each over its own block of rows
+ * (see the header); a periodic march, or one of no steps, on one, and on as
+ * many as start when pthread_create fails. */
 long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
-           double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
+           double *ay, double *bx, double *by, double *spare, long n_steps, long n_iters,
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
            double coef, double scale, double courant_max, double eps, double *out)
 {
     long size = periodic || n_steps == 0 || threads < 1 ? 1 : threads < nx ? threads : nx;
     size = size < TEAM_MAX ? size : TEAM_MAX;
     struct team t = {
-        psi, nx, ny, h, r, {cx, cy}, {ax, ay}, {bx, by}, up, dn, alloc_rows(size, r), n_steps, n_iters,
+        psi, spare, nx, ny, h, r, {cx, cy}, {ax, ay}, {bx, by}, alloc_rows(size, r), n_steps, n_iters,
         nonoscillatory, diffusion_ok, periodic, rebuild, u, coef, scale, courant_max, eps, .size = 1,
     };
     if (!t.rows)

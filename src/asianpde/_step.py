@@ -92,13 +92,13 @@ def stop_if_unwound() -> None:
 ARGTYPES = {
     "upwind": (_DIMS + (_PTR,) * 2, _INT),
     "antidiffusive": (_DIMS + (_PTR,) * 4 + (_REAL, MAXIMA), None),
-    "limit": (_DIMS + (_PTR,) * 6 + (_REAL, MAXIMA), None),
+    "limit": (_DIMS + (_PTR,) * 4 + (_REAL, MAXIMA), _INT),
     "courant_x": (_DIMS + (_PTR,) + (_REAL,) * 4, _REAL),
     "fill_scalar": (_DIMS, None),
     "fill_faces": (_DIMS, None),
     "max_abs": (_DIMS, _REAL),
     "wrap": (_DIMS + (_INT,) * 2, None),
-    "march": (_DIMS + (_PTR,) * 8 + (_INT,) * 7 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
+    "march": (_DIMS + (_PTR,) * 7 + (_INT,) * 7 + (_REAL,) * 5 + (MARCH_RESULT,), _INT),
     "normals": ((_ROWS, _INT, _INT, ctypes.c_uint64, _INT), None),
     "averages": ((_ROWS, _INT, _INT, _ROWS, _INT, ctypes.c_uint64, _INT, _INT, _ROWS, LOOP), None),
     "float64_loop": ((ctypes.py_object, LOOP), _INT),

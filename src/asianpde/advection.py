@@ -46,8 +46,8 @@ DEFAULT_EPSILON = 1e-15
 # cell-steps of one C march call: Python sees Ctrl-C, and a table job its
 # stop, between calls, ~0.6 s apart at 2 iterations, ~1.5 s at 4
 MARCH_CALL_CELL_STEPS = 2**25
-# the MemoryError of a march or upwind_step whose C call cannot allocate its row buffers
-ROW_BUFFERS = "the donor-cell pass could not allocate its row buffers"
+# the MemoryError of a march, upwind_step or nonoscillatory_limit whose C call cannot allocate its row buffers
+ROW_BUFFERS = "a step kernel could not allocate its row buffers"
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ class StepWorkspace:
     ``psi`` is the scalar, ``courant`` the physical Courant field and
     ``corrective`` two slots that the antidiffusive field and the limiter
     alternate between; each is a plain field viewing one stack of arrays.
+    The last of the stack's 8 slots is psi's second buffer, which
+    :meth:`march` writes each pass into before the pass's field is checked.
     :meth:`march` fills and checks every field itself; a single kernel
     called on these fields trusts its caller to have filled the halos it
     reads.  One workspace serves one caller at a time.
@@ -119,15 +121,12 @@ class StepWorkspace:
 
     def __init__(self, nx: int, ny: int):
         h = HALO
-        self.fields = fields = np.zeros((9, nx + 1 + 2 * h, ny + 1 + 2 * h))
+        self.fields = fields = np.zeros((8, nx + 1 + 2 * h, ny + 1 + 2 * h))
         self.steps = 0  # the steps marched so far
         self.psi = ScalarField(fields[0, :nx + 2 * h, :ny + 2 * h])
         self.courant, *self.corrective = (
             VectorField(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :]) for s in (1, 3, 5)
         )
-
-    # the addresses of the limiter's scratch rows: the last two slots
-    c_scratch = property(lambda self: (dims(self.fields[7], 1)[0], dims(self.fields[8], 1)[0]))
 
     @classmethod
     def holding(cls, psi: ScalarField, courant: VectorField | None = None) -> "StepWorkspace":
@@ -160,22 +159,25 @@ class StepWorkspace:
         each call's first step, past the band's next column; the fills cover
         every column, the maxima are those of every face, and psi and C get
         the same bytes.
-        Each C call runs on up to ``threads`` threads, each over its own
-        block of x rows with a barrier between dependent passes (at most one
-        thread a row, and one when ``periodic``); every byte and every
-        result is that of one thread.
+        Each pass writes psi's second buffer (the stack's last slot), which
+        becomes psi once the pass's field passes its check.  Each C call
+        runs on up to ``threads`` threads, each over its own block of x rows
+        (at most one thread a row, and one when ``periodic``), with one
+        barrier per upwind step and 3 per 2-iteration step with the limiter;
+        every byte and every result is that of one thread.
 
         Adds the steps it completes to :attr:`steps`.  Raises
         :class:`MemoryError` when a C call cannot allocate the row buffers
         of its donor-cell sweeps, before that call's first step.  A failed
         check stops the march and raises :class:`StabilityError` with the
-        failing field's maxima: before any update when the physical field
-        fails |C| <= 1 or ``diffusion`` its bound, with the step index
-        :attr:`steps`; before its own pass, with no step index and no
-        diffusion number, when a corrective field fails |C| <= 1.
+        failing field's maxima: with psi as the step found it when the
+        physical field fails |C| <= 1 or ``diffusion`` its bound, with the
+        step index :attr:`steps`; with psi as the pass before left it, with
+        no step index and no diffusion number, when a corrective field fails
+        |C| <= 1.
         """
         faces = (c[0] for fld in (self.courant, *self.corrective) for c in (fld.c_comp_x, fld.c_comp_y))
-        arrays = (*self.psi.c_values, *faces, *self.c_scratch)
+        arrays = (*self.psi.c_values, *faces, dims(self.fields[7], 1)[0])
         settings = (
             opts.n_iters, opts.nonoscillatory, diffusion <= _DIFFUSION_LIMIT, periodic, courant_x is not None, threads,
             *(courant_x or (0.0, 0.0, 0.0)), _COURANT_LIMIT, DEFAULT_EPSILON,
@@ -239,14 +241,16 @@ def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorFiel
     Guarantees that the subsequent UPWIND pass keeps every cell within the
     min/max of its face-neighbour stencil in ``psi_before`` (a subset of the
     3x3 neighbourhood).  Halos of both inputs must be filled; halos of the
-    result are left for the caller.
+    result are left for the caller.  Raises :class:`MemoryError` when the
+    limiter cannot allocate its row buffers.
     """
     ws = StepWorkspace.holding(psi_before, courant_corrective)
     out = ws.corrective[0]
-    library().limit(
+    if library().limit(
         *ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-        *ws.c_scratch, DEFAULT_EPSILON, MAXIMA(),
-    )
+        DEFAULT_EPSILON, MAXIMA(),
+    ):
+        raise MemoryError(ROW_BUFFERS)
     return out.copy()
 
 

@@ -208,8 +208,8 @@ class TestUpwindStep:
         np.testing.assert_array_equal(ws.fields, before)
 
     def test_refused_row_buffers_raise_memory_error(self, monkeypatch):
-        # march and upwind return -1, having written nothing, when they cannot
-        # allocate the row buffers of their sweep
+        # march, upwind and limit return -1, having written nothing, when
+        # they cannot allocate the row buffers of their sweep
         kernels = library()
 
         class Refusing:
@@ -219,12 +219,14 @@ class TestUpwindStep:
             def march(self, *args):
                 return -1
 
-            upwind = march
+            upwind = limit = march
 
         monkeypatch.setattr(advection, "library", Refusing)
         psi, vec = ScalarField.zeros(SPEC), VectorField.zeros(SPEC)
         with pytest.raises(MemoryError, match="row buffers"):
             upwind_step(psi, vec)
+        with pytest.raises(MemoryError, match="row buffers"):
+            nonoscillatory_limit(psi, vec)
         ws = StepWorkspace.holding(psi, vec)
         with pytest.raises(MemoryError, match="row buffers"):
             ws.march(3, SolverOptions())

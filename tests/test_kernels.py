@@ -399,9 +399,11 @@ def test_band_limited_courant_x_keeps_every_byte(monkeypatch, threads):
 
 
 # A program that runs march on 13 x 12 cells for each (kind, n_iters,
-# nonoscillatory) of argv's cases on 1, 2 and 3 threads and exits 1 unless
-# every split leaves the one-thread march's workspace, result and out.  It
-# prints each case's steps run and out[2].  Kind 0 is a call's payoff, 1 a
+# nonoscillatory[, steps]) of argv's cases, 30 steps unless given, on 1, 2
+# and 3 threads and exits 1 unless every split leaves the one-thread march's
+# workspace, result and out.  It prints each case's steps run and out[2].
+# An odd number of passes leaves the march's field in psi's second buffer
+# (the last slot), from which march copies it back.  Kind 0 is a call's payoff, 1 a
 # put's (+0.0 from column 5 up, so the march runs a band), and 2 a field of
 # 1.3e308 with one 0 cell, which overflows in the first upwind pass under
 # an outflow sum of 1.71, so the march stops: at step 1 on the physical
@@ -419,7 +421,7 @@ MARCH_DRIVER = r"""
 #include <unistd.h>
 
 long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
-           double *ay, double *bx, double *by, double *up, double *dn, long n_steps, long n_iters,
+           double *ay, double *bx, double *by, double *spare, long n_steps, long n_iters,
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
            double coef, double scale, double courant_max, double eps, double *out);
 
@@ -448,11 +450,11 @@ int __wrap_pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(v
 }
 #endif
 
-enum { NX = 13, NY = 12, H = 2, R = NY + 1 + 2 * H, SLOT = (NX + 1 + 2 * H) * R, STEPS = 30 };
+enum { NX = 13, NY = 12, H = 2, R = NY + 1 + 2 * H, SLOT = (NX + 1 + 2 * H) * R, SLOTS = 8 };
 
-static long run(double *w, int kind, long n_iters, long nonosc, long threads, double *out)
+static long run(double *w, int kind, long n_iters, long nonosc, long steps, long threads, double *out)
 {
-    memset(w, 0, 9 * SLOT * sizeof *w);
+    memset(w, 0, SLOTS * SLOT * sizeof *w);
     for (long a = H; a < H + NX; a++) {
         for (long b = H; b < H + NY; b++) {
             double y = b - H + 0.5;
@@ -466,22 +468,22 @@ static long run(double *w, int kind, long n_iters, long nonosc, long threads, do
     double u = kind == 2 ? 8.7 : 0.055;
     creates = 0;
     return march(w, NX, NY, H, R, w + SLOT, w + 2 * SLOT, w + 3 * SLOT, w + 4 * SLOT, w + 5 * SLOT,
-                 w + 6 * SLOT, w + 7 * SLOT, w + 8 * SLOT, STEPS, n_iters, nonosc, 1, 0, 1, threads, u,
+                 w + 6 * SLOT, w + 7 * SLOT, steps, n_iters, nonosc, 1, 0, 1, threads, u,
                  -0.9, -0.1, 1.0 + 1e-12, 1e-15, out);
 }
 
 int main(int argc, char **argv)
 {
-    double *one = malloc(9 * SLOT * sizeof *one), *split = malloc(9 * SLOT * sizeof *split);
+    double *one = malloc(SLOTS * SLOT * sizeof *one), *split = malloc(SLOTS * SLOT * sizeof *split);
     for (int i = 1; i < argc; i++) {
         int kind;
-        long n_iters, nonosc;
-        sscanf(argv[i], "%d,%ld,%ld", &kind, &n_iters, &nonosc);
+        long n_iters, nonosc, steps = 30;
+        sscanf(argv[i], "%d,%ld,%ld,%ld", &kind, &n_iters, &nonosc, &steps);
         double want[3], got[3];
-        long ran = run(one, kind, n_iters, nonosc, 1, want);
+        long ran = run(one, kind, n_iters, nonosc, steps, 1, want);
         for (long threads = 2; threads <= 3; threads++) {
-            if (run(split, kind, n_iters, nonosc, threads, got) != ran || memcmp(got, want, sizeof got)
-                || memcmp(one, split, 9 * SLOT * sizeof *one))
+            if (run(split, kind, n_iters, nonosc, steps, threads, got) != ran || memcmp(got, want, sizeof got)
+                || memcmp(one, split, SLOTS * SLOT * sizeof *one))
                 return 1;
 #ifdef ONE_HELPER
             if (creates != threads - 1) /* at 3, the refused start was asked for */
@@ -493,8 +495,17 @@ int main(int argc, char **argv)
     return 0;
 }
 """
-DRIVER_CASES = ["0,1,1", "0,2,1", "1,2,1", "1,3,0", "2,1,1", "2,2,1", "3,2,1"]
-DRIVER_STOPS = ["30 0", "30 1", "30 1", "30 1", "1 0", "0 1", "30 1"]
+# 3 and 4 limited iterations write the corrective slot that the step's
+# previous field occupied; corrective stops with and without the limiter; an
+# odd number of passes, upwind and limited, ends in the second buffer
+DRIVER_CASES = [
+    "0,1,1", "0,2,1", "1,2,1", "1,3,0", "2,1,1", "2,2,1", "3,2,1",
+    "0,3,1", "1,4,1", "2,3,1", "2,2,0", "0,1,1,29", "3,3,1,29",
+]
+DRIVER_STOPS = [
+    "30 0", "30 1", "30 1", "30 1", "1 0", "0 1", "30 1",
+    "30 1", "30 1", "0 1", "0 1", "29 0", "29 1",
+]
 
 
 def _program(tmp_path: Path, source: str, *flags: str) -> str:

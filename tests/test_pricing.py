@@ -302,8 +302,8 @@ class TestIntegrate:
         asked = []
 
         def ran_all(*args):
-            asked.append(args[13])  # n_steps, after psi's record and the 8 face and scratch arrays
-            return args[13]
+            asked.append(args[12])  # n_steps, after psi's record, the 6 face arrays and psi's second buffer
+            return args[12]
 
         monkeypatch.setattr(_step.library(), "march", ran_all)
         spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
@@ -445,8 +445,10 @@ class TestIntegrate:
         )
 
     def test_failing_step_leaves_psi_alone(self, monkeypatch):
-        # the check of the failing step runs before its update: psi is the
-        # field the steps before it made
+        # the check of the failing step runs before psi takes its update: psi
+        # is the field the steps before it made, on any split of the rows,
+        # though the step's upwind pass has run into the second buffer; at
+        # 3 iterations the 15 passes before step 5 leave the field there
         marched = []
         march = StepWorkspace.march
 
@@ -455,16 +457,20 @@ class TestIntegrate:
             return march(ws, *args, **kwargs)
 
         monkeypatch.setattr(StepWorkspace, "march", recorded)
-        spec = grid_from_price_domain(50.0, 200.0, 400.0, 8, 8)
         inst = InstrumentSpec("call", 100.0, 0.5, 1.04, 8.86, 100.0)
-        with pytest.raises(StabilityError) as err:
-            integrate(inst, spec, dt=0.0125, opts=OPTS)
         tr = make_transform(inst)
-        psi = terminal_condition(inst, spec)
-        for _ in range(err.value.step_index):
-            courant = fill_halos_vector(build_courant(fill_halos_scalar(psi), tr, spec, -0.0125))
-            psi = mpdata_step(psi, courant, OPTS)
-        assert marched[0].psi.values.tobytes() == fill_halos_scalar(psi).values.tobytes()
+        for a_max, opts, step in ((400.0, OPTS, 18), (200.0, SolverOptions(n_iters=3), 5)):
+            spec = grid_from_price_domain(50.0, 200.0, a_max, 8, 8)
+            for threads in (1, 2, 3):
+                marched.clear()
+                with pytest.raises(StabilityError) as err:
+                    integrate(inst, spec, dt=0.0125, opts=opts, threads=threads)
+                assert err.value.step_index == step
+                psi = terminal_condition(inst, spec)
+                for _ in range(step):
+                    courant = fill_halos_vector(build_courant(fill_halos_scalar(psi), tr, spec, -0.0125))
+                    psi = mpdata_step(psi, courant, opts)
+                assert marched[0].psi.values.tobytes() == fill_halos_scalar(psi).values.tobytes(), (a_max, threads)
 
     @pytest.mark.parametrize("n_iters", [1, 2, 3])
     def test_overflow_fails_the_next_check(self, monkeypatch, n_iters):
