@@ -34,11 +34,11 @@
  *
  * The scans.  march checks each Courant field against |C| <= 1 before psi
  * takes the pass that uses it, on the maxima that the kernel writing the
- * field found.  It writes no component of the physical field but C_x, and
- * that only when it rebuilds it, so C_y, and C_x when not rebuilt, are
- * filled and scanned once per call.  Where march wraps the fields on the torus, the wrap copies
- * the first x and y faces over the last, which a kernel wrote with the same
- * bits from the same, wrapped, inputs: the maxima stand.
+ * field found.  It writes no component of the physical field but C_x, and that
+ * only when it rebuilds it, so C_y, and C_x when not rebuilt, are filled and
+ * scanned once per call.  Where march wraps the fields on the torus, the wrap
+ * copies the first x and y faces over the last, which a kernel wrote with the
+ * same bits from the same, wrapped, inputs: the maxima stand.
  *
  * The band.  A put's payoff is +0.0 for every A >= K, so on a backward march
  * about half of the columns of psi, those of largest A, hold only +0.0.  Let
@@ -69,56 +69,57 @@
  * the second buffer, so that both hold +0.0 above the band.  C_x, when
  * rebuilt, is built on every column at a call's step 0, after the step's
  * fills, and from then on on the band and the one column after it, which
- * antidiffusive's y faces read: psi's columns past that hold
- * +0.0 for the whole call (the band never narrows), so their faces keep the
- * bits that step 0 wrote, and every later step combines their max |C_x|,
- * kept from step 0, with the band's, until the build reaches the last
- * column; the checks see the maxima of every face.  The fills keep the full
- * extent, and the periodic march, whose columns wrap, the full width.
+ * antidiffusive's y faces read: psi's columns past that hold +0.0 for the
+ * whole call (the band never narrows), so their faces keep the bits that
+ * step 0 wrote and checked.  A later step checks the band's max |C_x| alone:
+ * it fails only above 1, where it is also the max of every face, so it
+ * stops where a check of every face would, with the same maxima.  C_y and
+ * the diffusion number, which no step changes, can fail only at step 0.  The
+ * fills keep the full extent, and the periodic march, whose columns wrap,
+ * the full width.
  *
- * The split.  The step is unsplit: each pass reads only what the pass
- * before it wrote, so a block of x rows can run a pass without the others.
- * march runs on the calling thread and up to threads - 1 pthreads that it
- * starts for the call and joins before it returns.  Each thread owns one
- * contiguous block of x rows for every step of the call: its cells and the x
- * and y faces of its rows (the last block also x face row h + nx).  psi has
- * a second buffer: every pass reads one and writes the other, so no thread
- * writes a row that another reads within a phase.  The gather that ends a
- * pass checks the field that the pass used, and swaps the buffers only if
- * the check passes, so a failed check leaves psi as the pass found it.  A
- * step runs in phases, each ended by one barrier: the upwind pass, whose
- * sweep builds C_x face row by face row when it is rebuilt, ended by the
- * gather of C; then, per corrective pass, the antidiffusive field of the
- * block's rows, ended by a barrier, and the pass, ended by the gather of its
- * field.  With the limiter the pass is one sweep of the block's rows: the
- * ratios of each cell row go into a ring of two rows, the limited faces into
- * their slot, and each row's update follows as soon as the faces below it
- * are known.  What needs rows of another block, the block computes again as
- * a private ghost from what the phases before wrote: the x fluxes of its
- * first face row, the ring rows above and below it, and the limited x faces
- * and the rebuilt C_x below its last row; only the block that owns an
- * element stores it.  So a 2-iteration step with the limiter has 3 barriers
- * and an upwind step 1.  Each thread fills the halos beside its rows right
- * after it writes them, psi's in the sweep; the call's last pass fills none
- * but keeps the halos of the buffer it read, as a pass in place would.  The
- * first and last blocks fill the halo rows above and below, psi's at the
- * start of the next phase, since they read two real rows that another block
- * may hold.  At each gather every thread leaves the maxima and the band of
- * its rows and combines those of all, the maxima as integers, so every
- * thread takes the same stop decision.  Two sets of slots alternate with
- * the barrier's sense, since a thread can leave one gather for the next
- * while another still reads the first.  A march that ends with the field in
- * the second buffer copies it back, each thread its own rows.  Every element
- * gets the same operations from exactly one thread, and the maxima are the
- * integer max of the same elements, so every byte is that of one thread,
- * which runs the same code as one block with no pthread.  A barrier spins a
- * bounded number of pauses and then yields its core at each spin: on a
- * machine with more runnable threads than cores, a pure spin keeps the core
- * from the thread it waits for (two concurrent upwind valuations at 204x242
- * took 5.1 s that way, against 0.5 s with the yield).  The periodic march
- * runs on one thread, since wrap copies across the whole torus.  Signals are
- * blocked in the helper threads, so that a Ctrl-C lands on the caller and
- * Python sees it between calls.
+ * The split.  The step is unsplit: each pass reads only what the pass before
+ * it wrote, so a block of x rows can run a pass without the others.  march
+ * runs on the calling thread and up to threads - 1 pthreads that it starts
+ * for the call and joins before it returns.  Each thread owns one contiguous
+ * block of x rows for every step of the call: its cells and the x and y faces
+ * of its rows (the last block also x face row h + nx).  psi has a second
+ * buffer: every pass reads one and writes the other, so no thread writes a
+ * row that another reads within a phase.  The gather that ends a pass checks
+ * the field that the pass used, and swaps the buffers only if the check
+ * passes, so a failed check leaves psi as the pass found it.  A step runs in
+ * phases, each ended by one barrier: the upwind pass, whose sweep builds C_x
+ * face row by face row when it is rebuilt, ended by the gather of C; then,
+ * per corrective pass, the antidiffusive field of the block's rows, ended by
+ * a barrier, and the pass, ended by the gather of its field.  With the
+ * limiter the pass is one sweep of the block's rows: the ratios of each cell
+ * row go into a ring of two rows, the limited faces into their slot, and each
+ * row's update follows as soon as the faces below it are known.  What needs
+ * rows of another block, the block computes again as a private ghost from
+ * what the phases before wrote: the x fluxes of its first face row, the ring
+ * rows above and below it, and the limited x faces and the rebuilt C_x below
+ * its last row; only the block that owns an element stores it.  So a
+ * 2-iteration step with the limiter has 3 barriers and an upwind step 1.
+ * Each thread fills the halos beside its rows right after it writes them,
+ * psi's in the sweep.  The first and last blocks fill the halo rows above and
+ * below, psi's at the start of the next phase and once after the march's last
+ * gather, since they read two real rows that another block may hold: the
+ * march leaves psi with its halos filled.  At each gather every thread leaves
+ * the maxima and the band of its rows and combines those of all, the maxima
+ * as integers, so every thread takes the same stop decision.  Two sets of
+ * slots alternate with the barrier's sense, since a thread can leave one
+ * gather for the next while another still reads the first.  A march that ends
+ * with the field in the second buffer copies it back, each thread its own
+ * rows.  Every element gets the same operations from exactly one thread, and
+ * the maxima are the integer max of the same elements, so every byte is that
+ * of one thread, which runs the same code as one block with no pthread.  A
+ * barrier spins a bounded number of pauses and then yields its core at each
+ * spin: on a machine with more runnable threads than cores, a pure spin keeps
+ * the core from the thread it waits for (two concurrent upwind valuations at
+ * 204x242 took 5.1 s that way, against 0.5 s with the yield).  The periodic
+ * march runs on one thread, since wrap copies across the whole torus.
+ * Signals are blocked in the helper threads, so that a Ctrl-C lands on the
+ * caller and Python sees it between calls.
  *
  * The normals.  Each path draws from its own Philox4x64-10 stream, stepped
  * here as numpy steps it, through numpy's ziggurat.  About 98.5% of draws
@@ -272,15 +273,13 @@ static void update_row(const double *restrict p, double *restrict q, long n, lon
 
 /* Row a of a donor-cell pass from psi into out, columns [0, n), given the x
  * fluxes of the face rows above and below it: its y fluxes with cy, its
- * update and, if fill, its y halos (of every column) */
+ * update and its y halos (of every column) */
 static void pass_row(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
-                     const double *restrict cy, const double *above, const double *below, double *fy, int fill,
-                     long a)
+                     const double *restrict cy, const double *above, const double *below, double *fy, long a)
 {
     y_fluxes(psi + a * r, n, h, cy + a * r, fy);
     update_row(psi + a * r, out + a * r, n, h, above, below, fy);
-    if (fill)
-        fill_scalar_rows(out, ny, h, r, a, a + 1);
+    fill_scalar_rows(out, ny, h, r, a, a + 1);
 }
 
 /* C_x = (u - coef A) scale, which march rebuilds over the columns [0,
@@ -291,12 +290,12 @@ struct build {
 };
 
 /* C_x = (u - coef A) scale on the face row c between the cell rows p - r and
- * p, columns [from, to), with A the guarded ratio (p[b] - p[b - r]) / (p[b] +
+ * p, columns [0, n), with A the guarded ratio (p[b] - p[b - r]) / (p[b] +
  * p[b - r]) across the face.  Returns top with their max |C_x|. */
-static int64_t courant_x_row(const double *restrict p, long from, long to, long h, long r, double *restrict c,
-                             double u, double coef, double scale, double eps, int64_t top)
+static int64_t courant_x_row(const double *restrict p, long n, long h, long r, double *restrict c, double u,
+                             double coef, double scale, double eps, int64_t top)
 {
-    for (long b = h + from; b < h + to; b++) {
+    for (long b = h; b < h + n; b++) {
         c[b] = (u - guarded_ratio(p[b] - p[b - r], p[b] + p[b - r], eps) * coef) * scale;
         top = max_bits(top, c[b]);
     }
@@ -311,8 +310,7 @@ static int64_t courant_x_row(const double *restrict p, long from, long to, long 
  * into ghost, which only the block below stores.  Returns the max |C_x| of
  * the faces stored. */
 static double sweep(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
-                    double *restrict cx, const double *restrict cy, struct build c, struct rows w, int fill,
-                    struct block s)
+                    double *restrict cx, const double *restrict cy, struct build c, struct rows w, struct block s)
 {
     int64_t top = 0;
     for (long a = s.lo - 1; a < s.hi; a++) {
@@ -321,21 +319,19 @@ static double sweep(const double *restrict psi, double *restrict out, long ny, l
         if (c.built) {
             int own = b < s.hi || s.last;
             face = own ? face : w.ghost;
-            int64_t face_top =
-                courant_x_row(psi + b * r, 0, c.built, h, r, face, c.u, c.coef, c.scale, c.eps, top);
+            int64_t face_top = courant_x_row(psi + b * r, c.built, h, r, face, c.u, c.coef, c.scale, c.eps, top);
             top = own ? face_top : top;
         }
         x_fluxes(psi + b * r, n, h, r, face, w.x[b & 1]);
         if (a >= s.lo)
-            pass_row(psi, out, ny, n, h, r, cy, w.x[a & 1], w.x[b & 1], w.y, fill, a);
+            pass_row(psi, out, ny, n, h, r, cy, w.x[a & 1], w.x[b & 1], w.y, a);
     }
     return from_bits(top);
 }
 
-/* One donor-cell pass over every row and column, as march runs it, without
- * the halo fills: a sweep into a private buffer, whose real cells then
- * replace psi's.  Returns 0, or -1, with psi as it was, when its buffers
- * cannot be allocated. */
+/* One donor-cell pass over every row and column, as march runs it: a sweep
+ * into a private buffer, whose real cells then replace psi's.  Returns 0,
+ * or -1, with psi as it was, when its buffers cannot be allocated. */
 long upwind(double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
             const double *restrict cy)
 {
@@ -344,7 +340,7 @@ long upwind(double *restrict psi, long nx, long ny, long h, long r, const double
     if (done == 0) {
         /* cx is not written: no C_x is built */
         struct build none = {0};
-        sweep(psi, out, ny, ny, h, r, (double *)cx, cy, none, rows_of(rows, 0, r), 0, every_row(nx, h));
+        sweep(psi, out, ny, ny, h, r, (double *)cx, cy, none, rows_of(rows, 0, r), every_row(nx, h));
         copy_rows(out, psi, r, h, h + nx, h, h + ny);
     }
     free(rows);
@@ -442,8 +438,7 @@ static int64_t limited(const double *restrict c, double *restrict v, const doubl
  * gets the max |v_x| and max |v_y| of the faces stored. */
 static void limit_sweep(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
                         const double *restrict cx, const double *restrict cy, double *restrict vx,
-                        double *restrict vy, double eps, double *restrict top, struct rows w, int fill,
-                        struct block s)
+                        double *restrict vy, double eps, double *restrict top, struct rows w, struct block s)
 {
     int64_t top_x = 0, top_y = 0;
     ratio_row(psi, n, h, r, cx, cy, w.up[(s.lo - 1) & 1], w.dn[(s.lo - 1) & 1], eps, s.lo - 1);
@@ -463,7 +458,7 @@ static void limit_sweep(const double *restrict psi, double *restrict out, long n
         const double *up = w.up[a & 1], *dn = w.dn[a & 1];
         top_y = limited(cy + a * r, vy + a * r, up - 1, dn - 1, up, dn, h, h + n + 1, top_y);
         if (out)
-            pass_row(psi, out, ny, n, h, r, vy, w.x[a & 1], w.x[b & 1], w.y, fill, a);
+            pass_row(psi, out, ny, n, h, r, vy, w.x[a & 1], w.x[b & 1], w.y, a);
     }
     top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
@@ -478,19 +473,9 @@ long limit(const double *restrict psi, long nx, long ny, long h, long r, const d
     double *rows = alloc_rows(1, r);
     if (!rows)
         return -1;
-    limit_sweep(psi, NULL, ny, ny, h, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), 0, every_row(nx, h));
+    limit_sweep(psi, NULL, ny, ny, h, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), every_row(nx, h));
     free(rows);
     return 0;
-}
-
-/* C_x over the block's faces in the columns [from, to), returning their max |C_x| */
-static double courant_x_rows(const double *restrict psi, long from, long to, long h, long r, double *restrict cx,
-                             double u, double coef, double scale, double eps, struct block s)
-{
-    int64_t top = 0;
-    for (long a = s.lo; a < s.hi + s.last; a++)
-        top = courant_x_row(psi + a * r, from, to, h, r, cx + a * r, u, coef, scale, eps, top);
-    return from_bits(top);
 }
 
 /* x component of the physical Courant field (courant_x_row).  Returns max
@@ -498,7 +483,10 @@ static double courant_x_rows(const double *restrict psi, long from, long to, lon
 double courant_x(const double *restrict psi, long nx, long ny, long h, long r, double *restrict cx,
                  double u, double coef, double scale, double eps)
 {
-    return courant_x_rows(psi, 0, ny, h, r, cx, u, coef, scale, eps, every_row(nx, h));
+    int64_t top = 0;
+    for (long a = h; a <= h + nx; a++)
+        top = courant_x_row(psi + a * r, ny, h, r, cx + a * r, u, coef, scale, eps, top);
+    return from_bits(top);
 }
 
 /* Linear extrapolation outward from cells k and k - step (k the edge cell)
@@ -786,24 +774,20 @@ static void clear_above(const struct team *t, struct faces f, long live, struct 
  * limit's with f as the corrective field if limited.x is set, which writes
  * the limited field into limited.  The maxima of the field built go to top:
  * max |C_x| to top[0], or the limited field's two.  Then out's halos beside
- * the block's rows for the next pass (in the sweep, or a wrap of the torus
- * after it).  The call's last pass fills none: out starts as a copy of psi,
- * so it keeps psi's halos, as a pass in place would. */
+ * the block's rows: the sweep fills the y halos of each row it writes, and
+ * on the torus a wrap after it replaces them. */
 static void pass(const struct team *t, const double *psi, double *out, struct faces f, struct faces limited,
-                 long built, long live, int last, struct rows w, double *top, struct block s)
+                 long built, long live, struct rows w, double *top, struct block s)
 {
-    if (last)
-        copy_block(t, psi, out, s);
-    int fill = !last && !t->periodic;
     if (limited.x) {
-        limit_sweep(psi, out, t->ny, live, t->h, t->r, f.x, f.y, limited.x, limited.y, t->eps, top, w, fill, s);
+        limit_sweep(psi, out, t->ny, live, t->h, t->r, f.x, f.y, limited.x, limited.y, t->eps, top, w, s);
     } else {
         struct build c = {t->u, t->coef, t->scale, t->eps, built};
-        double c_top = sweep(psi, out, t->ny, live, t->h, t->r, f.x, f.y, c, w, fill, s);
+        double c_top = sweep(psi, out, t->ny, live, t->h, t->r, f.x, f.y, c, w, s);
         if (built)
             top[0] = c_top;
     }
-    if (!last && t->periodic)
+    if (t->periodic)
         fill_psi_rows(t, out, s);
 }
 
@@ -837,7 +821,6 @@ static long run(struct team *t, long id, double *out)
     if (t->n_steps == 0)
         return 0;
     double c_top[2], top[2]; /* this block's max |C_x| and max |C_y| of c; every block's */
-    double past = 0.0;       /* the block's max |C_x| past step 0's build (rebuild) */
     fill_y(t, c.y, s);
     c_top[1] = max_rows(c.y, ny + 1, h, r, s.lo, s.hi);
     if (!t->rebuild) {
@@ -847,19 +830,14 @@ static long run(struct team *t, long id, double *out)
     fill_psi_rows(t, psi, s);
     long n = 0;
     for (; n < t->n_steps; n++) {
-        int last_step = n == t->n_steps - 1;
         fill_psi_edges(t, psi, s);
-        /* C_x, if rebuilt, over the band and the column that antidiffusive's
-         * y faces read after it, built in the upwind pass's sweep */
-        long built = !t->rebuild ? 0 : live < ny ? live + 1 : ny;
-        if (built && n == 0)
-            past = courant_x_rows(psi, built, ny, h, r, c.x, t->u, t->coef, t->scale, t->eps, s);
-        pass(t, psi, spare, c, none, built, live, last_step && n_iters == 1, w, c_top, s);
-        if (built) {
-            if (built < ny)
-                c_top[0] = from_bits(max_bits(max_bits(0, c_top[0]), past));
+        /* C_x, if rebuilt, built in the upwind pass's sweep: on every column
+         * at step 0, then over the band and the column that antidiffusive's
+         * y faces read after it */
+        long built = !t->rebuild ? 0 : n > 0 && live < ny ? live + 1 : ny;
+        pass(t, psi, spare, c, none, built, live, w, c_top, s);
+        if (built)
             fill_x(t, c.x, s);
-        }
         long band = gather(t, id, &sense, c_top, n_iters == 1 ? band_of(t, spare, live, s) : live, top);
         out[2] = 0.0;
         if (!courant_ok(top, t->courant_max, out) || !t->diffusion_ok)
@@ -867,7 +845,6 @@ static long run(struct team *t, long id, double *out)
         swap = psi, psi = spare, spare = swap;
         struct faces current = c;
         for (long k = 1; k < n_iters; k++) {
-            int last_pass = k == n_iters - 1;
             fill_psi_edges(t, psi, s);
             /* a kernel never writes the slot it reads */
             struct faces next = current.x == t->a.x ? t->b : t->a;
@@ -876,12 +853,12 @@ static long run(struct team *t, long id, double *out)
             fill_vector(t, next, s);
             barrier(t, &sense);
             struct faces limited = !t->nonoscillatory ? none : next.x == t->a.x ? t->b : t->a;
-            pass(t, psi, spare, next, limited, 0, live, last_step && last_pass, w, v_top, s);
+            pass(t, psi, spare, next, limited, 0, live, w, v_top, s);
             if (t->nonoscillatory) {
                 fill_vector(t, limited, s);
                 next = limited;
             }
-            band = gather(t, id, &sense, v_top, last_pass ? band_of(t, spare, live, s) : live, top);
+            band = gather(t, id, &sense, v_top, k == n_iters - 1 ? band_of(t, spare, live, s) : live, top);
             out[2] = 1.0;
             if (!courant_ok(top, t->courant_max, out))
                 goto stop;
@@ -891,6 +868,7 @@ static long run(struct team *t, long id, double *out)
         live = band;
     }
 stop:
+    fill_psi_edges(t, psi, s);
     if (psi != t->psi)
         copy_block(t, psi, t->psi, s);
     return n;
@@ -916,7 +894,8 @@ static void *join_team(void *arg)
  * corrective passes on a refilled psi, each antidiffusive field (FCT-limited
  * if nonoscillatory) checked before psi takes its pass.  A failed check of
  * c, or diffusion_ok 0, stops the march with psi as the step found it; of a
- * corrective field, as the pass before left it.  Returns the stopping step's
+ * corrective field, as the pass before left it; either way, and at the end,
+ * with psi's halos filled from its real cells.  Returns the stopping step's
  * index, or n_steps, or -1, before any step, when the row buffers of the
  * sweeps cannot be allocated; out gets the failing field's max |C_x|, max
  * |C_y| and 1.0 if corrective, 0.0 if not.  The passes, and the rebuilds of

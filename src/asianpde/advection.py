@@ -157,10 +157,10 @@ class StepWorkspace:
         of +0.0 that the step cannot reach (a put's A >= K), a band each C
         call finds and grows (``_step.c``), and so does the C_x build after
         each call's first step, past the band's next column; the fills cover
-        every column, the maxima are those of every face, and psi and C get
-        the same bytes.
-        Each pass writes psi's second buffer (the stack's last slot), which
-        becomes psi once the pass's field passes its check.  Each C call
+        every column, a check stops where one of every face would, and psi
+        and C get the same bytes.  Each pass writes, and fills the halos of,
+        psi's second buffer (the stack's last slot), which becomes psi once
+        the pass's field passes its check: the march leaves psi filled.  Each C call
         runs on up to ``threads`` threads, each over its own block of x rows
         (at most one thread a row, and one when ``periodic``), with one
         barrier per upwind step and 3 per 2-iteration step with the limiter;
@@ -261,8 +261,8 @@ def mpdata_step(psi: ScalarField, courant: VectorField, opts: SolverOptions) -> 
     the production extrapolation / constant-extension fills and refilled
     before every corrective pass, and every Courant field is checked against
     |C| <= 1 by :meth:`StepWorkspace.march`, so a failing physical field
-    raises at step 0.  With ``n_iters=1`` the result is bit-identical to
-    :func:`upwind_step` on a filled field.
+    raises at step 0.  The result's halos are filled; with ``n_iters=1`` its
+    real cells are bit-identical to :func:`upwind_step`'s on a filled field.
     """
     ws = StepWorkspace.holding(psi, courant)
     ws.march(1, opts)

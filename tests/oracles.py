@@ -274,7 +274,8 @@ def full_width_step(
     ones: UPWIND, then per corrective pass the refilled psi's antidiffusive
     field and, if nonoscillatory, its limited copy, each with filled halos.
     Each UPWIND raises :class:`StabilityError` on a field over |C| = 1.
-    Returns psi and the corrective fields in the order the step writes them."""
+    Returns psi, its halos filled as the march leaves them, and the
+    corrective fields in the order the step writes them."""
     out, written, current = upwind_step(psi, courant), [], courant
     for _ in range(opts.n_iters - 1):
         fill_halos_scalar(out)
@@ -283,7 +284,7 @@ def full_width_step(
             written.append(fill_halos_vector(nonoscillatory_limit(out, written[-1])))
         current = written[-1]
         out = upwind_step(out, current)
-    return out, written
+    return fill_halos_scalar(out), written
 
 
 def full_width_integrate(

@@ -90,10 +90,22 @@ class TestPriceCommand:
             # prints 498.38, above the European bound of 14.16
             ["price", "--strike", "124.395", "--spot", "122.976", "--rate", "0.127", "--sigma", "0.319",
              "--maturity-months", "6", "--nx", "29", "--ny", "36", "--dt", "0.01"],
+            # prints 326.69, above the put's bound K e^{-rT} of 95.1
+            ["price", "--kind", "put", "--strike", "97.16803563585394", "--spot", "100", "--rate",
+             "0.07401153030786058", "--sigma", "0.39300412884280655", "--maturity-months", "3.5019589295072935",
+             "--nx", "34", "--ny", "40", "--dt", "0.005018611335938866", "--iters", "3", "--no-nonosc"],
         ],
     )
     def test_outflow_sum_above_one_refused(self, runner, args):
         assert runner.invoke(main, args).exit_code == 3
+
+    # ROADMAP item 9: with the strike in the top A cell this prints 0 with
+    # exit 0, against a geometric call of 4.38 (--amax 101 prints 3.59)
+    @pytest.mark.xfail(strict=True, reason="nothing bounds the strike away from the upper A edge")
+    def test_strike_in_the_top_a_cell_refused(self, runner):
+        result = runner.invoke(main, ["price", "--amax", "100.0000001"])
+        assert result.exit_code == 2
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
     @pytest.mark.parametrize(
         "args, message",

@@ -20,6 +20,7 @@ import pytest
 
 from asianpde import _step, advection
 from asianpde.advection import SolverOptions, StepWorkspace
+from asianpde.errors import StabilityError
 from asianpde.pricing import (
     KINDS,
     InstrumentSpec,
@@ -253,8 +254,8 @@ def test_averages_work_rows_match_the_c_lanes():
 
 
 def test_one_route_to_c():
-    # every array reaches C through the record _step.dims makes, the
-    # workspace's scratch rows included
+    # every array reaches C through the record _step.dims makes, psi's
+    # second buffer in the workspace included
     found = []
     for path in sorted(Path(_step.__file__).parent.glob("*.py")):
         source = path.read_text()
@@ -263,8 +264,8 @@ def test_one_route_to_c():
             if isinstance(node, ast.FunctionDef):
                 for number in range(node.lineno, node.end_lineno + 1):
                     if "ctypes.data" in lines[number - 1]:
-                        found.append((path.name, node.name, "scratch" in lines[number - 1]))
-    assert sorted(found) == [("_step.py", "dims", False)]
+                        found.append((path.name, node.name))
+    assert sorted(found) == [("_step.py", "dims")]
 
 
 def _calls(node: ast.AST, scope: tuple = ()):
@@ -364,9 +365,10 @@ def _last_live_column(ws: StepWorkspace) -> int:
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_band_limited_courant_x_keeps_every_byte(monkeypatch, threads):
     # After step 0 of a call the march rebuilds a put's C_x only on the band
-    # and the column after it, and keeps step 0's max |C_x| of the faces past
-    # it.  A march in one C call must leave psi, C and both corrective slots
-    # as one-step calls do, each of which builds every column at its step 0.
+    # and the column after it, and checks the band's max |C_x| alone: the
+    # faces past it keep the bits that step 0 wrote and checked.  A march in
+    # one C call must leave psi, C and both corrective slots as one-step
+    # calls do, each of which builds every column at its step 0.
     nx, ny, dt = 24, 20, 0.01
     spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
     inst = InstrumentSpec("put", 100.0, 0.5, 0.3, 0.1, 100.0)
@@ -382,7 +384,7 @@ def test_band_limited_courant_x_keeps_every_byte(monkeypatch, threads):
         return ws.fields[:7].tobytes()
 
     # the front climbs from column 9 to the top: the band reaches full width
-    # during the call, and the kept max stops applying
+    # during the call, and the build covers every column again
     start = terminal_condition(inst, spec)
     ws = StepWorkspace.holding(start)
     assert _last_live_column(ws) == 9
@@ -395,7 +397,41 @@ def test_band_limited_courant_x_keeps_every_byte(monkeypatch, threads):
     for other in fresh:
         other.psi.interior[...] = ws.psi.interior
     assert marched(ws, 4) == marched(fresh[0], 4) == marched(fresh[1], 4, per_call=1)
-    assert _last_live_column(ws) == 7  # short of the top: every step took the kept max
+    assert _last_live_column(ws) == 7  # short of the top: every later step built the band alone
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_band_limited_courant_x_stops_as_one_step_calls(monkeypatch, threads):
+    # After step 0 of a call a put's march checks the max |C_x| of its band
+    # alone: the faces past it keep step 0's bits, which passed step 0's
+    # check.  Here max |C_x| is 0.00554 in every column at step 0, and the
+    # band's grows to 0.006826 at step 19 and 0.006892 at step 20, while the
+    # front stays at column 9.  With the limit between, a march in one C call must
+    # stop where one-step calls, each of which builds and checks every face,
+    # stop, with the same error, and leave psi as they do.
+    nx, ny, dt = 24, 20, 0.004
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
+    inst = InstrumentSpec("put", 100.0, 2.0, 0.6, 0.1, 100.0)
+    tr = make_transform(inst)
+    monkeypatch.setattr(advection, "_COURANT_LIMIT", 0.00686)
+
+    def stopped(per_call: int | None = None) -> tuple:
+        if per_call is not None:
+            monkeypatch.setattr(advection, "MARCH_CALL_CELL_STEPS", nx * ny * per_call)
+        ws = StepWorkspace.holding(terminal_condition(inst, spec))
+        _write_courant_y(ws, tr, spec, -dt)
+        ws.courant.comp_y[...] *= 0.1  # C_y below the limit
+        with pytest.raises(StabilityError) as caught:
+            ws.march(
+                round(inst.maturity / dt), SolverOptions(2, True), _courant_x_terms(tr, spec, -dt), threads=threads
+            )
+        error = caught.value
+        report = (error.report.max_abs_courant_x, error.report.max_abs_courant_y)
+        return ws.steps, _last_live_column(ws), str(error), error.step_index, report, ws.psi.values.tobytes()
+
+    one_call = stopped()
+    assert one_call[:2] == (20, 9) and one_call[3] == 20
+    assert one_call == stopped(per_call=1)
 
 
 # A program that runs march on 13 x 12 cells for each (kind, n_iters,
