@@ -101,25 +101,28 @@
  * its last row; only the block that owns an element stores it.  So a
  * 2-iteration step with the limiter has 3 barriers and an upwind step 1.
  * Each thread fills the halos beside its rows right after it writes them,
- * psi's in the sweep.  The first and last blocks fill the halo rows above and
- * below, psi's at the start of the next phase and once after the march's last
- * gather, since they read two real rows that another block may hold: the
- * march leaves psi with its halos filled.  At each gather every thread leaves
- * the maxima and the band of its rows and combines those of all, the maxima
- * as integers, so every thread takes the same stop decision.  Two sets of
- * slots alternate with the barrier's sense, since a thread can leave one
- * gather for the next while another still reads the first.  A march that ends
- * with the field in the second buffer copies it back, each thread its own
- * rows.  Every element gets the same operations from exactly one thread, and
- * the maxima are the integer max of the same elements, so every byte is that
- * of one thread, which runs the same code as one block with no pthread.  A
- * barrier spins a bounded number of pauses and then yields its core at each
- * spin: on a machine with more runnable threads than cores, a pure spin keeps
- * the core from the thread it waits for (two concurrent upwind valuations at
- * 204x242 took 5.1 s that way, against 0.5 s with the yield).  The periodic
- * march runs on one thread, since wrap copies across the whole torus.
- * Signals are blocked in the helper threads, so that a Ctrl-C lands on the
- * caller and Python sees it between calls.
+ * psi's y halos in the sweep and, once at the start of a call, those of
+ * psi's rows; the first and last blocks fill the faces' halo rows above and
+ * below.  psi's edge rows, and on the torus every halo, are filled before
+ * each pass and at the stop (fill_psi_edges): the first and last blocks
+ * extrapolate the edge rows, which read two real rows that another block may
+ * hold, and the periodic march wraps psi.  So the march leaves psi with its
+ * halos filled.  At each gather every thread leaves the maxima and the band
+ * of its rows and combines those of all, the maxima as integers, so every
+ * thread takes the same stop decision.  Two sets of slots alternate with the
+ * barrier's sense, since a thread can leave one gather for the next while
+ * another still reads the first.  A march that ends with the field in the
+ * second buffer copies it back, each thread its own rows.  Every element gets
+ * the same operations from exactly one thread, and the maxima are the integer
+ * max of the same elements, so every byte is that of one thread, which runs
+ * the same code as one block with no pthread, its barriers passing at once.
+ * A barrier spins a bounded number of pauses and then yields its core at
+ * each spin: on a machine with more runnable threads than cores, a pure spin
+ * keeps the core from the thread it waits for (two concurrent upwind
+ * valuations at 204x242 took 5.1 s that way, against 0.5 s with the yield).
+ * The periodic march runs on one thread, since wrap copies across the whole
+ * torus.  Signals are blocked in the helper threads, so that a Ctrl-C lands
+ * on the caller and Python sees it between calls.
  *
  * The normals.  Each path draws from its own Philox4x64-10 stream, stepped
  * here as numpy steps it, through numpy's ziggurat.  About 98.5% of draws
@@ -307,26 +310,29 @@ static int64_t courant_x_row(const double *restrict p, long n, long h, long r, d
  * on, its C_x built into cx if c.built is set, its x fluxes, then the cell
  * row above it (pass_row).  No row of psi changes, so the block computes the
  * fluxes of its first face row itself, and it builds C_x below its last row
- * into ghost, which only the block below stores.  Returns the max |C_x| of
- * the faces stored. */
-static double sweep(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
-                    double *restrict cx, const double *restrict cy, struct build c, struct rows w, struct block s)
+ * into ghost, which only the block below stores.  When it builds C_x, top[0]
+ * gets the max |C_x| of the faces stored. */
+static void sweep(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
+                  double *restrict cx, const double *restrict cy, struct build c, double *restrict top,
+                  struct rows w, struct block s)
 {
-    int64_t top = 0;
+    int64_t top_x = 0;
     for (long a = s.lo - 1; a < s.hi; a++) {
         long b = a + 1; /* the face row below row a */
         double *face = cx + b * r;
         if (c.built) {
             int own = b < s.hi || s.last;
             face = own ? face : w.ghost;
-            int64_t face_top = courant_x_row(psi + b * r, c.built, h, r, face, c.u, c.coef, c.scale, c.eps, top);
-            top = own ? face_top : top;
+            int64_t face_top =
+                courant_x_row(psi + b * r, c.built, h, r, face, c.u, c.coef, c.scale, c.eps, top_x);
+            top_x = own ? face_top : top_x;
         }
         x_fluxes(psi + b * r, n, h, r, face, w.x[b & 1]);
         if (a >= s.lo)
             pass_row(psi, out, ny, n, h, r, cy, w.x[a & 1], w.x[b & 1], w.y, a);
     }
-    return from_bits(top);
+    if (c.built)
+        top[0] = from_bits(top_x);
 }
 
 /* One donor-cell pass over every row and column, as march runs it: a sweep
@@ -338,9 +344,9 @@ long upwind(double *restrict psi, long nx, long ny, long h, long r, const double
     double *rows = alloc_rows(1, r), *out = malloc((size_t)((nx + 2 * h) * r) * sizeof *out);
     long done = rows && out ? 0 : -1;
     if (done == 0) {
-        /* cx is not written: no C_x is built */
+        /* cx and top are not written: no C_x is built */
         struct build none = {0};
-        sweep(psi, out, ny, ny, h, r, (double *)cx, cy, none, rows_of(rows, 0, r), every_row(nx, h));
+        sweep(psi, out, ny, ny, h, r, (double *)cx, cy, none, NULL, rows_of(rows, 0, r), every_row(nx, h));
         copy_rows(out, psi, r, h, h + nx, h, h + ny);
     }
     free(rows);
@@ -596,12 +602,13 @@ void wrap(double *v, long n0, long n1, long h, long r, long p0, long p1)
     }
 }
 
-/* Copies a field's max |C_x| and max |C_y| from top to out[0] and out[1];
- * true when both are at most courant_max.  A NaN maximum compares false and
- * fails. */
-static int courant_ok(const double *top, double courant_max, double *out)
+/* Copies a field's max |C_x| and max |C_y| from top to out[0] and out[1],
+ * and corrective, 1.0 for a corrective field and 0.0 for the physical one,
+ * to out[2]; true when both maxima are at most courant_max.  A NaN maximum
+ * compares false and fails. */
+static int courant_ok(const double *top, double courant_max, double corrective, double *out)
 {
-    out[0] = top[0], out[1] = top[1];
+    out[0] = top[0], out[1] = top[1], out[2] = corrective;
     return out[0] <= courant_max && out[1] <= courant_max;
 }
 
@@ -672,11 +679,10 @@ static void relax(long *spins)
 }
 
 /* The team's barrier: every write a thread made before it is seen by every
- * thread after it.  sense is the caller's own, flipped at each barrier. */
+ * thread after it.  sense is the caller's own, flipped at each barrier.  A
+ * team of one passes at once. */
 static void barrier(struct team *t, int *sense)
 {
-    if (t->size == 1)
-        return;
     *sense = !*sense;
     if (atomic_fetch_add_explicit(&t->arrived, 1, memory_order_acq_rel) == t->size - 1) {
         atomic_store_explicit(&t->arrived, 0, memory_order_relaxed);
@@ -709,21 +715,14 @@ static long gather(struct team *t, long id, int *sense, const double *top, long 
     return band;
 }
 
-/* The halos of the psi buffer v beside the block's real rows: the whole
- * torus in a periodic march, which has one block, or the y halos of those
- * rows */
-static void fill_psi_rows(const struct team *t, double *v, struct block s)
+/* psi's boundary fill of the psi buffer v, whose real rows have their y
+ * halos: the halo rows that the block takes, or in a periodic march, which
+ * has one block, the wrap of every halo */
+static void fill_psi_edges(const struct team *t, double *v, struct block s)
 {
     if (t->periodic)
         wrap(v, t->nx, t->ny, t->h, t->r, t->nx, t->ny);
     else
-        fill_scalar_rows(v, t->ny, t->h, t->r, s.lo, s.hi);
-}
-
-/* the halo rows of the psi buffer v that the block takes (none on the torus) */
-static void fill_psi_edges(const struct team *t, double *v, struct block s)
-{
-    if (!t->periodic)
         fill_scalar_edges(v, t->nx, t->ny, t->h, t->r, s);
 }
 
@@ -769,28 +768,6 @@ static void clear_above(const struct team *t, struct faces f, long live, struct 
         memset(f.y + a * t->r + t->h + live + 1, 0, width);
 }
 
-/* One pass of the block over the band from psi into out, with the field f:
- * the sweep, building C_x into f.x over [0, built) if built is set, or
- * limit's with f as the corrective field if limited.x is set, which writes
- * the limited field into limited.  The maxima of the field built go to top:
- * max |C_x| to top[0], or the limited field's two.  Then out's halos beside
- * the block's rows: the sweep fills the y halos of each row it writes, and
- * on the torus a wrap after it replaces them. */
-static void pass(const struct team *t, const double *psi, double *out, struct faces f, struct faces limited,
-                 long built, long live, struct rows w, double *top, struct block s)
-{
-    if (limited.x) {
-        limit_sweep(psi, out, t->ny, live, t->h, t->r, f.x, f.y, limited.x, limited.y, t->eps, top, w, s);
-    } else {
-        struct build c = {t->u, t->coef, t->scale, t->eps, built};
-        double c_top = sweep(psi, out, t->ny, live, t->h, t->r, f.x, f.y, c, w, s);
-        if (built)
-            top[0] = c_top;
-    }
-    if (t->periodic)
-        fill_psi_rows(t, out, s);
-}
-
 /* The band of the next step from the block's rows of out, the output of a
  * step's last pass: live, widened if a margin column is live there */
 static long band_of(const struct team *t, const double *out, long live, struct block s)
@@ -808,7 +785,7 @@ static long run(struct team *t, long id, double *out)
 {
     long nx = t->nx, ny = t->ny, h = t->h, r = t->r, n_iters = t->n_iters;
     struct block s = {h + nx * id / t->size, h + nx * (id + 1) / t->size, id == 0, id == t->size - 1};
-    struct faces c = t->c, none = {NULL, NULL};
+    struct faces c = t->c;
     struct rows w = rows_of(t->rows, id, r);
     int sense = 0;
     double *psi = t->psi, *spare = t->spare, *swap;
@@ -818,8 +795,6 @@ static long run(struct team *t, long id, double *out)
         clear_above(t, t->b, live, s);
         copy_block(t, psi, spare, s); /* +0.0 above the band in both buffers */
     }
-    if (t->n_steps == 0)
-        return 0;
     double c_top[2], top[2]; /* this block's max |C_x| and max |C_y| of c; every block's */
     fill_y(t, c.y, s);
     c_top[1] = max_rows(c.y, ny + 1, h, r, s.lo, s.hi);
@@ -827,20 +802,21 @@ static long run(struct team *t, long id, double *out)
         fill_x(t, c.x, s);
         c_top[0] = max_rows(c.x, ny, h, r, s.lo, s.hi + s.last);
     }
-    fill_psi_rows(t, psi, s);
+    /* the y halos of psi's rows; each pass fills those of the rows it writes */
+    fill_scalar_rows(psi, ny, h, r, s.lo, s.hi);
+    struct build terms = {t->u, t->coef, t->scale, t->eps, 0}, none = {0};
     long n = 0;
     for (; n < t->n_steps; n++) {
         fill_psi_edges(t, psi, s);
         /* C_x, if rebuilt, built in the upwind pass's sweep: on every column
          * at step 0, then over the band and the column that antidiffusive's
          * y faces read after it */
-        long built = !t->rebuild ? 0 : n > 0 && live < ny ? live + 1 : ny;
-        pass(t, psi, spare, c, none, built, live, w, c_top, s);
-        if (built)
+        terms.built = !t->rebuild ? 0 : n > 0 && live < ny ? live + 1 : ny;
+        sweep(psi, spare, ny, live, h, r, c.x, c.y, terms, c_top, w, s);
+        if (terms.built)
             fill_x(t, c.x, s);
         long band = gather(t, id, &sense, c_top, n_iters == 1 ? band_of(t, spare, live, s) : live, top);
-        out[2] = 0.0;
-        if (!courant_ok(top, t->courant_max, out) || !t->diffusion_ok)
+        if (!courant_ok(top, t->courant_max, 0.0, out) || !t->diffusion_ok)
             goto stop;
         swap = psi, psi = spare, spare = swap;
         struct faces current = c;
@@ -852,15 +828,17 @@ static long run(struct team *t, long id, double *out)
             antidiffusive_rows(psi, live, h, r, current.x, current.y, next.x, next.y, t->eps, v_top, s);
             fill_vector(t, next, s);
             barrier(t, &sense);
-            struct faces limited = !t->nonoscillatory ? none : next.x == t->a.x ? t->b : t->a;
-            pass(t, psi, spare, next, limited, 0, live, w, v_top, s);
             if (t->nonoscillatory) {
+                struct faces limited = next.x == t->a.x ? t->b : t->a;
+                limit_sweep(
+                    psi, spare, ny, live, h, r, next.x, next.y, limited.x, limited.y, t->eps, v_top, w, s);
                 fill_vector(t, limited, s);
                 next = limited;
+            } else {
+                sweep(psi, spare, ny, live, h, r, next.x, next.y, none, NULL, w, s);
             }
             band = gather(t, id, &sense, v_top, k == n_iters - 1 ? band_of(t, spare, live, s) : live, top);
-            out[2] = 1.0;
-            if (!courant_ok(top, t->courant_max, out))
+            if (!courant_ok(top, t->courant_max, 1.0, out))
                 goto stop;
             swap = psi, psi = spare, spare = swap;
             current = next;
@@ -904,14 +882,14 @@ static void *join_team(void *arg)
  * others are filled and scanned once per call, and each field that march
  * writes is scanned by the kernel that writes it.  The march runs on up to
  * threads threads (at most nx and TEAM_MAX), each over its own block of rows
- * (see the header); a periodic march, or one of no steps, on one, and on as
- * many as start when pthread_create fails. */
+ * (see the header); a periodic march on one, and on as many as start when
+ * pthread_create fails. */
 long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
            double *ay, double *bx, double *by, double *spare, long n_steps, long n_iters,
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
            double coef, double scale, double courant_max, double eps, double *out)
 {
-    long size = periodic || n_steps == 0 || threads < 1 ? 1 : threads < nx ? threads : nx;
+    long size = periodic || threads < 1 ? 1 : threads < nx ? threads : nx;
     size = size < TEAM_MAX ? size : TEAM_MAX;
     struct team t = {
         psi, spare, nx, ny, h, r, {cx, cy}, {ax, ay}, {bx, by}, alloc_rows(size, r), n_steps, n_iters,

@@ -19,9 +19,10 @@ from asianpde.advection import (
     nonoscillatory_limit,
     upwind_step,
 )
-from asianpde import advection
+from asianpde import _step, advection
 from asianpde.advection import StepWorkspace
 from asianpde.benchmarks import gaussian_field, unit_square
+from asianpde.errors import StabilityError
 from asianpde.grid import ScalarField, fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
     InstrumentSpec,
@@ -165,33 +166,73 @@ def test_band_grows_with_the_front(n_iters, nonosc):
     assert fronts[-1] == spec.ny - 1
 
 
+def _march_case(kind):
+    """``(start, courant, courant_x, periodic, refill)`` of a call's or a put's
+    first step, or of a translation on the torus, with ``refill`` psi's own
+    boundary fill."""
+    if kind == "periodic":
+        spec = unit_square(16)
+        start = reference_periodic_fill_scalar(gaussian_field(spec))
+        courant = reference_periodic_fill_vector(wrap_courant(random_courant(spec, np.random.default_rng(5))))
+        return start, courant, None, True, reference_periodic_fill_scalar
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
+    inst = InstrumentSpec(kind, 100.0, 0.5, 0.3, 0.1, 100.0)
+    tr, start = make_transform(inst), terminal_condition(inst, spec)
+    courant = fill_halos_vector(build_courant(fill_halos_scalar(start.copy()), tr, spec, -0.01))
+    return start, courant, _courant_x_terms(tr, spec, -0.01), False, fill_halos_scalar
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("n_steps", [3, 4])
 @pytest.mark.parametrize("kind", ["call", "put", "periodic"])
 def test_a_finished_march_leaves_psi_halos_filled(kind, n_steps, threads):
-    """Every pass fills the halos of what it writes, the march's last pass
-    too, so a finished march leaves psi equal to its own refill: the
-    production fill, or the wrap of the torus in a periodic march (which
-    runs on one thread).  1 and 3 iterations over 3 and 4 steps give an odd
-    and an even number of passes, so the field ends in either buffer."""
-    periodic = kind == "periodic"
-    if periodic:
-        spec = unit_square(16)
-        start = reference_periodic_fill_scalar(gaussian_field(spec))
-        courant = reference_periodic_fill_vector(wrap_courant(random_courant(spec, np.random.default_rng(5))))
-        refill, courant_x = reference_periodic_fill_scalar, None
-    else:
-        spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
-        inst = InstrumentSpec(kind, 100.0, 0.5, 0.3, 0.1, 100.0)
-        tr, start = make_transform(inst), terminal_condition(inst, spec)
-        courant = fill_halos_vector(build_courant(fill_halos_scalar(start.copy()), tr, spec, -0.01))
-        refill, courant_x = fill_halos_scalar, _courant_x_terms(tr, spec, -0.01)
+    """Each pass fills the y halos of the rows it writes, and psi's boundary
+    fill (the edge rows, or on the torus the wrap of every halo) runs before
+    each pass and at the end, so a finished march leaves psi equal to its own
+    refill: the production fill, or the wrap of the torus in a periodic march
+    (which runs on one thread).  1 and 3 iterations over 3 and 4 steps give
+    an odd and an even number of passes, so the field ends in either buffer."""
+    start, courant, courant_x, periodic, refill = _march_case(kind)
     for n_iters in (1, 3):
         for nonosc in (True, False):
             ws = StepWorkspace.holding(start, courant)
             ws.march(n_steps, SolverOptions(n_iters, nonosc), courant_x, periodic=periodic, threads=threads)
             assert ws.steps == n_steps
             assert ws.psi.values.tobytes() == refill(ws.psi.copy()).values.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["call", "put", "periodic"])
+def test_a_march_stopped_at_step_0_leaves_psi_halos_filled(kind, threads):
+    """A C_y above 1 stops the march at step 0 with psi as the step found
+    it: its rows' y halos filled once per call and its boundary fill run
+    before the pass and at the stop, so psi equals its own refill there too,
+    on any split of the rows."""
+    start, courant, courant_x, periodic, refill = _march_case(kind)
+    courant.interior_y[3, 4] = 1.5  # a face that the torus does not wrap
+    courant = reference_periodic_fill_vector(courant) if periodic else fill_halos_vector(courant)
+    for n_iters in (1, 3):
+        ws = StepWorkspace.holding(start, courant)
+        with pytest.raises(StabilityError, match="max \\|C_y\\| = 1.5 > 1") as err:
+            ws.march(4, SolverOptions(n_iters), courant_x, periodic=periodic, threads=threads)
+        assert err.value.step_index == 0 and ws.steps == 0
+        assert ws.psi.values.tobytes() == refill(ws.psi.copy()).values.tobytes()
+        np.testing.assert_array_equal(ws.psi.interior, start.interior)
+
+
+@pytest.mark.parametrize("kind", ["call", "put", "periodic"])
+def test_a_march_of_no_steps_calls_no_kernel(monkeypatch, kind):
+    """StepWorkspace.march never calls C for 0 steps, so the C march has no
+    zero-step branch: the workspace keeps every byte and its step count."""
+    start, courant, courant_x, periodic, _ = _march_case(kind)
+    ws = StepWorkspace.holding(start, courant)
+    ws.march(2, SolverOptions(3), courant_x, periodic=periodic)  # a used workspace, with every slot written
+    fields, steps = ws.fields.tobytes(), ws.steps
+    marched = []
+    monkeypatch.setattr(_step.library(), "march", lambda *args: marched.append(None))
+    ws.march(0, SolverOptions(3), courant_x, periodic=periodic, threads=2)
+    assert marched == [] and ws.steps == steps == 2
+    assert ws.fields.tobytes() == fields
 
 
 @pytest.mark.parametrize("nonosc", [True, False])
