@@ -6,8 +6,11 @@
  *
  * Every field is a row-major array of rows of length r.  Cell or face (a, b)
  * sits at flat offset a * r + b, with neighbours at +-r (x) and +-1 (y).
- * With halo width h the real cells are a in [h, h + nx), b in [h, h + ny);
- * the real x faces run to a = h + nx and the real y faces to b = h + ny.
+ * The halo width is the constant HALO, which asianpde._step checks against
+ * its own when it loads the build: the real cells are a in [HALO, HALO +
+ * nx), b in [HALO, HALO + ny); the real x faces run to a = HALO + nx and the
+ * real y faces to b = HALO + ny.  A constant lets the compiler fold every
+ * halo offset and unroll the halo loops.
  * The stencil kernels write real elements only and read halos that the
  * caller has filled; the fill kernels after them write the halos, and the
  * scan reads real elements only.  The kernels that write a Courant field
@@ -83,7 +86,7 @@
  * runs on the calling thread and up to threads - 1 pthreads that it starts
  * for the call and joins before it returns.  Each thread owns one contiguous
  * block of x rows for every step of the call: its cells and the x and y faces
- * of its rows (the last block also x face row h + nx).  psi has a second
+ * of its rows (the last block also x face row HALO + nx).  psi has a second
  * buffer: every pass reads one and writes the other, so no thread writes a
  * row that another reads within a phase.  The gather that ends a pass checks
  * the field that the pass used, and swaps the buffers only if the check
@@ -103,13 +106,16 @@
  * Each thread fills the halos beside its rows right after it writes them,
  * psi's y halos in the sweep and, once at the start of a call, those of
  * psi's rows; the first and last blocks fill the faces' halo rows above and
- * below.  psi's edge rows, and on the torus every halo, are filled before
- * each pass and at the stop (fill_psi_edges): the first and last blocks
- * extrapolate the edge rows, which read two real rows that another block may
- * hold, and the periodic march wraps psi.  So the march leaves psi with its
- * halos filled.  At each gather every thread leaves the maxima and the band
- * of its rows and combines those of all, the maxima as integers, so every
- * thread takes the same stop decision.  Two sets of slots alternate with the
+ * below.  A rebuilt C_x is filled only when a corrective pass follows, since
+ * the antidiffusive field alone reads its halos: an upwind pass reads real
+ * faces only.  psi's edge rows, and on the torus every halo, are filled
+ * before each pass and when the march finishes (fill_psi_edges): the first
+ * and last blocks extrapolate the edge rows, which read two real rows that
+ * another block may hold, and the periodic march wraps psi.  So the march
+ * leaves psi with its halos filled: a stop leaves it as the failing pass
+ * found it, filled before that pass.  At each gather every thread leaves
+ * the maxima and the band of its rows and combines those of all, the maxima
+ * as integers, so every thread takes the same stop decision.  Two sets of slots alternate with the
  * barrier's sense, since a thread can leave one gather for the next while
  * another still reads the first.  A march that ends with the field in the
  * second buffer copies it back, each thread its own rows.  Every element gets
@@ -163,6 +169,11 @@
 #include "numpy/random/bitgen.h"
 #include "numpy/ufuncobject.h"
 
+/* the halo width: the corrective stencils and the FCT limiter read two cells deep */
+#define HALO 2
+/* HALO, exported for asianpde._step to check against its own at load */
+const long halo = HALO;
+
 /* numpy's maximum and minimum: a NaN in either operand gives NaN */
 static inline double max_nan(double a, double b) { return (a >= b || a != a) ? a : b; }
 static inline double min_nan(double a, double b) { return (a <= b || a != a) ? a : b; }
@@ -208,15 +219,15 @@ static inline double guarded_ratio(double num, double den, double eps)
 
 /* A block of rows: the cell rows [lo, hi) and the x and y faces of those
  * rows; the first block also takes the halo rows above, the last the x face
- * row h + nx and the halo rows below.  A kernel over a block writes nothing
- * outside it.  The exported kernels run over one block of every row. */
+ * row HALO + nx and the halo rows below.  A kernel over a block writes
+ * nothing outside it.  The exported kernels run over one block of every row. */
 struct block {
     long lo, hi, first, last;
 };
 
-static struct block every_row(long nx, long h) { return (struct block){h, h + nx, 1, 1}; }
+static struct block every_row(long nx) { return (struct block){HALO, HALO + nx, 1, 1}; }
 
-static void fill_scalar_rows(double *v, long ny, long h, long r, long lo, long hi);
+static void fill_scalar_rows(double *v, long ny, long r, long lo, long hi);
 
 /* The row buffers of one block's sweeps, each a row of the padded layout
  * read at the row's own offsets: the x fluxes of two face rows in turn and
@@ -251,38 +262,38 @@ static void copy_rows(const double *restrict src, double *restrict dst, long r, 
 
 /* The x fluxes max(C, 0) psi_donor + min(C, 0) psi_receiver of upwind on the
  * face row c between the cell rows p - r and p, columns [0, n), into f */
-static void x_fluxes(const double *restrict p, long n, long h, long r, const double *restrict c,
+static void x_fluxes(const double *restrict p, long n, long r, const double *restrict c,
                      double *restrict f)
 {
-    for (long b = h; b < h + n; b++)
+    for (long b = HALO; b < HALO + n; b++)
         f[b] = max_zero(c[b]) * p[b - r] + min_zero(c[b]) * p[b];
 }
 
 /* The y fluxes of the cell row p, faces [0, n], into f */
-static void y_fluxes(const double *restrict p, long n, long h, const double *restrict c, double *restrict f)
+static void y_fluxes(const double *restrict p, long n, const double *restrict c, double *restrict f)
 {
-    for (long b = h; b <= h + n; b++)
+    for (long b = HALO; b <= HALO + n; b++)
         f[b] = max_zero(c[b]) * p[b - 1] + min_zero(c[b]) * p[b];
 }
 
 /* q = p - ((below - above) + (fy[b + 1] - fy[b])), clipped at 0: the scheme
  * is sign-preserving, and the clip removes round-off undershoots */
-static void update_row(const double *restrict p, double *restrict q, long n, long h,
+static void update_row(const double *restrict p, double *restrict q, long n,
                        const double *restrict above, const double *restrict below, const double *restrict fy)
 {
-    for (long b = h; b < h + n; b++)
+    for (long b = HALO; b < HALO + n; b++)
         q[b] = clip_negative(p[b] - ((below[b] - above[b]) + (fy[b + 1] - fy[b])));
 }
 
 /* Row a of a donor-cell pass from psi into out, columns [0, n), given the x
  * fluxes of the face rows above and below it: its y fluxes with cy, its
  * update and its y halos (of every column) */
-static void pass_row(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
+static void pass_row(const double *restrict psi, double *restrict out, long ny, long n, long r,
                      const double *restrict cy, const double *above, const double *below, double *fy, long a)
 {
-    y_fluxes(psi + a * r, n, h, cy + a * r, fy);
-    update_row(psi + a * r, out + a * r, n, h, above, below, fy);
-    fill_scalar_rows(out, ny, h, r, a, a + 1);
+    y_fluxes(psi + a * r, n, cy + a * r, fy);
+    update_row(psi + a * r, out + a * r, n, above, below, fy);
+    fill_scalar_rows(out, ny, r, a, a + 1);
 }
 
 /* C_x = (u - coef A) scale, which march rebuilds over the columns [0,
@@ -292,27 +303,48 @@ struct build {
     long built;
 };
 
-/* C_x = (u - coef A) scale on the face row c between the cell rows p - r and
- * p, columns [0, n), with A the guarded ratio (p[b] - p[b - r]) / (p[b] +
- * p[b - r]) across the face.  Returns top with their max |C_x|. */
-static int64_t courant_x_row(const double *restrict p, long n, long h, long r, double *restrict c, double u,
-                             double coef, double scale, double eps, int64_t top)
+/* C_x = (u - coef A) scale of face b between the cells b - r and b of p,
+ * with A the guarded ratio (p[b] - p[b - r]) / (p[b] + p[b - r]) across it */
+static inline double courant_x_face(const double *restrict p, long b, long r, struct build k)
 {
-    for (long b = h; b < h + n; b++) {
-        c[b] = (u - guarded_ratio(p[b] - p[b - r], p[b] + p[b - r], eps) * coef) * scale;
+    return (k.u - guarded_ratio(p[b] - p[b - r], p[b] + p[b - r], k.eps) * k.coef) * k.scale;
+}
+
+/* C_x on the face row c between the cell rows p - r and p, columns [0, n).
+ * Returns top with their max |C_x|. */
+static int64_t courant_x_row(const double *restrict p, long n, long r, double *restrict c, struct build k,
+                             int64_t top)
+{
+    for (long b = HALO; b < HALO + n; b++) {
+        c[b] = courant_x_face(p, b, r, k);
         top = max_bits(top, c[b]);
     }
     return top;
 }
 
+/* courant_x_row over the columns [0, k.built) and, in the same loop, the x
+ * fluxes (x_fluxes) of its first n <= k.built faces into f.  Returns top
+ * with their max |C_x|. */
+static int64_t courant_x_fluxes(const double *restrict p, long n, long r, double *restrict c, double *restrict f,
+                                struct build k, int64_t top)
+{
+    for (long b = HALO; b < HALO + n; b++) {
+        c[b] = courant_x_face(p, b, r, k);
+        top = max_bits(top, c[b]);
+        f[b] = max_zero(c[b]) * p[b - r] + min_zero(c[b]) * p[b];
+    }
+    return courant_x_row(p + n, k.built - n, r, c + n, k, top);
+}
+
 /* One donor-cell pass from psi into out over the block's rows and the
  * columns [0, n), as one sweep: for each face row, from the block's first
- * on, its C_x built into cx if c.built is set, its x fluxes, then the cell
- * row above it (pass_row).  No row of psi changes, so the block computes the
- * fluxes of its first face row itself, and it builds C_x below its last row
- * into ghost, which only the block below stores.  When it builds C_x, top[0]
+ * on, its x fluxes, in one loop with its C_x built into cx if c.built is set
+ * (courant_x_fluxes), then the cell row above it (pass_row).  No row of psi
+ * changes, so the block computes the fluxes of its first face row itself,
+ * and it builds C_x below its last row into ghost, which only the block
+ * below stores.  When it builds C_x, top[0]
  * gets the max |C_x| of the faces stored. */
-static void sweep(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
+static void sweep(const double *restrict psi, double *restrict out, long ny, long n, long r,
                   double *restrict cx, const double *restrict cy, struct build c, double *restrict top,
                   struct rows w, struct block s)
 {
@@ -323,13 +355,13 @@ static void sweep(const double *restrict psi, double *restrict out, long ny, lon
         if (c.built) {
             int own = b < s.hi || s.last;
             face = own ? face : w.ghost;
-            int64_t face_top =
-                courant_x_row(psi + b * r, c.built, h, r, face, c.u, c.coef, c.scale, c.eps, top_x);
+            int64_t face_top = courant_x_fluxes(psi + b * r, n, r, face, w.x[b & 1], c, top_x);
             top_x = own ? face_top : top_x;
+        } else {
+            x_fluxes(psi + b * r, n, r, face, w.x[b & 1]);
         }
-        x_fluxes(psi + b * r, n, h, r, face, w.x[b & 1]);
         if (a >= s.lo)
-            pass_row(psi, out, ny, n, h, r, cy, w.x[a & 1], w.x[b & 1], w.y, a);
+            pass_row(psi, out, ny, n, r, cy, w.x[a & 1], w.x[b & 1], w.y, a);
     }
     if (c.built)
         top[0] = from_bits(top_x);
@@ -338,16 +370,16 @@ static void sweep(const double *restrict psi, double *restrict out, long ny, lon
 /* One donor-cell pass over every row and column, as march runs it: a sweep
  * into a private buffer, whose real cells then replace psi's.  Returns 0,
  * or -1, with psi as it was, when its buffers cannot be allocated. */
-long upwind(double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
+long upwind(double *restrict psi, long nx, long ny, long r, const double *restrict cx,
             const double *restrict cy)
 {
-    double *rows = alloc_rows(1, r), *out = malloc((size_t)((nx + 2 * h) * r) * sizeof *out);
+    double *rows = alloc_rows(1, r), *out = malloc((size_t)((nx + 2 * HALO) * r) * sizeof *out);
     long done = rows && out ? 0 : -1;
     if (done == 0) {
         /* cx and top are not written: no C_x is built */
         struct build none = {0};
-        sweep(psi, out, ny, ny, h, r, (double *)cx, cy, none, NULL, rows_of(rows, 0, r), every_row(nx, h));
-        copy_rows(out, psi, r, h, h + nx, h, h + ny);
+        sweep(psi, out, ny, ny, r, (double *)cx, cy, none, NULL, rows_of(rows, 0, r), every_row(nx));
+        copy_rows(out, psi, r, HALO, HALO + nx, HALO, HALO + ny);
     }
     free(rows);
     free(out);
@@ -367,21 +399,21 @@ static inline double antidiffusive_face(const double *restrict psi, double c, do
     return (1.0 - abs_c) * abs_c * ratio_a - cbar_sum * 0.25 * c * ratio_b;
 }
 
-static void antidiffusive_rows(const double *restrict psi, long ny, long h, long r, const double *restrict cx,
+static void antidiffusive_rows(const double *restrict psi, long ny, long r, const double *restrict cx,
                                const double *restrict cy, double *restrict vx, double *restrict vy, double eps,
                                double *restrict top, struct block s)
 {
     int64_t top_x = 0, top_y = 0;
     /* x face: the y faces of cells k - r and k, bottom then top */
     for (long a = s.lo; a < s.hi + s.last; a++)
-        for (long k = a * r + h; k < a * r + h + ny; k++) {
+        for (long k = a * r + HALO; k < a * r + HALO + ny; k++) {
             vx[k] = antidiffusive_face(
                 psi, cx[k], ((cy[k - r] + cy[k]) + cy[k - r + 1]) + cy[k + 1], k, r, 1, eps);
             top_x = max_bits(top_x, vx[k]);
         }
     /* y face: the x faces of cells k - 1 and k, left then right */
     for (long a = s.lo; a < s.hi; a++)
-        for (long k = a * r + h; k <= a * r + h + ny; k++) {
+        for (long k = a * r + HALO; k <= a * r + HALO + ny; k++) {
             vy[k] = antidiffusive_face(
                 psi, cy[k], ((cx[k - 1] + cx[k + r - 1]) + cx[k]) + cx[k + r], k, 1, r, eps);
             top_y = max_bits(top_y, vy[k]);
@@ -391,20 +423,20 @@ static void antidiffusive_rows(const double *restrict psi, long ny, long h, long
 
 /* Antidiffusive Courant numbers of (cx, cy) into (vx, vy); max |v_x| and
  * max |v_y| of the faces written into top[0] and top[1], as max_abs finds them. */
-void antidiffusive(const double *restrict psi, long nx, long ny, long h, long r,
+void antidiffusive(const double *restrict psi, long nx, long ny, long r,
                    const double *restrict cx, const double *restrict cy, double *restrict vx,
                    double *restrict vy, double eps, double *restrict top)
 {
-    antidiffusive_rows(psi, ny, h, r, cx, cy, vx, vy, eps, top, every_row(nx, h));
+    antidiffusive_rows(psi, ny, r, cx, cy, vx, vy, eps, top, every_row(nx));
 }
 
 /* limit's ratios beta_up = (max - psi) / (f_in + eps) and beta_dn = (psi -
  * min) / (f_out + eps) of the cell row a, columns [-1, n], into up and dn */
-static void ratio_row(const double *restrict psi, long n, long h, long r, const double *restrict cx,
+static void ratio_row(const double *restrict psi, long n, long r, const double *restrict cx,
                       const double *restrict cy, double *restrict up, double *restrict dn, double eps, long a)
 {
     const double *p = psi + a * r, *fx = cx + a * r, *fy = cy + a * r;
-    for (long b = h - 1; b <= h + n; b++) {
+    for (long b = HALO - 1; b <= HALO + n; b++) {
         double c0 = p[b], xm = p[b - r], xp = p[b + r], ym = p[b - 1], yp = p[b + 1];
         double hi = max_nan(max_nan(max_nan(max_nan(c0, xm), xp), ym), yp);
         double lo = min_nan(min_nan(min_nan(min_nan(c0, xm), xp), ym), yp);
@@ -442,29 +474,29 @@ static int64_t limited(const double *restrict c, double *restrict v, const doubl
  * block and the x faces below its last row read rows of other blocks; the
  * block computes them again, the faces into ghost, and stores neither.  top
  * gets the max |v_x| and max |v_y| of the faces stored. */
-static void limit_sweep(const double *restrict psi, double *restrict out, long ny, long n, long h, long r,
+static void limit_sweep(const double *restrict psi, double *restrict out, long ny, long n, long r,
                         const double *restrict cx, const double *restrict cy, double *restrict vx,
                         double *restrict vy, double eps, double *restrict top, struct rows w, struct block s)
 {
     int64_t top_x = 0, top_y = 0;
-    ratio_row(psi, n, h, r, cx, cy, w.up[(s.lo - 1) & 1], w.dn[(s.lo - 1) & 1], eps, s.lo - 1);
+    ratio_row(psi, n, r, cx, cy, w.up[(s.lo - 1) & 1], w.dn[(s.lo - 1) & 1], eps, s.lo - 1);
     for (long a = s.lo - 1; a < s.hi; a++) {
         long b = a + 1; /* the cell row below row a, and the face row between */
-        ratio_row(psi, n, h, r, cx, cy, w.up[b & 1], w.dn[b & 1], eps, b);
+        ratio_row(psi, n, r, cx, cy, w.up[b & 1], w.dn[b & 1], eps, b);
         int own = b < s.hi || s.last;
         double *face = own ? vx + b * r : w.ghost;
         int64_t face_top =
-            limited(cx + b * r, face, w.up[a & 1], w.dn[a & 1], w.up[b & 1], w.dn[b & 1], h, h + n, top_x);
+            limited(cx + b * r, face, w.up[a & 1], w.dn[a & 1], w.up[b & 1], w.dn[b & 1], HALO, HALO + n, top_x);
         top_x = own ? face_top : top_x;
         if (out)
-            x_fluxes(psi + b * r, n, h, r, face, w.x[b & 1]);
+            x_fluxes(psi + b * r, n, r, face, w.x[b & 1]);
         if (a < s.lo)
             continue;
         /* a y face's donor is the cell before it in the row */
         const double *up = w.up[a & 1], *dn = w.dn[a & 1];
-        top_y = limited(cy + a * r, vy + a * r, up - 1, dn - 1, up, dn, h, h + n + 1, top_y);
+        top_y = limited(cy + a * r, vy + a * r, up - 1, dn - 1, up, dn, HALO, HALO + n + 1, top_y);
         if (out)
-            pass_row(psi, out, ny, n, h, r, vy, w.x[a & 1], w.x[b & 1], w.y, a);
+            pass_row(psi, out, ny, n, r, vy, w.x[a & 1], w.x[b & 1], w.y, a);
     }
     top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
@@ -473,46 +505,47 @@ static void limit_sweep(const double *restrict psi, double *restrict out, long n
  * |v_x| and max |v_y| into top[0] and top[1] as in antidiffusive: march's
  * limiter without the pass.  Returns 0, or -1, having written nothing, when
  * its ring cannot be allocated. */
-long limit(const double *restrict psi, long nx, long ny, long h, long r, const double *restrict cx,
+long limit(const double *restrict psi, long nx, long ny, long r, const double *restrict cx,
            const double *restrict cy, double *restrict vx, double *restrict vy, double eps, double *restrict top)
 {
     double *rows = alloc_rows(1, r);
     if (!rows)
         return -1;
-    limit_sweep(psi, NULL, ny, ny, h, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), every_row(nx, h));
+    limit_sweep(psi, NULL, ny, ny, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), every_row(nx));
     free(rows);
     return 0;
 }
 
 /* x component of the physical Courant field (courant_x_row).  Returns max
  * |C_x| of the faces written, as max_abs finds it. */
-double courant_x(const double *restrict psi, long nx, long ny, long h, long r, double *restrict cx,
+double courant_x(const double *restrict psi, long nx, long ny, long r, double *restrict cx,
                  double u, double coef, double scale, double eps)
 {
+    struct build k = {u, coef, scale, eps, ny};
     int64_t top = 0;
-    for (long a = h; a <= h + nx; a++)
-        top = courant_x_row(psi + a * r, ny, h, r, cx + a * r, u, coef, scale, eps, top);
+    for (long a = HALO; a <= HALO + nx; a++)
+        top = courant_x_row(psi + a * r, ny, r, cx + a * r, k, top);
     return from_bits(top);
 }
 
 /* Linear extrapolation outward from cells k and k - step (k the edge cell)
- * into the h cells k + step, ..., k + h step, each clipped at 0.  The walk
- * adds the slope once per layer, so a constant line stays bit-exact. */
-static inline void extrapolate(double *v, long k, long step, long h)
+ * into the HALO cells k + step, ..., k + HALO step, each clipped at 0.  The
+ * walk adds the slope once per layer, so a constant line stays bit-exact. */
+static inline void extrapolate(double *v, long k, long step)
 {
     double slope = v[k] - v[k - step], out = v[k];
-    for (long layer = 1; layer <= h; layer++) {
+    for (long layer = 1; layer <= HALO; layer++) {
         out += slope;
         v[k + layer * step] = clip_negative(out);
     }
 }
 
 /* The y halos of a scalar's rows [lo, hi), each from its own two edge cells */
-static void fill_scalar_rows(double *v, long ny, long h, long r, long lo, long hi)
+static void fill_scalar_rows(double *v, long ny, long r, long lo, long hi)
 {
     for (long a = lo; a < hi; a++) {
-        extrapolate(v, a * r + h, -1, h);
-        extrapolate(v, a * r + h + ny - 1, 1, h);
+        extrapolate(v, a * r + HALO, -1);
+        extrapolate(v, a * r + HALO + ny - 1, 1);
     }
 }
 
@@ -520,84 +553,84 @@ static void fill_scalar_rows(double *v, long ny, long h, long r, long lo, long h
  * if it is the last: x from the two nearest real rows, then their y halos,
  * so the corners continue the rows the x pass filled.  Reads two real rows,
  * which may lie in the next block. */
-static void fill_scalar_edges(double *v, long nx, long ny, long h, long r, struct block s)
+static void fill_scalar_edges(double *v, long nx, long ny, long r, struct block s)
 {
     if (s.first) {
-        for (long b = h; b < h + ny; b++)
-            extrapolate(v, h * r + b, -r, h);
-        fill_scalar_rows(v, ny, h, r, 0, h);
+        for (long b = HALO; b < HALO + ny; b++)
+            extrapolate(v, HALO * r + b, -r);
+        fill_scalar_rows(v, ny, r, 0, HALO);
     }
     if (s.last) {
-        for (long b = h; b < h + ny; b++)
-            extrapolate(v, (h + nx - 1) * r + b, r, h);
-        fill_scalar_rows(v, ny, h, r, h + nx, nx + 2 * h);
+        for (long b = HALO; b < HALO + ny; b++)
+            extrapolate(v, (HALO + nx - 1) * r + b, r);
+        fill_scalar_rows(v, ny, r, HALO + nx, nx + 2 * HALO);
     }
 }
 
 /* Halos of a scalar with nx x ny real cells: linear extrapolation from the
  * two nearest real cells, x first and then y, so the corners continue the
  * rows the x pass filled. */
-void fill_scalar(double *v, long nx, long ny, long h, long r)
+void fill_scalar(double *v, long nx, long ny, long r)
 {
-    fill_scalar_rows(v, ny, h, r, h, h + nx);
-    fill_scalar_edges(v, nx, ny, h, r, every_row(nx, h));
+    fill_scalar_rows(v, ny, r, HALO, HALO + nx);
+    fill_scalar_edges(v, nx, ny, r, every_row(nx));
 }
 
 /* The halos of a face component's real rows [lo, hi) along y, each element
  * the value of the nearest real face; then the whole halo rows above, if lo
  * is the first real row, and below, if hi - 1 is the last of n0, copies of
  * that row. */
-static void fill_faces_rows(double *v, long n0, long n1, long h, long r, long lo, long hi)
+static void fill_faces_rows(double *v, long n0, long n1, long r, long lo, long hi)
 {
     for (long a = lo; a < hi; a++) {
         double *row = v + a * r;
-        for (long b = 0; b < h; b++) {
-            row[b] = row[h];
-            row[h + n1 + b] = row[h + n1 - 1];
+        for (long b = 0; b < HALO; b++) {
+            row[b] = row[HALO];
+            row[HALO + n1 + b] = row[HALO + n1 - 1];
         }
     }
-    size_t width = (size_t)(n1 + 2 * h) * sizeof(double);
-    for (long layer = 1; layer <= h; layer++) {
-        if (lo == h)
-            memcpy(v + (h - layer) * r, v + h * r, width);
-        if (hi == h + n0)
-            memcpy(v + (h + n0 - 1 + layer) * r, v + (h + n0 - 1) * r, width);
+    size_t width = (size_t)(n1 + 2 * HALO) * sizeof(double);
+    for (long layer = 1; layer <= HALO; layer++) {
+        if (lo == HALO)
+            memcpy(v + (HALO - layer) * r, v + HALO * r, width);
+        if (hi == HALO + n0)
+            memcpy(v + (HALO + n0 - 1 + layer) * r, v + (HALO + n0 - 1) * r, width);
     }
 }
 
 /* Halos of a face component with n0 x n1 real faces: each halo element takes
  * the value of the nearest real face, rows along y first, then whole rows. */
-void fill_faces(double *v, long n0, long n1, long h, long r) { fill_faces_rows(v, n0, n1, h, r, h, h + n0); }
+void fill_faces(double *v, long n0, long n1, long r) { fill_faces_rows(v, n0, n1, r, HALO, HALO + n0); }
 
 /* max |v| over the real rows [lo, hi) of a component with n1 real elements
  * a row, a NaN if any is NaN (see max_bits) */
-static double max_rows(const double *v, long n1, long h, long r, long lo, long hi)
+static double max_rows(const double *v, long n1, long r, long lo, long hi)
 {
     int64_t top = 0;
     for (long a = lo; a < hi; a++)
-        for (long k = a * r + h; k < a * r + h + n1; k++)
+        for (long k = a * r + HALO; k < a * r + HALO + n1; k++)
             top = max_bits(top, v[k]);
     return from_bits(top);
 }
 
 /* max |v| over the n0 x n1 real elements, a NaN if any is NaN (see max_bits) */
-double max_abs(const double *v, long n0, long n1, long h, long r) { return max_rows(v, n1, h, r, h, h + n0); }
+double max_abs(const double *v, long n0, long n1, long r) { return max_rows(v, n1, r, HALO, HALO + n0); }
 
 /* Halos on the torus with periods 1 <= p <= n: walking outward, whole rows
  * and then each row take the value one period in, so a face one period past
  * the first takes the first's value (the first wins: boundary fluxes telescope). */
-void wrap(double *v, long n0, long n1, long h, long r, long p0, long p1)
+void wrap(double *v, long n0, long n1, long r, long p0, long p1)
 {
-    size_t width = (size_t)(n1 + 2 * h) * sizeof(double);
-    for (long a = h - 1; a >= 0; a--)
+    size_t width = (size_t)(n1 + 2 * HALO) * sizeof(double);
+    for (long a = HALO - 1; a >= 0; a--)
         memcpy(v + a * r, v + (a + p0) * r, width);
-    for (long a = h + p0; a < n0 + 2 * h; a++)
+    for (long a = HALO + p0; a < n0 + 2 * HALO; a++)
         memcpy(v + a * r, v + (a - p0) * r, width);
-    for (long a = 0; a < n0 + 2 * h; a++) {
+    for (long a = 0; a < n0 + 2 * HALO; a++) {
         double *row = v + a * r;
-        for (long b = h - 1; b >= 0; b--)
+        for (long b = HALO - 1; b >= 0; b--)
             row[b] = row[b + p1];
-        for (long b = h + p1; b < n1 + 2 * h; b++)
+        for (long b = HALO + p1; b < n1 + 2 * HALO; b++)
             row[b] = row[b - p1];
     }
 }
@@ -616,14 +649,14 @@ static int courant_ok(const double *top, double courant_max, double corrective, 
  * each: up to the last column in [from, to) that holds anything but +0.0
  * there, plus margin, at most ny; from + margin when every cell of [from,
  * to) is +0.0. */
-static long live_columns(const double *psi, long ny, long h, long r, long lo, long hi, long from, long to,
+static long live_columns(const double *psi, long ny, long r, long lo, long hi, long from, long to,
                          long margin)
 {
     long last = from - 1;
     for (long b = to - 1; b >= from && last < from; b--)
         for (long a = lo; a < hi; a++) {
             uint64_t bits;
-            memcpy(&bits, psi + a * r + h + b, sizeof bits);
+            memcpy(&bits, psi + a * r + HALO + b, sizeof bits);
             if (bits) {
                 last = b;
                 break;
@@ -649,7 +682,7 @@ struct faces {
  * sets (see gather). */
 struct team {
     double *psi, *spare; /* the field, and its second buffer */
-    long nx, ny, h, r;
+    long nx, ny, r;
     struct faces c, a, b;
     double *rows; /* the row buffers of each block's sweeps (alloc_rows) */
     long n_steps, n_iters, nonoscillatory, diffusion_ok, periodic, rebuild;
@@ -721,16 +754,16 @@ static long gather(struct team *t, long id, int *sense, const double *top, long 
 static void fill_psi_edges(const struct team *t, double *v, struct block s)
 {
     if (t->periodic)
-        wrap(v, t->nx, t->ny, t->h, t->r, t->nx, t->ny);
+        wrap(v, t->nx, t->ny, t->r, t->nx, t->ny);
     else
-        fill_scalar_edges(v, t->nx, t->ny, t->h, t->r, s);
+        fill_scalar_edges(v, t->nx, t->ny, t->r, s);
 }
 
 /* The block's rows of the psi buffer src, with their halos and the halo rows
  * that the block takes, into dst */
 static void copy_block(const struct team *t, const double *src, double *dst, struct block s)
 {
-    copy_rows(src, dst, t->r, s.lo - s.first * t->h, s.hi + s.last * t->h, 0, t->ny + 2 * t->h);
+    copy_rows(src, dst, t->r, s.lo - s.first * HALO, s.hi + s.last * HALO, 0, t->ny + 2 * HALO);
 }
 
 /* The halos of a component's faces in the block, x (nx + 1 x ny real faces)
@@ -738,17 +771,17 @@ static void copy_block(const struct team *t, const double *src, double *dst, str
 static void fill_x(const struct team *t, double *v, struct block s)
 {
     if (t->periodic)
-        wrap(v, t->nx + 1, t->ny, t->h, t->r, t->nx, t->ny);
+        wrap(v, t->nx + 1, t->ny, t->r, t->nx, t->ny);
     else
-        fill_faces_rows(v, t->nx + 1, t->ny, t->h, t->r, s.lo, s.hi + s.last);
+        fill_faces_rows(v, t->nx + 1, t->ny, t->r, s.lo, s.hi + s.last);
 }
 
 static void fill_y(const struct team *t, double *v, struct block s)
 {
     if (t->periodic)
-        wrap(v, t->nx, t->ny + 1, t->h, t->r, t->nx, t->ny);
+        wrap(v, t->nx, t->ny + 1, t->r, t->nx, t->ny);
     else
-        fill_faces_rows(v, t->nx, t->ny + 1, t->h, t->r, s.lo, s.hi);
+        fill_faces_rows(v, t->nx, t->ny + 1, t->r, s.lo, s.hi);
 }
 
 static void fill_vector(const struct team *t, struct faces f, struct block s)
@@ -763,9 +796,9 @@ static void clear_above(const struct team *t, struct faces f, long live, struct 
 {
     size_t width = (size_t)(t->ny - live) * sizeof(double);
     for (long a = s.lo; a < s.hi + s.last; a++)
-        memset(f.x + a * t->r + t->h + live, 0, width);
+        memset(f.x + a * t->r + HALO + live, 0, width);
     for (long a = s.lo; a < s.hi; a++)
-        memset(f.y + a * t->r + t->h + live + 1, 0, width);
+        memset(f.y + a * t->r + HALO + live + 1, 0, width);
 }
 
 /* The band of the next step from the block's rows of out, the output of a
@@ -773,7 +806,7 @@ static void clear_above(const struct team *t, struct faces f, long live, struct 
 static long band_of(const struct team *t, const double *out, long live, struct block s)
 {
     long ny = t->ny, margin = t->n_iters;
-    return live < ny ? live_columns(out, ny, t->h, t->r, s.lo, s.hi, live - margin, live, margin) : live;
+    return live < ny ? live_columns(out, ny, t->r, s.lo, s.hi, live - margin, live, margin) : live;
 }
 
 /* The march on thread id of the team, over its block of rows; what march
@@ -783,13 +816,13 @@ static long band_of(const struct team *t, const double *out, long live, struct b
  * maxima, so every thread stops at the same check. */
 static long run(struct team *t, long id, double *out)
 {
-    long nx = t->nx, ny = t->ny, h = t->h, r = t->r, n_iters = t->n_iters;
-    struct block s = {h + nx * id / t->size, h + nx * (id + 1) / t->size, id == 0, id == t->size - 1};
+    long nx = t->nx, ny = t->ny, r = t->r, n_iters = t->n_iters;
+    struct block s = {HALO + nx * id / t->size, HALO + nx * (id + 1) / t->size, id == 0, id == t->size - 1};
     struct faces c = t->c;
     struct rows w = rows_of(t->rows, id, r);
     int sense = 0;
     double *psi = t->psi, *spare = t->spare, *swap;
-    long live = t->periodic ? ny : live_columns(psi, ny, h, r, h, h + nx, 0, ny, n_iters);
+    long live = t->periodic ? ny : live_columns(psi, ny, r, HALO, HALO + nx, 0, ny, n_iters);
     if (live < ny) {
         clear_above(t, t->a, live, s);
         clear_above(t, t->b, live, s);
@@ -797,13 +830,13 @@ static long run(struct team *t, long id, double *out)
     }
     double c_top[2], top[2]; /* this block's max |C_x| and max |C_y| of c; every block's */
     fill_y(t, c.y, s);
-    c_top[1] = max_rows(c.y, ny + 1, h, r, s.lo, s.hi);
+    c_top[1] = max_rows(c.y, ny + 1, r, s.lo, s.hi);
     if (!t->rebuild) {
         fill_x(t, c.x, s);
-        c_top[0] = max_rows(c.x, ny, h, r, s.lo, s.hi + s.last);
+        c_top[0] = max_rows(c.x, ny, r, s.lo, s.hi + s.last);
     }
     /* the y halos of psi's rows; each pass fills those of the rows it writes */
-    fill_scalar_rows(psi, ny, h, r, s.lo, s.hi);
+    fill_scalar_rows(psi, ny, r, s.lo, s.hi);
     struct build terms = {t->u, t->coef, t->scale, t->eps, 0}, none = {0};
     long n = 0;
     for (; n < t->n_steps; n++) {
@@ -812,8 +845,8 @@ static long run(struct team *t, long id, double *out)
          * at step 0, then over the band and the column that antidiffusive's
          * y faces read after it */
         terms.built = !t->rebuild ? 0 : n > 0 && live < ny ? live + 1 : ny;
-        sweep(psi, spare, ny, live, h, r, c.x, c.y, terms, c_top, w, s);
-        if (terms.built)
+        sweep(psi, spare, ny, live, r, c.x, c.y, terms, c_top, w, s);
+        if (terms.built && n_iters > 1) /* only the antidiffusive field reads C_x's halos */
             fill_x(t, c.x, s);
         long band = gather(t, id, &sense, c_top, n_iters == 1 ? band_of(t, spare, live, s) : live, top);
         if (!courant_ok(top, t->courant_max, 0.0, out) || !t->diffusion_ok)
@@ -825,17 +858,17 @@ static long run(struct team *t, long id, double *out)
             /* a kernel never writes the slot it reads */
             struct faces next = current.x == t->a.x ? t->b : t->a;
             double v_top[2]; /* this block's max |v_x| and max |v_y| of the checked field */
-            antidiffusive_rows(psi, live, h, r, current.x, current.y, next.x, next.y, t->eps, v_top, s);
+            antidiffusive_rows(psi, live, r, current.x, current.y, next.x, next.y, t->eps, v_top, s);
             fill_vector(t, next, s);
             barrier(t, &sense);
             if (t->nonoscillatory) {
                 struct faces limited = next.x == t->a.x ? t->b : t->a;
                 limit_sweep(
-                    psi, spare, ny, live, h, r, next.x, next.y, limited.x, limited.y, t->eps, v_top, w, s);
+                    psi, spare, ny, live, r, next.x, next.y, limited.x, limited.y, t->eps, v_top, w, s);
                 fill_vector(t, limited, s);
                 next = limited;
             } else {
-                sweep(psi, spare, ny, live, h, r, next.x, next.y, none, NULL, w, s);
+                sweep(psi, spare, ny, live, r, next.x, next.y, none, NULL, w, s);
             }
             band = gather(t, id, &sense, v_top, k == n_iters - 1 ? band_of(t, spare, live, s) : live, top);
             if (!courant_ok(top, t->courant_max, 1.0, out))
@@ -846,7 +879,9 @@ static long run(struct team *t, long id, double *out)
         live = band;
     }
 stop:
-    fill_psi_edges(t, psi, s);
+    /* a stop leaves psi as the failing pass found it, filled before the pass */
+    if (n == t->n_steps)
+        fill_psi_edges(t, psi, s);
     if (psi != t->psi)
         copy_block(t, psi, t->psi, s);
     return n;
@@ -868,7 +903,7 @@ static void *join_team(void *arg)
  * field c (C_y written, and C_x too unless rebuild), the corrective slots a
  * and b and psi's second buffer spare; every fill wraps on the torus if
  * periodic.  Each step fills psi, writes C_x = (u - coef A) scale if rebuild
- * and fills it, and checks c; then runs one upwind pass and n_iters - 1
+ * (and fills it if n_iters > 1), and checks c; then runs one upwind pass and n_iters - 1
  * corrective passes on a refilled psi, each antidiffusive field (FCT-limited
  * if nonoscillatory) checked before psi takes its pass.  A failed check of
  * c, or diffusion_ok 0, stops the march with psi as the step found it; of a
@@ -884,7 +919,7 @@ static void *join_team(void *arg)
  * threads threads (at most nx and TEAM_MAX), each over its own block of rows
  * (see the header); a periodic march on one, and on as many as start when
  * pthread_create fails. */
-long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
+long march(double *psi, long nx, long ny, long r, double *cx, double *cy, double *ax,
            double *ay, double *bx, double *by, double *spare, long n_steps, long n_iters,
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
            double coef, double scale, double courant_max, double eps, double *out)
@@ -892,7 +927,7 @@ long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy
     long size = periodic || threads < 1 ? 1 : threads < nx ? threads : nx;
     size = size < TEAM_MAX ? size : TEAM_MAX;
     struct team t = {
-        psi, spare, nx, ny, h, r, {cx, cy}, {ax, ay}, {bx, by}, alloc_rows(size, r), n_steps, n_iters,
+        psi, spare, nx, ny, r, {cx, cy}, {ax, ay}, {bx, by}, alloc_rows(size, r), n_steps, n_iters,
         nonoscillatory, diffusion_ok, periodic, rebuild, u, coef, scale, courant_max, eps, .size = 1,
     };
     if (!t.rows)

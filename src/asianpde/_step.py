@@ -16,10 +16,12 @@ load a partial file.
 Every array of the step kernels reaches them through :func:`dims`, which
 checks the layout that the kernels' indices assume and C cannot check for
 itself, with the one halo width :data:`HALO`; each kernel call makes the
-records it passes.  The argument types of the Monte Carlo kernels check
-their arrays: ``averages``, which the library calls, and ``normals``, the
-draws alone, which only the pins of their stream call.  ``averages``
-exponentiates through numpy's own float64 ``exp`` loop, which
+records it passes.  The kernels take the halo width as a constant of their
+build, which :func:`library` checks against :data:`HALO` when it loads
+them, with an ``OSError`` if they differ.  The argument types of the Monte
+Carlo kernels check their arrays: ``averages``, which the library calls,
+and ``normals``, the draws alone, which only the pins of their stream call.
+``averages`` exponentiates through numpy's own float64 ``exp`` loop, which
 :func:`library` finds in ``np.exp`` when it loads the kernels and keeps as
 ``numpy_exp``; a numpy without one is refused there with an ``OSError``.
 """
@@ -63,9 +65,9 @@ def _flags() -> tuple[str, ...]:
 
 FLAGS = _flags()
 
-HALO = 2  # the corrective stencils and the FCT limiter read two cells deep
+HALO = 2  # the corrective stencils and the FCT limiter read two cells deep; _step.c's HALO
 _PTR, _INT, _REAL = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-_DIMS = (_PTR,) + (_INT,) * 4  # what dims() returns: address, extents, halo, row length
+_DIMS = (_PTR,) + (_INT,) * 3  # what dims() returns: address, extents, row length
 _ROWS = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
 # what march writes: the failing field's max |C_x| and max |C_y|, and 1.0 if
 # it was a corrective field
@@ -168,6 +170,9 @@ def library() -> ctypes.CDLL:
     if not path.exists():
         _build(path)
     lib = ctypes.CDLL(str(path))
+    built = ctypes.c_long.in_dll(lib, "halo").value
+    if built != HALO:
+        raise OSError(f"the step kernels in {path} take a halo of {built}, and asianpde._step.HALO is {HALO}")
     for name, (argtypes, restype) in ARGTYPES.items():
         kernel = getattr(lib, name)
         kernel.argtypes, kernel.restype = argtypes, restype
@@ -177,8 +182,8 @@ def library() -> ctypes.CDLL:
     return lib
 
 
-def dims(a: np.ndarray, least: int) -> tuple[ctypes.c_void_p, int, int, int, int]:
-    """``(address, n0, n1, HALO, row length)`` of ``a`` for a kernel over its
+def dims(a: np.ndarray, least: int) -> tuple[ctypes.c_void_p, int, int, int]:
+    """``(address, n0, n1, row length)`` of ``a`` for a kernel over its
     ``n0 x n1`` real elements and the ring of :data:`HALO` around them.
 
     Raises :class:`ConfigurationError` unless ``a`` is a 2D float64 array of
@@ -194,7 +199,7 @@ def dims(a: np.ndarray, least: int) -> tuple[ctypes.c_void_p, int, int, int, int
         raise ConfigurationError(
             f"need at least {least} real elements per axis inside a halo of {HALO}, got shape {a.shape}"
         )
-    return a.ctypes.data_as(_PTR), rows - 2 * HALO, cols - 2 * HALO, HALO, row_bytes // 8
+    return a.ctypes.data_as(_PTR), rows - 2 * HALO, cols - 2 * HALO, row_bytes // 8
 
 
 def writable(a: np.ndarray, record: tuple) -> tuple:

@@ -146,9 +146,10 @@ class StepWorkspace:
         ``MARCH_CALL_CELL_STEPS`` cell-steps so that Python sees a Ctrl-C
         between them.  Each step fills psi, writes C_x = (u - coef A) scale
         from ``courant_x = (u, coef, scale)`` (None keeps it), A the guarded
-        psi ratio across each x face, fills it and checks ``courant``; then
-        UPWIND and ``n_iters - 1`` corrective passes, each on refilled halos
-        and checked against |C| <= 1.  Every fill wraps on the ``nx x ny``
+        psi ratio across each x face, fills it if a corrective pass follows
+        (only the antidiffusive field reads its halos) and checks
+        ``courant``; then UPWIND and ``n_iters - 1`` corrective passes, each
+        on refilled halos and checked against |C| <= 1.  Every fill wraps on the ``nx x ny``
         torus if ``periodic``, psi's before each pass and at the end, and is
         the :mod:`asianpde.grid` fill if not.  The march writes no component
         of ``courant`` but C_x, so C_y, and C_x when kept, are filled and

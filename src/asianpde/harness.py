@@ -238,11 +238,12 @@ def run_transect(cfg: RunConfig) -> list[tuple]:
     """Per-column values along the row nearest A = 0: the figure's seven curves."""
     spec = _grid(cfg)
     inst = _instrument(cfg)
+    mc_cfg = McConfig(cfg.paths, cfg.steps, cfg.seed)  # refused before the marches
     curves = {
         n_iters: row_values(integrate(inst, spec, cfg.dt, _options(cfg, n_iters)))
         for n_iters in (1, 2, 4)
     }
-    averages = mc_path_averages(inst, McConfig(cfg.paths, cfg.steps, cfg.seed))
+    averages = mc_path_averages(inst, mc_cfg)
     unit_averages = averages / inst.spot
     rows = []
     for i, x in enumerate(spec.x_centres):

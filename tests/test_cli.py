@@ -138,6 +138,10 @@ class TestPriceCommand:
             (["mc", "--seed", "18446744073709551616", "--paths", "10", "--steps", "5"], "seed must be in [0, 2**64)"),
             (["mc", "--seed", "-1", "--paths", "10", "--steps", "5"], "seed must be in [0, 2**64), got -1"),
             (["table", "--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+            # Monte Carlo sets of hours, refused at once as the march's cell-steps are
+            (["mc", "--paths", "10000000", "--steps", "100000"], "1e+12 path-steps, more than 2e+11"),
+            (["transect", "--paths", "100000000", "--steps", "100000"], "1e+13 path-steps, more than 2e+11"),
+            (["price", "--with-mc", "--paths", "100000000", "--steps", "10000"], "1e+12 path-steps, more than 2e+11"),
         ],
     )
     def test_invalid_input_exit_code(self, runner, args, message):

@@ -146,6 +146,16 @@ def test_numpy_without_a_float64_exp_loop_raises_one_os_error(monkeypatch, fresh
     assert raised.value.__cause__ is None and raised.value.__context__ is None
 
 
+def test_a_build_for_another_halo_raises_one_os_error(monkeypatch, fresh_library):
+    # the kernels take the halo width as a constant of their build, which
+    # library() checks against _step.HALO: one width for C and Python
+    monkeypatch.setattr(_step, "HALO", 3)
+    _step.library.cache_clear()
+    with pytest.raises(OSError, match="take a halo of 2, and asianpde._step.HALO is 3") as raised:
+        _step.library()
+    assert raised.value.__cause__ is None and raised.value.__context__ is None
+
+
 def test_numpy_without_a_float64_exp_loop_exits_4_without_traceback(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))  # this process's cache: no build
     done = run(["-c", NO_FLOAT64_EXP, "mc", *FAST], env)
@@ -459,7 +469,7 @@ MARCH_DRIVER = r"""
 #include <string.h>
 #include <unistd.h>
 
-long march(double *psi, long nx, long ny, long h, long r, double *cx, double *cy, double *ax,
+long march(double *psi, long nx, long ny, long r, double *cx, double *cy, double *ax,
            double *ay, double *bx, double *by, double *spare, long n_steps, long n_iters,
            long nonoscillatory, long diffusion_ok, long periodic, long rebuild, long threads, double u,
            double coef, double scale, double courant_max, double eps, double *out);
@@ -506,7 +516,7 @@ static long run(double *w, int kind, long n_iters, long nonosc, long steps, long
         w[(H + 5) * R + H + 4] = 0.0;
     double u = kind == 2 ? 8.7 : 0.055;
     creates = 0;
-    return march(w, NX, NY, H, R, w + SLOT, w + 2 * SLOT, w + 3 * SLOT, w + 4 * SLOT, w + 5 * SLOT,
+    return march(w, NX, NY, R, w + SLOT, w + 2 * SLOT, w + 3 * SLOT, w + 4 * SLOT, w + 5 * SLOT,
                  w + 6 * SLOT, w + 7 * SLOT, steps, n_iters, nonosc, 1, 0, 1, threads, u,
                  -0.9, -0.1, 1.0 + 1e-12, 1e-15, out);
 }

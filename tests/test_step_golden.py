@@ -20,6 +20,7 @@ from asianpde.advection import (
     upwind_step,
 )
 from asianpde import _step, advection
+from asianpde._step import HALO
 from asianpde.advection import StepWorkspace
 from asianpde.benchmarks import gaussian_field, unit_square
 from asianpde.errors import StabilityError
@@ -205,10 +206,20 @@ def test_a_finished_march_leaves_psi_halos_filled(kind, n_steps, threads):
 @pytest.mark.parametrize("kind", ["call", "put", "periodic"])
 def test_a_march_stopped_at_step_0_leaves_psi_halos_filled(kind, threads):
     """A C_y above 1 stops the march at step 0 with psi as the step found
-    it: its rows' y halos filled once per call and its boundary fill run
-    before the pass and at the stop, so psi equals its own refill there too,
-    on any split of the rows."""
+    it, and a corrective field made NaN by psi's cells near 9e307 with psi as
+    the step's upwind pass left it: its rows' y halos filled once per call
+    and by each pass, and its boundary fill run before each pass (a stop
+    runs none), so psi equals its own refill there too, on any split of the
+    rows."""
     start, courant, courant_x, periodic, refill = _march_case(kind)
+    huge = start.copy()
+    huge.interior[...] *= 9e307 / huge.interior.max()
+    for n_iters in (2, 3):
+        ws = StepWorkspace.holding(huge, courant)
+        with pytest.raises(StabilityError, match="= nan > 1") as err:
+            ws.march(4, SolverOptions(n_iters), courant_x, periodic=periodic, threads=threads)
+        assert err.value.step_index is None and ws.steps == 0
+        assert ws.psi.values.tobytes() == refill(ws.psi.copy()).values.tobytes()
     courant.interior_y[3, 4] = 1.5  # a face that the torus does not wrap
     courant = reference_periodic_fill_vector(courant) if periodic else fill_halos_vector(courant)
     for n_iters in (1, 3):
@@ -218,6 +229,29 @@ def test_a_march_stopped_at_step_0_leaves_psi_halos_filled(kind, threads):
         assert err.value.step_index == 0 and ws.steps == 0
         assert ws.psi.values.tobytes() == refill(ws.psi.copy()).values.tobytes()
         np.testing.assert_array_equal(ws.psi.interior, start.interior)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_no_pass_reads_the_courant_x_halos_before_they_are_filled(kind, threads):
+    """The march fills a rebuilt C_x's halos only when a corrective pass
+    follows, since only the antidiffusive field reads them; an upwind pass
+    reads real faces alone.  So NaN in C_x's halos leaves psi as a clean
+    march does, and with a corrective pass the whole workspace."""
+    start, courant, courant_x, _, _ = _march_case(kind)
+    dirty = courant.copy()
+    cx = dirty.comp_x
+    cx[:HALO] = cx[-HALO:] = cx[:, :HALO] = cx[:, -HALO:] = np.nan
+    for n_iters in (1, 2):
+        marched = []
+        for field in (courant, dirty):
+            ws = StepWorkspace.holding(start, field)
+            ws.march(4, SolverOptions(n_iters), courant_x, threads=threads)
+            assert ws.steps == 4
+            marched.append(ws)
+        assert marched[0].psi.values.tobytes() == marched[1].psi.values.tobytes()
+        if n_iters > 1:
+            assert marched[0].fields.tobytes() == marched[1].fields.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["call", "put", "periodic"])
