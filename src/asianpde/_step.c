@@ -43,43 +43,12 @@
  * copies the first x and y faces over the last, which a kernel wrote with the
  * same bits from the same, wrapped, inputs: the maxima stand.
  *
- * The band.  A put's payoff is +0.0 for every A >= K, so on a backward march
- * about half of the columns of psi, those of largest A, hold only +0.0.  Let
- * Z be the last column that holds anything else.  An antidiffusive face
- * reads the cells of its own and the neighbouring columns, and between +0.0
- * cells its guarded ratios are 0, so it is +-0 from column Z + 2 up; limit
- * multiplies each face by a factor of at most 1; and upwind leaves +0.0 a
- * cell whose neighbours are +0.0 (its fluxes are +-0, and the clip makes
- * +0.0).  So a pass moves Z up by at most one column, and a step by n_iters.
- * march runs upwind, antidiffusive and limit over the live columns
- * [0, Z + 1 + margin) with margin = n_iters: every cell and face a step can
- * change lies inside, and all that the kernels read outside it (the top y
- * face, the last column of limit's ratios and the column above) is +0.0 or
- * +-0 in a full-width march too, so psi comes out bit for bit.  The margin is
- * the reach of the stencils and reads no sign of C_y: one column less fails
- * at n_iters 1 and 2, where a constant C_y = 1 moves Z by n_iters in a step
- * (no field tried moved it by more than two).  After each step's last pass
- * every thread checks the margin columns below the band in its own rows of
- * the pass's output, and the gather that checks the pass's field widens the
- * band if one of them is live in any block; it never narrows within a call.
- * "Live" is a bit test, so a NaN, an inf or a -0.0 (which upwind would turn
- * into +0.0) counts.  A NaN made within a step can make limit's factor NaN
- * one column further up, but then also inside the band, so the check fails
- * with the same maxima.  A call starts from psi's last live column and
- * clears the corrective faces above its band to +0.0, where a full-width
- * march holds +-0, so that a slot holds +0.0 above the band, and the maxima
- * its kernels find over the band are those of every face; it copies psi into
- * the second buffer, so that both hold +0.0 above the band.  C_x, when
- * rebuilt, is built on every column at a call's step 0, after the step's
- * fills, and from then on on the band and the one column after it, which
- * antidiffusive's y faces read: psi's columns past that hold +0.0 for the
- * whole call (the band never narrows), so their faces keep the bits that
- * step 0 wrote and checked.  A later step checks the band's max |C_x| alone:
- * it fails only above 1, where it is also the max of every face, so it
- * stops where a check of every face would, with the same maxima.  C_y and
- * the diffusion number, which no step changes, can fail only at step 0.  The
- * fills keep the full extent, and the periodic march, whose columns wrap,
- * the full width.
+ * The width.  march runs every column of the workspace it is given.  A put's
+ * field is +0.0 above its payoff's last live column until its front climbs
+ * there, at most a column a pass, so asianpde.pricing.integrate marches a put
+ * on a narrower workspace, and again at full width when the narrow field's
+ * top column goes live.  C_x, when rebuilt, is built on every face at every
+ * step.
  *
  * The split.  The step is unsplit: each pass reads only what the pass before
  * it wrote, so a block of x rows can run a pass without the others.  march
@@ -114,8 +83,8 @@
  * another block may hold, and the periodic march wraps psi.  So the march
  * leaves psi with its halos filled: a stop leaves it as the failing pass
  * found it, filled before that pass.  At each gather every thread leaves
- * the maxima and the band of its rows and combines those of all, the maxima
- * as integers, so every thread takes the same stop decision.  Two sets of slots alternate with the
+ * the maxima of its rows and combines those of all as integers, so every
+ * thread takes the same stop decision.  Two sets of slots alternate with the
  * barrier's sense, since a thread can leave one gather for the next while
  * another still reads the first.  A march that ends with the field in the
  * second buffer copies it back, each thread its own rows.  Every element gets
@@ -285,22 +254,22 @@ static void update_row(const double *restrict p, double *restrict q, long n,
         q[b] = clip_negative(p[b] - ((below[b] - above[b]) + (fy[b + 1] - fy[b])));
 }
 
-/* Row a of a donor-cell pass from psi into out, columns [0, n), given the x
- * fluxes of the face rows above and below it: its y fluxes with cy, its
- * update and its y halos (of every column) */
-static void pass_row(const double *restrict psi, double *restrict out, long ny, long n, long r,
-                     const double *restrict cy, const double *above, const double *below, double *fy, long a)
+/* Row a of a donor-cell pass from psi into out, given the x fluxes of the
+ * face rows above and below it: its y fluxes with cy, its update and its y
+ * halos */
+static void pass_row(const double *restrict psi, double *restrict out, long ny, long r, const double *restrict cy,
+                     const double *above, const double *below, double *fy, long a)
 {
-    y_fluxes(psi + a * r, n, cy + a * r, fy);
-    update_row(psi + a * r, out + a * r, n, above, below, fy);
+    y_fluxes(psi + a * r, ny, cy + a * r, fy);
+    update_row(psi + a * r, out + a * r, ny, above, below, fy);
     fill_scalar_rows(out, ny, r, a, a + 1);
 }
 
-/* C_x = (u - coef A) scale, which march rebuilds over the columns [0,
- * built) of each face row in the sweep of the upwind pass; built 0 for none */
+/* C_x = (u - coef A) scale, which march rebuilds on each face row in the
+ * sweep of the upwind pass if rebuild is set */
 struct build {
     double u, coef, scale, eps;
-    long built;
+    long rebuild;
 };
 
 /* C_x = (u - coef A) scale of face b between the cells b - r and b of p,
@@ -322,9 +291,8 @@ static int64_t courant_x_row(const double *restrict p, long n, long r, double *r
     return top;
 }
 
-/* courant_x_row over the columns [0, k.built) and, in the same loop, the x
- * fluxes (x_fluxes) of its first n <= k.built faces into f.  Returns top
- * with their max |C_x|. */
+/* courant_x_row and, in the same loop, the x fluxes (x_fluxes) of its
+ * faces into f.  Returns top with their max |C_x|. */
 static int64_t courant_x_fluxes(const double *restrict p, long n, long r, double *restrict c, double *restrict f,
                                 struct build k, int64_t top)
 {
@@ -333,37 +301,36 @@ static int64_t courant_x_fluxes(const double *restrict p, long n, long r, double
         top = max_bits(top, c[b]);
         f[b] = max_zero(c[b]) * p[b - r] + min_zero(c[b]) * p[b];
     }
-    return courant_x_row(p + n, k.built - n, r, c + n, k, top);
+    return top;
 }
 
-/* One donor-cell pass from psi into out over the block's rows and the
- * columns [0, n), as one sweep: for each face row, from the block's first
- * on, its x fluxes, in one loop with its C_x built into cx if c.built is set
- * (courant_x_fluxes), then the cell row above it (pass_row).  No row of psi
+/* One donor-cell pass from psi into out over the block's rows, as one
+ * sweep: for each face row, from the block's first on, its x fluxes, in one
+ * loop with its C_x built into cx if c.rebuild is set (courant_x_fluxes),
+ * then the cell row above it (pass_row).  No row of psi
  * changes, so the block computes the fluxes of its first face row itself,
  * and it builds C_x below its last row into ghost, which only the block
  * below stores.  When it builds C_x, top[0]
  * gets the max |C_x| of the faces stored. */
-static void sweep(const double *restrict psi, double *restrict out, long ny, long n, long r,
-                  double *restrict cx, const double *restrict cy, struct build c, double *restrict top,
-                  struct rows w, struct block s)
+static void sweep(const double *restrict psi, double *restrict out, long ny, long r, double *restrict cx,
+                  const double *restrict cy, struct build c, double *restrict top, struct rows w, struct block s)
 {
     int64_t top_x = 0;
     for (long a = s.lo - 1; a < s.hi; a++) {
         long b = a + 1; /* the face row below row a */
         double *face = cx + b * r;
-        if (c.built) {
+        if (c.rebuild) {
             int own = b < s.hi || s.last;
             face = own ? face : w.ghost;
-            int64_t face_top = courant_x_fluxes(psi + b * r, n, r, face, w.x[b & 1], c, top_x);
+            int64_t face_top = courant_x_fluxes(psi + b * r, ny, r, face, w.x[b & 1], c, top_x);
             top_x = own ? face_top : top_x;
         } else {
-            x_fluxes(psi + b * r, n, r, face, w.x[b & 1]);
+            x_fluxes(psi + b * r, ny, r, face, w.x[b & 1]);
         }
         if (a >= s.lo)
-            pass_row(psi, out, ny, n, r, cy, w.x[a & 1], w.x[b & 1], w.y, a);
+            pass_row(psi, out, ny, r, cy, w.x[a & 1], w.x[b & 1], w.y, a);
     }
-    if (c.built)
+    if (c.rebuild)
         top[0] = from_bits(top_x);
 }
 
@@ -378,7 +345,7 @@ long upwind(double *restrict psi, long nx, long ny, long r, const double *restri
     if (done == 0) {
         /* cx and top are not written: no C_x is built */
         struct build none = {0};
-        sweep(psi, out, ny, ny, r, (double *)cx, cy, none, NULL, rows_of(rows, 0, r), every_row(nx));
+        sweep(psi, out, ny, r, (double *)cx, cy, none, NULL, rows_of(rows, 0, r), every_row(nx));
         copy_rows(out, psi, r, HALO, HALO + nx, HALO, HALO + ny);
     }
     free(rows);
@@ -431,12 +398,12 @@ void antidiffusive(const double *restrict psi, long nx, long ny, long r,
 }
 
 /* limit's ratios beta_up = (max - psi) / (f_in + eps) and beta_dn = (psi -
- * min) / (f_out + eps) of the cell row a, columns [-1, n], into up and dn */
-static void ratio_row(const double *restrict psi, long n, long r, const double *restrict cx,
+ * min) / (f_out + eps) of the cell row a, columns [-1, ny], into up and dn */
+static void ratio_row(const double *restrict psi, long ny, long r, const double *restrict cx,
                       const double *restrict cy, double *restrict up, double *restrict dn, double eps, long a)
 {
     const double *p = psi + a * r, *fx = cx + a * r, *fy = cy + a * r;
-    for (long b = HALO - 1; b <= HALO + n; b++) {
+    for (long b = HALO - 1; b <= HALO + ny; b++) {
         double c0 = p[b], xm = p[b - r], xp = p[b + r], ym = p[b - 1], yp = p[b + 1];
         double hi = max_nan(max_nan(max_nan(max_nan(c0, xm), xp), ym), yp);
         double lo = min_nan(min_nan(min_nan(min_nan(c0, xm), xp), ym), yp);
@@ -465,38 +432,38 @@ static int64_t limited(const double *restrict c, double *restrict v, const doubl
     return top;
 }
 
-/* The FCT limiter over the block's rows and the columns [0, n) as one
- * sweep, as sweep runs the donor-cell pass: for each face row, from the
- * block's first on, the ratios of the cell row below it into the ring and
- * its limited faces of cx into vx; then the limited y faces of cy of the
- * cell row above it into vy and, unless out is NULL, that row's donor-cell
- * pass with them from psi into out (pass_row).  The ring rows beside the
- * block and the x faces below its last row read rows of other blocks; the
- * block computes them again, the faces into ghost, and stores neither.  top
- * gets the max |v_x| and max |v_y| of the faces stored. */
-static void limit_sweep(const double *restrict psi, double *restrict out, long ny, long n, long r,
+/* The FCT limiter over the block's rows as one sweep, as sweep runs the
+ * donor-cell pass: for each face row, from the block's first on, the ratios
+ * of the cell row below it into the ring and its limited faces of cx into
+ * vx; then the limited y faces of cy of the cell row above it into vy and,
+ * unless out is NULL, that row's donor-cell pass with them from psi into out
+ * (pass_row).  The ring rows beside the block and the x faces below its
+ * last row read rows of other blocks; the block computes them again, the
+ * faces into ghost, and stores neither.  top gets the max |v_x| and max
+ * |v_y| of the faces stored. */
+static void limit_sweep(const double *restrict psi, double *restrict out, long ny, long r,
                         const double *restrict cx, const double *restrict cy, double *restrict vx,
                         double *restrict vy, double eps, double *restrict top, struct rows w, struct block s)
 {
     int64_t top_x = 0, top_y = 0;
-    ratio_row(psi, n, r, cx, cy, w.up[(s.lo - 1) & 1], w.dn[(s.lo - 1) & 1], eps, s.lo - 1);
+    ratio_row(psi, ny, r, cx, cy, w.up[(s.lo - 1) & 1], w.dn[(s.lo - 1) & 1], eps, s.lo - 1);
     for (long a = s.lo - 1; a < s.hi; a++) {
         long b = a + 1; /* the cell row below row a, and the face row between */
-        ratio_row(psi, n, r, cx, cy, w.up[b & 1], w.dn[b & 1], eps, b);
+        ratio_row(psi, ny, r, cx, cy, w.up[b & 1], w.dn[b & 1], eps, b);
         int own = b < s.hi || s.last;
         double *face = own ? vx + b * r : w.ghost;
         int64_t face_top =
-            limited(cx + b * r, face, w.up[a & 1], w.dn[a & 1], w.up[b & 1], w.dn[b & 1], HALO, HALO + n, top_x);
+            limited(cx + b * r, face, w.up[a & 1], w.dn[a & 1], w.up[b & 1], w.dn[b & 1], HALO, HALO + ny, top_x);
         top_x = own ? face_top : top_x;
         if (out)
-            x_fluxes(psi + b * r, n, r, face, w.x[b & 1]);
+            x_fluxes(psi + b * r, ny, r, face, w.x[b & 1]);
         if (a < s.lo)
             continue;
         /* a y face's donor is the cell before it in the row */
         const double *up = w.up[a & 1], *dn = w.dn[a & 1];
-        top_y = limited(cy + a * r, vy + a * r, up - 1, dn - 1, up, dn, HALO, HALO + n + 1, top_y);
+        top_y = limited(cy + a * r, vy + a * r, up - 1, dn - 1, up, dn, HALO, HALO + ny + 1, top_y);
         if (out)
-            pass_row(psi, out, ny, n, r, vy, w.x[a & 1], w.x[b & 1], w.y, a);
+            pass_row(psi, out, ny, r, vy, w.x[a & 1], w.x[b & 1], w.y, a);
     }
     top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
@@ -511,7 +478,7 @@ long limit(const double *restrict psi, long nx, long ny, long r, const double *r
     double *rows = alloc_rows(1, r);
     if (!rows)
         return -1;
-    limit_sweep(psi, NULL, ny, ny, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), every_row(nx));
+    limit_sweep(psi, NULL, ny, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), every_row(nx));
     free(rows);
     return 0;
 }
@@ -521,7 +488,7 @@ long limit(const double *restrict psi, long nx, long ny, long r, const double *r
 double courant_x(const double *restrict psi, long nx, long ny, long r, double *restrict cx,
                  double u, double coef, double scale, double eps)
 {
-    struct build k = {u, coef, scale, eps, ny};
+    struct build k = {u, coef, scale, eps, 1};
     int64_t top = 0;
     for (long a = HALO; a <= HALO + nx; a++)
         top = courant_x_row(psi + a * r, ny, r, cx + a * r, k, top);
@@ -645,26 +612,6 @@ static int courant_ok(const double *top, double courant_max, double corrective, 
     return out[0] <= courant_max && out[1] <= courant_max;
 }
 
-/* The band of live columns of psi's cell rows [lo, hi), of ny real cells
- * each: up to the last column in [from, to) that holds anything but +0.0
- * there, plus margin, at most ny; from + margin when every cell of [from,
- * to) is +0.0. */
-static long live_columns(const double *psi, long ny, long r, long lo, long hi, long from, long to,
-                         long margin)
-{
-    long last = from - 1;
-    for (long b = to - 1; b >= from && last < from; b--)
-        for (long a = lo; a < hi; a++) {
-            uint64_t bits;
-            memcpy(&bits, psi + a * r + HALO + b, sizeof bits);
-            if (bits) {
-                last = b;
-                break;
-            }
-        }
-    return last + 1 + margin < ny ? last + 1 + margin : ny;
-}
-
 /* The two components of one Courant field in the workspace. */
 struct faces {
     double *x, *y;
@@ -677,9 +624,8 @@ struct faces {
 #define SPINS 200
 
 /* One march call: its arguments, the threads that run it and their barrier.
- * Each thread leaves the maxima of the fields it scanned, and the band of
- * its rows, in its own slot, a cache line apart from the next, of one of two
- * sets (see gather). */
+ * Each thread leaves the maxima of the fields it scanned in its own slot, a
+ * cache line apart from the next, of one of two sets (see gather). */
 struct team {
     double *psi, *spare; /* the field, and its second buffer */
     long nx, ny, r;
@@ -694,7 +640,6 @@ struct team {
     atomic_int sense;    /* flipped as each barrier releases */
     struct {
         _Alignas(64) double top[2];
-        long band;
     } slot[2][TEAM_MAX];
 };
 
@@ -726,26 +671,23 @@ static void barrier(struct team *t, int *sense)
     }
 }
 
-/* Leaves this thread's maxima top and band in its slot, waits for the team,
- * writes the maxima of every slot to all and returns the widest band: the
- * integer max of max_bits, so the bits of one scan over every row, and the
- * band of one scan.  The set of slots is the one that the sense names
- * before the barrier flips it.  A thread can leave one gather for the next
- * with no barrier between, while another still reads the first's slots:
- * the two gathers then use different sets.  With a barrier between, every
- * thread has read the first's slots before the second's are written. */
-static long gather(struct team *t, long id, int *sense, const double *top, long band, double *all)
+/* Leaves this thread's maxima top in its slot, waits for the team and
+ * writes the maxima of every slot to all: the integer max of max_bits, so
+ * the bits of one scan over every row.  The set of slots is the one that
+ * the sense names before the barrier flips it.  A thread can leave one
+ * gather for the next with no barrier between, while another still reads
+ * the first's slots: the two gathers then use different sets.  With a
+ * barrier between, every thread has read the first's slots before the
+ * second's are written. */
+static void gather(struct team *t, long id, int *sense, const double *top, double *all)
 {
     int set = *sense;
-    t->slot[set][id].top[0] = top[0], t->slot[set][id].top[1] = top[1], t->slot[set][id].band = band;
+    t->slot[set][id].top[0] = top[0], t->slot[set][id].top[1] = top[1];
     barrier(t, sense);
     int64_t top_x = 0, top_y = 0;
-    for (long i = 0; i < t->size; i++) {
+    for (long i = 0; i < t->size; i++)
         top_x = max_bits(top_x, t->slot[set][i].top[0]), top_y = max_bits(top_y, t->slot[set][i].top[1]);
-        band = band > t->slot[set][i].band ? band : t->slot[set][i].band;
-    }
     all[0] = from_bits(top_x), all[1] = from_bits(top_y);
-    return band;
 }
 
 /* psi's boundary fill of the psi buffer v, whose real rows have their y
@@ -790,30 +732,11 @@ static void fill_vector(const struct team *t, struct faces f, struct block s)
     fill_y(t, f.y, s);
 }
 
-/* +0.0 into the block's real faces of f above a band of live columns: x
- * faces in columns [live, ny), y faces in [live + 1, ny] */
-static void clear_above(const struct team *t, struct faces f, long live, struct block s)
-{
-    size_t width = (size_t)(t->ny - live) * sizeof(double);
-    for (long a = s.lo; a < s.hi + s.last; a++)
-        memset(f.x + a * t->r + HALO + live, 0, width);
-    for (long a = s.lo; a < s.hi; a++)
-        memset(f.y + a * t->r + HALO + live + 1, 0, width);
-}
-
-/* The band of the next step from the block's rows of out, the output of a
- * step's last pass: live, widened if a margin column is live there */
-static long band_of(const struct team *t, const double *out, long live, struct block s)
-{
-    long ny = t->ny, margin = t->n_iters;
-    return live < ny ? live_columns(out, ny, t->r, s.lo, s.hi, live - margin, live, margin) : live;
-}
-
 /* The march on thread id of the team, over its block of rows; what march
  * returns, with its out.  Every pass writes the psi buffer that does not
  * hold the field, and the gather that checks the pass's field swaps the two
- * if the check passes.  Every thread finds the same band and the same
- * maxima, so every thread stops at the same check. */
+ * if the check passes.  Every thread finds the same maxima, so every thread
+ * stops at the same check. */
 static long run(struct team *t, long id, double *out)
 {
     long nx = t->nx, ny = t->ny, r = t->r, n_iters = t->n_iters;
@@ -822,12 +745,6 @@ static long run(struct team *t, long id, double *out)
     struct rows w = rows_of(t->rows, id, r);
     int sense = 0;
     double *psi = t->psi, *spare = t->spare, *swap;
-    long live = t->periodic ? ny : live_columns(psi, ny, r, HALO, HALO + nx, 0, ny, n_iters);
-    if (live < ny) {
-        clear_above(t, t->a, live, s);
-        clear_above(t, t->b, live, s);
-        copy_block(t, psi, spare, s); /* +0.0 above the band in both buffers */
-    }
     double c_top[2], top[2]; /* this block's max |C_x| and max |C_y| of c; every block's */
     fill_y(t, c.y, s);
     c_top[1] = max_rows(c.y, ny + 1, r, s.lo, s.hi);
@@ -837,18 +754,15 @@ static long run(struct team *t, long id, double *out)
     }
     /* the y halos of psi's rows; each pass fills those of the rows it writes */
     fill_scalar_rows(psi, ny, r, s.lo, s.hi);
-    struct build terms = {t->u, t->coef, t->scale, t->eps, 0}, none = {0};
+    /* C_x, if rebuilt, built in the upwind pass's sweep */
+    struct build terms = {t->u, t->coef, t->scale, t->eps, t->rebuild}, none = {0};
     long n = 0;
     for (; n < t->n_steps; n++) {
         fill_psi_edges(t, psi, s);
-        /* C_x, if rebuilt, built in the upwind pass's sweep: on every column
-         * at step 0, then over the band and the column that antidiffusive's
-         * y faces read after it */
-        terms.built = !t->rebuild ? 0 : n > 0 && live < ny ? live + 1 : ny;
-        sweep(psi, spare, ny, live, r, c.x, c.y, terms, c_top, w, s);
-        if (terms.built && n_iters > 1) /* only the antidiffusive field reads C_x's halos */
+        sweep(psi, spare, ny, r, c.x, c.y, terms, c_top, w, s);
+        if (t->rebuild && n_iters > 1) /* only the antidiffusive field reads C_x's halos */
             fill_x(t, c.x, s);
-        long band = gather(t, id, &sense, c_top, n_iters == 1 ? band_of(t, spare, live, s) : live, top);
+        gather(t, id, &sense, c_top, top);
         if (!courant_ok(top, t->courant_max, 0.0, out) || !t->diffusion_ok)
             goto stop;
         swap = psi, psi = spare, spare = swap;
@@ -858,25 +772,23 @@ static long run(struct team *t, long id, double *out)
             /* a kernel never writes the slot it reads */
             struct faces next = current.x == t->a.x ? t->b : t->a;
             double v_top[2]; /* this block's max |v_x| and max |v_y| of the checked field */
-            antidiffusive_rows(psi, live, r, current.x, current.y, next.x, next.y, t->eps, v_top, s);
+            antidiffusive_rows(psi, ny, r, current.x, current.y, next.x, next.y, t->eps, v_top, s);
             fill_vector(t, next, s);
             barrier(t, &sense);
             if (t->nonoscillatory) {
                 struct faces limited = next.x == t->a.x ? t->b : t->a;
-                limit_sweep(
-                    psi, spare, ny, live, r, next.x, next.y, limited.x, limited.y, t->eps, v_top, w, s);
+                limit_sweep(psi, spare, ny, r, next.x, next.y, limited.x, limited.y, t->eps, v_top, w, s);
                 fill_vector(t, limited, s);
                 next = limited;
             } else {
-                sweep(psi, spare, ny, live, r, next.x, next.y, none, NULL, w, s);
+                sweep(psi, spare, ny, r, next.x, next.y, none, NULL, w, s);
             }
-            band = gather(t, id, &sense, v_top, k == n_iters - 1 ? band_of(t, spare, live, s) : live, top);
+            gather(t, id, &sense, v_top, top);
             if (!courant_ok(top, t->courant_max, 1.0, out))
                 goto stop;
             swap = psi, psi = spare, spare = swap;
             current = next;
         }
-        live = band;
     }
 stop:
     /* a stop leaves psi as the failing pass found it, filled before the pass */
@@ -911,9 +823,7 @@ static void *join_team(void *arg)
  * with psi's halos filled from its real cells.  Returns the stopping step's
  * index, or n_steps, or -1, before any step, when the row buffers of the
  * sweeps cannot be allocated; out gets the failing field's max |C_x|, max
- * |C_y| and 1.0 if corrective, 0.0 if not.  The passes, and the rebuilds of
- * C_x after step 0, run over the band of live columns (see the header).
- * march writes no component of c but C_x, and that only if rebuild: the
+ * |C_y| and 1.0 if corrective, 0.0 if not.  march writes no component of c but C_x, and that only if rebuild: the
  * others are filled and scanned once per call, and each field that march
  * writes is scanned by the kernel that writes it.  The march runs on up to
  * threads threads (at most nx and TEAM_MAX), each over its own block of rows

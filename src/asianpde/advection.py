@@ -154,18 +154,14 @@ class StepWorkspace:
         the :mod:`asianpde.grid` fill if not.  The march writes no component
         of ``courant`` but C_x, so C_y, and C_x when kept, are filled and
         scanned once per C call; every field it writes is checked on the max
-        |C| that the kernel writing it finds as it writes it.  Unless
-        ``periodic``, the passes skip psi's columns of +0.0 that the step
-        cannot reach (a put's A >= K), a band each C call finds and grows
-        (``_step.c``), and so does the C_x build after each call's first
-        step, past the band's next column; the fills cover every column, a
-        check stops where one of every face would, and psi and C get the same
-        bytes.  Each pass writes psi's second buffer (the stack's last slot),
-        psi once the pass's field passes its check: the march leaves psi
-        filled.  Each C call runs on up to ``threads`` threads, one a row at
-        most and one if ``periodic``, each over its own block of x rows, with
-        one barrier per upwind step and 3 per 2-iteration step with the
-        limiter; every byte and every result is that of one thread.
+        |C| that the kernel writing it finds as it writes it.  Every pass
+        runs every column; ``pricing.integrate`` picks a put's width.  Each
+        pass writes psi's second buffer (the stack's last slot), psi once
+        the pass's field passes its check: the march leaves psi filled.
+        Each C call runs on up to ``threads`` threads, one a row at most and
+        one if ``periodic``, each over its own block of x rows, with one
+        barrier per upwind step and 3 per 2-iteration step with the limiter;
+        every byte and every result is that of one thread.
 
         Adds the steps it completes to :attr:`steps`.  Raises
         :class:`MemoryError` when a C call cannot allocate the row buffers

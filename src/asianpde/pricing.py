@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import library
+from ._step import HALO, library
 from .advection import DEFAULT_EPSILON, SolverOptions, StepWorkspace, diffusion_number
 from .advection import check_stability, mpdata_step  # noqa: F401 -- perfbench/tracing.py wraps both here
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StabilityError
 from .grid import GridSpec, ScalarField, VectorField
 from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
 
@@ -202,8 +202,11 @@ def integrate(
     Every field of the march lives in one :class:`StepWorkspace` made for
     this call, and each run of equal steps (the full steps, then a
     fractional tail) is one :meth:`StepWorkspace.march` with the
-    :mod:`asianpde.grid` fills, in C calls that a Ctrl-C can stop between;
-    a put's passes skip the +0.0 columns its steps cannot reach yet.  C_y
+    :mod:`asianpde.grid` fills, in C calls that a Ctrl-C can stop between.
+    A pass carries a live column at most a column up, so the workspace ends
+    ``n_iters`` columns past the payoff's last live one (a bit test: a NaN,
+    an inf or a -0.0 counts), which narrows a put's; if the narrow field's
+    top column goes live, the payoff is marched again on every column.  C_y
     is written once per run; before each step C_x is rewritten from the
     current field (the pseudo-velocity is state-dependent) and both
     criteria are checked.  The march raises :class:`StabilityError` on a
@@ -213,8 +216,9 @@ def integrate(
     :func:`terminal_condition` refuses, raise :class:`ConfigurationError`
     before the march.
     The march runs on ``threads`` threads, by default
-    :func:`march_threads`: one per ``CELLS_PER_THREAD`` cells, at most the
-    usable CPUs.  The result has the same bytes on any number.
+    :func:`march_threads` of the workspace: one per ``CELLS_PER_THREAD``
+    cells, at most the usable CPUs.  The result has the same bytes on any
+    number and any width: +0.0 pads a narrow field to the full grid.
 
     Since Psi = exp(-r t) f, the returned field at t = 0 is the price
     surface f itself; it owns its memory.
@@ -227,15 +231,29 @@ def integrate(
             f"dt = {dt:g} gives {n_steps:.3g} time steps over T = {inst.maturity:g} on "
             f"{spec.nx}x{spec.ny} cells, more than {MAX_CELL_STEPS:.0e} cell-steps"
         )
-    if threads is None:
-        threads = march_threads(spec.nx, spec.ny)
-    tr = make_transform(inst)
-    ws = StepWorkspace.holding(terminal_condition(inst, spec))
-    for step, count in _step_runs(inst.maturity, dt):
-        _write_courant_y(ws, tr, spec, -step)
-        diffusion = diffusion_number(tr.nu, step, spec.dx)
-        ws.march(count, opts, _courant_x_terms(tr, spec, -step), diffusion, threads=threads)
-    return ws.psi.copy()
+    tr, payoff = make_transform(inst), terminal_condition(inst, spec)
+    live = payoff.interior.view(np.uint64).any(axis=0).nonzero()[0]
+    for width in (min(spec.ny, live.max(initial=0) + 1 + opts.n_iters), spec.ny):
+        ws = StepWorkspace.holding(ScalarField(payoff.values[:, :width + 2 * HALO]))
+        n = march_threads(spec.nx, width) if threads is None else threads
+        try:
+            for step, count in _step_runs(inst.maturity, dt):
+                _write_courant_y(ws, tr, spec, -step)
+                diffusion = diffusion_number(tr.nu, step, spec.dx)
+                ws.march(count, opts, _courant_x_terms(tr, spec, -step), diffusion, threads=n)
+        except StabilityError:
+            if not _outgrown(ws, spec):
+                raise
+        if not _outgrown(ws, spec):
+            break
+    psi = ScalarField.zeros(spec)
+    psi.values[:, :width + 2 * HALO] = ws.psi.values
+    return psi
+
+
+def _outgrown(ws: StepWorkspace, spec: GridSpec) -> bool:
+    """Whether a narrow march's top column holds a nonzero bit, where a full-width march may differ."""
+    return ws.psi.ny < spec.ny and bool(ws.psi.interior[:, -1].view(np.uint64).any())
 
 
 def check_edge_cells(inst: InstrumentSpec, spec: GridSpec) -> None:

@@ -24,6 +24,7 @@ from asianpde.advection import (
     StepWorkspace,
     antidiffusive_courant,
     check_stability,
+    diffusion_number,
     mpdata_step,
     nonoscillatory_limit,
     upwind_step,
@@ -31,7 +32,15 @@ from asianpde.advection import (
 from asianpde.benchmarks import ConvergenceLevel
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import GridSpec, ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
-from asianpde.pricing import InstrumentSpec, _step_runs, build_courant, make_transform
+from asianpde.pricing import (
+    InstrumentSpec,
+    _courant_x_terms,
+    _step_runs,
+    _write_courant_y,
+    build_courant,
+    make_transform,
+    terminal_condition,
+)
 from asianpde.reference import McConfig
 
 
@@ -270,9 +279,9 @@ def full_width_step(
     psi: ScalarField, courant: VectorField, opts: SolverOptions
 ) -> tuple[ScalarField, list[VectorField]]:
     """One transport step composed of the public passes, each of which runs
-    its kernel over every column, where the march runs only its band of live
-    ones: UPWIND, then per corrective pass the refilled psi's antidiffusive
-    field and, if nonoscillatory, its limited copy, each with filled halos.
+    its kernel over every column of a new workspace: UPWIND, then per
+    corrective pass the refilled psi's antidiffusive field and, if
+    nonoscillatory, its limited copy, each with filled halos.
     Each UPWIND raises :class:`StabilityError` on a field over |C| = 1.
     Returns psi, its halos filled as the march leaves them, and the
     corrective fields in the order the step writes them."""
@@ -305,6 +314,34 @@ def full_width_integrate(
             psi = full_width_step(psi, courant, opts)[0]
         done += count
     return psi
+
+
+def full_width_march(inst: InstrumentSpec, spec: GridSpec, dt: float, opts: SolverOptions) -> ScalarField:
+    """``pricing.integrate`` as one :meth:`StepWorkspace.march` per run of
+    equal steps on every column of the grid, where integrate narrows a
+    put's workspace to the columns its payoff reaches."""
+    tr, ws = make_transform(inst), StepWorkspace.holding(terminal_condition(inst, spec))
+    for step, count in _step_runs(inst.maturity, dt):
+        _write_courant_y(ws, tr, spec, -step)
+        diffusion = diffusion_number(tr.nu, step, spec.dx)
+        ws.march(count, opts, _courant_x_terms(tr, spec, -step), diffusion)
+    return ws.psi
+
+
+def last_live_column(psi: ScalarField) -> int:
+    """The last column of psi's real cells that holds a nonzero bit, as the
+    march tells live from +0.0: a NaN, an inf or a -0.0 counts; -1 if none."""
+    return int(np.flatnonzero(psi.interior.view(np.uint64).any(axis=0)).max(initial=-1))
+
+
+def call_forward_value(inst: InstrumentSpec, t: float, spot, average):
+    """A call's exact value at time t where the running average has reached
+    the strike: the average can only end above it, so the payoff is linear,
+    e^{-r(T - t)} (A - K) + S (1 - e^{-r(T - t)}) / (r T), and S (T - t) / T
+    in place of the last term at r = 0 (Geman & Yor 1993)."""
+    left, r, maturity = inst.maturity - t, inst.rate, inst.maturity
+    share = -math.expm1(-r * left) / (r * maturity) if r else left / maturity
+    return math.exp(-r * left) * (average - inst.strike) + spot * share
 
 
 def split_mpdata_step(

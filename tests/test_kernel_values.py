@@ -23,6 +23,7 @@ from asianpde.errors import StabilityError
 from asianpde.grid import GridSpec, ScalarField, VectorField, fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import grid_from_price_domain
 from oracles import (
+    last_live_column,
     limiter_ratios,
     reference_antidiffusive,
     reference_limit,
@@ -131,10 +132,6 @@ def test_corrective_kernels_return_the_max_abs_of_their_faces(kernel, specials):
     assert np.array_equal(bits(list(top)), bits(_max_abs(out)))
 
 
-def _last_live_column(psi: ScalarField) -> int:
-    return int(np.flatnonzero(psi.interior.any(axis=0))[-1])
-
-
 def _maxima(err: StabilityError) -> list[float]:
     """The failing field's max |C_x| and max |C_y| that ``err`` reports."""
     return [err.report.max_abs_courant_x, err.report.max_abs_courant_y]
@@ -149,8 +146,9 @@ def test_march_failing_a_corrective_check_reports_the_maxima_of_its_slot(nonosc,
     the torus).  The first corrective field after the overflow fails its
     check (in y; without the limiter not in x).  The march reports the
     maxima that the kernel found as it wrote the field, which must be those
-    of every real face of the slot it stopped in: over the band, with +0.0
-    above it, or before a wrap that copies the first faces over the last."""
+    of every real face of the slot it stopped in: +-0 more than n_iters
+    columns above psi's front, or before a wrap that copies the first faces
+    over the last."""
     spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
     start = ScalarField.zeros(spec)
     start.interior[:, :3] = np.random.default_rng(7).uniform(0.5, 2.0, (24, 3)) * 2e307
@@ -175,7 +173,7 @@ def test_march_failing_a_corrective_check_reports_the_maxima_of_its_slot(nonosc,
         assert split.fields.tobytes() == ws.fields.tobytes()
     slot = ws.corrective[1 if nonosc else 0]  # the step's first corrective field: antidiffusive, then limited
     if not periodic:
-        live = _last_live_column(ws.psi) + 1 + opts.n_iters  # the band the failing step ran on
+        live = last_live_column(ws.psi) + 1 + opts.n_iters  # the columns the failing step reached
         assert 3 + opts.n_iters < live < spec.ny
         assert not slot.interior_x[:, live:].any()
     assert np.array_equal(bits([max_cx, max_cy]), bits(_max_abs(slot)))

@@ -30,7 +30,7 @@ from asianpde.pricing import (
     make_transform,
     terminal_condition,
 )
-from oracles import reference_normals
+from oracles import last_live_column, reference_normals
 
 PACKAGE_ROOT = Path(_step.__file__).parents[1]
 LOAD = "from asianpde._step import library; print(library()._name)"
@@ -371,17 +371,12 @@ def test_split_march_moves_no_bit(nx, ny, dt, threads):
         assert _march_bytes(nx, ny, dt, count) == want, count
 
 
-def _last_live_column(ws: StepWorkspace) -> int:
-    return int(np.flatnonzero(ws.psi.interior.any(axis=0))[-1])
-
-
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_band_limited_courant_x_keeps_every_byte(monkeypatch, threads):
-    # After step 0 of a call the march rebuilds a put's C_x only on the band
-    # and the column after it, and checks the band's max |C_x| alone: the
-    # faces past it keep the bits that step 0 wrote and checked.  A march in
-    # one C call must leave psi, C and both corrective slots as one-step
-    # calls do, each of which builds every column at its step 0.
+    # The march rebuilds a put's C_x on every face at every step, from the
+    # field that step found, whether or not its front has reached a column
+    # yet.  A march in one C call must leave psi, C and both corrective slots
+    # as one-step calls do.
     nx, ny, dt = 24, 20, 0.01
     spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
     inst = InstrumentSpec("put", 100.0, 0.5, 0.3, 0.1, 100.0)
@@ -396,32 +391,30 @@ def test_band_limited_courant_x_keeps_every_byte(monkeypatch, threads):
         monkeypatch.undo()
         return ws.fields[:7].tobytes()
 
-    # the front climbs from column 9 to the top: the band reaches full width
-    # during the call, and the build covers every column again
+    # the front climbs from column 9 to the top during the call
     start = terminal_condition(inst, spec)
     ws = StepWorkspace.holding(start)
-    assert _last_live_column(ws) == 9
+    assert last_live_column(ws.psi) == 9
     assert marched(ws, 20) == marched(StepWorkspace.holding(start), 20, per_call=1)
-    assert _last_live_column(ws) == ny - 1
-    # a reused workspace: psi's halo rows and C_x past the new band are stale,
-    # which a C_x written before step 0's fills would read
+    assert last_live_column(ws.psi) == ny - 1
+    # a reused workspace: psi's halo rows and C_x above the new front are
+    # stale, which a C_x written before step 0's fills would read
     ws.psi.interior[:, 4:] = 0.0
     fresh = [StepWorkspace(nx, ny) for _ in range(2)]
     for other in fresh:
         other.psi.interior[...] = ws.psi.interior
     assert marched(ws, 4) == marched(fresh[0], 4) == marched(fresh[1], 4, per_call=1)
-    assert _last_live_column(ws) == 7  # short of the top: every later step built the band alone
+    assert last_live_column(ws.psi) == 7  # short of the top
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_band_limited_courant_x_stops_as_one_step_calls(monkeypatch, threads):
-    # After step 0 of a call a put's march checks the max |C_x| of its band
-    # alone: the faces past it keep step 0's bits, which passed step 0's
-    # check.  Here max |C_x| is 0.00554 in every column at step 0, and the
-    # band's grows to 0.006826 at step 19 and 0.006892 at step 20, while the
-    # front stays at column 9.  With the limit between, a march in one C call must
-    # stop where one-step calls, each of which builds and checks every face,
-    # stop, with the same error, and leave psi as they do.
+    # A put's march checks the max |C_x| of every face at every step.  Here
+    # max |C_x| is 0.00554 in every column at step 0, and grows below the
+    # front to 0.006826 at step 19 and 0.006892 at step 20, while the front
+    # stays at column 9.  With the limit between, a march in one C call must
+    # stop where one-step calls stop, with the same error, and leave psi as
+    # they do.
     nx, ny, dt = 24, 20, 0.004
     spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
     inst = InstrumentSpec("put", 100.0, 2.0, 0.6, 0.1, 100.0)
@@ -440,7 +433,7 @@ def test_band_limited_courant_x_stops_as_one_step_calls(monkeypatch, threads):
             )
         error = caught.value
         report = (error.report.max_abs_courant_x, error.report.max_abs_courant_y)
-        return ws.steps, _last_live_column(ws), str(error), error.step_index, report, ws.psi.values.tobytes()
+        return ws.steps, last_live_column(ws.psi), str(error), error.step_index, report, ws.psi.values.tobytes()
 
     one_call = stopped()
     assert one_call[:2] == (20, 9) and one_call[3] == 20
@@ -453,13 +446,12 @@ def test_band_limited_courant_x_stops_as_one_step_calls(monkeypatch, threads):
 # workspace, result and out.  It prints each case's steps run and out[2].
 # An odd number of passes leaves the march's field in psi's second buffer
 # (the last slot), from which march copies it back.  Kind 0 is a call's payoff, 1 a
-# put's (+0.0 from column 5 up, so the march runs a band), and 2 a field of
+# put's (+0.0 from column 5 up), and 2 a field of
 # 1.3e308 with one 0 cell, which overflows in the first upwind pass under
 # an outflow sum of 1.71, so the march stops: at step 1 on the physical
 # field with one iteration, at step 0 on the first corrective field with more.
 # Kind 3 is the put under C_y > 0, which carries its front to the top column
-# within a few steps, so the band, and the C_x build with it, widens to full
-# width during the call.
+# within a few steps.
 MARCH_DRIVER = r"""
 #include <errno.h>
 #include <math.h>

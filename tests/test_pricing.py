@@ -8,6 +8,7 @@ import pytest
 
 from asianpde import _step, advection, grid, pricing
 from asianpde.advection import SolverOptions, StabilityReport, StepWorkspace, mpdata_step
+from asianpde.benchmarks import ConvergenceLevel
 from asianpde.errors import ConfigurationError, StabilityError
 from asianpde.grid import GridSpec, ScalarField, fill_halos_scalar, fill_halos_vector
 from asianpde.pricing import (
@@ -504,9 +505,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("n_iters", [1, 2, 3])
     @pytest.mark.parametrize("bad", [1.3e308, math.nan])
     def test_put_overflow_above_the_payoff_fails_as_full_width(self, monkeypatch, n_iters, bad):
-        # the put's payoff is +0.0 from column 3 up, so a band taken from it
-        # would end below column 7; the march scans psi for its band, so the
-        # 1.3e308 block above overflows at its zero cell (as above), or the
+        # the put's payoff is +0.0 from column 3 up, so a width taken from it
+        # would end below column 7; integrate reads its width off psi's bits,
+        # so the 1.3e308 block above overflows at its zero cell (as above), or the
         # NaN fails the first check, in the same step as the full-width passes
         spec = grid_from_price_domain(50.0, 200.0, 52.5, 8, 12)
         inst = InstrumentSpec("put", 10.0, 0.5, 0.0, 15.0, 100.0)
@@ -539,6 +540,49 @@ class TestIntegrate:
         assert (str(err.value), err.value.step_index) == (str(want.value), want.value.step_index)
         assert ran == [len(stepped)] == [0 if math.isnan(bad) or n_iters > 1 else 1]
 
+    @pytest.mark.parametrize("bits", [-0.0, 5e-324, math.inf, math.nan])
+    def test_width_read_off_every_nonzero_bit(self, monkeypatch, bits):
+        # a put's payoff is +0.0 from column 10 up on this grid; one cell of
+        # any nonzero bits in column 12 takes the width to n_iters past it
+        spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
+        inst = sample_instrument(kind="put")
+        psi = terminal_condition(inst, spec)
+        psi.interior[7, 12] = bits
+        assert oracles.last_live_column(psi) == 12
+        widths = []
+        monkeypatch.setattr(pricing, "terminal_condition", lambda inst, spec: psi.copy())
+        monkeypatch.setattr(StepWorkspace, "march", lambda ws, *args, **kwargs: widths.append(ws.psi.ny))
+        integrate(inst, spec, dt=0.25, opts=OPTS)
+        assert widths == [12 + 1 + OPTS.n_iters]
+
+    @pytest.mark.parametrize("top_live", [False, True])
+    def test_a_narrow_stop_is_final_unless_its_top_column_is_live(self, monkeypatch, top_live):
+        # a narrow march that stops with its top column +0.0 stopped where a
+        # full-width one would, and its error stands; one whose top column
+        # went live may not have, so a full-width march decides
+        spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
+        inst = sample_instrument(kind="put")
+        march, widths = StepWorkspace.march, []
+
+        def stopped(ws, *args, **kwargs):
+            widths.append(ws.psi.ny)
+            if ws.psi.ny == spec.ny:
+                return march(ws, *args, **kwargs)
+            ws.psi.interior[:, -1] = 5e-324 if top_live else 0.0
+            raise StabilityError(advection.stability_report(2.0, 0.5, 0.0), step_index=3)
+
+        monkeypatch.setattr(StepWorkspace, "march", stopped)
+        narrow = 9 + 1 + OPTS.n_iters  # the payoff's last live column is 9
+        if top_live:
+            got = integrate(inst, spec, dt=0.01, opts=OPTS)
+            assert widths == [narrow, spec.ny]
+            want = oracles.full_width_march(inst, spec, 0.01, OPTS)
+            assert got.values.tobytes() == want.values.tobytes()
+        else:
+            with pytest.raises(StabilityError, match="at step 3: .* max \\|C_x\\| = 2 > 1"):
+                integrate(inst, spec, dt=0.01, opts=OPTS)
+            assert widths == [narrow]
+
     @pytest.mark.parametrize("nonosc", [False, True])
     def test_scaling_terminal_condition_scales_readout(self, nonosc):
         # the scheme is homogeneous in the field (psi ratios and FCT ratios
@@ -561,6 +605,42 @@ class TestIntegrate:
             psi4 = mpdata_step(psi4, c4, opts)
         assert 4.0 * readout(psi1, inst, spec) == readout(psi4, inst, spec)
         np.testing.assert_allclose(psi4.interior, 4.0 * psi1.interior, rtol=1e-12, atol=5e-14)
+
+
+# (nx, ny, dt) at dt proportional to dx^2, on the default domain
+FORWARD_GRIDS = ((51, 61, 1.0 / 440.0), (76, 91, 1.0 / 990.0), (102, 121, 1.0 / 1760.0))
+
+
+def _forward_deviation(inst: InstrumentSpec, nx: int, ny: int, dt: float) -> ConvergenceLevel:
+    """The 2-iteration t = 0 field's largest relative deviation from the
+    call's closed form over the A cells at least 2 dy past the strike, each
+    read at x = ln S0 between cell centres."""
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
+    ahead = spec.y_centres >= inst.strike + 2.0 * spec.dy
+    exact = oracles.call_forward_value(inst, 0.0, np.exp(spec.x_centres)[:, None], spec.y_centres[None, ahead])
+    deviation = np.abs(integrate(inst, spec, dt, OPTS).interior[:, ahead] / exact - 1.0)
+    error = max(np.interp(math.log(inst.spot), spec.x_centres, column) for column in deviation.T)
+    return ConvergenceLevel(nx, spec.dx, float(error), None)
+
+
+class TestForwardRegion:
+    """Where a call's running average has passed the strike its value has a
+    closed form, which the march must converge to at the spot: at an
+    observed order of 1.7-1.8 for the two-iteration scheme, bounded below
+    at 1.5."""
+
+    def test_sigma_02_six_months_converges_at_the_spot(self):
+        levels = [_forward_deviation(sample_instrument(), *grid) for grid in FORWARD_GRIDS]
+        assert levels[-1].error < 1e-4
+        assert oracles.observed_order(levels) >= 1.5
+
+    # ROADMAP item 9: the upper S edge's linear extrapolation in ln S holds
+    # this deviation near 1.2e-3 on every grid
+    @pytest.mark.xfail(strict=True, reason="the upper S edge fill pulls the forward region off its closed form")
+    def test_sigma_04_twelve_months_converges_at_the_spot(self):
+        inst = sample_instrument(sigma=0.4, maturity=1.0)
+        levels = [_forward_deviation(inst, *grid) for grid in FORWARD_GRIDS]
+        assert oracles.observed_order(levels) >= 1.5
 
 
 class TestReadout:

@@ -37,7 +37,9 @@ from asianpde.pricing import (
 from conftest import random_courant, random_positive_field, wrap_courant
 from oracles import (
     full_width_integrate,
+    full_width_march,
     full_width_step,
+    last_live_column,
     periodic_mpdata_step,
     reference_periodic_fill_scalar,
     reference_periodic_fill_vector,
@@ -115,7 +117,7 @@ def test_integrate_matches_a_loop_of_public_passes(n_iters, nonosc, maturity, ki
     """integrate's march in C gives, byte for byte, the field of a loop over
     the public passes, which run over every column: fill psi, build the
     Courant field, fill its faces, then UPWIND and the corrective passes.
-    A put's march runs only its band of live columns."""
+    A put's march runs only the columns its payoff reaches."""
     spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
     inst = InstrumentSpec(kind, 100.0, maturity, 0.3, 0.1, 100.0)
     opts = SolverOptions(n_iters=n_iters, nonoscillatory=nonosc)
@@ -123,8 +125,48 @@ def test_integrate_matches_a_loop_of_public_passes(n_iters, nonosc, maturity, ki
     assert integrate(inst, spec, 0.01, opts).values.tobytes() == want.values.tobytes()
 
 
-def _last_live_column(psi: ScalarField) -> int:
-    return int(np.flatnonzero(psi.interior.any(axis=0))[-1])
+# (put, (nx, ny), dt, n_iters, nonoscillatory, marched again); the default domain
+WIDTH_CASES = {
+    # the table's sigma 0.2 put at K 105 on a coarse grid: its front climbs a
+    # column above the payoff's, and stays below the narrow top column
+    "climbs-one": (InstrumentSpec("put", 105.0, 0.5, 0.2, 0.1, 100.0), (51, 61), 1.0 / 440.0, 2, True, False),
+    "climbs-one-4-iterations": (InstrumentSpec("put", 100.0, 0.5, 0.2, 0.1, 100.0), (24, 20), 0.01, 4, True, False),
+    # two puts of a random probe whose fronts climb 4-5 columns, into the narrow top column
+    "probe-242": (
+        InstrumentSpec("put", 120.37471911838824, 0.25, 0.3828605332617597, -0.003566316585945875, 87.77892158980121),
+        (14, 27), 0.009652644895730185, 3, True, True,
+    ),
+    "probe-316": (
+        InstrumentSpec("put", 112.37259294355437, 0.25, 0.5209047096520574, 0.056144208749452376, 96.54438526298676),
+        (10, 18), 0.014868054244207264, 3, False, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WIDTH_CASES))
+def test_integrate_matches_a_full_width_march(monkeypatch, case):
+    """integrate marches a put on the columns up to n_iters past its
+    payoff's last live one, and again on every column when the narrow
+    field's top column goes live.  Either way it gives a full-width march
+    of the same payoff byte for byte, halos included, though the front
+    climbs above the payoff's."""
+    inst, (nx, ny), dt, n_iters, nonosc, again = WIDTH_CASES[case]
+    spec = grid_from_price_domain(50.0, 200.0, 200.0, nx, ny)
+    opts = SolverOptions(n_iters=n_iters, nonoscillatory=nonosc)
+    widths, holding = [], StepWorkspace.holding.__func__
+
+    def tracked(cls, *args):
+        ws = holding(cls, *args)
+        widths.append(ws.psi.ny)
+        return ws
+
+    monkeypatch.setattr(StepWorkspace, "holding", classmethod(tracked))
+    got = integrate(inst, spec, dt, opts)
+    monkeypatch.undo()
+    payoff = last_live_column(terminal_condition(inst, spec))
+    assert widths == [payoff + 1 + n_iters] + [ny] * again
+    assert last_live_column(got) > payoff
+    assert got.values.tobytes() == full_width_march(inst, spec, dt, opts).values.tobytes()
 
 
 @pytest.mark.parametrize("n_iters", [1, 2, 4])
@@ -132,11 +174,10 @@ def _last_live_column(psi: ScalarField) -> int:
 def test_band_grows_with_the_front(n_iters, nonosc):
     """A field with zero top columns under a constant C_y = 1: UPWIND moves
     the front up one column and the first corrective pass one more, the
-    farthest any field tried moved it in a step, so the march's band must
-    widen as it goes.  The march gives the full-width passes' psi byte for
-    byte, and in the corrective slots their last fields (which a full-width
-    march holds as +-0 above the band, the march as +0.0); and, split over
-    threads, the one-thread march's whole stack."""
+    farthest any field tried moved it in a step.  The march gives the
+    full-width passes' psi byte for byte as the front climbs, and in the
+    corrective slots their last fields; and, split over threads, the
+    one-thread march's whole stack."""
     spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
     rng = np.random.default_rng(3)
     start = ScalarField.zeros(spec)
@@ -145,7 +186,7 @@ def test_band_grows_with_the_front(n_iters, nonosc):
     courant.interior_y[:] = 1.0
     fill_halos_vector(courant)
     opts = SolverOptions(n_iters=n_iters, nonoscillatory=nonosc)
-    for n_steps in (2, 20):  # the band still short of the top, then past it
+    for n_steps in (2, 20):  # the front still short of the top, then at it
         ws = StepWorkspace.holding(start, courant)
         ws.march(n_steps, opts)
         assert ws.steps == n_steps
@@ -154,10 +195,10 @@ def test_band_grows_with_the_front(n_iters, nonosc):
             split.march(n_steps, opts, threads=threads)
             assert split.steps == n_steps
             assert split.fields.tobytes() == ws.fields.tobytes()
-        psi, fronts = start, [_last_live_column(start)]
+        psi, fronts = start, [last_live_column(start)]
         for _ in range(n_steps):
             psi, written = full_width_step(fill_halos_scalar(psi), courant, opts)
-            fronts.append(_last_live_column(psi))
+            fronts.append(last_live_column(psi))
         assert fronts[1] - fronts[0] == min(n_iters, 2)
         assert ws.psi.values.tobytes() == psi.values.tobytes()
         for slot, fields in zip(ws.corrective, (written[0::2], written[1::2])):
@@ -271,10 +312,11 @@ def test_a_march_of_no_steps_calls_no_kernel(monkeypatch, kind):
 
 @pytest.mark.parametrize("nonosc", [True, False])
 def test_a_call_clears_the_faces_above_its_band(rng, nonosc):
-    """Each march call takes its band from psi's last live column, which can
-    lie below the last call's band.  The faces above the new band, where the
-    last call left its corrective fields, then read +0.0, so the call's
-    checks scan what a full-width march holds there, +-0."""
+    """A march call on a workspace whose last call left its corrective
+    fields, with psi since cleared from column 4 up: the call overwrites
+    every face of its slots with what the full-width passes write (+-0 above
+    psi's front), so its checks scan its own fields and not the last
+    call's."""
     spec = grid_from_price_domain(50.0, 200.0, 200.0, 24, 20)
     courant = fill_halos_vector(random_courant(spec, rng))
     opts = SolverOptions(n_iters=3, nonoscillatory=nonosc)
