@@ -13,13 +13,15 @@
  * halo offset and unroll the halo loops.
  * The stencil kernels write real elements only and read halos that the
  * caller has filled; the fill kernels after them write the halos, and the
- * scan reads real elements only.  The kernels that write a Courant field
- * scan it as they write it: courant_x returns max |C_x|, and antidiffusive
- * and limit write max |v_x| and max |v_y| to a double[2], each the max_abs
- * of the faces written.  Every kernel takes first the record that
- * asianpde._step.dims makes of the array it walks; march takes psi's, and
- * the face arrays and psi's second buffer in the same workspace share its
- * row length.
+ * scan reads real elements only.  A sweep export, upwind or limit, runs
+ * march's own sweep over every row and writes its pass into psi's second
+ * buffer, as march does.  The kernels that write a Courant field scan it as
+ * they write it, and a scanning export writes its maxima to a double[2],
+ * each the max_abs of the faces written: upwind max |C_x| when it builds
+ * C_x, antidiffusive and limit max |v_x| and max |v_y|.  Every kernel takes
+ * first the record that asianpde._step.dims makes of the array it walks;
+ * march, upwind and limit take psi's, and the face arrays and psi's second
+ * buffer in the same workspace share its row length.
  *
  * Each real element gets the same floating-point operations, in the same
  * order, as a direct numpy evaluation of its formula, so the results are
@@ -279,20 +281,9 @@ static inline double courant_x_face(const double *restrict p, long b, long r, st
     return (k.u - guarded_ratio(p[b] - p[b - r], p[b] + p[b - r], k.eps) * k.coef) * k.scale;
 }
 
-/* C_x on the face row c between the cell rows p - r and p, columns [0, n).
- * Returns top with their max |C_x|. */
-static int64_t courant_x_row(const double *restrict p, long n, long r, double *restrict c, struct build k,
-                             int64_t top)
-{
-    for (long b = HALO; b < HALO + n; b++) {
-        c[b] = courant_x_face(p, b, r, k);
-        top = max_bits(top, c[b]);
-    }
-    return top;
-}
-
-/* courant_x_row and, in the same loop, the x fluxes (x_fluxes) of its
- * faces into f.  Returns top with their max |C_x|. */
+/* C_x on the face row c between the cell rows p - r and p, columns [0, n),
+ * and in the same loop the x fluxes (x_fluxes) of its faces into f.  Returns
+ * top with their max |C_x|. */
 static int64_t courant_x_fluxes(const double *restrict p, long n, long r, double *restrict c, double *restrict f,
                                 struct build k, int64_t top)
 {
@@ -307,11 +298,11 @@ static int64_t courant_x_fluxes(const double *restrict p, long n, long r, double
 /* One donor-cell pass from psi into out over the block's rows, as one
  * sweep: for each face row, from the block's first on, its x fluxes, in one
  * loop with its C_x built into cx if c.rebuild is set (courant_x_fluxes),
- * then the cell row above it (pass_row).  No row of psi
- * changes, so the block computes the fluxes of its first face row itself,
- * and it builds C_x below its last row into ghost, which only the block
- * below stores.  When it builds C_x, top[0]
- * gets the max |C_x| of the faces stored. */
+ * then the cell row above it (pass_row).  No row of psi changes, so the
+ * block computes the fluxes of its first face row itself, and it builds C_x
+ * below its last row into ghost, which only the block below stores.  When
+ * it builds C_x, top[0] gets the max |C_x| of the faces stored.  march and,
+ * over every row, upwind run it. */
 static void sweep(const double *restrict psi, double *restrict out, long ny, long r, double *restrict cx,
                   const double *restrict cy, struct build c, double *restrict top, struct rows w, struct block s)
 {
@@ -334,23 +325,21 @@ static void sweep(const double *restrict psi, double *restrict out, long ny, lon
         top[0] = from_bits(top_x);
 }
 
-/* One donor-cell pass over every row and column, as march runs it: a sweep
- * into a private buffer, whose real cells then replace psi's.  Returns 0,
- * or -1, with psi as it was, when its buffers cannot be allocated. */
-long upwind(double *restrict psi, long nx, long ny, long r, const double *restrict cx,
-            const double *restrict cy)
+/* march's upwind pass over every row: the sweep from psi into spare, which
+ * builds C_x = (u - coef A) scale into cx as it goes, and max |C_x| into
+ * top[0], if rebuild is set.  Returns 0, or -1, having written nothing, when
+ * its row buffers cannot be allocated. */
+long upwind(const double *restrict psi, long nx, long ny, long r, double *restrict cx,
+            const double *restrict cy, double *restrict spare, long rebuild, double u, double coef,
+            double scale, double eps, double *restrict top)
 {
-    double *rows = alloc_rows(1, r), *out = malloc((size_t)((nx + 2 * HALO) * r) * sizeof *out);
-    long done = rows && out ? 0 : -1;
-    if (done == 0) {
-        /* cx and top are not written: no C_x is built */
-        struct build none = {0};
-        sweep(psi, out, ny, r, (double *)cx, cy, none, NULL, rows_of(rows, 0, r), every_row(nx));
-        copy_rows(out, psi, r, HALO, HALO + nx, HALO, HALO + ny);
-    }
+    double *rows = alloc_rows(1, r);
+    if (!rows)
+        return -1;
+    struct build terms = {u, coef, scale, eps, rebuild};
+    sweep(psi, spare, ny, r, cx, cy, terms, top, rows_of(rows, 0, r), every_row(nx));
     free(rows);
-    free(out);
-    return done;
+    return 0;
 }
 
 /* |C| (1 - |C|) A - C Cbar B at face k between cells k - near and k, with
@@ -388,8 +377,9 @@ static void antidiffusive_rows(const double *restrict psi, long ny, long r, cons
     top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
 
-/* Antidiffusive Courant numbers of (cx, cy) into (vx, vy); max |v_x| and
- * max |v_y| of the faces written into top[0] and top[1], as max_abs finds them. */
+/* Antidiffusive Courant numbers of (cx, cy) into (vx, vy), their max |v_x|
+ * and max |v_y| into top[0] and top[1], as march's corrective pass writes
+ * them. */
 void antidiffusive(const double *restrict psi, long nx, long ny, long r,
                    const double *restrict cx, const double *restrict cy, double *restrict vx,
                    double *restrict vy, double eps, double *restrict top)
@@ -435,12 +425,12 @@ static int64_t limited(const double *restrict c, double *restrict v, const doubl
 /* The FCT limiter over the block's rows as one sweep, as sweep runs the
  * donor-cell pass: for each face row, from the block's first on, the ratios
  * of the cell row below it into the ring and its limited faces of cx into
- * vx; then the limited y faces of cy of the cell row above it into vy and,
- * unless out is NULL, that row's donor-cell pass with them from psi into out
- * (pass_row).  The ring rows beside the block and the x faces below its
- * last row read rows of other blocks; the block computes them again, the
- * faces into ghost, and stores neither.  top gets the max |v_x| and max
- * |v_y| of the faces stored. */
+ * vx; then the limited y faces of cy of the cell row above it into vy and
+ * that row's donor-cell pass with them from psi into out (pass_row).  The
+ * ring rows beside the block and the x faces below its last row read rows
+ * of other blocks; the block computes them again, the faces into ghost, and
+ * stores neither.  top gets the max |v_x| and max |v_y| of the faces
+ * stored.  march and, over every row, limit run it. */
 static void limit_sweep(const double *restrict psi, double *restrict out, long ny, long r,
                         const double *restrict cx, const double *restrict cy, double *restrict vx,
                         double *restrict vy, double eps, double *restrict top, struct rows w, struct block s)
@@ -455,44 +445,32 @@ static void limit_sweep(const double *restrict psi, double *restrict out, long n
         int64_t face_top =
             limited(cx + b * r, face, w.up[a & 1], w.dn[a & 1], w.up[b & 1], w.dn[b & 1], HALO, HALO + ny, top_x);
         top_x = own ? face_top : top_x;
-        if (out)
-            x_fluxes(psi + b * r, ny, r, face, w.x[b & 1]);
+        x_fluxes(psi + b * r, ny, r, face, w.x[b & 1]);
         if (a < s.lo)
             continue;
         /* a y face's donor is the cell before it in the row */
         const double *up = w.up[a & 1], *dn = w.dn[a & 1];
         top_y = limited(cy + a * r, vy + a * r, up - 1, dn - 1, up, dn, HALO, HALO + ny + 1, top_y);
-        if (out)
-            pass_row(psi, out, ny, r, vy, w.x[a & 1], w.x[b & 1], w.y, a);
+        pass_row(psi, out, ny, r, vy, w.x[a & 1], w.x[b & 1], w.y, a);
     }
     top[0] = from_bits(top_x), top[1] = from_bits(top_y);
 }
 
-/* FCT-limited copy of the corrective field (cx, cy) into (vx, vy), its max
- * |v_x| and max |v_y| into top[0] and top[1] as in antidiffusive: march's
- * limiter without the pass.  Returns 0, or -1, having written nothing, when
- * its ring cannot be allocated. */
+/* march's limited corrective pass over every row: the FCT-limited copy of
+ * the corrective field (cx, cy) into (vx, vy), its max |v_x| and max |v_y|
+ * into top[0] and top[1], and the pass with it from psi into spare.  Returns
+ * 0, or -1, having written nothing, when its row buffers cannot be
+ * allocated. */
 long limit(const double *restrict psi, long nx, long ny, long r, const double *restrict cx,
-           const double *restrict cy, double *restrict vx, double *restrict vy, double eps, double *restrict top)
+           const double *restrict cy, double *restrict vx, double *restrict vy, double *restrict spare,
+           double eps, double *restrict top)
 {
     double *rows = alloc_rows(1, r);
     if (!rows)
         return -1;
-    limit_sweep(psi, NULL, ny, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), every_row(nx));
+    limit_sweep(psi, spare, ny, r, cx, cy, vx, vy, eps, top, rows_of(rows, 0, r), every_row(nx));
     free(rows);
     return 0;
-}
-
-/* x component of the physical Courant field (courant_x_row).  Returns max
- * |C_x| of the faces written, as max_abs finds it. */
-double courant_x(const double *restrict psi, long nx, long ny, long r, double *restrict cx,
-                 double u, double coef, double scale, double eps)
-{
-    struct build k = {u, coef, scale, eps, 1};
-    int64_t top = 0;
-    for (long a = HALO; a <= HALO + nx; a++)
-        top = courant_x_row(psi + a * r, ny, r, cx + a * r, k, top);
-    return from_bits(top);
 }
 
 /* Linear extrapolation outward from cells k and k - step (k the edge cell)

@@ -72,7 +72,7 @@ _ROWS = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE
 # what march writes: the failing field's max |C_x| and max |C_y|, and 1.0 if
 # it was a corrective field
 MARCH_RESULT = ctypes.c_double * 3
-# what antidiffusive and limit write: max |C_x| and max |C_y| of their field
+# what upwind, antidiffusive and limit write: max |C_x| and max |C_y| of the field they build
 MAXIMA = ctypes.c_double * 2
 # numpy's float64 exp loop and its data, which float64_loop finds and averages calls
 LOOP = _PTR * 2
@@ -92,10 +92,9 @@ def stop_if_unwound() -> None:
 # kernel -> (argument types, return type); without a return type ctypes reads
 # every result as a C int, silently
 ARGTYPES = {
-    "upwind": (_DIMS + (_PTR,) * 2, _INT),
+    "upwind": (_DIMS + (_PTR,) * 3 + (_INT,) + (_REAL,) * 4 + (MAXIMA,), _INT),
     "antidiffusive": (_DIMS + (_PTR,) * 4 + (_REAL, MAXIMA), None),
-    "limit": (_DIMS + (_PTR,) * 4 + (_REAL, MAXIMA), _INT),
-    "courant_x": (_DIMS + (_PTR,) + (_REAL,) * 4, _REAL),
+    "limit": (_DIMS + (_PTR,) * 5 + (_REAL, MAXIMA), _INT),
     "fill_scalar": (_DIMS, None),
     "fill_faces": (_DIMS, None),
     "max_abs": (_DIMS, _REAL),

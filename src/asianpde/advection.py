@@ -23,8 +23,9 @@ The whole step sequence runs only in :meth:`StepWorkspace.march`, for
 ``pricing.integrate``, ``benchmarks.run_translation`` and
 :func:`mpdata_step` alike, and the march raises the :class:`StabilityError`
 of every check it fails.  The single passes take plain fields: each copies
-its inputs into a new workspace, calls its one kernel over every column there
-and returns a copy, so its inputs are never changed.
+its inputs into a new workspace, runs the march's own loop over every row
+there and returns a copy, so its inputs are never changed.  A sweep export
+writes psi's second buffer; a scanning export writes its maxima to a double[2].
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import HALO, MARCH_RESULT, MAXIMA, dims, library, stop_if_unwound
+from ._step import HALO, MARCH_RESULT, MAXIMA, library, stop_if_unwound
 from .errors import ConfigurationError, StabilityError
 from .grid import ScalarField, VectorField
 from .grid import fill_halos_scalar, fill_halos_vector  # noqa: F401 -- perfbench/tracing.py wraps both here
@@ -46,7 +47,7 @@ DEFAULT_EPSILON = 1e-15
 # cell-steps of one C march call: Python sees Ctrl-C, and a table job its
 # stop, between calls, ~0.6 s apart at 2 iterations, ~1.5 s at 4
 MARCH_CALL_CELL_STEPS = 2**25
-# the MemoryError of a march, upwind_step or nonoscillatory_limit whose C call cannot allocate its row buffers
+# the MemoryError of a march, upwind_step, nonoscillatory_limit or build_courant whose C call lacks row buffers
 ROW_BUFFERS = "a step kernel could not allocate its row buffers"
 
 
@@ -112,8 +113,8 @@ class StepWorkspace:
     ``psi`` is the scalar, ``courant`` the physical Courant field and
     ``corrective`` two slots that the antidiffusive field and the limiter
     alternate between; each is a plain field viewing one stack of arrays.
-    The last of the stack's 8 slots is psi's second buffer, which
-    :meth:`march` writes each pass into before the pass's field is checked.
+    The last of the stack's 8 slots is psi's second buffer ``spare``, which
+    each pass of :meth:`march` and of a single sweep kernel writes.
     :meth:`march` fills and checks every field itself; a single kernel
     called on these fields trusts its caller to have filled the halos it
     reads.  One workspace serves one caller at a time.
@@ -123,7 +124,7 @@ class StepWorkspace:
         h = HALO
         self.fields = fields = np.zeros((8, nx + 1 + 2 * h, ny + 1 + 2 * h))
         self.steps = 0  # the steps marched so far
-        self.psi = ScalarField(fields[0, :nx + 2 * h, :ny + 2 * h])
+        self.psi, self.spare = (ScalarField(fields[s, :nx + 2 * h, :ny + 2 * h]) for s in (0, 7))
         self.courant, *self.corrective = (
             VectorField(fields[s, :, :ny + 2 * h], fields[s + 1, :nx + 2 * h, :]) for s in (1, 3, 5)
         )
@@ -174,7 +175,7 @@ class StepWorkspace:
         |C| <= 1.
         """
         faces = (c[0] for fld in (self.courant, *self.corrective) for c in (fld.c_comp_x, fld.c_comp_y))
-        arrays = (*self.psi.c_values, *faces, dims(self.fields[7], 1)[0])
+        arrays = (*self.psi.c_values, *faces, self.spare.c_values[0])
         settings = (
             opts.n_iters, opts.nonoscillatory, diffusion <= _DIFFUSION_LIMIT, periodic, courant_x is not None, threads,
             *(courant_x or (0.0, 0.0, 0.0)), _COURANT_LIMIT, DEFAULT_EPSILON,
@@ -203,15 +204,17 @@ def upwind_step(psi: ScalarField, courant: VectorField) -> ScalarField:
 
     The halo of ``psi`` must be filled; of ``courant`` only the interior
     faces are read.  Raises :class:`StabilityError` when any interior |C|
-    exceeds 1, and :class:`MemoryError` when the pass cannot allocate its
-    row buffers.
+    exceeds 1, and :class:`MemoryError` when the pass, the march's upwind
+    sweep into the workspace's ``spare``, cannot allocate its row buffers.
     """
     report = stability_report(*_max_abs(courant), 0.0)
     if not report.ok:
         raise StabilityError(report)
     ws = StepWorkspace.holding(psi, courant)
-    if library().upwind(*ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0]):
+    faces = (ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], ws.spare.c_values[0])
+    if library().upwind(*ws.psi.c_values, *faces, 0, 0.0, 0.0, 0.0, DEFAULT_EPSILON, MAXIMA()):  # no C_x build
         raise MemoryError(ROW_BUFFERS)
+    ws.psi.interior[...] = ws.spare.interior
     return ws.psi.copy()
 
 
@@ -239,13 +242,14 @@ def nonoscillatory_limit(psi_before: ScalarField, courant_corrective: VectorFiel
     min/max of its face-neighbour stencil in ``psi_before`` (a subset of the
     3x3 neighbourhood).  Halos of both inputs must be filled; halos of the
     result are left for the caller.  Raises :class:`MemoryError` when the
-    limiter cannot allocate its row buffers.
+    limiter, the march's sweep with its pass into ``spare``, cannot allocate
+    its row buffers.
     """
     ws = StepWorkspace.holding(psi_before, courant_corrective)
     out = ws.corrective[0]
     if library().limit(
         *ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-        DEFAULT_EPSILON, MAXIMA(),
+        ws.spare.c_values[0], DEFAULT_EPSILON, MAXIMA(),
     ):
         raise MemoryError(ROW_BUFFERS)
     return out.copy()

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._step import HALO, library
-from .advection import DEFAULT_EPSILON, SolverOptions, StepWorkspace, diffusion_number
+from ._step import HALO, MAXIMA, library
+from .advection import DEFAULT_EPSILON, ROW_BUFFERS, SolverOptions, StepWorkspace, diffusion_number
 from .advection import check_stability, mpdata_step  # noqa: F401 -- perfbench/tracing.py wraps both here
 from .errors import ConfigurationError, StabilityError
 from .grid import GridSpec, ScalarField, VectorField
@@ -108,10 +108,13 @@ def build_courant(
     of the face's row (it is constant in y and t).  Psi halos must be filled.
     Halos of the result are left for the caller; ``dt`` carries the marching
     sign (negative for backward-in-time integration).  ``psi`` is left as it
-    is and a new field is returned.
+    is and a new field is returned.  C_x is built in the march's upwind
+    sweep, whose pass is dropped: :class:`MemoryError` if it lacks row buffers.
     """
     ws = StepWorkspace.holding(psi)
-    library().courant_x(*ws.psi.c_values, ws.courant.c_comp_x[0], *_courant_x_terms(tr, spec, dt), DEFAULT_EPSILON)
+    faces = (ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], ws.spare.c_values[0])
+    if library().upwind(*ws.psi.c_values, *faces, 1, *_courant_x_terms(tr, spec, dt), DEFAULT_EPSILON, MAXIMA()):
+        raise MemoryError(ROW_BUFFERS)
     _write_courant_y(ws, tr, spec, dt)
     return ws.courant.copy()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asianpde import advection
+from asianpde import advection, pricing
 from asianpde._step import HALO, library
 from asianpde.advection import (
     SolverOptions,
@@ -209,7 +209,8 @@ class TestUpwindStep:
 
     def test_refused_row_buffers_raise_memory_error(self, monkeypatch):
         # march, upwind and limit return -1, having written nothing, when
-        # they cannot allocate the row buffers of their sweep
+        # they cannot allocate the row buffers of their sweep; build_courant
+        # builds C_x in upwind's
         kernels = library()
 
         class Refusing:
@@ -222,9 +223,12 @@ class TestUpwindStep:
             upwind = limit = march
 
         monkeypatch.setattr(advection, "library", Refusing)
+        monkeypatch.setattr(pricing, "library", Refusing)
         psi, vec = ScalarField.zeros(SPEC), VectorField.zeros(SPEC)
         with pytest.raises(MemoryError, match="row buffers"):
             upwind_step(psi, vec)
+        with pytest.raises(MemoryError, match="row buffers"):
+            build_courant(psi, make_transform(InstrumentSpec("call", 100.0, 0.5, 0.3, 0.1, 100.0)), SPEC, -0.001)
         with pytest.raises(MemoryError, match="row buffers"):
             nonoscillatory_limit(psi, vec)
         ws = StepWorkspace.holding(psi, vec)

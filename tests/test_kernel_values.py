@@ -2,9 +2,9 @@
 
 The clamps of the donor-cell fluxes and of the FCT limiter must give the
 numpy oracles' bits on Courant numbers of -0.0, +0.0, NaN, +-inf and exactly
-+-1 and on limiter ratios of exactly 1; ``courant_x``, ``antidiffusive`` and
-``limit`` must return the ``max_abs`` of the faces they wrote, bit for bit,
-and so must a march that stops on a failed check.
++-1 and on limiter ratios of exactly 1; ``upwind`` building C_x,
+``antidiffusive`` and ``limit`` must return the ``max_abs`` of the faces they
+wrote, bit for bit, and so must a march that stops on a failed check.
 """
 
 import numpy as np
@@ -65,7 +65,9 @@ def test_upwind_matches_numpy_on_corner_courant_numbers(seed):
     psi, courant = corner_pair(seed)
     ws = StepWorkspace.holding(psi, courant)
     # upwind_step refuses |C| > 1: the kernel itself takes any field
-    assert library().upwind(*ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0]) == 0
+    faces = (ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], ws.spare.c_values[0])
+    assert library().upwind(*ws.psi.c_values, *faces, 0, 0.0, 0.0, 0.0, DEFAULT_EPSILON, MAXIMA()) == 0
+    ws.psi.interior[...] = ws.spare.interior  # the pass, as upwind_step takes it
     assert np.array_equal(bits(ws.psi.values), bits(reference_upwind(psi, courant).values))
 
 
@@ -114,9 +116,11 @@ SPECIALS = [None, (), (-0.0, -0.0), (np.inf,), (-np.inf, 0.0), (np.nan,), (NAN_P
 def test_courant_x_returns_the_max_abs_of_its_faces(specials):
     psi, _ = seeded_pair(specials)
     ws = StepWorkspace.holding(psi)
+    faces = (ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], ws.spare.c_values[0])
     for terms in ((0.3, -0.7, 1.3), (0.0, 0.5, -2.0)):  # the second makes -0.0 of a zero field
-        top = library().courant_x(*ws.psi.c_values, ws.courant.c_comp_x[0], *terms, DEFAULT_EPSILON)
-        assert bits(top) == bits(_max_abs(ws.courant)[0])
+        top = MAXIMA()  # upwind builds C_x in its sweep, as the march's upwind pass does
+        assert library().upwind(*ws.psi.c_values, *faces, 1, *terms, DEFAULT_EPSILON, top) == 0
+        assert bits(top[0]) == bits(_max_abs(ws.courant)[0])
 
 
 @pytest.mark.parametrize("kernel", ["antidiffusive", "limit"])
@@ -125,9 +129,10 @@ def test_corrective_kernels_return_the_max_abs_of_their_faces(kernel, specials):
     psi, courant = seeded_pair(specials)
     ws = StepWorkspace.holding(psi, courant)
     out, top = ws.corrective[0], MAXIMA()
+    spare = (ws.spare.c_values[0],) if kernel == "limit" else ()  # limit's pass goes there
     getattr(library(), kernel)(
         *ws.psi.c_values, ws.courant.c_comp_x[0], ws.courant.c_comp_y[0], out.c_comp_x[0], out.c_comp_y[0],
-        DEFAULT_EPSILON, top,
+        *spare, DEFAULT_EPSILON, top,
     )
     assert np.array_equal(bits(list(top)), bits(_max_abs(out)))
 

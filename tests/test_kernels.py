@@ -258,7 +258,30 @@ def test_every_kernel_has_declared_types():
     for name, (argtypes, restype) in _step.ARGTYPES.items():
         kernel = getattr(lib, name)
         assert tuple(kernel.argtypes) == argtypes and kernel.restype is restype
-    assert _step.ARGTYPES["max_abs"][1] is _step.ARGTYPES["courant_x"][1] is ctypes.c_double
+    assert _step.ARGTYPES["max_abs"][1] is ctypes.c_double
+
+
+def uncalled(source: str, callers: list[str]) -> set[str]:
+    """The exports of ``source`` that no text of ``callers`` calls: Python
+    reaches one as ``library().<name>`` or ``lib.<name>``, a C driver, a
+    string holding an ``#include``, by its name and a parenthesis."""
+    called = set()
+    for text in callers:
+        called |= set(re.findall(r"(?:\blibrary\(\)|\blib)\.(\w+)\b", text))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "#include" in node.value:
+                called |= set(re.findall(r"\b(\w+)\(", node.value))
+    return exported(source) - called
+
+
+def test_every_export_has_a_caller():
+    # a stale export, one that nothing calls, fails here; a static function
+    # with no caller fails the -Werror compile above
+    callers = [path.read_text() for path in sorted(PACKAGE_ROOT.glob("asianpde/*.py"))]
+    callers += [path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))]
+    source = _step.SOURCE.read_text()
+    assert uncalled(source, callers) == set()
+    assert uncalled(source + "\nlong stale(double *v)\n{\n    return 0;\n}\n", callers) == {"stale"}
 
 
 def test_averages_work_rows_match_the_c_lanes():
